@@ -16,7 +16,7 @@ from .certificates import (
     derive_certificate_wf,
 )
 from .dsl import DslError, Elaborated, Property, SpecAst, elaborate, load_file, parse, print_spec
-from .events import Event, EventSystem, ModelError, event_transformer, system_choice
+from .events import Event, EventSystem, ModelError
 from .exprs import EvalError, eval_bool, eval_expr, to_text
 from .mp import ensures_mp, leadsto_mp, leadsto_mp_si, mp_step, rule_mp_variant
 from .oracle import (
@@ -52,6 +52,7 @@ from .transformers import (
     lfp,
     liberal,
     pre,
+    system_choice,
 )
 from .variants import VariantError, VariantFn, check_variant_theorem
 from .verdicts import SelfCheckDefect, Verdict

@@ -253,9 +253,3 @@ def _node_from_json(space: StateSpace, data: dict) -> Certificate:
             _set_from_json(space, data["q"]),
         )
     raise CertificateError(f"unknown rule {rule!r}")
-
-
-# attribute-style serialization used by Verdict.to_json
-for _cls in (Basic, Trans, Disj):
-    _cls.to_json = cert_to_json  # type: ignore[attr-defined]
-del _cls

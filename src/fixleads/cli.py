@@ -1,9 +1,9 @@
 """Command line surface: check, explain, check-cert and si subcommands.
 
 Exit codes: 0 all requested checks pass, 1 some property fails or a
-certificate is rejected, 2 usage or parse errors, 3 internal defect (the
-independent trace oracle disagrees with the fixpoint verdict, or a rule's
-self-check fires).
+certificate is rejected, 2 usage errors or bad input files, 3 internal
+defect (the independent trace oracle disagrees with the fixpoint verdict, a
+rule's self-check fires, or any other unexpected exception).
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from typing import Optional, Tuple
 
 from . import __version__
@@ -26,7 +27,6 @@ from .certificates import (
     SCHEMA_VERSION,
 )
 from .dsl import DslError, Elaborated, Property, load_file
-from .events import EventSystem
 from .mp import ensures_mp, leadsto_mp, leadsto_mp_si, rule_mp_variant
 from .oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from .states import DEFAULT_STATE_CAP, SpaceError, StateSet
@@ -38,7 +38,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFECT = 3
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2  # check --json; per-event fair-loop sets come from explain
+SI_SCHEMA = 1  # si --json, versioned apart from the check report
 
 
 class UsageError(Exception):
@@ -62,8 +63,10 @@ def _load(path: str, args) -> Elaborated:
         raise UsageError(f"no such file: {path}")
     try:
         return load_file(path, cap=_state_cap(args))
-    except (DslError, SpaceError) as exc:
+    except (DslError, SpaceError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}")
 
 
 def check_property(
@@ -91,20 +94,12 @@ def check_property(
     return leadsto_wf_si(sys_, prop.p, prop.q) if use_si else leadsto_wf(sys_, prop.p, prop.q)
 
 
-def _oracle_claim(
-    elab: Elaborated, prop: Property, assumption: str, use_si: bool
-) -> Tuple[StateSet, StateSet]:
+def _oracle_claim(elab: Elaborated, prop: Property, use_si: bool) -> Tuple[StateSet, StateSet]:
     a, b = prop.p, prop.q
     if use_si:
         si = elab.system.strongest_invariant()
         a, b = a & si, b & si
     return a, b
-
-
-def _run_oracle(sys_: EventSystem, assumption: str, a: StateSet, b: StateSet):
-    if assumption == "mp":
-        return oracle_mp(sys_, a, b)
-    return oracle_wf(sys_, a, b)
 
 
 def _format_set(s: StateSet) -> str:
@@ -140,13 +135,16 @@ def cmd_check(args) -> int:
         }
         cx = None
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
-            use_si = prop.with_si or args.si
-            a, b = _oracle_claim(elab, prop, assumption, use_si)
-            oracle_assumption = "mp" if prop.using is not None else assumption
-            o_holds, cx = _run_oracle(elab.system, oracle_assumption, a, b)
+            a, b = _oracle_claim(elab, prop, prop.with_si or args.si)
+            by_rule = prop.using is not None
+            oracle = oracle_mp if by_rule or assumption == "mp" else oracle_wf
+            o_holds, cx = oracle(elab.system, a, b)
             if args.oracle:
+                # a variant rule is only sufficient: when it fails, the oracle
+                # is held against the direct mp fixpoint, not against the rule
+                fix_holds = verdict.holds or (by_rule and leadsto_mp(elab.system, a, b).holds)
                 entry["oracle"] = {"holds": o_holds}
-                entry["agreement"] = o_holds == verdict.holds
+                entry["agreement"] = o_holds == fix_holds
                 if not entry["agreement"]:
                     defect = True
             if cx is not None and not verdict.holds:
@@ -167,6 +165,10 @@ def cmd_check(args) -> int:
             if "agreement" in entry:
                 line += " [oracle agrees]" if entry["agreement"] else " [ORACLE DISAGREES]"
             print(line)
+            for antecedent in ("failing_level", "not_invariant"):
+                if antecedent in entry["verdict"].get("details", {}):
+                    detail = json.dumps(entry["verdict"]["details"][antecedent])
+                    print(f"       rule antecedent fails, {antecedent}: {detail}")
             if "counterexample" in entry:
                 print(f"       counterexample: {json.dumps(entry['counterexample'])}")
     if defect:
@@ -196,9 +198,7 @@ def cmd_explain(args) -> int:
         cert = Basic(a, b, assumption, helpful=prop.via)
     else:
         assumption = "mp" if prop.using is not None else prop.assumption
-        a, b = _oracle_claim(elab, prop, assumption, prop.with_si)
-        if verdict.trace is None:
-            verdict = (leadsto_mp if assumption == "mp" else leadsto_wf)(sys_, a, b)
+        a, b = _oracle_claim(elab, prop, prop.with_si)
         derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
         cert = derive(sys_, a, b, verdict.trace)
     payload = {
@@ -221,16 +221,23 @@ def cmd_check_cert(args) -> int:
     elab = _load(args.file, args)
     if not os.path.exists(args.cert):
         raise UsageError(f"no such file: {args.cert}")
-    with open(args.cert, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.cert, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"{args.cert}: not a JSON file ({exc})")
+    except OSError as exc:
+        raise UsageError(f"{args.cert}: {exc.strerror}")
     space = elab.system.space
     try:
         cert = cert_from_json(space, payload["certificate"])
         a = space.from_indices(space.index_of(st) for st in payload["claimed"]["a"])
         b = space.from_indices(space.index_of(st) for st in payload["claimed"]["b"])
         assumption = payload["assumption"]
-    except (KeyError, CertificateError, SpaceError) as exc:
-        raise UsageError(f"{args.cert}: malformed certificate file ({exc})")
+    except (KeyError, TypeError, AttributeError, CertificateError, SpaceError) as exc:
+        # the decoder trusts the file's shape: a list or number where an
+        # object or list belongs surfaces as TypeError or AttributeError
+        raise UsageError(f"{args.cert}: malformed certificate file ({exc!r})")
     ok = check_certificate(elab.system, cert, (a, b), assumption)
     print("certificate accepted" if ok else "certificate rejected")
     return EXIT_OK if ok else EXIT_FAIL
@@ -242,7 +249,7 @@ def cmd_si(args) -> int:
         raise UsageError(f"{args.file}: no init declared")
     si = elab.system.strongest_invariant()
     if args.json:
-        json.dump({"schema": REPORT_SCHEMA, "si": si.to_json()}, sys.stdout, indent=2)
+        json.dump({"schema": SI_SCHEMA, "si": si.to_json()}, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         print(_format_set(si))
@@ -316,6 +323,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SelfCheckDefect as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEFECT
 
 

@@ -3,14 +3,14 @@
 An event is enabled on its guard and maps each guarded state to a non-empty
 set of successors; outside the guard it is a miracle (the induced transformer
 holds there vacuously).  The whole system acts as the demonic choice of its
-events.
+events (``transformers.system_choice`` is that choice as a term).
 """
 from __future__ import annotations
 
 from typing import Dict, List
 
 from .states import StateSet, StateSpace, SpaceMismatch
-from .transformers import Choice, Rel, Transformer, lfp
+from .transformers import lfp
 
 
 class ModelError(Exception):
@@ -121,14 +121,3 @@ class EventSystem:
             "events": [e.to_json() for e in self.events],
             "init": self.init.to_json(),
         }
-
-
-def event_transformer(e: Event) -> Transformer:
-    return Rel(e)
-
-
-def system_choice(sys: EventSystem) -> Transformer:
-    t: Transformer = Rel(sys.events[0])
-    for e in sys.events[1:]:
-        t = Choice(t, Rel(e))
-    return t

@@ -7,12 +7,10 @@ least fixpoint of the target-or-step iteration.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .events import EventSystem
 from .states import StateSet
 from .transformers import lfp
-from .variants import VariantFn
+from .variants import VariantFn, first_failing_level
 from .verdicts import SelfCheckDefect, Verdict
 
 
@@ -32,10 +30,9 @@ def leadsto_mp(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
 
 
 def leadsto_mp_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
+    """Leads-to on reachable states only: the plain check of ``si ∩ a`` to ``si ∩ b``."""
     si = sys.strongest_invariant()
-    target = si & b
-    fix, trace = lfp(lambda x: target | mp_step(sys, x), sys.space)
-    v = Verdict(holds=(si & a).is_subset(fix), relation="T_m", fixpoint=fix, trace=trace)
+    v = leadsto_mp(sys, si & a, si & b)
     v.details["si"] = si
     return v
 
@@ -49,13 +46,7 @@ def rule_mp_variant(sys: EventSystem, a: StateSet, b: StateSet, variant: Variant
     disagreement is a defect, not a verdict.
     """
     pending = a - b
-    failing: Optional[dict] = None
-    for n in range(variant.max_value + 1):
-        lhs = pending & variant.level_set(n)
-        rhs = sys.apply_all(variant.below_set(n))
-        if not lhs.is_subset(rhs):
-            failing = {"n": n, "states": (lhs - rhs).to_json()}
-            break
+    failing = first_failing_level(pending, variant, sys.apply_all)
     invariant_ok = pending.is_subset(sys.grd_all & sys.apply_all(a))
     holds = failing is None and invariant_ok
     v = Verdict(holds=holds, relation="rule-mp-variant")

@@ -68,21 +68,25 @@ def _edges_within(sys: EventSystem, allowed_mask: int) -> Dict[int, List[Tuple[s
     return adj
 
 
-def _bfs_tree(adj, sources) -> Dict[int, Optional[Tuple[int, str]]]:
-    """Parent pointers (pred state, event) for nodes reachable from sources."""
+def _bfs_tree(adj, sources):
+    """Parent pointers (pred state, event) and BFS distances for nodes
+    reachable from sources."""
     parent: Dict[int, Optional[Tuple[int, str]]] = {}
+    depth: Dict[int, int] = {}
     dq = deque()
     for s in sources:
         if s in adj and s not in parent:
             parent[s] = None
+            depth[s] = 0
             dq.append(s)
     while dq:
         s = dq.popleft()
         for ev, t in adj[s]:
             if t not in parent:
                 parent[t] = (s, ev)
+                depth[t] = depth[s] + 1
                 dq.append(t)
-    return parent
+    return parent, depth
 
 
 def _path_from_root(parent, node) -> Tuple[int, List[Tuple[str, int]]]:
@@ -198,6 +202,33 @@ def oracle_reachable(sys: EventSystem, start: StateSet) -> StateSet:
     return StateSet(sys.space, seen)
 
 
+def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_trap):
+    """Search the avoid-subgraph reachable from ``a`` outside ``b`` for a
+    deadlock, then for a trap cycle found by ``find_trap(sys, adj, nearest)``,
+    which returns ``(anchor, cycle, fairness witness)`` or None."""
+    avoid = b.complement().mask
+    sources = [s for s in a if (avoid >> s) & 1]
+    if not sources:
+        return True, None
+    adj = _edges_within(sys, avoid)
+    parent, depth = _bfs_tree(adj, sources)
+
+    def nearest(nodes):
+        # (depth, index) order keeps counterexamples short and deterministic
+        return min(nodes, key=lambda s: (depth[s], s))
+
+    deadlocks = [s for s in parent if (sys.grd_all.mask >> s) & 1 == 0]
+    if deadlocks:
+        start, prefix = _path_from_root(parent, nearest(deadlocks))
+        return False, Counterexample("deadlock-path", start, prefix, assumption=assumption)
+    trap = find_trap(sys, {s: adj[s] for s in parent}, nearest)
+    if trap is None:
+        return True, None
+    anchor, cycle, witness = trap
+    start, prefix = _path_from_root(parent, anchor)
+    return False, Counterexample("lasso", start, prefix, cycle, witness, assumption=assumption)
+
+
 def oracle_mp(
     sys: EventSystem, a: StateSet, b: StateSet
 ) -> Tuple[bool, Optional[Counterexample]]:
@@ -206,33 +237,19 @@ def oracle_mp(
     Fails iff from some start in ``a`` there is a maximal run avoiding ``b``:
     any reachable deadlock or any reachable cycle of the avoid-subgraph.
     """
-    avoid = b.complement().mask
-    sources = [s for s in a if (avoid >> s) & 1]
-    if not sources:
-        return True, None
-    adj = _edges_within(sys, avoid)
-    parent = _bfs_tree(adj, sources)
+    return _oracle(sys, a, b, "mp", _mp_trap)
 
-    deadlocks = sorted(
-        s for s in parent if (sys.grd_all.mask >> s) & 1 == 0
-    )
-    if deadlocks:
-        target = min(deadlocks, key=lambda s: (_depth(parent, s), s))
-        start, prefix = _path_from_root(parent, target)
-        return False, Counterexample("deadlock-path", start, prefix)
 
+def _mp_trap(sys, adj, nearest):
     cyclic = set()
-    for comp in _sccs({s: adj[s] for s in parent}):
+    for comp in _sccs(adj):
         comp_set = set(comp)
-        internal = any(t in comp_set for s in comp for _, t in adj[s])
-        if internal:
+        if any(t in comp_set for s in comp for _, t in adj[s]):
             cyclic.update(comp)
-    if cyclic:
-        target = min(cyclic, key=lambda s: (_depth(parent, s), s))
-        start, prefix = _path_from_root(parent, target)
-        cycle = _shortest_cycle_through(adj, target)
-        return False, Counterexample("lasso", start, prefix, cycle)
-    return True, None
+    if not cyclic:
+        return None
+    anchor = nearest(cyclic)
+    return anchor, _shortest_cycle_through(adj, anchor), {}
 
 
 def oracle_wf(
@@ -244,22 +261,11 @@ def oracle_wf(
     or a strongly connected component with an internal edge in which every
     event enabled at all of its states can also be taken inside it.
     """
-    avoid = b.complement().mask
-    sources = [s for s in a if (avoid >> s) & 1]
-    if not sources:
-        return True, None
-    adj = _edges_within(sys, avoid)
-    parent = _bfs_tree(adj, sources)
+    return _oracle(sys, a, b, "wf", _wf_trap)
 
-    deadlocks = sorted(
-        s for s in parent if (sys.grd_all.mask >> s) & 1 == 0
-    )
-    if deadlocks:
-        target = min(deadlocks, key=lambda s: (_depth(parent, s), s))
-        start, prefix = _path_from_root(parent, target)
-        return False, Counterexample("deadlock-path", start, prefix, assumption="wf")
 
-    for comp in _sccs({s: adj[s] for s in parent}):
+def _wf_trap(sys, adj, nearest):
+    for comp in _sccs(adj):
         comp_set = set(comp)
         internal_edges = [
             (s, ev, t) for s in comp for ev, t in adj[s] if t in comp_set
@@ -269,13 +275,9 @@ def oracle_wf(
         fair, witness_edges = _fair_component(sys, comp_set, internal_edges)
         if not fair:
             continue
-        target = min(comp_set, key=lambda s: (_depth(parent, s), s))
-        start, prefix = _path_from_root(parent, target)
-        cycle, witness = _fair_cycle(adj, comp_set, target, witness_edges)
-        return False, Counterexample(
-            "lasso", start, prefix, cycle, witness, assumption="wf"
-        )
-    return True, None
+        anchor = nearest(comp_set)
+        return (anchor, *_fair_cycle(adj, comp_set, anchor, witness_edges))
+    return None
 
 
 def _fair_component(sys, comp_set, internal_edges):
@@ -307,7 +309,7 @@ def _fair_cycle(adj, comp_set, anchor, witness_edges):
     def path(u, v) -> List[Tuple[str, int]]:
         if u == v:
             return []
-        parent = _bfs_tree(comp_adj, [u])
+        parent, _ = _bfs_tree(comp_adj, [u])
         _, steps = _path_from_root(parent, v)
         return steps
 
@@ -326,15 +328,6 @@ def _fair_cycle(adj, comp_set, anchor, witness_edges):
             cur = w
     cycle += path(cur, anchor)
     return cycle, witness
-
-
-def _depth(parent, node) -> int:
-    d = 0
-    cur = node
-    while parent[cur] is not None:
-        cur = parent[cur][0]
-        d += 1
-    return d
 
 
 def validate_counterexample(

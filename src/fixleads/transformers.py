@@ -64,6 +64,14 @@ class Rel:
 Transformer = Union[Skip, Guard, Precond, Choice, Seq, Dovetail, Rel]
 
 
+def system_choice(sys) -> Transformer:
+    """The demonic choice of every event of an ``events.EventSystem``."""
+    t: Transformer = Rel(sys.events[0])
+    for e in sys.events[1:]:
+        t = Choice(t, Rel(e))
+    return t
+
+
 def apply(t: Transformer, r: StateSet) -> StateSet:
     """Demonic interpretation of ``t`` at postcondition ``r``."""
     if isinstance(t, Skip):

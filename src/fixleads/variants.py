@@ -60,6 +60,19 @@ class VariantFn:
         }
 
 
+def first_failing_level(
+    p: StateSet, variant: VariantFn, step: Callable[[StateSet], StateSet]
+) -> Optional[dict]:
+    """The lowest variant level ``n`` at which some state of ``p`` does not
+    ``step`` strictly below ``n``, as ``{"n", "states"}``, or None."""
+    for n in range(variant.max_value + 1):
+        lhs = p & variant.level_set(n)
+        rhs = step(variant.below_set(n))
+        if not lhs.is_subset(rhs):
+            return {"n": n, "states": (lhs - rhs).to_json()}
+    return None
+
+
 def check_variant_theorem(
     f: Callable[[StateSet], StateSet],
     p: StateSet,
@@ -73,13 +86,7 @@ def check_variant_theorem(
     directly and a disagreement raises a defect.
     """
     space = p.space
-    failing: Optional[dict] = None
-    for n in range(variant.max_value + 1):
-        lhs = variant.level_set(n) & p
-        rhs = f(variant.below_set(n))
-        if not lhs.is_subset(rhs):
-            failing = {"n": n, "states": (lhs - rhs).to_json()}
-            break
+    failing = first_failing_level(p, variant, f)
     invariant_ok = p.is_subset(f(p))
     holds = failing is None and invariant_ok
     v = Verdict(holds=holds, relation="variant-theorem")

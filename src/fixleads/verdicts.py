@@ -14,8 +14,6 @@ class Verdict:
     relation: str  # 'T_m' | 'T_w' | 'E_m' | 'E_w' | 'rule-mp-variant' | 'rule-wf-to-mp'
     fixpoint: Optional[StateSet] = None
     trace: Optional[IterateTrace] = None
-    certificate: Optional[object] = None
-    counterexample: Optional[object] = None
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -24,10 +22,6 @@ class Verdict:
             out["fixpoint"] = self.fixpoint.to_json()
         if self.trace is not None:
             out["trace"] = self.trace.to_json()
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample.to_json()
         if self.details:
             out["details"] = {
                 k: (v.to_json() if isinstance(v, StateSet) else v)

@@ -8,12 +8,10 @@ again a least fixpoint over fair steps.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from .events import Event, EventSystem
 from .states import StateSet
 from .transformers import gfp, lfp
-from .variants import VariantFn
+from .variants import VariantFn, first_failing_level
 from .verdicts import SelfCheckDefect, Verdict
 
 
@@ -41,9 +39,8 @@ def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> S
     """Liberal interpretation of the fair loop (reach ``q`` or run forever)."""
     if r.is_universe():
         return sys.space.universe()
-    g_r = g.guard & g.apply(r)
-    fix, _ = gfp(lambda x: q | (g_r & sys.apply_all(x)), sys.space)
-    return fix
+    # below the full postcondition the demonic loop is the liberal one
+    return fair_loop(sys, q, g, r)
 
 
 def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
@@ -52,11 +49,6 @@ def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
     for g in sys.events:
         out = out | fair_loop(sys, r, g, r)
     return out
-
-
-def fair_loop_contributions(sys: EventSystem, r: StateSet) -> Dict[str, StateSet]:
-    """Per-event fair-loop values at ``r`` (for verdict explainability)."""
-    return {g.name: fair_loop(sys, r, g, r) for g in sys.events}
 
 
 def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
@@ -75,18 +67,13 @@ def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     for step in trace.steps:
         if not step.is_subset(bound):
             raise SelfCheckDefect("fair iterate escapes the one-step bound")
-    v = Verdict(holds=a.is_subset(fix), relation="T_w", fixpoint=fix, trace=trace)
-    v.details["per_event"] = {
-        name: s.to_json() for name, s in fair_loop_contributions(sys, fix).items()
-    }
-    return v
+    return Verdict(holds=a.is_subset(fix), relation="T_w", fixpoint=fix, trace=trace)
 
 
 def leadsto_wf_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
+    """Leads-to on reachable states only: the plain check of ``si ∩ a`` to ``si ∩ b``."""
     si = sys.strongest_invariant()
-    target = si & b
-    fix, trace = lfp(lambda x: target | wf_step(sys, x), sys.space)
-    v = Verdict(holds=(si & a).is_subset(fix), relation="T_w", fixpoint=fix, trace=trace)
+    v = leadsto_wf(sys, si & a, si & b)
     v.details["si"] = si
     return v
 
@@ -94,14 +81,7 @@ def leadsto_wf_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
 def rule_wf_to_mp(sys: EventSystem, a: StateSet, b: StateSet, variant: VariantFn) -> Verdict:
     """Bridge rule: a leads-to proved under weak fairness carries over to
     minimal progress when every event decreases the variant outside ``b``."""
-    not_b = b.complement()
-    failing: Optional[dict] = None
-    for n in range(variant.max_value + 1):
-        lhs = not_b & variant.level_set(n)
-        rhs = sys.apply_all(variant.below_set(n))
-        if not lhs.is_subset(rhs):
-            failing = {"n": n, "states": (lhs - rhs).to_json()}
-            break
+    failing = first_failing_level(b.complement(), variant, sys.apply_all)
     wf_verdict = leadsto_wf(sys, a, b)
     holds = failing is None and wf_verdict.holds
     v = Verdict(holds=holds, relation="rule-wf-to-mp")

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fixleads import Event, EventSystem, StateSet, StateSpace, VarDecl
-from fixleads.fixtures import (
+from fixleads import Event, EventSystem, StateSet, StateSpace, VarDecl, lfp
+
+from fixtures import (
     cycle3_system,
     idle_system,
     ladder3_system,
@@ -74,6 +75,23 @@ def random_system(
     ]
     init = StateSet(space, rng.getrandbits(n) & space.full_mask or 1)
     return EventSystem(space, events, init)
+
+
+def restricted_leadsto(sys_, a, b, step):
+    """Reference for the ``with si`` checks: the least fixpoint of
+    ``x ↦ (si ∩ b) ∪ step(x)``, holding when ``si ∩ a`` lies inside it."""
+    si = sys_.strongest_invariant()
+    target = si & b
+    fix, trace = lfp(lambda x: target | step(sys_, x), sys_.space)
+    return (si & a).is_subset(fix), fix, trace, si
+
+
+def assert_matches_restricted(verdict, reference):
+    holds, fix, trace, si = reference
+    assert verdict.holds == holds
+    assert verdict.fixpoint.mask == fix.mask
+    assert [s.mask for s in verdict.trace.steps] == [s.mask for s in trace.steps]
+    assert verdict.details["si"].mask == si.mask
 
 
 def variant_decreasing_system(rng: random.Random, max_states: int = 8):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-from .events import Event, EventSystem
-from .states import StateSet, StateSpace, VarDecl
+from fixleads.events import Event, EventSystem
+from fixleads.states import StateSet, StateSpace, VarDecl
 
 
 def _space(hi: int) -> StateSpace:

@@ -35,13 +35,6 @@ from fixleads import (
     wf_step,
 )
 from fixleads.certificates import Basic, Disj, Trans, _leaf_ok
-from fixleads.fixtures import (
-    cycle3_system,
-    idle_system,
-    ladder3_system,
-    mono3_system,
-    twodown_system,
-)
 from fixleads.wf import fair_loop, fair_loop_liberal, fair_loop_termination
 
 from conftest import (
@@ -51,6 +44,13 @@ from conftest import (
     random_system,
     variant_decreasing_system,
     xs,
+)
+from fixtures import (
+    cycle3_system,
+    idle_system,
+    ladder3_system,
+    mono3_system,
+    twodown_system,
 )
 
 

@@ -2,7 +2,9 @@
 import json
 import os
 
+import pytest
 
+from fixleads import cli
 from fixleads.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -43,7 +45,7 @@ def test_check_json_report(capsys):
     code = main(["check", _path("mono3.evt"), "--oracle", "--json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["system"] == "mono3"
     names = [p["name"] for p in report["properties"]]
     assert names == ["climb", "climb_by_variant"]
@@ -142,6 +144,64 @@ def test_check_cert_rejects_tampering(tmp_path, capsys):
     node["q"] = [{"x": 1}]  # corrupt the final target
     out_file.write_text(json.dumps(payload))
     assert main(["check-cert", _path("mono3.evt"), str(out_file)]) == 1
+
+
+# a variant whose levels do not decrease: the rule fails on both claims
+BAD_RULE = "variant bad := x\nproperty climb_bad : leadsto {x = 0} {x = 2} under mp using bad\n"
+
+
+@pytest.mark.parametrize("model, holds", [("mono3.evt", True), ("cycle3.evt", False)])
+def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, holds):
+    src = tmp_path / model
+    with open(_path(model), encoding="utf-8") as fh:
+        src.write_text(fh.read() + BAD_RULE)
+    assert main(["check", str(src), "--oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL climb_bad" in out and "ORACLE DISAGREES" not in out
+    assert "failing_level" in out
+    assert main(["check", str(src), "--oracle", "--json"]) == 1
+    entry = json.loads(capsys.readouterr().out)["properties"][-1]
+    assert entry["verdict"]["details"]["failing_level"]["n"] == 0
+    assert entry["oracle"]["holds"] is holds and entry["agreement"] is True
+    # a false property keeps its (validated) counterexample
+    assert ("counterexample" in entry) is not holds
+
+
+SDR_PARTS_NUMBER = {
+    "assumption": "wf",
+    "claimed": {"a": [], "b": []},
+    "certificate": {"rule": "SDR", "q": [], "parts": 5},
+}
+
+
+@pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
+                                  "check-directory", "binary-model"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    bad = tmp_path / "bad"
+    argv = ["check-cert", _path("mono3.evt"), str(bad)]
+    if case == "malformed-json":
+        bad.write_text("{not json")
+    elif case == "top-level-list":
+        bad.write_text("[]")
+    elif case == "parts-number":
+        bad.write_text(json.dumps(SDR_PARTS_NUMBER))
+    elif case == "check-directory":
+        argv = ["check", str(tmp_path)]
+    else:
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = ["check", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_is_a_defect(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_si", broken)
+    assert main(["si", _path("mono3.evt")]) == 3
+    assert "internal defect: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_usage_without_subcommand():

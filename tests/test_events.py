@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads.events import Event, EventSystem, ModelError, system_choice
-from fixleads.fixtures import idle_system, mono3_system
+from fixleads.events import Event, EventSystem, ModelError
 from fixleads.oracle import oracle_reachable
 from fixleads.states import StateSet
-from fixleads.transformers import apply, grd
+from fixleads.transformers import apply, grd, system_choice
 
 from conftest import make_space, random_system, xs
+from fixtures import idle_system, mono3_system
 
 
 def test_event_apply_mono3(mono3):

@@ -3,7 +3,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from fixleads.fixtures import mono3_system
 from fixleads.mp import (
     ensures_mp,
     leadsto_mp,
@@ -13,7 +12,14 @@ from fixleads.mp import (
 )
 from fixleads.variants import VariantFn
 
-from conftest import random_set, random_system, xs
+from conftest import (
+    assert_matches_restricted,
+    random_set,
+    random_system,
+    restricted_leadsto,
+    xs,
+)
+from fixtures import mono3_system
 
 
 def test_ensures_mp_examples(mono3, idle):
@@ -115,3 +121,13 @@ def test_leadsto_mp_transitive_and_disjunctive(seed):
         assert leadsto_mp(sys_, a, b).holds
     if leadsto_mp(sys_, a, b).holds and leadsto_mp(sys_, c, b).holds:
         assert leadsto_mp(sys_, a | c, b).holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_leadsto_mp_si_is_the_restricted_fixpoint(seed):
+    rng = random.Random(seed)
+    sys_ = random_system(rng, max_states=8)
+    a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+    assert_matches_restricted(leadsto_mp_si(sys_, a, b),
+                              restricted_leadsto(sys_, a, b, mp_step))

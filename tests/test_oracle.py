@@ -94,6 +94,50 @@ def test_validator_rejects_corrupt_counterexamples(idle):
     assert not validate_counterexample(idle, bad, xs(idle, 1))
 
 
+def _avoiding_successors(sys_, b):
+    size = sys_.space.size
+    return {
+        s: {t for e in sys_.events for t in range(size)
+            if (e.successors(s) >> t) & 1 and t not in b}
+        for s in range(size) if s not in b
+    }
+
+
+def _closure(succ, s):
+    """States reachable from ``s`` in zero or more avoiding steps."""
+    seen, todo = {s}, [s]
+    while todo:
+        for t in succ[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _expected_knot(sys_, a, b, cx):
+    """The state where a counterexample must start its deadlock or cycle:
+    the smallest (BFS distance from a outside b, index) among the deadlocks,
+    else among the cyclic states (mp) or the states of the knot's own
+    component (wf); with that distance."""
+    succ = _avoiding_successors(sys_, b)
+    dist = {s: 0 for s in a if s not in b}
+    level, d = set(dist), 0
+    while level:
+        d += 1
+        level = {t for s in level for t in succ[s]} - dist.keys()
+        dist.update(dict.fromkeys(level, d))
+    candidates = [s for s in dist if s not in sys_.grd_all]
+    if cx.kind == "lasso":
+        assert not candidates  # a reachable deadlock is reported first
+        knot = cx.prefix[-1][1] if cx.prefix else cx.start
+        if cx.assumption == "mp":
+            candidates = [s for s in dist if any(s in _closure(succ, t) for t in succ[s])]
+        else:
+            candidates = [s for s in _closure(succ, knot) if knot in _closure(succ, s)]
+    best = min(candidates, key=lambda s: (dist[s], s))
+    return best, dist[best]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_all_emitted_counterexamples_validate(seed):
@@ -106,6 +150,8 @@ def test_all_emitted_counterexamples_validate(seed):
             if not ok:
                 assert validate_counterexample(sys_, cx, b), (sys_.to_json(), cx)
                 assert cx.start in a
+                knot = cx.prefix[-1][1] if cx.prefix else cx.start
+                assert (knot, len(cx.prefix)) == _expected_knot(sys_, a, b, cx)
 
 
 def test_wf_strictly_weaker_than_mp_on_traces(idle):

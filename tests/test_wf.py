@@ -16,7 +16,13 @@ from fixleads.wf import (
     wf_step,
 )
 
-from conftest import random_set, random_system, xs
+from conftest import (
+    assert_matches_restricted,
+    random_set,
+    random_system,
+    restricted_leadsto,
+    xs,
+)
 
 
 def test_fair_loop_examples(idle, cycle3):
@@ -188,3 +194,14 @@ def test_wf_dominates_mp(seed):
     assert mp_v.fixpoint.is_subset(wf_v.fixpoint)
     if mp_v.holds:
         assert wf_v.holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_leadsto_wf_si_is_the_restricted_fixpoint(seed):
+    rng = random.Random(seed)
+    sys_ = random_system(rng, max_states=6)
+    a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+    # also runs the one-step bound self-check on the restricted claim
+    assert_matches_restricted(leadsto_wf_si(sys_, a, b),
+                              restricted_leadsto(sys_, a, b, wf_step))
