@@ -3,23 +3,24 @@
 A certificate is a tree over three rules: a basic leaf (one ensures step),
 transitivity, and disjunction.  Leaves are re-checked definitionally, so a
 certificate is evidence independent of the fixpoint computation that
-produced it.  Sets are stored explicitly, which keeps checking bit-exact
-and independent of any source syntax.
+produced it.  Sets are stored explicitly, as rows of variable values, which
+keeps checking bit-exact and independent of any source syntax.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .events import EventSystem
-from .states import StateSet, StateSpace
+from .states import SpaceError, StateSet, StateSpace
 from .transformers import IterateTrace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # one interned set table; nodes hold indices into it
 
 
 class CertificateError(Exception):
-    """Certificate cannot be derived (claim not inside the fixpoint)."""
+    """Certificate cannot be derived (claim not inside the fixpoint), or a
+    certificate document is malformed."""
 
 
 @dataclass(frozen=True)
@@ -88,51 +89,47 @@ def check_certificate(
     cert: Certificate,
     claimed: Tuple[StateSet, StateSet],
     assumption: str,
-    path: str = "root",
 ) -> bool:
     """True iff every leaf passes its ensures check, internal nodes compose,
     and the root concludes the claim (root p may exceed the claimed a)."""
     a, b = claimed
-    ok, _ = _check_node(sys, cert, assumption, path)
-    if not ok:
-        return False
-    p, q = conclusion(cert)
-    return a.is_subset(p) and q.mask == b.mask
+    concluded = _checked_conclusion(sys, cert, assumption)
+    return concluded is not None and a.is_subset(concluded[0]) and concluded[1].mask == b.mask
 
 
-def _check_node(sys, cert, assumption, path) -> Tuple[bool, Optional[str]]:
+def _checked_conclusion(sys, cert, assumption) -> Optional[Tuple[StateSet, StateSet]]:
+    """``conclusion(cert)`` if every node of ``cert`` checks, else None."""
     if isinstance(cert, Basic):
-        if cert.assumption != assumption:
-            return False, path
-        return (_leaf_ok(sys, cert), path)
+        ok = cert.assumption == assumption and _leaf_ok(sys, cert)
+        return (cert.p, cert.q) if ok else None
     if isinstance(cert, Trans):
-        lok, where = _check_node(sys, cert.left, assumption, path + ".left")
-        if not lok:
-            return False, where
-        rok, where = _check_node(sys, cert.right, assumption, path + ".right")
-        if not rok:
-            return False, where
-        if conclusion(cert.left)[1].mask != conclusion(cert.right)[0].mask:
-            return False, path
-        return True, path
+        left = _checked_conclusion(sys, cert.left, assumption)
+        if left is None:
+            return None
+        right = _checked_conclusion(sys, cert.right, assumption)
+        if right is None or left[1].mask != right[0].mask:
+            return None
+        return left[0], right[1]
     if isinstance(cert, Disj):
         if not cert.parts:
-            return False, path
-        for i, part in enumerate(cert.parts):
-            pok, where = _check_node(sys, part, assumption, f"{path}.part{i}")
-            if not pok:
-                return False, where
-            if conclusion(part)[1].mask != cert.q.mask:
-                return False, path
-        return True, path
-    return False, path
+            return None
+        p = cert.q.space.empty()
+        for part in cert.parts:
+            concluded = _checked_conclusion(sys, part, assumption)
+            if concluded is None or concluded[1].mask != cert.q.mask:
+                return None
+            p = p | concluded[0]
+        return p, cert.q
+    return None
 
 
 def _chain(links: List[Certificate]) -> Certificate:
-    cert = links[0]
-    for nxt in links[1:]:
-        cert = Trans(cert, nxt)
-    return cert
+    """``links[0] ; ... ; links[-1]`` as a balanced ``Trans`` tree: the rule is
+    associative, so the leaves keep their order and the depth is logarithmic."""
+    if len(links) == 1:
+        return links[0]
+    mid = len(links) // 2
+    return Trans(_chain(links[:mid]), _chain(links[mid:]))
 
 
 def _layers(trace: IterateTrace) -> List[StateSet]:
@@ -189,67 +186,111 @@ def derive_certificate_wf(
 
 
 # --- JSON round trip -------------------------------------------------------
+#
+# A document stores each distinct set once, in ``sets``, as rows of variable
+# values in ``vars`` order (state-index order); ``claimed`` and the tree's
+# ``p``/``q`` fields are indices into it.  Sets are numbered in first-use
+# order (a, b, then the tree in pre-order), so the output is deterministic.
 
 
-def cert_to_json(cert: Certificate) -> dict:
-    out = _node_to_json(cert)
-    out["schema"] = SCHEMA_VERSION
-    return out
+def cert_to_json(cert: Certificate, claimed: Tuple[StateSet, StateSet]) -> dict:
+    """The schema-2 document for ``cert`` proving ``claimed = (a, b)``."""
+    a, b = claimed
+    space = a.space
+    refs: Dict[int, int] = {}
+    sets: List[list] = []
+
+    def ref(s: StateSet) -> int:
+        i = refs.get(s.mask)
+        if i is None:
+            i = refs[s.mask] = len(sets)
+            sets.append([list(space.states[k]) for k in s])
+        return i
+
+    def node(c: Certificate) -> dict:
+        if isinstance(c, Basic):
+            out = {"rule": "SBR", "p": ref(c.p), "q": ref(c.q), "assumption": c.assumption}
+            if c.helpful is not None:
+                out["helpful"] = c.helpful
+            return out
+        if isinstance(c, Trans):
+            return {"rule": "STR", "left": node(c.left), "right": node(c.right)}
+        if isinstance(c, Disj):
+            return {"rule": "SDR", "q": ref(c.q), "parts": [node(p) for p in c.parts]}
+        raise TypeError(f"bad certificate node {c!r}")
+
+    claimed_refs = {"a": ref(a), "b": ref(b)}
+    tree = node(cert)
+    return {
+        "schema": SCHEMA_VERSION,
+        "vars": [v.name for v in space.vars],
+        "sets": sets,
+        "claimed": claimed_refs,
+        "certificate": tree,
+    }
 
 
-def _node_to_json(cert: Certificate) -> dict:
-    if isinstance(cert, Basic):
-        node = {
-            "rule": "SBR",
-            "p": cert.p.to_json(),
-            "q": cert.q.to_json(),
-            "assumption": cert.assumption,
-        }
-        if cert.helpful is not None:
-            node["helpful"] = cert.helpful
-        return node
-    if isinstance(cert, Trans):
-        return {
-            "rule": "STR",
-            "left": _node_to_json(cert.left),
-            "right": _node_to_json(cert.right),
-        }
-    if isinstance(cert, Disj):
-        return {
-            "rule": "SDR",
-            "q": cert.q.to_json(),
-            "parts": [_node_to_json(p) for p in cert.parts],
-        }
-    raise TypeError(f"bad certificate node {cert!r}")
+def cert_from_json(
+    space: StateSpace, data: dict
+) -> Tuple[Certificate, Tuple[StateSet, StateSet]]:
+    """The certificate and the claim ``(a, b)`` of a schema-2 document.
+
+    The document comes from outside the program, so every field is checked;
+    any mismatch raises :class:`CertificateError`."""
+    if not isinstance(data, dict):
+        raise CertificateError("a certificate document is a JSON object")
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        hint = "; re-run explain to write schema 2" if schema == 1 else ""
+        raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
+    names = [v.name for v in space.vars]
+    if data.get("vars") != names:
+        raise CertificateError(f"vars {data.get('vars')!r} are not the model's {names!r}")
+    table = data.get("sets")
+    if not isinstance(table, list):
+        raise CertificateError("sets must be a list")
+    sets = [_decode_set(space, rows) for rows in table]
+
+    def ref(value) -> StateSet:
+        # bool is an int subclass, and a negative index would wrap around
+        if type(value) is not int or not 0 <= value < len(sets):
+            raise CertificateError(f"set reference {value!r} is not an index into sets")
+        return sets[value]
+
+    def node(n) -> Certificate:
+        if not isinstance(n, dict):
+            raise CertificateError(f"certificate node {n!r} is not an object")
+        rule = n.get("rule")
+        if rule == "SBR":
+            assumption, helpful = n.get("assumption"), n.get("helpful")
+            if not isinstance(assumption, str) or not isinstance(helpful, (str, type(None))):
+                raise CertificateError("SBR assumption and helpful must be strings")
+            return Basic(ref(n.get("p")), ref(n.get("q")), assumption, helpful)
+        if rule == "STR":
+            return Trans(node(n.get("left")), node(n.get("right")))
+        if rule == "SDR":
+            parts = n.get("parts")
+            if not isinstance(parts, list):
+                raise CertificateError("SDR parts must be a list")
+            return Disj(tuple(node(p) for p in parts), ref(n.get("q")))
+        raise CertificateError(f"unknown rule {rule!r}")
+
+    claimed = data.get("claimed")
+    if not isinstance(claimed, dict):
+        raise CertificateError("claimed must be an object")
+    return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
 
 
-def cert_from_json(space: StateSpace, data: dict) -> Certificate:
-    if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise CertificateError(f"unsupported certificate schema {data.get('schema')!r}")
-    return _node_from_json(space, data)
-
-
-def _set_from_json(space: StateSpace, states: list) -> StateSet:
-    return space.from_indices(space.index_of(st) for st in states)
-
-
-def _node_from_json(space: StateSpace, data: dict) -> Certificate:
-    rule = data.get("rule")
-    if rule == "SBR":
-        return Basic(
-            _set_from_json(space, data["p"]),
-            _set_from_json(space, data["q"]),
-            data["assumption"],
-            data.get("helpful"),
-        )
-    if rule == "STR":
-        return Trans(
-            _node_from_json(space, data["left"]),
-            _node_from_json(space, data["right"]),
-        )
-    if rule == "SDR":
-        return Disj(
-            tuple(_node_from_json(space, p) for p in data["parts"]),
-            _set_from_json(space, data["q"]),
-        )
-    raise CertificateError(f"unknown rule {rule!r}")
+def _decode_set(space: StateSpace, rows) -> StateSet:
+    if not isinstance(rows, list):
+        raise CertificateError(f"set {rows!r} is not a list of rows")
+    width = len(space.vars)
+    mask = 0
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise CertificateError(f"row {row!r} does not have {width} values")
+        try:
+            mask |= 1 << space.index_of_row(row)
+        except (SpaceError, TypeError):  # TypeError: an unhashable value
+            raise CertificateError(f"row {row!r} is not a state") from None
+    return StateSet(space, mask)

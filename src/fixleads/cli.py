@@ -24,7 +24,6 @@ from .certificates import (
     check_certificate,
     derive_certificate_mp,
     derive_certificate_wf,
-    SCHEMA_VERSION,
 )
 from .dsl import DslError, Elaborated, Property, load_file
 from .mp import ensures_mp, leadsto_mp, leadsto_mp_si, rule_mp_variant
@@ -38,7 +37,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFECT = 3
 
-REPORT_SCHEMA = 2  # check --json; per-event fair-loop sets come from explain
+REPORT_SCHEMA = 3  # check --json; iterate traces as per-step deltas
 SI_SCHEMA = 1  # si --json, versioned apart from the check report
 
 
@@ -85,10 +84,15 @@ def check_property(
         return ensures_wf(sys_, sys_.event(prop.via), prop.p, prop.q)
     use_si = prop.with_si or force_si
     if prop.using is not None:
+        rule = rule_mp_variant if assumption == "mp" else rule_wf_to_mp
         variant = elab.variants[prop.using]
-        if assumption == "mp":
-            return rule_mp_variant(sys_, prop.p, prop.q, variant)
-        return rule_wf_to_mp(sys_, prop.p, prop.q, variant)
+        if not use_si:
+            return rule(sys_, prop.p, prop.q, variant)
+        # the claim the oracle and explain judge: see _oracle_claim
+        si = sys_.strongest_invariant()
+        verdict = rule(sys_, si & prop.p, si & prop.q, variant)
+        verdict.details["si"] = si
+        return verdict
     if assumption == "mp":
         return leadsto_mp_si(sys_, prop.p, prop.q) if use_si else leadsto_mp(sys_, prop.p, prop.q)
     return leadsto_wf_si(sys_, prop.p, prop.q) if use_si else leadsto_wf(sys_, prop.p, prop.q)
@@ -109,6 +113,11 @@ def _format_set(s: StateSet) -> str:
         )
         return "{" + inner + "}"
     return f"<{len(s)} states>"
+
+
+def _write_json(obj, fh) -> None:
+    """One line of JSON: a single call into the C encoder, no indentation."""
+    fh.write(json.dumps(obj) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -155,15 +164,21 @@ def cmd_check(args) -> int:
         report["properties"].append(entry)
         all_hold = all_hold and verdict.holds
     if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(report, sys.stdout)
     else:
         print(f"system {report['system']} ({len(report['properties'])} properties)")
         for entry in report["properties"]:
             mark = "PASS" if entry["verdict"]["holds"] else "FAIL"
             line = f"  {mark} {entry['name']} ({entry['kind']} under {entry['assumption']})"
             if "agreement" in entry:
-                line += " [oracle agrees]" if entry["agreement"] else " [ORACLE DISAGREES]"
+                if not entry["agreement"]:
+                    note = "ORACLE DISAGREES"
+                elif mark == "FAIL" and entry["oracle"]["holds"]:
+                    # only a sufficient rule fails where the oracle holds
+                    note = "rule fails; oracle and direct fixpoint hold"
+                else:
+                    note = "oracle agrees"
+                line += f" [{note}]"
             print(line)
             for antecedent in ("failing_level", "not_invariant"):
                 if antecedent in entry["verdict"].get("details", {}):
@@ -202,17 +217,14 @@ def cmd_explain(args) -> int:
         derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
         cert = derive(sys_, a, b, verdict.trace)
     payload = {
-        "schema": SCHEMA_VERSION,
         "system": sys_.name,
         "property": prop.name,
         "assumption": assumption,
-        "claimed": {"a": a.to_json(), "b": b.to_json()},
-        "certificate": cert_to_json(cert),
+        **cert_to_json(cert, (a, b)),
     }
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        _write_json(payload, fh)
     print(f"wrote certificate to {out}")
     return EXIT_OK
 
@@ -221,6 +233,7 @@ def cmd_check_cert(args) -> int:
     elab = _load(args.file, args)
     if not os.path.exists(args.cert):
         raise UsageError(f"no such file: {args.cert}")
+    too_deep = f"{args.cert}: certificate nested too deeply"
     try:
         with open(args.cert, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -228,17 +241,18 @@ def cmd_check_cert(args) -> int:
         raise UsageError(f"{args.cert}: not a JSON file ({exc})")
     except OSError as exc:
         raise UsageError(f"{args.cert}: {exc.strerror}")
-    space = elab.system.space
+    except RecursionError:
+        raise UsageError(too_deep) from None
     try:
-        cert = cert_from_json(space, payload["certificate"])
-        a = space.from_indices(space.index_of(st) for st in payload["claimed"]["a"])
-        b = space.from_indices(space.index_of(st) for st in payload["claimed"]["b"])
-        assumption = payload["assumption"]
-    except (KeyError, TypeError, AttributeError, CertificateError, SpaceError) as exc:
-        # the decoder trusts the file's shape: a list or number where an
-        # object or list belongs surfaces as TypeError or AttributeError
-        raise UsageError(f"{args.cert}: malformed certificate file ({exc!r})")
-    ok = check_certificate(elab.system, cert, (a, b), assumption)
+        cert, claimed = cert_from_json(elab.system.space, payload)
+        assumption = payload.get("assumption")
+        if not isinstance(assumption, str):
+            raise CertificateError(f"assumption {assumption!r} is not a string")
+        ok = check_certificate(elab.system, cert, claimed, assumption)
+    except CertificateError as exc:
+        raise UsageError(f"{args.cert}: malformed certificate file ({exc})")
+    except RecursionError:
+        raise UsageError(too_deep) from None
     print("certificate accepted" if ok else "certificate rejected")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -249,8 +263,7 @@ def cmd_si(args) -> int:
         raise UsageError(f"{args.file}: no init declared")
     si = elab.system.strongest_invariant()
     if args.json:
-        json.dump({"schema": SI_SCHEMA, "si": si.to_json()}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json({"schema": SI_SCHEMA, "si": si.to_json()}, sys.stdout)
     else:
         print(_format_set(si))
     if args.verify:

@@ -143,6 +143,8 @@ _KEYWORDS = {
     "with", "si", "mp", "wf", "bool", "true", "false", "not", "and", "or",
 }
 
+_DIGITS = "0123456789"
+
 _SYMBOLS = [
     ":in", ":=", "..", "[]", "!=", "<=", ">=",
     "{", "}", "(", ")", ",", ":", "=", "<", ">", "+", "-", "*",
@@ -176,9 +178,9 @@ def tokenize(text: str) -> List[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:  # str.isdigit also accepts '²', which int() rejects
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -574,7 +576,7 @@ class Elaborated:
 def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
     if not ast.vars:
         raise DslError(f"system {ast.name!r} declares no variables")
-    decls = [VarDecl(v.name, _domain_values(v.domain)) for v in ast.vars]
+    decls = [VarDecl(v.name, _domain_values(v, cap)) for v in ast.vars]
     try:
         space = StateSpace(decls, ast.invariant, cap)
     except (SpaceError, EvalError) as exc:
@@ -637,11 +639,15 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
     return Elaborated(system, props, variants, has_init)
 
 
-def _domain_values(d: Domain) -> tuple:
+def _domain_values(v: VarDeclAst, cap: int) -> tuple:
+    d = v.domain
     if d.kind == "bool":
         return (False, True)
     if d.kind == "enum":
         return d.names
+    # checked before the range is built: a huge range must not exhaust memory
+    if d.hi - d.lo + 1 > cap:
+        raise DslError(f"variable {v.name!r} has {d.hi - d.lo + 1} values, cap is {cap}")
     return tuple(range(d.lo, d.hi + 1))
 
 

@@ -89,11 +89,14 @@ class StateSpace:
         self.full_mask: int = (1 << self.size) - 1
 
     def index_of(self, assignment: dict) -> int:
-        vals = tuple(assignment[v.name] for v in self.vars)
+        return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
+
+    def index_of_row(self, values: Sequence[Value]) -> int:
+        """Index of the state whose values, in declaration order, are ``values``."""
         try:
-            return self._index[vals]
+            return self._index[tuple(values)]
         except KeyError:
-            raise SpaceError(f"assignment {assignment!r} is not a state") from None
+            raise SpaceError(f"values {list(values)!r} are not a state") from None
 
     def state_of(self, index: int) -> dict:
         return dict(zip((v.name for v in self.vars), self.states[index]))

@@ -147,7 +147,18 @@ class IterateTrace:
         return self.steps[-1]
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "steps": [s.to_json() for s in self.steps]}
+        """``delta[k]`` lists ``steps[k] ^ steps[k+1]``: the states that join
+        (least) or leave (greatest) at step ``k``, because ``_iterate`` only
+        accepts monotone chains.  ``steps[k+1] = steps[k] ^ delta[k]`` rebuilds
+        the chain from ``steps[0]``, ``∅`` or the universe."""
+        space = self.steps[0].space
+        return {
+            "kind": self.kind,
+            "delta": [
+                StateSet(space, lo.mask ^ hi.mask).to_json()
+                for lo, hi in zip(self.steps, self.steps[1:])
+            ],
+        }
 
 
 def lfp(f: Callable[[StateSet], StateSet], space) -> Tuple[StateSet, IterateTrace]:
@@ -168,6 +179,9 @@ def _iterate(f, start: StateSet, kind: str, size: int):
         steps.append(nxt)
         if nxt.mask == current.mask:
             return nxt, IterateTrace(tuple(steps), kind)
+        # a monotone f only climbs from ∅ and only descends from the universe
+        if current.mask & ~nxt.mask if kind == "least" else nxt.mask & ~current.mask:
+            raise FixpointError(f"iterate {len(steps) - 1} breaks the {kind} chain; f is not monotone")
         current = nxt
     raise FixpointError(f"no stabilization within {size + 1} steps; f is not monotone")
 

@@ -65,7 +65,9 @@ def first_failing_level(
 ) -> Optional[dict]:
     """The lowest variant level ``n`` at which some state of ``p`` does not
     ``step`` strictly below ``n``, as ``{"n", "states"}``, or None."""
-    for n in range(variant.max_value + 1):
+    # only the values the variant takes: the levels between them hold no state
+    # and pass vacuously, and counting up to a large maximum would never end
+    for n in sorted(variant._levels):
         lhs = p & variant.level_set(n)
         rhs = step(variant.below_set(n))
         if not lhs.is_subset(rhs):

@@ -107,19 +107,59 @@ def test_json_round_trip(idle, mono3):
         trace = (leadsto_mp if assumption == "mp" else leadsto_wf)(sys_, a, b).trace
         derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
         cert = derive(sys_, a, b, trace)
-        data = cert_to_json(cert)
-        assert data["schema"] == 1
-        assert data["rule"] in ("SBR", "STR", "SDR")
-        back = cert_from_json(sys_.space, data)
-        assert check_certificate(sys_, back, (a, b), assumption)
-        assert cert_to_json(back) == data
+        data = cert_to_json(cert, (a, b))
+        assert data["schema"] == 2
+        assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
+        # each distinct set is stored once
+        assert len({repr(rows) for rows in data["sets"]}) == len(data["sets"])
+        back, claimed = cert_from_json(sys_.space, data)
+        assert [s.mask for s in claimed] == [a.mask, b.mask]
+        assert check_certificate(sys_, back, claimed, assumption)
+        assert cert_to_json(back, claimed) == data
+
+
+def _document(**fields):
+    doc = {"schema": 2, "vars": ["x"], "sets": [[[0]], [[2]]],
+           "claimed": {"a": 0, "b": 1},
+           "certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "mp"}}
+    doc.update(fields)
+    return doc
 
 
 def test_unknown_schema_rejected(mono3):
+    cert, (a, b) = cert_from_json(mono3.space, _document())
+    assert (sorted(a), sorted(b)) == ([0], [2]) and cert.p is a
+    no_schema = _document()
+    del no_schema["schema"]
+    with pytest.raises(CertificateError, match="re-run explain"):
+        cert_from_json(mono3.space, _document(schema=1))
+    for bad in (no_schema, _document(schema=99), _document(schema=True),
+                _document(certificate={"rule": "XYZ"})):
+        with pytest.raises(CertificateError):
+            cert_from_json(mono3.space, bad)
+
+
+@pytest.mark.parametrize("fields", [
+    {"vars": ["y"]},
+    {"vars": "x"},
+    {"sets": [[[0, 1]], [[2]]]},  # a row too long
+    {"sets": [[[3]], [[2]]]},  # a row naming no state
+    {"sets": [[[[0]]], [[2]]]},  # an unhashable value
+    {"sets": {"0": []}},
+    {"claimed": {"a": -1, "b": 1}},  # would wrap around to the last set
+    {"claimed": {"a": True, "b": 1}},
+    {"claimed": {"a": 0, "b": 2}},
+    {"claimed": {"a": 0.0, "b": 1}},
+    {"claimed": [0, 1]},
+    {"certificate": {"rule": "SBR", "p": "0", "q": 1, "assumption": "mp"}},
+    {"certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": ["mp"]}},
+    {"certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "wf", "helpful": 3}},
+    {"certificate": {"rule": "STR", "left": [], "right": {}}},
+    {"certificate": {"rule": "SDR", "q": 1, "parts": {}}},
+])
+def test_malformed_documents_rejected(mono3, fields):
     with pytest.raises(CertificateError):
-        cert_from_json(mono3.space, {"schema": 99, "rule": "SBR"})
-    with pytest.raises(CertificateError):
-        cert_from_json(mono3.space, {"schema": 1, "rule": "XYZ"})
+        cert_from_json(mono3.space, _document(**fields))
 
 
 def _mutate_leaf(space, cert, target, grow_p):

@@ -1,8 +1,12 @@
 """Command line behavior: subcommands, exit codes, JSON output."""
+import contextlib
+import io
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixleads import cli
 from fixleads.cli import main
@@ -44,8 +48,10 @@ def test_check_parse_error_is_usage(tmp_path, capsys):
 def test_check_json_report(capsys):
     code = main(["check", _path("mono3.evt"), "--oracle", "--json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1  # one line of JSON
+    report = json.loads(out)
+    assert report["schema"] == 3
     assert report["system"] == "mono3"
     names = [p["name"] for p in report["properties"]]
     assert names == ["climb", "climb_by_variant"]
@@ -109,8 +115,8 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     out_file = tmp_path / "reach.cert.json"
     assert main(["explain", _path("idle.evt"), "reach", "--out", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == 1
-    assert payload["assumption"] == "wf"
+    assert payload["schema"] == 2
+    assert payload["assumption"] == "wf" and payload["vars"] == ["x"]
     assert payload["certificate"]["rule"] in ("SBR", "STR", "SDR")
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
     assert "accepted" in capsys.readouterr().out
@@ -136,12 +142,15 @@ def test_check_cert_rejects_tampering(tmp_path, capsys):
     out_file = tmp_path / "climb.cert.json"
     assert main(["explain", _path("mono3.evt"), "climb", "--out", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
+    sets = payload["sets"]
     # claim a start set larger than the certificate's conclusion
-    payload["claimed"]["a"] = [{"x": 0}, {"x": 1}, {"x": 2}]
+    sets.append([[0], [1], [2]])
+    payload["claimed"]["a"] = len(sets) - 1
     node = payload["certificate"]
     while node["rule"] == "STR":
         node = node["right"]
-    node["q"] = [{"x": 1}]  # corrupt the final target
+    sets.append([[1]])
+    node["q"] = len(sets) - 1  # corrupt the final target
     out_file.write_text(json.dumps(payload))
     assert main(["check-cert", _path("mono3.evt"), str(out_file)]) == 1
 
@@ -158,6 +167,8 @@ def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, ho
     assert main(["check", str(src), "--oracle"]) == 1
     out = capsys.readouterr().out
     assert "FAIL climb_bad" in out and "ORACLE DISAGREES" not in out
+    note = "[rule fails; oracle and direct fixpoint hold]" if holds else "[oracle agrees]"
+    assert f"FAIL climb_bad (leadsto under mp) {note}" in out
     assert "failing_level" in out
     assert main(["check", str(src), "--oracle", "--json"]) == 1
     entry = json.loads(capsys.readouterr().out)["properties"][-1]
@@ -167,15 +178,72 @@ def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, ho
     assert ("counterexample" in entry) is not holds
 
 
+# `using` rules with si: the rule, the oracle and explain judge one claim
+SI_RULE_MODELS = [
+    "variant v := x * (2 - x)\n"
+    "property climb : leadsto {true} {x = 2} under mp using v with si\n",
+    "variant togo := 2 - x\n"
+    "property p : leadsto {true} {x = 2 or x = 0} under mp using togo with si\n",
+]
+
+
+@pytest.mark.parametrize("tail", SI_RULE_MODELS, ids=["level-at-unreachable", "target-unreachable"])
+def test_using_rule_honours_si(tmp_path, capsys, tail):
+    src = tmp_path / "shift.evt"
+    src.write_text("system shift\nvar x : 0 .. 2\ninit x = 1\n"
+                   "event inc when x != 2 then x := x + 1\n" + tail)
+    prop = tail.split("property ")[1].split(" ")[0]
+    assert main(["check", str(src), "--oracle"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert main(["check", str(src), "--oracle", "--json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["properties"][0]["verdict"]
+    assert verdict["details"]["si"] == [{"x": 1}, {"x": 2}]
+    cert = tmp_path / "p.cert.json"
+    assert main(["explain", str(src), prop, "--out", str(cert)]) == 0
+    assert main(["check-cert", str(src), str(cert)]) == 0
+    assert "certificate accepted" in capsys.readouterr().out
+
+
+def test_long_chain_certificate_is_balanced(tmp_path, capsys):
+    # one mp layer per value: the chain has 1100 leaves
+    src = tmp_path / "counter.evt"
+    src.write_text("system counter\nvar x : 0 .. 1100\ninit x = 0\n"
+                   "event inc when x != 1100 then x := x + 1\n"
+                   "property up : leadsto {x = 0} {x = 1100} under mp\n")
+    cert = tmp_path / "up.cert.json"
+    assert main(["explain", str(src), "up", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+
+    def depth(node):
+        kids = [node[k] for k in ("left", "right") if k in node] + node.get("parts", [])
+        return 1 + max(map(depth, kids), default=0)
+
+    assert depth(payload["certificate"]) <= 12
+    assert len(payload["sets"]) == 1102  # the 1101 layers once each, and the claimed a
+    assert main(["check-cert", str(src), str(cert)]) == 0
+    assert "certificate accepted" in capsys.readouterr().out
+
+
 SDR_PARTS_NUMBER = {
+    "schema": 2,
     "assumption": "wf",
-    "claimed": {"a": [], "b": []},
-    "certificate": {"rule": "SDR", "q": [], "parts": 5},
+    "vars": ["x"],
+    "sets": [[]],
+    "claimed": {"a": 0, "b": 0},
+    "certificate": {"rule": "SDR", "q": 0, "parts": 5},
 }
 
 
+def _deep_document(depth):
+    """A schema-2 document whose tree nests ``depth`` STR nodes."""
+    leaf = '{"rule": "SBR", "p": 0, "q": 0, "assumption": "mp"}'
+    tree = '{"rule": "STR", "left": ' * depth + leaf + (', "right": ' + leaf + "}") * depth
+    return ('{"schema": 2, "assumption": "mp", "vars": ["x"], "sets": [[]], '
+            '"claimed": {"a": 0, "b": 0}, "certificate": ' + tree + "}")
+
+
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
-                                  "check-directory", "binary-model"])
+                                  "deep-nesting", "check-directory", "binary-model"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     argv = ["check-cert", _path("mono3.evt"), str(bad)]
@@ -185,6 +253,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         bad.write_text("[]")
     elif case == "parts-number":
         bad.write_text(json.dumps(SDR_PARTS_NUMBER))
+    elif case == "deep-nesting":
+        bad.write_text(_deep_document(5000))
     elif case == "check-directory":
         argv = ["check", str(tmp_path)]
     else:
@@ -210,3 +280,83 @@ def test_usage_without_subcommand():
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+# --- fuzzing outside input through main() ---------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+    | st.sampled_from([-1, 0, 1, 2**63, True, False]) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _run(argv):
+    """``main(argv)`` with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def valid_certificates(tmp_path_factory):
+    """A valid schema-2 document for mono3 (mp) and idle (wf), by model path."""
+    out = {}
+    for model, prop in (("mono3.evt", "climb"), ("idle.evt", "reach")):
+        cert = tmp_path_factory.mktemp("cert") / f"{prop}.cert.json"
+        assert _run(["explain", _path(model), prop, "--out", str(cert)])[0] == 0
+        out[_path(model)] = json.loads(cert.read_text())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), new=_json_values)
+def test_fuzzed_certificate_never_crashes(valid_certificates, tmp_path_factory, data, new):
+    model = data.draw(st.sampled_from(sorted(valid_certificates)))
+    doc = valid_certificates[model]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    bad = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    bad.write_text(json.dumps(_replaced(doc, path, new)))
+    code, err = _run(["check-cert", model, str(bad)])
+    assert code in (0, 1, 2) and "Traceback" not in err, (path, new, err)
+
+
+_TOKEN = re.compile(r"\w+|\.\.|:=|:in|\[\]|\S")
+_tokens = (st.integers(-(10**12), 10**12).map(str) | st.text(max_size=4) | st.sampled_from([
+    "", "true", "false", "{", "}", "(", ")", "..", ":=", ":in", "[]", ",", "=", "!=", "<",
+    "+", "-", "*", "/", "mod", "not", "and", "or", "x", "y", "bool", "skip", "when", "then",
+    "var", "init", "invariant", "event", "variant", "property", "leadsto", "ensures",
+    "under", "mp", "wf", "using", "with", "si", "via", "togo", "down", "inc", "idle",
+]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), new=_tokens)
+def test_fuzzed_model_never_crashes(tmp_path_factory, data, new):
+    name = data.draw(st.sampled_from(sorted(os.listdir(DATA))))
+    with open(_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    start, end = data.draw(st.sampled_from(spans))
+    src = tmp_path_factory.mktemp("fuzz") / name
+    src.write_text(text[:start] + new + text[end:])
+    code, err = _run(["check", str(src), "--oracle", "--max-states", "64"])
+    assert code in (0, 1, 2) and "Traceback" not in err, (start, new, err)

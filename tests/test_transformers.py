@@ -92,14 +92,31 @@ def test_gfp_examples():
 def test_nonmonotone_function_detected():
     with pytest.raises(FixpointError):
         lfp(lambda x: x.complement(), SP)
+    with pytest.raises(FixpointError):
+        gfp(lambda x: x.complement(), SP)
+
+
+def _rebuild(space, data):
+    """Full iterates from a trace's JSON form: steps[k+1] = steps[k] ^ delta[k]."""
+    step = space.empty() if data["kind"] == "least" else space.universe()
+    steps = [step]
+    for joined in data["delta"]:
+        step = StateSet(space, step.mask ^ space.from_indices(map(space.index_of, joined)).mask)
+        steps.append(step)
+    return steps
 
 
 def test_trace_shape():
-    fix, trace = lfp(lambda x: x | s(1), SP)
+    fix, trace = lfp(lambda x: x | s(1) | StateSet(SP, (x.mask << 1) & SP.full_mask), SP)
     assert trace.steps[0].is_empty()
     assert trace.steps[-1].mask == trace.steps[-2].mask
     for a, b in zip(trace.steps, trace.steps[1:]):
         assert a.is_subset(b)
+    _, down = gfp(lambda x: x & StateSet(SP, x.mask >> 1), SP)
+    for t in (trace, down):
+        data = t.to_json()
+        assert data["delta"][-1] == []
+        assert [x.mask for x in _rebuild(SP, data)] == [x.mask for x in t.steps]
 
 
 # --- randomized algebra laws ----------------------------------------------
