@@ -33,7 +33,6 @@ from .states import (
     StateSet,
     StateSpace,
     VarDecl,
-    enumerate_space,
     eval_pred,
 )
 from .transformers import (

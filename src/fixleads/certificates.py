@@ -9,11 +9,13 @@ keeps checking bit-exact and independent of any source syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .events import EventSystem
+from .events import EventSystem, ModelError
+from .mp import ensures_mp
 from .states import SpaceError, StateSet, StateSpace
 from .transformers import IterateTrace
+from .wf import ensures_wf, fair_loop
 
 SCHEMA_VERSION = 2  # one interned set table; nodes hold indices into it
 
@@ -69,19 +71,15 @@ def conclusion(cert: Certificate) -> Tuple[StateSet, StateSet]:
 
 
 def _leaf_ok(sys: EventSystem, leaf: Basic) -> bool:
-    pending = leaf.p - leaf.q
     if leaf.assumption == "mp":
-        return pending.is_subset(sys.apply_all(leaf.q) & sys.grd_all)
-    if leaf.assumption == "wf":
-        if leaf.helpful is None:
-            return False
-        try:
-            g = sys.event(leaf.helpful)
-        except Exception:
-            return False
-        rhs = sys.apply_all(leaf.p | leaf.q) & g.guard & g.apply(leaf.q)
-        return pending.is_subset(rhs)
-    return False
+        return ensures_mp(sys, leaf.p, leaf.q).holds
+    if leaf.assumption != "wf" or leaf.helpful is None:
+        return False
+    try:
+        g = sys.event(leaf.helpful)
+    except ModelError:
+        return False
+    return ensures_wf(sys, g, leaf.p, leaf.q).holds
 
 
 def check_certificate(
@@ -139,21 +137,29 @@ def _layers(trace: IterateTrace) -> List[StateSet]:
     return steps  # [∅, b, ..., fixpoint], strictly increasing
 
 
-def derive_certificate_mp(
-    sys: EventSystem, a: StateSet, b: StateSet, trace: IterateTrace
+def _derive(
+    a: StateSet, b: StateSet, trace: IterateTrace, assumption: str, helpful: Optional[str],
+    layer_node: Callable[[StateSet, StateSet], Certificate],
 ) -> Certificate:
-    """Chain certificate read off the iterate trace of the MP leads-to check."""
+    """The chain ``a -> fix = r_K -> r_{K-1} -> ... -> r_1 = b`` down the
+    iterate trace, where ``layer_node(r_k, r_{k-1})`` proves each layer step."""
     layers = _layers(trace)
     fix = layers[-1]
     if not a.is_subset(fix):
         raise CertificateError("claimed start set is not inside the fixpoint")
     if a.is_subset(b):
-        return Basic(a, b, "mp")
-    links: List[Certificate] = [Basic(a, fix, "mp")]
-    # descend fix = r_K -> r_{K-1} -> ... -> r_1 = b
+        return Basic(a, b, assumption, helpful)
+    links: List[Certificate] = [Basic(a, fix, assumption, helpful)]
     for k in range(len(layers) - 1, 1, -1):
-        links.append(Basic(layers[k], layers[k - 1], "mp"))
+        links.append(layer_node(layers[k], layers[k - 1]))
     return _chain(links)
+
+
+def derive_certificate_mp(
+    sys: EventSystem, a: StateSet, b: StateSet, trace: IterateTrace
+) -> Certificate:
+    """Chain certificate read off the iterate trace of the MP leads-to check."""
+    return _derive(a, b, trace, "mp", None, lambda layer, below: Basic(layer, below, "mp"))
 
 
 def derive_certificate_wf(
@@ -161,28 +167,19 @@ def derive_certificate_wf(
 ) -> Certificate:
     """Layered certificate for the WF leads-to check: each layer is the
     disjunction of per-event fair-loop basic steps down to the layer below."""
-    from .wf import fair_loop
+    first = sys.events[0].name
 
-    layers = _layers(trace)
-    fix = layers[-1]
-    if not a.is_subset(fix):
-        raise CertificateError("claimed start set is not inside the fixpoint")
-    if a.is_subset(b):
-        return Basic(a, b, "wf", helpful=sys.events[0].name)
-    links: List[Certificate] = [Basic(a, fix, "wf", helpful=sys.events[0].name)]
-    for k in range(len(layers) - 1, 1, -1):
-        below = layers[k - 1]
-        parts: List[Certificate] = [
-            Basic(below, below, "wf", helpful=sys.events[0].name)
-        ]
+    def layer_node(layer: StateSet, below: StateSet) -> Certificate:
+        parts: List[Certificate] = [Basic(below, below, "wf", helpful=first)]
         for g in sys.events:
             parts.append(Basic(fair_loop(sys, below, g, below), below, "wf", helpful=g.name))
         node = Disj(tuple(parts), below)
-        # the layer above is exactly target ∪ fair steps, so conclusions match
-        if conclusion(node)[0].mask != layers[k].mask:
+        # the layer is exactly target ∪ fair steps, so conclusions match
+        if conclusion(node)[0].mask != layer.mask:
             raise CertificateError("iterate trace does not reconstruct from fair loops")
-        links.append(node)
-    return _chain(links)
+        return node
+
+    return _derive(a, b, trace, "wf", first, layer_node)
 
 
 # --- JSON round trip -------------------------------------------------------

@@ -13,7 +13,8 @@ import os
 import sys
 import time
 import traceback
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from . import __version__
 from .certificates import (
@@ -26,11 +27,11 @@ from .certificates import (
     derive_certificate_wf,
 )
 from .dsl import DslError, Elaborated, Property, load_file
-from .mp import ensures_mp, leadsto_mp, leadsto_mp_si, rule_mp_variant
+from .mp import ensures_mp, leadsto_mp, rule_mp_variant
 from .oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from .states import DEFAULT_STATE_CAP, SpaceError, StateSet
 from .verdicts import SelfCheckDefect, Verdict
-from .wf import ensures_wf, leadsto_wf, leadsto_wf_si, rule_wf_to_mp
+from .wf import ensures_wf, leadsto_wf, rule_wf_to_mp
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,42 +69,54 @@ def _load(path: str, args) -> Elaborated:
         raise UsageError(f"{path}: {exc.strerror}")
 
 
-def check_property(
+@dataclass(frozen=True)
+class Claim:
+    """What one property claims, as check, the oracle and explain judge it."""
+
+    a: StateSet  # inside ``si`` when the claim asks for si
+    b: StateSet
+    assumption: str  # picks the engine, or the rule of a ``using`` property
+    semantics: str  # 'mp' | 'wf': the leads-to the oracle and certificates judge
+    si: Optional[StateSet] = None
+
+
+def resolve(
     elab: Elaborated, prop: Property, assume: Optional[str] = None, force_si: bool = False
-) -> Verdict:
-    """Dispatch one elaborated property to the matching engine."""
-    sys_ = elab.system
+) -> Claim:
+    """The claim of ``prop`` under ``--assume`` and ``--si``: a leads-to with
+    si is the plain one on ``si ∩ a`` and ``si ∩ b``."""
     assumption = assume or prop.assumption
+    a, b, si = prop.p, prop.q, None
+    if prop.kind == "leadsto" and (prop.with_si or force_si):
+        if not elab.has_init:
+            raise UsageError(f"property {prop.name!r} asks for si: no init declared")
+        si = elab.system.strongest_invariant()
+        a, b = si & a, si & b
+    # both variant rules conclude a leads-to under minimal progress
+    semantics = "mp" if prop.using is not None else assumption
+    return Claim(a, b, assumption, semantics, si)
+
+
+def check_property(elab: Elaborated, prop: Property, claim: Claim) -> Verdict:
+    """Decide ``claim``, resolved from ``prop``, with the matching engine or rule."""
+    sys_ = elab.system
     if prop.kind == "ensures":
-        if assumption == "mp":
-            return ensures_mp(sys_, prop.p, prop.q)
+        if claim.assumption == "mp":
+            return ensures_mp(sys_, claim.a, claim.b)
         if prop.via is None:
             raise UsageError(
                 f"property {prop.name!r}: ensures under wf needs 'via <event>'"
             )
-        return ensures_wf(sys_, sys_.event(prop.via), prop.p, prop.q)
-    use_si = prop.with_si or force_si
+        return ensures_wf(sys_, sys_.event(prop.via), claim.a, claim.b)
     if prop.using is not None:
-        rule = rule_mp_variant if assumption == "mp" else rule_wf_to_mp
-        variant = elab.variants[prop.using]
-        if not use_si:
-            return rule(sys_, prop.p, prop.q, variant)
-        # the claim the oracle and explain judge: see _oracle_claim
-        si = sys_.strongest_invariant()
-        verdict = rule(sys_, si & prop.p, si & prop.q, variant)
-        verdict.details["si"] = si
-        return verdict
-    if assumption == "mp":
-        return leadsto_mp_si(sys_, prop.p, prop.q) if use_si else leadsto_mp(sys_, prop.p, prop.q)
-    return leadsto_wf_si(sys_, prop.p, prop.q) if use_si else leadsto_wf(sys_, prop.p, prop.q)
-
-
-def _oracle_claim(elab: Elaborated, prop: Property, use_si: bool) -> Tuple[StateSet, StateSet]:
-    a, b = prop.p, prop.q
-    if use_si:
-        si = elab.system.strongest_invariant()
-        a, b = a & si, b & si
-    return a, b
+        rule = rule_mp_variant if claim.assumption == "mp" else rule_wf_to_mp
+        verdict = rule(sys_, claim.a, claim.b, elab.variants[prop.using])
+    else:
+        engine = leadsto_mp if claim.assumption == "mp" else leadsto_wf
+        verdict = engine(sys_, claim.a, claim.b)
+    if claim.si is not None:
+        verdict.details["si"] = claim.si
+    return verdict
 
 
 def _format_set(s: StateSet) -> str:
@@ -134,30 +147,29 @@ def cmd_check(args) -> int:
     defect = False
     for prop in elab.properties:
         started = time.perf_counter()
-        verdict = check_property(elab, prop, assume=args.assume, force_si=args.si)
-        assumption = args.assume or prop.assumption
+        claim = resolve(elab, prop, args.assume, args.si)
+        verdict = check_property(elab, prop, claim)
         entry = {
             "name": prop.name,
             "kind": prop.kind,
-            "assumption": assumption,
+            "assumption": claim.assumption,
             "verdict": verdict.to_json(),
         }
-        cx = None
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
-            a, b = _oracle_claim(elab, prop, prop.with_si or args.si)
-            by_rule = prop.using is not None
-            oracle = oracle_mp if by_rule or assumption == "mp" else oracle_wf
-            o_holds, cx = oracle(elab.system, a, b)
+            oracle = oracle_mp if claim.semantics == "mp" else oracle_wf
+            o_holds, cx = oracle(elab.system, claim.a, claim.b)
+            # a variant rule is only sufficient: when it fails, the oracle
+            # is held against the direct mp fixpoint, not against the rule
+            fix_holds = verdict.holds or (
+                prop.using is not None and leadsto_mp(elab.system, claim.a, claim.b).holds
+            )
+            if o_holds != fix_holds:
+                defect = True
             if args.oracle:
-                # a variant rule is only sufficient: when it fails, the oracle
-                # is held against the direct mp fixpoint, not against the rule
-                fix_holds = verdict.holds or (by_rule and leadsto_mp(elab.system, a, b).holds)
                 entry["oracle"] = {"holds": o_holds}
                 entry["agreement"] = o_holds == fix_holds
-                if not entry["agreement"]:
-                    defect = True
             if cx is not None and not verdict.holds:
-                if not validate_counterexample(elab.system, cx, b):
+                if not validate_counterexample(elab.system, cx, claim.b):
                     defect = True
                 entry["counterexample"] = cx.to_json(elab.system.space)
         entry["time_ms"] = round((time.perf_counter() - started) * 1000, 3)
@@ -203,24 +215,21 @@ def cmd_explain(args) -> int:
     elab = _load(args.file, args)
     prop = _find_property(elab, args.property)
     sys_ = elab.system
-    verdict = check_property(elab, prop)
+    claim = resolve(elab, prop)
+    verdict = check_property(elab, prop, claim)
     if not verdict.holds:
         print(f"property {prop.name!r} fails; nothing to certify", file=sys.stderr)
         return EXIT_FAIL
     if prop.kind == "ensures":
-        assumption = prop.assumption
-        a, b = prop.p, prop.q
-        cert = Basic(a, b, assumption, helpful=prop.via)
+        cert = Basic(claim.a, claim.b, claim.semantics, helpful=prop.via)
     else:
-        assumption = "mp" if prop.using is not None else prop.assumption
-        a, b = _oracle_claim(elab, prop, prop.with_si)
-        derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
-        cert = derive(sys_, a, b, verdict.trace)
+        derive = derive_certificate_mp if claim.semantics == "mp" else derive_certificate_wf
+        cert = derive(sys_, claim.a, claim.b, verdict.trace)
     payload = {
         "system": sys_.name,
         "property": prop.name,
-        "assumption": assumption,
-        **cert_to_json(cert, (a, b)),
+        "assumption": claim.semantics,
+        **cert_to_json(cert, (claim.a, claim.b)),
     }
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
     with open(out, "w", encoding="utf-8") as fh:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from .events import EventSystem
 from .states import StateSet
 from .transformers import lfp
-from .variants import VariantFn, first_failing_level
-from .verdicts import SelfCheckDefect, Verdict
+from .variants import VariantFn, rule_verdict, variant_antecedents
+from .verdicts import Verdict
 
 
 def mp_step(sys: EventSystem, r: StateSet) -> StateSet:
@@ -20,8 +20,7 @@ def mp_step(sys: EventSystem, r: StateSet) -> StateSet:
 
 
 def ensures_mp(sys: EventSystem, p: StateSet, q: StateSet) -> Verdict:
-    ok = (p - q).is_subset(sys.apply_all(q) & sys.grd_all)
-    return Verdict(holds=ok, relation="E_m")
+    return Verdict(holds=(p - q).is_subset(mp_step(sys, q)), relation="E_m")
 
 
 def leadsto_mp(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
@@ -42,22 +41,7 @@ def rule_mp_variant(sys: EventSystem, a: StateSet, b: StateSet, variant: Variant
 
     Antecedents: outside the target, every event step from ``a`` strictly
     decreases the variant, and ``a`` is both enabled and invariant.  On
-    success the conclusion is re-verified against the direct fixpoint; a
-    disagreement is a defect, not a verdict.
+    success the conclusion is re-verified against the direct fixpoint.
     """
-    pending = a - b
-    failing = first_failing_level(pending, variant, sys.apply_all)
-    invariant_ok = pending.is_subset(sys.grd_all & sys.apply_all(a))
-    holds = failing is None and invariant_ok
-    v = Verdict(holds=holds, relation="rule-mp-variant")
-    if failing is not None:
-        v.details["failing_level"] = failing
-    if not invariant_ok:
-        v.details["not_invariant"] = (pending - (sys.grd_all & sys.apply_all(a))).to_json()
-    if holds:
-        direct = leadsto_mp(sys, a, b)
-        if not direct.holds:
-            raise SelfCheckDefect("variant rule antecedents passed but leads-to fails")
-        v.fixpoint = direct.fixpoint
-        v.trace = direct.trace
-    return v
+    details = variant_antecedents(a - b, variant, sys.apply_all, mp_step(sys, a))
+    return rule_verdict("rule-mp-variant", not details, details, lambda: leadsto_mp(sys, a, b))

@@ -101,38 +101,14 @@ def _path_from_root(parent, node) -> Tuple[int, List[Tuple[str, int]]]:
 
 
 def _shortest_cycle_through(adj, node) -> List[Tuple[str, int]]:
-    """Shortest closed walk from ``node`` back to itself (edges exist)."""
-    # self loop first
-    for ev, t in adj[node]:
-        if t == node:
-            return [(ev, node)]
-    parent: Dict[int, Tuple[int, str]] = {}
-    dq = deque()
-    for ev, t in adj[node]:
-        if t not in parent:
-            parent[t] = (node, ev)
-            dq.append(t)
-    best: Optional[int] = None
-    while dq:
-        s = dq.popleft()
-        if s == node:
-            best = s
-            break
+    """Shortest closed walk from ``node`` back to itself: the BFS tree path to
+    the first state, in BFS order, with an edge back to ``node``."""
+    parent, _ = _bfs_tree(adj, [node])
+    for s in parent:  # insertion order is BFS order
         for ev, t in adj[s]:
-            if t not in parent:
-                parent[t] = (s, ev)
-                dq.append(t)
-    assert best is not None, "node is not on a cycle"
-    steps: List[Tuple[str, int]] = []
-    cur = node
-    first = True
-    while first or cur != node:
-        first = False
-        prev, ev = parent[cur]
-        steps.append((ev, cur))
-        cur = prev
-    steps.reverse()
-    return steps
+            if t == node:
+                return _path_from_root(parent, s)[1] + [(ev, node)]
+    raise ValueError(f"state {node} is not on a cycle")
 
 
 def _sccs(adj) -> List[List[int]]:

@@ -187,14 +187,6 @@ class StateSet:
         return f"StateSet({sorted(self)})"
 
 
-def enumerate_space(
-    vars: Sequence[VarDecl],
-    invariant_pred: Optional[Expr] = None,
-    cap: int = DEFAULT_STATE_CAP,
-) -> StateSpace:
-    return StateSpace(vars, invariant_pred, cap)
-
-
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:
     """The set of states satisfying ``pred``."""
     mask = 0

@@ -1,7 +1,7 @@
 """Natural-number variant functions and the variant-decrease termination rule."""
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .states import StateSet, StateSpace
 from .transformers import lfp
@@ -50,29 +50,42 @@ class VariantFn:
                 mask |= m
         return StateSet(self.space, mask)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "values": [
-                {"state": self.space.state_of(i), "value": self.table[i]}
-                for i in range(self.space.size)
-            ],
-        }
 
-
-def first_failing_level(
-    p: StateSet, variant: VariantFn, step: Callable[[StateSet], StateSet]
-) -> Optional[dict]:
-    """The lowest variant level ``n`` at which some state of ``p`` does not
-    ``step`` strictly below ``n``, as ``{"n", "states"}``, or None."""
+def variant_antecedents(
+    p: StateSet, variant: VariantFn, step: Callable[[StateSet], StateSet], image: StateSet
+) -> dict:
+    """The failed antecedents of a variant rule for ``p``, by ``details`` key:
+    ``failing_level``, the lowest variant level ``n`` at which some state of
+    ``p`` does not ``step`` strictly below ``n``, as ``{"n", "states"}``, and
+    ``not_invariant``, the states of ``p`` outside ``image``."""
+    details = {}
     # only the values the variant takes: the levels between them hold no state
     # and pass vacuously, and counting up to a large maximum would never end
     for n in sorted(variant._levels):
         lhs = p & variant.level_set(n)
         rhs = step(variant.below_set(n))
         if not lhs.is_subset(rhs):
-            return {"n": n, "states": (lhs - rhs).to_json()}
-    return None
+            details["failing_level"] = {"n": n, "states": (lhs - rhs).to_json()}
+            break
+    if not p.is_subset(image):
+        details["not_invariant"] = (p - image).to_json()
+    return details
+
+
+def rule_verdict(
+    relation: str, holds: bool, details: dict, direct: Callable[[], Verdict]
+) -> Verdict:
+    """The verdict of a sufficient rule whose antecedents ``holds``, with the
+    failed ones in ``details``.  When they hold, the conclusion is verified
+    against ``direct()``, the direct fixpoint verdict, whose fixpoint and trace
+    the verdict carries; a disagreement is a defect, not a verdict."""
+    v = Verdict(holds=holds, relation=relation, details=details)
+    if holds:
+        conclusion = direct()
+        if not conclusion.holds:
+            raise SelfCheckDefect(f"{relation}: antecedents passed but the conclusion fails")
+        v.fixpoint, v.trace = conclusion.fixpoint, conclusion.trace
+    return v
 
 
 def check_variant_theorem(
@@ -85,21 +98,12 @@ def check_variant_theorem(
     ``f`` must be monotone and conjunctive.  Antecedents: each level of the
     variant inside ``p`` maps under ``f`` into the strictly-lower levels, and
     ``p`` is invariant under ``f``.  On success the conclusion is verified
-    directly and a disagreement raises a defect.
+    directly.
     """
-    space = p.space
-    failing = first_failing_level(p, variant, f)
-    invariant_ok = p.is_subset(f(p))
-    holds = failing is None and invariant_ok
-    v = Verdict(holds=holds, relation="variant-theorem")
-    if failing is not None:
-        v.details["failing_level"] = failing
-    if not invariant_ok:
-        v.details["not_invariant"] = (p - f(p)).to_json()
-    if holds:
-        fix, trace = lfp(f, space)
-        if not p.is_subset(fix):
-            raise SelfCheckDefect("variant antecedents passed but p is not in lfp(f)")
-        v.fixpoint = fix
-        v.trace = trace
-    return v
+    details = variant_antecedents(p, variant, f, f(p))
+
+    def direct() -> Verdict:
+        fix, trace = lfp(f, p.space)
+        return Verdict(holds=p.is_subset(fix), relation="lfp", fixpoint=fix, trace=trace)
+
+    return rule_verdict("variant-theorem", not details, details, direct)

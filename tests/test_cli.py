@@ -8,10 +8,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads import cli
+from fixleads import cli, load_file
 from fixleads.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden")
+MODELS = sorted(name[:-4] for name in os.listdir(DATA) if name.endswith(".evt"))
 
 
 def _path(name):
@@ -204,6 +206,38 @@ def test_using_rule_honours_si(tmp_path, capsys, tail):
     assert "certificate accepted" in capsys.readouterr().out
 
 
+NO_INIT = ("system noinit\nvar x : 0 .. 2\nevent stay then skip\n"
+           "property never : leadsto {x = 0} {x = 2} under mp")
+
+
+@pytest.mark.parametrize("tail, argv", [
+    (" with si", ["check", "--oracle"]),
+    ("", ["check", "--si"]),
+    (" with si", ["explain", "never"]),
+], ids=["with-si", "check-si", "explain"])
+def test_si_without_init_is_a_usage_error(tmp_path, capsys, tail, argv):
+    # si of a model without init would be empty and make every claim vacuous
+    src = tmp_path / "noinit.evt"
+    src.write_text(NO_INIT + tail + "\n")
+    assert main([argv[0], str(src), *argv[1:], "--max-states", "64"]) == 2
+    assert "no init declared" in capsys.readouterr().err
+    assert main(["check", str(src)]) == (2 if tail else 1)
+
+
+def test_oracle_disagreement_is_a_defect_without_oracle_flag(monkeypatch, capsys):
+    real = cli.leadsto_mp
+
+    def refuted(*args):
+        verdict = real(*args)
+        verdict.holds = False
+        return verdict
+
+    monkeypatch.setattr(cli, "leadsto_mp", refuted)
+    # the oracle runs for the failing climb, finds no counterexample, and disagrees
+    assert main(["check", _path("mono3.evt")]) == 3
+    assert "oracle and fixpoint verdicts disagree" in capsys.readouterr().err
+
+
 def test_long_chain_certificate_is_balanced(tmp_path, capsys):
     # one mp layer per value: the chain has 1100 leaves
     src = tmp_path / "counter.evt"
@@ -274,6 +308,53 @@ def test_unexpected_exception_is_a_defect(monkeypatch, capsys):
     assert "internal defect: RuntimeError: boom" in capsys.readouterr().err
 
 
+# --- golden outputs ---------------------------------------------------------
+
+CHECK_WAYS = {
+    "check": [],
+    "check-si": ["--si"],
+    "check-assume-mp": ["--assume", "mp"],
+    "check-assume-wf": ["--assume", "wf"],
+}
+
+
+def golden_outputs(model, work):
+    """Every golden output of ``tests/data/<model>.evt``, as ``{file name: text}``:
+    the ``check --oracle --json`` reports (without ``time_ms``), the ``si --json``
+    report, each ``explain`` certificate, and every exit code in ``exits.json``.
+    ``work`` is a scratch directory for the certificates."""
+    path = _path(model + ".evt")
+    files, exits = {}, {}
+    for way, flags in CHECK_WAYS.items():
+        code, out, _ = _captured(["check", path, "--oracle", "--json", *flags])
+        report = json.loads(out)
+        for entry in report["properties"]:
+            del entry["time_ms"]
+        files[way + ".json"] = json.dumps(report) + "\n"
+        exits[way] = code
+    code, files["si.json"], _ = _captured(["si", path, "--json"])
+    exits["si"] = code
+    for prop in load_file(path).properties:
+        cert = os.path.join(work, prop.name + ".cert.json")
+        code, _, _ = _captured(["explain", path, prop.name, "--out", cert])
+        exits["explain " + prop.name] = code
+        if code == 0:
+            with open(cert, encoding="utf-8") as fh:
+                files[prop.name + ".cert.json"] = fh.read()
+    files["exits.json"] = json.dumps(exits, indent=1) + "\n"
+    return files
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_golden_outputs(tmp_path, model):
+    folder = os.path.join(GOLDEN, model)
+    expected = {}
+    for name in os.listdir(folder):
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            expected[name] = fh.read()
+    assert golden_outputs(model, str(tmp_path)) == expected
+
+
 def test_usage_without_subcommand():
     assert main([]) == 2
 
@@ -293,12 +374,18 @@ _json_values = st.recursive(
 )
 
 
+def _captured(argv):
+    """``main(argv)`` with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run(argv):
     """``main(argv)`` with its output captured: (exit code, stderr)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+    code, _, err = _captured(argv)
+    return code, err
 
 
 def _paths(value, path=()):
@@ -351,7 +438,7 @@ _tokens = (st.integers(-(10**12), 10**12).map(str) | st.text(max_size=4) | st.sa
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), new=_tokens)
 def test_fuzzed_model_never_crashes(tmp_path_factory, data, new):
-    name = data.draw(st.sampled_from(sorted(os.listdir(DATA))))
+    name = data.draw(st.sampled_from(MODELS)) + ".evt"
     with open(_path(name), encoding="utf-8") as fh:
         text = fh.read()
     spans = [m.span() for m in _TOKEN.finditer(text)]

@@ -17,6 +17,7 @@ from conftest import (
     random_set,
     random_system,
     restricted_leadsto,
+    si_verdict,
     xs,
 )
 from fixtures import mono3_system
@@ -57,10 +58,11 @@ def test_leadsto_mp_trivial(cycle3):
 def test_leadsto_mp_si():
     shifted = mono3_system(init=(1,))
     a, b = xs(shifted, 0), xs(shifted, 2)
-    v = leadsto_mp_si(shifted, a, b)
+    v = si_verdict(shifted, a, b, "mp")
     assert v.holds  # x=0 is unreachable, claim is vacuous there
+    assert sorted(v.details["si"]) == [1, 2]
     plain = mono3_system()
-    assert (leadsto_mp_si(plain, xs(plain, 0), xs(plain, 2)).holds
+    assert (si_verdict(plain, xs(plain, 0), xs(plain, 2), "mp").holds
             == leadsto_mp(plain, xs(plain, 0), xs(plain, 2)).holds)
 
 
@@ -129,5 +131,6 @@ def test_leadsto_mp_si_is_the_restricted_fixpoint(seed):
     rng = random.Random(seed)
     sys_ = random_system(rng, max_states=8)
     a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
-    assert_matches_restricted(leadsto_mp_si(sys_, a, b),
-                              restricted_leadsto(sys_, a, b, mp_step))
+    reference = restricted_leadsto(sys_, a, b, mp_step)
+    assert_matches_restricted(si_verdict(sys_, a, b, "mp"), reference)
+    assert_matches_restricted(leadsto_mp_si(sys_, a, b), reference)

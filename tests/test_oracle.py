@@ -3,15 +3,18 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from fixleads.oracle import (
     Counterexample,
+    _shortest_cycle_through,
     oracle_mp,
     oracle_reachable,
     oracle_wf,
     validate_counterexample,
 )
 
-from conftest import random_set, random_system, xs
+from conftest import random_set, random_system, reference_shortest_cycle, xs
 
 
 def test_oracle_mp_idle_lasso(idle):
@@ -162,3 +165,24 @@ def test_wf_strictly_weaker_than_mp_on_traces(idle):
         a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
         if oracle_mp(sys_, a, b)[0]:
             assert oracle_wf(sys_, a, b)[0]
+
+
+@st.composite
+def _graphs(draw):
+    """A labelled adjacency dict over ``0..n-1`` (parallel edges allowed)."""
+    n = draw(st.integers(1, 8))
+    edge = st.tuples(st.sampled_from(["e0", "e1", "e2"]), st.integers(0, n - 1))
+    return {s: draw(st.lists(edge, max_size=4)) for s in range(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_shortest_cycle_matches_reference(adj):
+    for node in adj:
+        try:
+            expected = reference_shortest_cycle(adj, node)
+        except AssertionError:  # not on a cycle
+            with pytest.raises(ValueError):
+                _shortest_cycle_through(adj, node)
+            continue
+        assert _shortest_cycle_through(adj, node) == expected

@@ -21,6 +21,7 @@ from conftest import (
     random_set,
     random_system,
     restricted_leadsto,
+    si_verdict,
     xs,
 )
 
@@ -82,7 +83,9 @@ def test_leadsto_wf_trivial(cycle3):
 def test_leadsto_wf_si(cycle3):
     # cycle3 reaches everything, so the restricted check agrees
     a, b = xs(cycle3, 0), xs(cycle3, 2)
-    assert leadsto_wf_si(cycle3, a, b).holds == leadsto_wf(cycle3, a, b).holds
+    v = si_verdict(cycle3, a, b, "wf")
+    assert v.holds == leadsto_wf(cycle3, a, b).holds
+    assert v.details["si"].is_universe()
 
 
 def test_ensures_wf_examples(idle):
@@ -202,6 +205,7 @@ def test_leadsto_wf_si_is_the_restricted_fixpoint(seed):
     rng = random.Random(seed)
     sys_ = random_system(rng, max_states=6)
     a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+    reference = restricted_leadsto(sys_, a, b, wf_step)
     # also runs the one-step bound self-check on the restricted claim
-    assert_matches_restricted(leadsto_wf_si(sys_, a, b),
-                              restricted_leadsto(sys_, a, b, wf_step))
+    assert_matches_restricted(si_verdict(sys_, a, b, "wf"), reference)
+    assert_matches_restricted(leadsto_wf_si(sys_, a, b), reference)
