@@ -4,13 +4,19 @@ An event is enabled on its guard and maps each guarded state to a non-empty
 set of successors; outside the guard it is a miracle (the induced transformer
 holds there vacuously).  The whole system acts as the demonic choice of its
 events (``transformers.system_choice`` is that choice as a term).
+
+The system also carries the graph kernel that every engine fixpoint runs on:
+predecessor masks of the union relation, built on first use, under
+``apply_all`` (``AX``), ``attract`` (``lfp x. a ∪ (b ∩ AX x)``, by successor
+counters) and ``weak_attract`` (its greatest fixpoint, by backward
+reachability).  ``Event.apply`` stays the definitional per-event loop that
+the term algebra uses, so the kernel has an independent reference.
 """
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from .states import StateSet, StateSpace, SpaceMismatch
-from .transformers import lfp
 
 
 class ModelError(Exception):
@@ -51,13 +57,6 @@ class Event:
         """Successor mask of state ``s`` (0 outside the guard)."""
         return self.rel.get(s, 0)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "guard": self.guard.to_json(),
-            "rel": {str(s): sorted(StateSet(self.space, image)) for s, image in self._items},
-        }
-
     def __repr__(self):
         return f"Event({self.name!r})"
 
@@ -83,6 +82,7 @@ class EventSystem:
         self.grd_all = space.empty()
         for e in events:
             self.grd_all = self.grd_all | e.guard
+        self._graph: Optional[Tuple[List[int], List[int]]] = None  # see _kernel
 
     def event(self, name: str) -> Event:
         for e in self.events:
@@ -90,12 +90,89 @@ class EventSystem:
                 return e
         raise ModelError(f"unknown event {name!r}")
 
-    def apply_all(self, r: StateSet) -> StateSet:
-        """Demonic choice over every event (the system transformer)."""
-        out = self.events[0].apply(r)
-        for e in self.events[1:]:
-            out = out & e.apply(r)
+    def _kernel(self) -> Tuple[List[int], List[int]]:
+        """``pre[t]``, the mask of the states with an edge to ``t`` under any
+        event, and ``degree[s]``, the number of distinct successors of ``s``.
+        Built on first use: loading a model and ``si`` never need them."""
+        if self._graph is None:
+            succ: Dict[int, int] = {}
+            for e in self.events:
+                for s, image in e._items:
+                    succ[s] = succ.get(s, 0) | image
+            pre = [0] * self.space.size
+            degree = [0] * self.space.size
+            for s, image in succ.items():
+                degree[s] = image.bit_count()
+                bit = 1 << s
+                while image:
+                    lsb = image & -image
+                    pre[lsb.bit_length() - 1] |= bit
+                    image ^= lsb
+            self._graph = pre, degree
+        return self._graph
+
+    def _ex(self, mask: int) -> int:
+        """``EX``: the states with some successor in ``mask``."""
+        pre = self._kernel()[0]
+        out = 0
+        while mask:
+            lsb = mask & -mask
+            out |= pre[lsb.bit_length() - 1]
+            mask ^= lsb
         return out
+
+    def apply_all(self, r: StateSet) -> StateSet:
+        """Demonic choice over every event (the system transformer): ``AX r``,
+        the complement of ``EX ¬r``."""
+        if r.space is not self.space:
+            raise SpaceMismatch("postcondition over a different space")
+        full = self.space.full_mask
+        return StateSet(self.space, full ^ self._ex(full ^ r.mask))
+
+    def attract(self, a: StateSet, b: StateSet) -> List[StateSet]:
+        """The Kleene iterates of ``lfp x. a ∪ (b ∩ AX x)``: ``[∅, x1, ..., xK,
+        xK]``, or ``[∅, ∅]`` when ``x1`` is empty.
+
+        Linear time (Liu & Smolka, ICALP 1998): each state of ``b`` counts its
+        successors outside ``x`` and joins the level after its count reaches
+        zero; states without successors join in ``x1``."""
+        pre, degree = self._kernel()
+        left = list(degree)
+        x = a.mask | (b.mask & ~self.grd_all.mask)
+        cand = b.mask & ~x
+        masks = [0]
+        frontier = x
+        while frontier:
+            masks.append(x)
+            joined = 0
+            while frontier:
+                lsb = frontier & -frontier
+                frontier ^= lsb
+                preds = pre[lsb.bit_length() - 1] & cand
+                while preds:
+                    bit = preds & -preds
+                    preds ^= bit
+                    s = bit.bit_length() - 1
+                    left[s] -= 1
+                    if not left[s]:
+                        joined |= bit
+            cand &= ~joined
+            x |= joined
+            frontier = joined
+        masks.append(x)
+        return [StateSet(self.space, m) for m in masks]
+
+    def weak_attract(self, a: StateSet, b: StateSet) -> StateSet:
+        """``gfp x. a ∪ (b ∩ AX x)``: the complement of the states of ``¬a``
+        that reach ``¬a ∩ ¬b`` inside ``¬a``."""
+        if not b.mask & ~a.mask:
+            return a
+        inside = self.space.full_mask ^ a.mask
+        bad = frontier = inside & ~b.mask
+        while frontier:
+            frontier = self._ex(frontier) & inside & ~bad
+            bad |= frontier
+        return StateSet(self.space, self.space.full_mask ^ bad)
 
     def forward_image(self, r: StateSet) -> StateSet:
         """All one-step successors of states in ``r``."""
@@ -110,14 +187,10 @@ class EventSystem:
         return StateSet(self.space, mask)
 
     def strongest_invariant(self) -> StateSet:
-        """Least set containing init and closed under every event."""
-        fix, _ = lfp(lambda x: self.init | self.forward_image(x), self.space)
-        return fix
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "vars": [{"name": v.name, "domain": list(v.domain)} for v in self.space.vars],
-            "events": [e.to_json() for e in self.events],
-            "init": self.init.to_json(),
-        }
+        """Least set containing init and closed under every event: a forward
+        search that takes the successors of each reached state once."""
+        reach = frontier = self.init.mask
+        while frontier:
+            frontier = self.forward_image(StateSet(self.space, frontier)).mask & ~reach
+            reach |= frontier
+        return StateSet(self.space, reach)

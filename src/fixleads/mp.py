@@ -3,13 +3,14 @@
 A progress step must succeed no matter which enabled event the scheduler
 picks, so the one-step transformer is the whole-system choice restricted to
 states where at least one event is enabled.  Leads-to is decided by the
-least fixpoint of the target-or-step iteration.
+least fixpoint of the target-or-step iteration, which is the system's
+attractor of the target inside the enabled states.
 """
 from __future__ import annotations
 
 from .events import EventSystem
 from .states import StateSet
-from .transformers import lfp
+from .transformers import IterateTrace
 from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import Verdict
 
@@ -24,7 +25,9 @@ def ensures_mp(sys: EventSystem, p: StateSet, q: StateSet) -> Verdict:
 
 
 def leadsto_mp(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
-    fix, trace = lfp(lambda x: b | mp_step(sys, x), sys.space)
+    # lfp x. b ∪ mp_step(x), iterate by iterate
+    trace = IterateTrace(tuple(sys.attract(b, sys.grd_all)), "least")
+    fix = trace.value
     return Verdict(holds=a.is_subset(fix), relation="T_m", fixpoint=fix, trace=trace)
 
 

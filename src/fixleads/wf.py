@@ -11,7 +11,7 @@ from __future__ import annotations
 from .events import Event, EventSystem
 from .mp import leadsto_mp, mp_step
 from .states import StateSet
-from .transformers import gfp, lfp
+from .transformers import lfp
 from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import SelfCheckDefect, Verdict
 
@@ -23,17 +23,14 @@ def fair_loop(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
         # at the full postcondition the liberal side is trivial, so the
         # demonic loop coincides with its termination set
         return fair_loop_termination(sys, q, g)
-    g_r = g.guard & g.apply(r)
-    fix, _ = gfp(lambda x: q | (g_r & sys.apply_all(x)), sys.space)
-    return fix
+    # gfp x. q ∪ (grd g ∩ g.apply(r) ∩ AX x)
+    return sys.weak_attract(q, g.guard & g.apply(r))
 
 
 def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
     """Termination set of the fair loop for helpful event ``g``."""
-    base = q | g.guard
-    blocked = sys.apply_all(q).complement()
-    fix, _ = lfp(lambda x: base | (blocked & sys.apply_all(x)), sys.space)
-    return fix
+    # lfp x. (q ∪ grd g) ∪ (¬AX q ∩ AX x)
+    return sys.attract(q | g.guard, sys.apply_all(q).complement())[-1]
 
 
 def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
@@ -61,6 +58,7 @@ def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
 
 
 def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
+    # a Kleene loop, not a kernel call: its iterates are the certificate layers
     fix, trace = lfp(lambda x: b | wf_step(sys, x), sys.space)
     # every iterate stays inside target-or-(enabled and one step from the
     # fixpoint); a violation would unsound the WF-to-MP bridge

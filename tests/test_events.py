@@ -97,9 +97,3 @@ def test_si_closed_and_matches_reachability(seed):
     assert sys_.init.is_subset(si)
     assert si.mask == oracle_reachable(sys_, sys_.init).mask
 
-
-def test_to_json_roundtrippable(mono3):
-    data = mono3.to_json()
-    assert data["name"] == "mono3"
-    assert data["events"][0]["name"] == "inc"
-    assert data["events"][0]["rel"] == {"0": [1], "1": [2]}

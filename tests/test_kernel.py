@@ -1,0 +1,126 @@
+"""The graph kernel of ``EventSystem`` against the Kleene iteration over the
+transformer term algebra, on random systems and on every ``tests/data`` model."""
+import os
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fixleads import load_file
+from fixleads.cli import resolve
+from fixleads.events import Event, EventSystem
+from fixleads.mp import leadsto_mp
+from fixleads.oracle import oracle_mp, oracle_wf
+from fixleads.transformers import apply, gfp, grd, lfp, system_choice
+from fixleads.wf import leadsto_wf
+
+from conftest import random_set, random_system
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+MODELS = sorted(name for name in os.listdir(DATA) if name.endswith(".evt"))
+
+
+def _system(seed, idle_event):
+    """A random system; with ``idle_event`` it also has an event whose guard is
+    empty.  States outside every guard have no successor."""
+    rng = random.Random(seed)
+    sys_ = random_system(rng)
+    if idle_event:
+        space = sys_.space
+        events = list(sys_.events) + [Event("never", space.empty(), {})]
+        sys_ = EventSystem(space, events, sys_.init)
+    return rng, sys_
+
+
+def _masks(steps):
+    return [s.mask for s in steps]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_apply_all_is_the_system_choice(seed, idle_event):
+    rng, sys_ = _system(seed, idle_event)
+    t = system_choice(sys_)
+    for _ in range(5):
+        r = random_set(rng, sys_.space)
+        assert sys_.apply_all(r).mask == apply(t, r).mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_attract_is_the_kleene_trace(seed, idle_event):
+    rng, sys_ = _system(seed, idle_event)
+    t = system_choice(sys_)
+    for _ in range(5):
+        a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+        _, trace = lfp(lambda x: a | (b & apply(t, x)), sys_.space)
+        assert _masks(sys_.attract(a, b)) == _masks(trace.steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_weak_attract_is_the_kleene_gfp(seed, idle_event):
+    rng, sys_ = _system(seed, idle_event)
+    t = system_choice(sys_)
+    for _ in range(5):
+        a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+        fix, _ = gfp(lambda x: a | (b & apply(t, x)), sys_.space)
+        assert sys_.weak_attract(a, b).mask == fix.mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_strongest_invariant_is_the_kleene_lfp(seed, idle_event):
+    _, sys_ = _system(seed, idle_event)
+    fix, _ = lfp(lambda x: sys_.init | sys_.forward_image(x), sys_.space)
+    assert sys_.strongest_invariant().mask == fix.mask
+
+
+def _kleene_fair_loop(sys_, t, q, g, r):
+    """The fair loop of ``wf.fair_loop`` as Kleene iterations over the terms."""
+    if r.is_universe():
+        base, blocked = q | g.guard, apply(t, q).complement()
+        return lfp(lambda x: base | (blocked & apply(t, x)), sys_.space)[0]
+    g_r = g.guard & g.apply(r)
+    return gfp(lambda x: q | (g_r & apply(t, x)), sys_.space)[0]
+
+
+def _kleene_leadsto(sys_, b, semantics):
+    """The leads-to fixpoint and trace of ``semantics`` over the term algebra."""
+    t = system_choice(sys_)
+    space = sys_.space
+    if semantics == "mp":
+        enabled = grd(t, space.universe())
+        step = lambda x: enabled & apply(t, x)
+    else:
+        def step(x):
+            out = space.empty()
+            for g in sys_.events:
+                out = out | _kleene_fair_loop(sys_, t, x, g, x)
+            return out
+    return lfp(lambda x: b | step(x), space)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_engines_match_kleene_and_oracle_on_models(model):
+    elab = load_file(os.path.join(DATA, model))
+    sys_ = elab.system
+    claims = [resolve(elab, p) for p in elab.properties if p.kind == "leadsto"]
+    assert claims
+    for claim in claims:
+        for semantics, engine, oracle in (("mp", leadsto_mp, oracle_mp),
+                                          ("wf", leadsto_wf, oracle_wf)):
+            verdict = engine(sys_, claim.a, claim.b)
+            fix, trace = _kleene_leadsto(sys_, claim.b, semantics)
+            assert verdict.fixpoint.mask == fix.mask
+            assert _masks(verdict.trace.steps) == _masks(trace.steps)
+            assert verdict.holds == oracle(sys_, claim.a, claim.b)[0]
+
+
+def test_kernel_is_built_on_first_use():
+    elab = load_file(os.path.join(DATA, "ring3.evt"))
+    sys_ = elab.system
+    sys_.strongest_invariant()
+    assert sys_._graph is None  # loading and si never pay for it
+    sys_.apply_all(sys_.space.empty())
+    assert sys_._graph is not None

@@ -151,7 +151,7 @@ def test_all_emitted_counterexamples_validate(seed):
         for oracle in (oracle_mp, oracle_wf):
             ok, cx = oracle(sys_, a, b)
             if not ok:
-                assert validate_counterexample(sys_, cx, b), (sys_.to_json(), cx)
+                assert validate_counterexample(sys_, cx, b), ({e.name: e.rel for e in sys_.events}, cx)
                 assert cx.start in a
                 knot = cx.prefix[-1][1] if cx.prefix else cx.start
                 assert (knot, len(cx.prefix)) == _expected_knot(sys_, a, b, cx)
