@@ -67,6 +67,8 @@ def _load(path: str, args) -> Elaborated:
         raise UsageError(f"{path}: {exc}")
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}")
+    except RecursionError:
+        raise UsageError(f"{path}: model nested too deeply") from None
 
 
 @dataclass(frozen=True)

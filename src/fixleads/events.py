@@ -5,12 +5,14 @@ set of successors; outside the guard it is a miracle (the induced transformer
 holds there vacuously).  The whole system acts as the demonic choice of its
 events (``transformers.system_choice`` is that choice as a term).
 
-The system also carries the graph kernel that every engine fixpoint runs on:
-predecessor masks of the union relation, built on first use, under
-``apply_all`` (``AX``), ``attract`` (``lfp x. a ∪ (b ∩ AX x)``, by successor
-counters) and ``weak_attract`` (its greatest fixpoint, by backward
-reachability).  ``Event.apply`` stays the definitional per-event loop that
-the term algebra uses, so the kernel has an independent reference.
+The engines reach the relation through one format, built on first use:
+offset classes ``((d, src), ...)``, where ``src`` is the mask of the states
+with an edge to the state ``d`` indices above them (the explicit-state form of
+a partitioned transition relation, Burch, Clarke & Long 1991).  ``EX`` is one
+shift and AND per class (``_ex``) and the successor image its forward dual
+(``_post``); every fixpoint below loops over them.  ``Event.apply``
+stays the per-state reference loop of the term algebra, so the classes have
+an independent reference.
 """
 from __future__ import annotations
 
@@ -18,9 +20,41 @@ from typing import Dict, List, Optional, Tuple
 
 from .states import StateSet, StateSpace, SpaceMismatch
 
+Classes = Tuple[Tuple[int, int], ...]
+
 
 class ModelError(Exception):
     """Malformed event or system (miraculous image, duplicate names, ...)."""
+
+
+def _offset_classes(rel: Dict[int, int], size: int) -> Classes:
+    """The edges ``s -> t`` of ``rel`` grouped by ``d = t - s``, sorted by ``d``."""
+    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
+    for s, image in rel.items():
+        while image:
+            t = image.bit_length() - 1
+            image ^= 1 << t
+            row = rows.get(t - s)
+            if row is None:
+                row = rows[t - s] = bytearray(b"0" * size)
+            row[~s] = 49  # "1" for bit s, most significant digit first
+    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
+
+
+def _ex(classes: Classes, mask: int) -> int:
+    """``EX``: the states with some successor in ``mask``."""
+    out = 0
+    for d, src in classes:
+        out |= src & (mask >> d if d >= 0 else mask << -d)
+    return out
+
+
+def _post(classes: Classes, mask: int) -> int:
+    """The forward dual of ``_ex``: the successors of the states in ``mask``."""
+    out = 0
+    for d, src in classes:
+        out |= (mask & src) << d if d >= 0 else (mask & src) >> -d
+    return out
 
 
 class Event:
@@ -39,19 +73,32 @@ class Event:
         self.guard = guard
         self.space = space
         self.rel = dict(rel)
-        self._not_guard_mask = guard.complement().mask
-        self._items = sorted(rel.items())
+        self._classes: Optional[Classes] = None  # see classes
+
+    def classes(self) -> Classes:
+        """The offset classes of this event's edges, built on first use."""
+        if self._classes is None:
+            self._classes = _offset_classes(self.rel, self.space.size)
+        return self._classes
 
     def apply(self, r: StateSet) -> StateSet:
-        """Start states from which every successor lands in ``r`` (or no-guard)."""
+        """Start states from which every successor lands in ``r`` (or no-guard):
+        the per-state reference loop, which never touches the classes."""
         if r.space is not self.space:
             raise SpaceMismatch("postcondition over a different space")
-        mask = self._not_guard_mask
+        mask = self.guard.complement().mask
         rm = r.mask
-        for s, image in self._items:
+        for s, image in self.rel.items():
             if image & ~rm == 0:
                 mask |= 1 << s
         return StateSet(self.space, mask)
+
+    def guarded_apply(self, r: StateSet) -> StateSet:
+        """``grd g ∩ g.apply(r)``: the guarded states whose every successor is in ``r``."""
+        if r.space is not self.space:
+            raise SpaceMismatch("postcondition over a different space")
+        full = self.space.full_mask
+        return StateSet(self.space, self.guard.mask & ~_ex(self.classes(), full ^ r.mask))
 
     def successors(self, s: int) -> int:
         """Successor mask of state ``s`` (0 outside the guard)."""
@@ -82,7 +129,7 @@ class EventSystem:
         self.grd_all = space.empty()
         for e in events:
             self.grd_all = self.grd_all | e.guard
-        self._graph: Optional[Tuple[List[int], List[int]]] = None  # see _kernel
+        self._classes: Optional[Classes] = None  # see classes
 
     def event(self, name: str) -> Event:
         for e in self.events:
@@ -90,107 +137,55 @@ class EventSystem:
                 return e
         raise ModelError(f"unknown event {name!r}")
 
-    def _kernel(self) -> Tuple[List[int], List[int]]:
-        """``pre[t]``, the mask of the states with an edge to ``t`` under any
-        event, and ``degree[s]``, the number of distinct successors of ``s``.
-        Built on first use: loading a model and ``si`` never need them."""
-        if self._graph is None:
-            succ: Dict[int, int] = {}
+    def classes(self) -> Classes:
+        """The events' offset classes merged by offset, built on first use:
+        loading a model builds none."""
+        if self._classes is None:
+            merged: Dict[int, int] = {}
             for e in self.events:
-                for s, image in e._items:
-                    succ[s] = succ.get(s, 0) | image
-            pre = [0] * self.space.size
-            degree = [0] * self.space.size
-            for s, image in succ.items():
-                degree[s] = image.bit_count()
-                bit = 1 << s
-                while image:
-                    lsb = image & -image
-                    pre[lsb.bit_length() - 1] |= bit
-                    image ^= lsb
-            self._graph = pre, degree
-        return self._graph
+                for d, src in e.classes():
+                    merged[d] = merged.get(d, 0) | src
+            self._classes = tuple(sorted(merged.items()))
+        return self._classes
 
-    def _ex(self, mask: int) -> int:
-        """``EX``: the states with some successor in ``mask``."""
-        pre = self._kernel()[0]
-        out = 0
-        while mask:
-            lsb = mask & -mask
-            out |= pre[lsb.bit_length() - 1]
-            mask ^= lsb
-        return out
+    def _ax(self, mask: int) -> int:
+        """``AX``: the complement of ``EX ¬mask``."""
+        full = self.space.full_mask
+        return full ^ _ex(self.classes(), full ^ mask)
 
     def apply_all(self, r: StateSet) -> StateSet:
-        """Demonic choice over every event (the system transformer): ``AX r``,
-        the complement of ``EX ¬r``."""
+        """Demonic choice over every event (the system transformer): ``AX r``."""
         if r.space is not self.space:
             raise SpaceMismatch("postcondition over a different space")
-        full = self.space.full_mask
-        return StateSet(self.space, full ^ self._ex(full ^ r.mask))
+        return StateSet(self.space, self._ax(r.mask))
 
     def attract(self, a: StateSet, b: StateSet) -> List[StateSet]:
         """The Kleene iterates of ``lfp x. a ∪ (b ∩ AX x)``: ``[∅, x1, ..., xK,
-        xK]``, or ``[∅, ∅]`` when ``x1`` is empty.
-
-        Linear time (Liu & Smolka, ICALP 1998): each state of ``b`` counts its
-        successors outside ``x`` and joins the level after its count reaches
-        zero; states without successors join in ``x1``."""
-        pre, degree = self._kernel()
-        left = list(degree)
-        x = a.mask | (b.mask & ~self.grd_all.mask)
-        cand = b.mask & ~x
+        xK]``, or ``[∅, ∅]`` when ``x1`` is empty.  States without successors
+        are in ``AX ∅``, so they join in ``x1``."""
         masks = [0]
-        frontier = x
-        while frontier:
-            masks.append(x)
-            joined = 0
-            while frontier:
-                lsb = frontier & -frontier
-                frontier ^= lsb
-                preds = pre[lsb.bit_length() - 1] & cand
-                while preds:
-                    bit = preds & -preds
-                    preds ^= bit
-                    s = bit.bit_length() - 1
-                    left[s] -= 1
-                    if not left[s]:
-                        joined |= bit
-            cand &= ~joined
-            x |= joined
-            frontier = joined
-        masks.append(x)
-        return [StateSet(self.space, m) for m in masks]
+        while True:
+            masks.append(a.mask | (b.mask & self._ax(masks[-1])))
+            if masks[-1] == masks[-2]:
+                return [StateSet(self.space, m) for m in masks]
 
     def weak_attract(self, a: StateSet, b: StateSet) -> StateSet:
-        """``gfp x. a ∪ (b ∩ AX x)``: the complement of the states of ``¬a``
-        that reach ``¬a ∩ ¬b`` inside ``¬a``."""
-        if not b.mask & ~a.mask:
-            return a
-        inside = self.space.full_mask ^ a.mask
-        bad = frontier = inside & ~b.mask
-        while frontier:
-            frontier = self._ex(frontier) & inside & ~bad
-            bad |= frontier
-        return StateSet(self.space, self.space.full_mask ^ bad)
+        """``gfp x. a ∪ (b ∩ AX x)``, by Kleene iteration down from the universe."""
+        x, prev = self.space.full_mask, None
+        while x != prev:
+            x, prev = a.mask | (b.mask & self._ax(x)), x
+        return StateSet(self.space, x)
 
     def forward_image(self, r: StateSet) -> StateSet:
         """All one-step successors of states in ``r``."""
-        mask = 0
-        for e in self.events:
-            em = r.mask & e.guard.mask
-            m = em
-            while m:
-                lsb = m & -m
-                mask |= e.rel[lsb.bit_length() - 1]
-                m ^= lsb
-        return StateSet(self.space, mask)
+        return StateSet(self.space, _post(self.classes(), r.mask))
 
     def strongest_invariant(self) -> StateSet:
         """Least set containing init and closed under every event: a forward
         search that takes the successors of each reached state once."""
+        classes = self.classes()
         reach = frontier = self.init.mask
         while frontier:
-            frontier = self.forward_image(StateSet(self.space, frontier)).mask & ~reach
+            frontier = _post(classes, frontier) & ~reach
             reach |= frontier
         return StateSet(self.space, reach)

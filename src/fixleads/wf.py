@@ -23,8 +23,8 @@ def fair_loop(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
         # at the full postcondition the liberal side is trivial, so the
         # demonic loop coincides with its termination set
         return fair_loop_termination(sys, q, g)
-    # gfp x. q ∪ (grd g ∩ g.apply(r) ∩ AX x)
-    return sys.weak_attract(q, g.guard & g.apply(r))
+    # gfp x. q ∪ (g.guarded_apply(r) ∩ AX x)
+    return sys.weak_attract(q, g.guarded_apply(r))
 
 
 def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
@@ -50,7 +50,7 @@ def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
 
 
 def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
-    rhs = sys.apply_all(p | q) & g.guard & g.apply(q)
+    rhs = sys.apply_all(p | q) & g.guarded_apply(q)
     ok = (p - q).is_subset(rhs)
     v = Verdict(holds=ok, relation="E_w")
     v.details["helpful"] = g.name

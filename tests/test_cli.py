@@ -277,7 +277,8 @@ def _deep_document(depth):
 
 
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
-                                  "deep-nesting", "check-directory", "binary-model"])
+                                  "deep-nesting", "check-directory", "binary-model",
+                                  "deep-model", "long-expression"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     argv = ["check-cert", _path("mono3.evt"), str(bad)]
@@ -291,6 +292,13 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         bad.write_text(_deep_document(5000))
     elif case == "check-directory":
         argv = ["check", str(tmp_path)]
+    elif case in ("deep-model", "long-expression"):
+        init = "(" * 3000 + "x = 0" + ")" * 3000 if case == "deep-model" else "x = 0"
+        guard = " + ".join(["x"] * 5000) if case == "long-expression" else "x"
+        bad.write_text(f"system s\nvar x : 0 .. 1\ninit {init}\n"
+                       f"event e when {guard} >= 0 then skip\n"
+                       "property p : leadsto {true} {true} under mp\n")
+        argv = ["check", str(bad)]
     else:
         bad.write_bytes(b"\xff\xfe\x00")
         argv = ["check", str(bad)]

@@ -1,5 +1,6 @@
-"""The graph kernel of ``EventSystem`` against the Kleene iteration over the
-transformer term algebra, on random systems and on every ``tests/data`` model."""
+"""The offset-class kernel of ``EventSystem`` and ``Event`` against the Kleene
+iteration over the transformer term algebra and the per-state relation, on
+random systems and on every ``tests/data`` model."""
 import os
 import random
 
@@ -11,6 +12,7 @@ from fixleads.cli import resolve
 from fixleads.events import Event, EventSystem
 from fixleads.mp import leadsto_mp
 from fixleads.oracle import oracle_mp, oracle_wf
+from fixleads.states import StateSet
 from fixleads.transformers import apply, gfp, grd, lfp, system_choice
 from fixleads.wf import leadsto_wf
 
@@ -44,6 +46,8 @@ def test_apply_all_is_the_system_choice(seed, idle_event):
     for _ in range(5):
         r = random_set(rng, sys_.space)
         assert sys_.apply_all(r).mask == apply(t, r).mask
+        for e in sys_.events:
+            assert e.guarded_apply(r).mask == (e.guard & e.apply(r)).mask
 
 
 @settings(max_examples=150, deadline=None)
@@ -71,9 +75,21 @@ def test_weak_attract_is_the_kleene_gfp(seed, idle_event):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_strongest_invariant_is_the_kleene_lfp(seed, idle_event):
-    _, sys_ = _system(seed, idle_event)
-    fix, _ = lfp(lambda x: sys_.init | sys_.forward_image(x), sys_.space)
+    rng, sys_ = _system(seed, idle_event)
+
+    def post(x):
+        """The union of the events' successors of the states of ``x``."""
+        mask = 0
+        for s in x:
+            for e in sys_.events:
+                mask |= e.successors(s)
+        return StateSet(sys_.space, mask)
+
+    fix, _ = lfp(lambda x: sys_.init | post(x), sys_.space)
     assert sys_.strongest_invariant().mask == fix.mask
+    for _ in range(5):
+        r = random_set(rng, sys_.space)
+        assert sys_.forward_image(r).mask == post(r).mask
 
 
 def _kleene_fair_loop(sys_, t, q, g, r):
@@ -120,7 +136,7 @@ def test_engines_match_kleene_and_oracle_on_models(model):
 def test_kernel_is_built_on_first_use():
     elab = load_file(os.path.join(DATA, "ring3.evt"))
     sys_ = elab.system
-    sys_.strongest_invariant()
-    assert sys_._graph is None  # loading and si never pay for it
-    sys_.apply_all(sys_.space.empty())
-    assert sys_._graph is not None
+    assert sys_._classes is None  # loading never pays for them
+    assert all(e._classes is None for e in sys_.events)
+    sys_.strongest_invariant()  # the forward shift of the classes
+    assert sys_._classes is not None
