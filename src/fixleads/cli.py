@@ -234,8 +234,11 @@ def cmd_explain(args) -> int:
         **cert_to_json(cert, (claim.a, claim.b)),
     }
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        _write_json(payload, fh)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_json(payload, fh)
+    except OSError as exc:
+        raise UsageError(f"{out}: {exc.strerror}")
     print(f"wrote certificate to {out}")
     return EXIT_OK
 

@@ -3,8 +3,10 @@
 The surface syntax declares one system per file: variables over finite
 domains, an optional invariant, an init predicate, guarded events, variant
 functions and liveness properties.  Parsing yields a plain AST; elaboration
-enumerates the state space and evaluates every guard, action, predicate and
-variant per state, producing the relational objects the engines work on.
+evaluates every guard, action, predicate and variant on all states at once,
+as partitions of the states by value (``StateSpace.partition``), producing
+the relational objects the engines work on.  An item the partitions cannot
+decide goes through the per-state loop, which also reports its errors.
 
 A `[]` between actions inside one event merges the outcomes into a single
 event's relation (internal nondeterminism).  That is not the same as
@@ -31,8 +33,10 @@ from .exprs import (
     Name,
     Not,
     Or,
+    Undecided,
     eval_expr,
     to_text,
+    true_mask,
 )
 from .states import (
     DEFAULT_STATE_CAP,
@@ -604,20 +608,8 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
 
     variants: Dict[str, VariantFn] = {}
     for v in ast.variants:
-        table = {}
-        for i in range(space.size):
-            env = space.state_of(i)
-            try:
-                val = eval_expr(v.expr, env, space.constants)
-            except EvalError as exc:
-                raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
-            if type(val) is not int:
-                raise DslError(
-                    f"variant {v.name!r} is not an integer at {env!r}", v.line, 1
-                )
-            table[i] = val
         try:
-            variants[v.name] = VariantFn(space, table, v.name)
+            variants[v.name] = _variant(space, v)
         except VariantError as exc:
             raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
 
@@ -653,21 +645,57 @@ def _domain_values(v: VarDeclAst, cap: int) -> tuple:
 
 def _pred_set(space: StateSpace, pred: Expr, what: str) -> StateSet:
     try:
+        return StateSet(space, true_mask(space.partition(pred)))
+    except Undecided:
+        pass
+    try:
         return eval_pred(space, pred)
     except EvalError as exc:
         raise DslError(f"{what}: {exc}") from exc
 
 
+def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
+    """The variant's levels from its partition, or else from a per-state table."""
+    try:
+        part = space.partition(v.expr)
+        if all(t is int and val >= 0 for t, val in part):
+            return VariantFn.from_levels(space, {val: m for (_, val), m in part.items()}, v.name)
+    except Undecided:
+        pass
+    table = {}
+    for i in range(space.size):
+        env = space.state_of(i)
+        try:
+            val = eval_expr(v.expr, env, space.constants)
+        except EvalError as exc:
+            raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
+        if type(val) is not int:
+            raise DslError(f"variant {v.name!r} is not an integer at {env!r}", v.line, 1)
+        table[i] = val
+    return VariantFn(space, table, v.name)
+
+
 def _elaborate_event(space: StateSpace, domains: Dict[str, set], e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
-    rel: Dict[int, int] = {}
-    for i in guard:
-        env = space.state_of(i)
-        image = 0
-        for action in e.actions:
-            image |= _action_successors(space, domains, e, env, action)
-        rel[i] = image
+    branches = [
+        [(item.var, (item.expr,) if isinstance(item, Assign) else item.choices)
+         for item in action.assigns]
+        for action in e.actions
+    ]
     try:
+        classes = space.action_classes(branches, guard.mask)
+    except (Undecided, SpaceError):
+        classes = None
+    try:
+        if classes is not None:
+            return Event.from_classes(e.name, guard, classes)
+        rel: Dict[int, int] = {}
+        for i in guard:
+            env = space.state_of(i)
+            image = 0
+            for action in e.actions:
+                image |= _action_successors(space, domains, e, env, action)
+            rel[i] = image
         return Event(e.name, guard, rel)
     except ModelError as exc:
         raise DslError(str(exc), e.line, 1) from exc
@@ -675,7 +703,9 @@ def _elaborate_event(space: StateSpace, domains: Dict[str, set], e: EventAst) ->
 
 def _action_successors(space, domains, e: EventAst, env: dict, action: ActionAst) -> int:
     """Successor mask of one action branch at one pre-state (parallel assigns;
-    a :in assignment fans out over every listed value)."""
+    a :in assignment fans out over every listed value): the per-state
+    reference of ``StateSpace.action_classes``, and the path that reports
+    its errors."""
     per_assign: List[List[Tuple[str, object]]] = []
     for item in action.assigns:
         if item.var not in domains:

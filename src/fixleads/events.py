@@ -5,20 +5,22 @@ set of successors; outside the guard it is a miracle (the induced transformer
 holds there vacuously).  The whole system acts as the demonic choice of its
 events (``transformers.system_choice`` is that choice as a term).
 
-The engines reach the relation through one format, built on first use:
-offset classes ``((d, src), ...)``, where ``src`` is the mask of the states
-with an edge to the state ``d`` indices above them (the explicit-state form of
-a partitioned transition relation, Burch, Clarke & Long 1991).  ``EX`` is one
-shift and AND per class (``_ex``) and the successor image its forward dual
-(``_post``); every fixpoint below loops over them.  ``Event.apply``
-stays the per-state reference loop of the term algebra, so the classes have
-an independent reference.
+The engines reach the relation through one format: offset classes
+``((d, src), ...)``, where ``src`` is the mask of the states with an edge to
+the state ``d`` indices above them (the explicit-state form of a partitioned
+transition relation, Burch, Clarke & Long 1991).  ``EX`` is one shift and AND
+per class (``_ex``) and the successor image its forward dual (``_post``);
+every fixpoint below loops over them.  An event holds its relation in one
+format and derives the other on first use: ``Event(name, guard, rel)`` the
+classes, and ``Event.from_classes`` (how ``dsl`` builds every event it can)
+the per-state ``rel``.  ``Event.apply`` stays the per-state reference loop of
+the term algebra over ``rel``.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .states import StateSet, StateSpace, SpaceMismatch
+from .states import StateSet, StateSpace, SpaceMismatch, bit_positions, group_by_offset
 
 Classes = Tuple[Tuple[int, int], ...]
 
@@ -29,16 +31,15 @@ class ModelError(Exception):
 
 def _offset_classes(rel: Dict[int, int], size: int) -> Classes:
     """The edges ``s -> t`` of ``rel`` grouped by ``d = t - s``, sorted by ``d``."""
-    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
-    for s, image in rel.items():
-        while image:
-            t = image.bit_length() - 1
-            image ^= 1 << t
-            row = rows.get(t - s)
-            if row is None:
-                row = rows[t - s] = bytearray(b"0" * size)
-            row[~s] = 49  # "1" for bit s, most significant digit first
-    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
+
+    def edges():
+        for s, image in rel.items():
+            while image:
+                t = image.bit_length() - 1
+                image ^= 1 << t
+                yield s, t
+
+    return group_by_offset(edges(), size)
 
 
 def _ex(classes: Classes, mask: int) -> int:
@@ -72,13 +73,42 @@ class Event:
         self.name = name
         self.guard = guard
         self.space = space
-        self.rel = dict(rel)
+        self._rel: Optional[Dict[int, int]] = dict(rel)
         self._classes: Optional[Classes] = None  # see classes
+
+    @classmethod
+    def from_classes(cls, name: str, guard: StateSet, classes: Classes) -> "Event":
+        """The event whose edges are the offset classes ``classes`` (sorted by
+        ``d``, no empty ``src``); its ``rel`` is decoded on first use."""
+        space = guard.space
+        full, sources = space.full_mask, 0
+        for d, src in classes:
+            sources |= src
+            targets = src << d if d >= 0 else src >> -d
+            if targets & ~full or targets.bit_count() != src.bit_count():
+                raise ModelError(f"event {name!r}: successors outside the universe")
+        if sources != guard.mask:
+            raise ModelError(f"event {name!r}: relation domain must equal the guard")
+        event = cls.__new__(cls)
+        event.name, event.guard, event.space = name, guard, space
+        event._rel, event._classes = None, tuple(classes)
+        return event
+
+    @property
+    def rel(self) -> Dict[int, int]:
+        """``{s: successor mask}`` for each guarded state ``s``, in index order."""
+        if self._rel is None:
+            rel = dict.fromkeys(bit_positions(self.guard.mask), 0)
+            for d, src in self._classes:
+                for s in bit_positions(src):
+                    rel[s] |= 1 << (s + d)
+            self._rel = rel
+        return self._rel
 
     def classes(self) -> Classes:
         """The offset classes of this event's edges, built on first use."""
         if self._classes is None:
-            self._classes = _offset_classes(self.rel, self.space.size)
+            self._classes = _offset_classes(self._rel, self.space.size)
         return self._classes
 
     def apply(self, r: StateSet) -> StateSet:

@@ -6,8 +6,9 @@ operation is total or raises :class:`EvalError`.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Dict, Optional, Tuple, Union
 
 Value = Union[int, bool, str]
 
@@ -137,6 +138,112 @@ def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool
     if not isinstance(v, bool):
         raise EvalError(f"expected a boolean expression, got {v!r}")
     return v
+
+
+# --- Set-valued evaluation ---------------------------------------------------
+
+Key = Tuple[type, Value]  # the type keeps True and 1 apart as dict keys
+Partition = Dict[Key, int]
+
+
+class Undecided(Exception):
+    """The partition evaluator cannot decide an expression: ``eval_expr`` on
+    some state would raise, or the partition grows past its bound."""
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def eval_partition(
+    node: Expr, leaves: Dict[str, Optional[Partition]], constants: frozenset, care: int, limit: int
+) -> Partition:
+    """The states of the mask ``care`` grouped by the value of ``node``:
+    ``{(type, value): mask}``, every mask non-empty, disjoint and inside
+    ``care``, with ``eval_expr`` on each state of ``mask`` giving ``value``.
+
+    ``leaves`` maps each variable to the partition of the whole space by its
+    value (``None`` when it has none).  Operands are combined pairwise, and
+    the right operand of ``and``/``or`` is evaluated only on the states the
+    left one does not decide, as ``eval_expr`` short-circuits per state.
+    Raises :class:`Undecided` where ``eval_expr`` would raise on some state
+    of ``care``, and when one operator pairs more than ``limit`` blocks."""
+    try:
+        return _partition(node, leaves, constants, care, limit)
+    except RecursionError:
+        raise Undecided("expression nested too deeply") from None
+
+
+def true_mask(partition: Partition) -> int:
+    """The mask on which a predicate's partition is true; :class:`Undecided`
+    when some block is not a boolean, where ``eval_bool`` would raise."""
+    if any(t is not bool for t, _ in partition):
+        raise Undecided("expected a boolean expression")
+    return partition.get((bool, True), 0)
+
+
+def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partition:
+    if not care:
+        return {}
+    if isinstance(node, (IntLit, BoolLit)):
+        return {(type(node.value), node.value): care}
+    if isinstance(node, Name):
+        if node.ident in leaves:  # a variable shadows a constant of that name
+            blocks = leaves[node.ident]
+            if blocks is None:
+                raise Undecided(f"no value masks for {node.ident!r}")
+            return {key: m & care for key, m in blocks.items() if m & care}
+        if node.ident in constants:
+            return {(str, node.ident): care}
+        raise Undecided(f"unknown identifier {node.ident!r}")
+    if isinstance(node, (Arith, Cmp)):
+        left = _partition(node.left, leaves, constants, care, limit)
+        right = _partition(node.right, leaves, constants, care, limit)
+        if len(left) * len(right) > limit:
+            raise Undecided("partition larger than the state count")
+        equality = isinstance(node, Cmp) and node.op in ("=", "!=")
+        fn = (_ARITH if isinstance(node, Arith) else _ORDER).get(node.op)
+        if fn is None and not equality:
+            raise Undecided(f"bad operator {node.op!r}")
+        out: Partition = {}
+        for (lt, lv), lm in left.items():
+            for (rt, rv), rm in right.items():
+                m = lm & rm
+                if not m:
+                    continue
+                if equality:
+                    if lt is not rt:
+                        raise Undecided("comparison of different types")
+                    key = (bool, (lv == rv) == (node.op == "="))
+                elif lt is not int or rt is not int:
+                    raise Undecided(f"{node.op!r} needs integers")
+                else:
+                    value = fn(lv, rv)
+                    key = (type(value), value)
+                out[key] = out.get(key, 0) | m
+        return out
+    if isinstance(node, Not):
+        inner = _partition(node.operand, leaves, constants, care, limit)
+        if any(t is not bool for t, _ in inner):
+            raise Undecided("'not' needs a boolean")
+        return {(bool, not v): m for (_, v), m in inner.items()}
+    if isinstance(node, (And, Or)):
+        left = _partition(node.left, leaves, constants, care, limit)
+        if any(t is not bool for t, _ in left):
+            raise Undecided("'and'/'or' needs booleans")
+        # the left value that decides the result without the right operand
+        decides = isinstance(node, Or)
+        right = _partition(
+            node.right, leaves, constants, left.get((bool, not decides), 0), limit
+        )
+        if any(t is not bool for t, _ in right):
+            raise Undecided("'and'/'or' needs booleans")
+        out = dict(right)
+        decided = left.get((bool, decides), 0)
+        if decided:
+            out[(bool, decides)] = out.get((bool, decides), 0) | decided
+        return out
+    raise Undecided(f"bad expression node {node!r}")
 
 
 _PREC = {Or: 1, And: 2, Not: 3, Cmp: 4, Arith: 5}

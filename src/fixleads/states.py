@@ -7,11 +7,14 @@ values downstream are :class:`StateSet` bitmasks over those indices.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .exprs import Expr, Value, eval_bool
+from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
 
 DEFAULT_STATE_CAP = 1 << 20
 WARN_STATE_THRESHOLD = 1 << 16
@@ -38,7 +41,17 @@ class VarDecl:
 
 
 class StateSpace:
-    """Immutable enumeration of all states, with a dense index per state."""
+    """Immutable enumeration of all states, with a dense index per state.
+
+    Besides the states, a space keeps ``value_masks``: for each variable, the
+    partition of the states by its value, ``{(type, value): mask}`` in domain
+    order (see :func:`exprs.eval_partition`), the leaves from which
+    :meth:`partition` evaluates an expression on every state at once.  Its
+    one bound is the raw state count ``N``, the product of the domain sizes:
+    a variable with more than ``sqrt(N)`` values has no masks (``None``), so
+    one variable's masks never take more than ``N**1.5`` bits, and no
+    operator pairs more than ``N`` blocks; an expression past either bound
+    takes the per-state path."""
 
     def __init__(
         self,
@@ -62,31 +75,121 @@ class StateSpace:
                 stacklevel=2,
             )
         self.vars: Tuple[VarDecl, ...] = tuple(vars)
+        self.raw_size: int = raw
         self.constants: frozenset = frozenset(
             val for v in vars for val in v.domain if isinstance(val, str)
         )
         # mixed radix, first declared variable least significant
-        decoded = []
-        for i in range(raw):
-            rem = i
-            vals = []
-            for v in self.vars:
-                rem, pos = divmod(rem, len(v.domain))
-                vals.append(v.domain[pos])
-            decoded.append(tuple(vals))
+        self._stride: Dict[str, int] = {
+            v.name: math.prod(len(w.domain) for w in vars[:k]) for k, v in enumerate(vars)
+        }
+        self.value_masks: Dict[str, Optional[Partition]] = {
+            v.name: _value_masks(v.domain, self._stride[v.name], raw)
+            if len(v.domain) ** 2 <= raw else None
+            for v in self.vars
+        }
+        # raw index of each dense index, when the invariant drops states
+        self._raw: Optional[List[int]] = None
         if invariant is not None:
-            kept = []
-            for vals in decoded:
-                env = dict(zip(names, vals))
-                if eval_bool(invariant, env, self.constants):
-                    kept.append(vals)
-            decoded = kept
-            if not decoded:
+            try:
+                keep = true_mask(eval_partition(
+                    invariant, self.value_masks, self.constants, (1 << raw) - 1, raw
+                ))
+            except Undecided:
+                keep = 0
+                for i, vals in enumerate(self._raw_states()):
+                    if eval_bool(invariant, dict(zip(names, vals)), self.constants):
+                        keep |= 1 << i
+            if not keep:
                 raise SpaceError("invariant leaves no states in the universe")
-        self.states: Tuple[Tuple[Value, ...], ...] = tuple(decoded)
-        self.size: int = len(decoded)
-        self._index = {vals: i for i, vals in enumerate(decoded)}
+            if keep != (1 << raw) - 1:
+                self._raw = bit_positions(keep)
+                self.value_masks = {
+                    v.name: _compress(masks, v.domain, self._stride[v.name], self._raw)
+                    for v, masks in zip(self.vars, self.value_masks.values())
+                }
+        self.size: int = raw if self._raw is None else len(self._raw)
         self.full_mask: int = (1 << self.size) - 1
+
+    def _raw_states(self) -> List[Tuple[Value, ...]]:
+        """Every raw state, in raw index order."""
+        return [t[::-1] for t in itertools.product(*(v.domain for v in reversed(self.vars)))]
+
+    @cached_property
+    def states(self) -> Tuple[Tuple[Value, ...], ...]:
+        """The values of each state, in declaration order, by dense index."""
+        raw = self._raw_states()
+        return tuple(raw) if self._raw is None else tuple(raw[r] for r in self._raw)
+
+    @cached_property
+    def _index(self) -> Dict[Tuple[Value, ...], int]:
+        return {vals: i for i, vals in enumerate(self.states)}
+
+    def partition(self, expr: Expr, care: Optional[int] = None) -> Partition:
+        """The states of ``care`` (default all) grouped by the value of
+        ``expr``; raises :class:`Undecided` where the partition evaluator
+        cannot decide it, and the caller falls back to a per-state loop."""
+        care = self.full_mask if care is None else care
+        return eval_partition(expr, self.value_masks, self.constants, care, self.raw_size)
+
+    def action_classes(
+        self, branches: Sequence[Sequence[Tuple[str, Sequence[Expr]]]], guard: int
+    ) -> Tuple[Tuple[int, int], ...]:
+        """The offset classes ``((d, src), ...)``, sorted by ``d``, of an event
+        enabled on the mask ``guard`` that runs one of ``branches``, each a
+        list of parallel assignments ``(variable, choices)`` setting the
+        variable to one of the expressions' values, with no per-state step.
+
+        On the raw index, setting ``x`` from ``u`` to ``v`` moves a state by
+        ``(pos v - pos u) * stride x``: each assignment partitions the guard
+        by its move, parallel assignments add their moves and the choices and
+        branches take the union.  Under an invariant the dense index
+        renumbers the kept states, so the moves are renumbered edge by edge.
+        Raises :class:`Undecided` where the partitions cannot decide some
+        assignment on the guard, and :class:`SpaceError` when a move leaves
+        the invariant; the per-state loop then reports the error."""
+        if not guard:
+            return ()
+        merged: Dict[int, int] = {}  # raw move -> the states that take it
+        for assigns in branches:
+            moves = {0: guard}
+            for var, choices in assigns:
+                old = self.value_masks.get(var)
+                if old is None:  # undeclared, or without value masks
+                    raise Undecided(f"no value masks for {var!r}")
+                pos = {key: p for p, key in enumerate(old)}
+                step: Dict[int, int] = {}
+                for expr in choices:
+                    for key, m in self.partition(expr, guard).items():
+                        if key not in pos:
+                            raise Undecided(f"{var} := {key[1]!r} is outside its domain")
+                        for p, old_mask in enumerate(old.values()):
+                            moved = m & old_mask
+                            if moved:
+                                d = (pos[key] - p) * self._stride[var]
+                                step[d] = step.get(d, 0) | moved
+                if len(moves) * len(step) > self.raw_size:
+                    raise Undecided("partition larger than the state count")
+                moves = _add_moves(moves, step)
+            for d, m in moves.items():
+                merged[d] = merged.get(d, 0) | m
+        if self._raw is None:
+            return tuple(sorted(merged.items()))
+        return group_by_offset(self._renumbered(merged), self.size)
+
+    def _renumbered(self, merged: Dict[int, int]) -> Iterator[Tuple[int, int]]:
+        """The dense edges ``(s, t)`` of the raw moves ``{d: src}``."""
+        dense = self._dense_of
+        for d, src in merged.items():
+            for s in bit_positions(src):
+                t = dense.get(self._raw[s] + d)
+                if t is None:
+                    raise SpaceError(f"state {s} steps outside the invariant")
+                yield s, t
+
+    @cached_property
+    def _dense_of(self) -> Dict[int, int]:
+        return {r: i for i, r in enumerate(self._raw)}
 
     def index_of(self, assignment: dict) -> int:
         return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
@@ -118,6 +221,69 @@ class StateSpace:
     def __repr__(self):
         decls = ", ".join(v.name for v in self.vars)
         return f"StateSpace({decls}; {self.size} states)"
+
+
+def _tile(block: int, width: int, count: int) -> int:
+    """``count`` copies of ``block``, each ``width`` bits above the last, by
+    doubling."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= block << shift
+            shift += width
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _value_masks(domain: Tuple[Value, ...], stride: int, raw: int) -> Partition:
+    """The raw index's partition by one variable's value: value ``p`` holds
+    on runs of ``stride`` states, one per ``stride * len(domain)``."""
+    period = stride * len(domain)
+    first = _tile((1 << stride) - 1, period, raw // period)
+    return {(type(val), val): first << (p * stride) for p, val in enumerate(domain)}
+
+
+def _compress(
+    masks: Optional[Partition], domain: Tuple[Value, ...], stride: int, kept: List[int]
+) -> Optional[Partition]:
+    """``masks`` over the raw index renumbered to the dense one, whose state
+    ``j`` is the raw state ``kept[j]``."""
+    if masks is None:
+        return None
+    rows = [bytearray(b"0" * len(kept)) for _ in domain]
+    for j, r in enumerate(kept):
+        rows[r // stride % len(domain)][~j] = 49  # "1", most significant digit first
+    return {key: int(row, 2) for key, row in zip(masks, rows)}
+
+
+def _add_moves(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel."""
+    out: Dict[int, int] = {}
+    for d1, m1 in a.items():
+        for d2, m2 in b.items():
+            m = m1 & m2
+            if m:
+                out[d1 + d2] = out.get(d1 + d2, 0) | m
+    return out
+
+
+def group_by_offset(edges: Iterable[Tuple[int, int]], size: int) -> Tuple[Tuple[int, int], ...]:
+    """The edges ``s -> t`` grouped by ``d = t - s`` into offset classes
+    ``((d, src), ...)``, sorted by ``d``."""
+    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
+    for s, t in edges:
+        row = rows.get(t - s)
+        if row is None:
+            row = rows[t - s] = bytearray(b"0" * size)
+        row[~s] = 49  # "1" for bit s, most significant digit first
+    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
+
+
+def bit_positions(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,41 @@ class VariantFn:
                 raise VariantError(
                     f"variant is negative ({val}) at state {space.state_of(s)!r}"
                 )
-        self.space = space
-        self.table = dict(table)
-        self.name = name
-        self.max_value = max(table.values())
-        self._levels: Dict[int, int] = {}
+        levels: Dict[int, int] = {}
         for s, val in table.items():
-            self._levels[val] = self._levels.get(val, 0) | (1 << s)
+            levels[val] = levels.get(val, 0) | (1 << s)
+        self._init(space, levels, name)
+
+    @classmethod
+    def from_levels(cls, space: StateSpace, levels: Dict[int, int], name: str = "variant"):
+        """The variant whose level ``n`` is the mask ``levels[n]``: non-empty,
+        disjoint masks covering the universe, for naturals ``n``."""
+        union = 0
+        for val, mask in levels.items():
+            if val < 0 or not mask or union & mask:
+                raise VariantError("variant levels must be disjoint, non-empty and natural")
+            union |= mask
+        if union != space.full_mask:
+            raise VariantError("variant must be total on the universe")
+        variant = cls.__new__(cls)
+        variant._init(space, dict(levels), name)
+        return variant
+
+    def _init(self, space: StateSpace, levels: Dict[int, int], name: str) -> None:
+        self.space = space
+        self.name = name
+        self.max_value = max(levels)
+        self._levels = levels
 
     @classmethod
     def from_function(cls, space: StateSpace, fn: Callable[[dict], int], name: str = "variant"):
         return cls(space, {i: fn(space.state_of(i)) for i in range(space.size)}, name)
 
     def value_at(self, state_index: int) -> int:
-        return self.table[state_index]
+        for val, mask in self._levels.items():
+            if mask >> state_index & 1:
+                return val
+        raise VariantError(f"state index {state_index} out of range")
 
     def level_set(self, n: int) -> StateSet:
         """States whose variant value is exactly ``n``."""

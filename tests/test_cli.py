@@ -140,6 +140,23 @@ def test_explain_unknown_property(capsys):
     assert main(["explain", _path("cycle3.evt"), "ghost"]) == 2
 
 
+def _explain_onto(out, capsys):
+    code = main(["explain", _path("mono3.evt"), "climb", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    return err
+
+
+def test_explain_out_missing_directory_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    assert _explain_onto(out, capsys) == f"error: {out}: No such file or directory\n"
+
+
+def test_explain_out_onto_a_directory_exits_2(tmp_path, capsys):
+    assert _explain_onto(str(tmp_path), capsys) == f"error: {tmp_path}: Is a directory\n"
+
+
 def test_check_cert_rejects_tampering(tmp_path, capsys):
     out_file = tmp_path / "climb.cert.json"
     assert main(["explain", _path("mono3.evt"), "climb", "--out", str(out_file)]) == 0

@@ -1,0 +1,355 @@
+"""Set-valued elaboration against the per-state reference.
+
+``dsl.elaborate`` builds guards, predicates, variant levels and each event's
+offset classes from per-variable value masks (``exprs.eval_partition``); the
+per-state loop (``eval_pred``, ``eval_expr`` and the action loop) runs only
+where the partition evaluator cannot decide.  ``_reference`` forces that loop
+everywhere, so the two can be compared on any model.
+"""
+import contextlib
+import io
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fixleads import dsl, states
+from fixleads.cli import main
+from fixleads.dsl import DslError, elaborate, parse
+from fixleads.events import _offset_classes
+from fixleads.exprs import Undecided, eval_partition
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _undecided(*args, **kwargs):
+    raise Undecided("per-state reference")
+
+
+def _load(text, reference=False):
+    """``(elaborated, None)`` or ``(None, error text)``."""
+    patch = (mock.patch.object(states, "eval_partition", _undecided)
+             if reference else contextlib.nullcontext())
+    with patch:
+        try:
+            return elaborate(parse(text)), None
+        except DslError as exc:
+            return None, str(exc)
+
+
+def _reference(text):
+    return _load(text, reference=True)
+
+
+def _digest(elab):
+    """Everything elaboration produces, with the relation in both formats."""
+    sys_ = elab.system
+    return {
+        "states": sys_.space.states,
+        "events": [(e.name, e.guard.mask, e.rel, e.classes(),
+                    _offset_classes(e.rel, sys_.space.size)) for e in sys_.events],
+        "init": sys_.init.mask,
+        "properties": [(p.name, p.p.mask, p.q.mask) for p in elab.properties],
+        "variants": {name: v._levels for name, v in elab.variants.items()},
+    }
+
+
+def _assert_same_as_reference(text):
+    got, got_err = _load(text)
+    ref, ref_err = _reference(text)
+    assert got_err == ref_err, text
+    if ref is not None:
+        assert _digest(got) == _digest(ref), text
+    return got
+
+
+# --- differential: random models ---------------------------------------------
+
+VAR_NAMES = ["a", "b", "x", "y"]
+ENUM_NAMES = ["a", "p", "q"]  # "a" may also name a variable, which shadows it
+
+
+@st.composite
+def _domains(draw):
+    n = draw(st.integers(1, 3))
+    names = draw(st.permutations(VAR_NAMES))[:n]
+    decls = []
+    for name in names:
+        kind = draw(st.sampled_from(["range", "range", "bool", "enum"]))
+        if kind == "range":
+            lo = draw(st.integers(-2, 1))
+            hi = lo + draw(st.integers(0, 3))
+            decls.append((name, "range", f"{lo} .. {hi}", tuple(str(v) for v in range(lo, hi + 1))))
+        elif kind == "bool":
+            decls.append((name, "bool", "bool", ("true", "false")))
+        else:
+            vals = draw(st.lists(st.sampled_from(ENUM_NAMES), min_size=1, max_size=3, unique=True))
+            decls.append((name, "enum", "{" + ", ".join(vals) + "}", tuple(vals)))
+    return decls
+
+
+def _expr(draw, decls, want, depth):
+    """Text of an expression meant to have type ``want`` ('int', 'bool' or
+    'enum'); now and then an operand of the wrong type, so the error paths
+    are drawn too."""
+    if draw(st.integers(0, 49)) == 25:  # hypothesis favours the bounds
+        want = draw(st.sampled_from(["int", "bool", "enum"]))
+    of_type = [name for name, kind, _, _ in decls if kind == {"int": "range"}.get(want, want)]
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        options = [("name", n) for n in of_type]
+        if want == "int":
+            options.append(("lit", str(draw(st.integers(-2, 3)))))
+        elif want == "bool":
+            options.append(("lit", draw(st.sampled_from(["true", "false"]))))
+        else:  # mostly a declared constant, now and then an unknown name
+            declared = [v for _, kind, _, values in decls if kind == "enum" for v in values]
+            options.append(("lit", draw(st.sampled_from(declared or ENUM_NAMES))))
+        return draw(st.sampled_from(options))[1]
+    sub = lambda w: _expr(draw, decls, w, depth - 1)  # noqa: E731
+    if want == "int":
+        op = draw(st.sampled_from(["+", "-", "*"]))
+        return f"({sub('int')} {op} {sub('int')})"
+    if want == "bool":
+        form = draw(st.sampled_from(["cmp", "eq", "not", "and", "or"]))
+        if form == "cmp":
+            op = draw(st.sampled_from(["<", "<=", ">", ">="]))
+            return f"({sub('int')} {op} {sub('int')})"
+        if form == "eq":
+            t = draw(st.sampled_from(["int", "bool", "enum"]))
+            return f"({sub(t)} {draw(st.sampled_from(['=', '!=']))} {sub(t)})"
+        if form == "not":
+            return f"(not {sub('bool')})"
+        return f"({sub('bool')} {form} {sub('bool')})"
+    return sub("enum")
+
+
+def _value_type(kind):
+    return {"range": "int"}.get(kind, kind)
+
+
+@st.composite
+def models(draw):
+    decls = draw(_domains())
+    expr = lambda want, depth=2: _expr(draw, decls, want, depth)  # noqa: E731
+    lines = ["system m"] + [f"var {name} : {dom}" for name, _, dom, _ in decls]
+
+    def value(kind, values):
+        """Half the time a value of the domain, so that more models load."""
+        if draw(st.booleans()):
+            return draw(st.sampled_from(values))
+        return expr(_value_type(kind), 1)
+
+    if draw(st.booleans()):  # the second disjunct keeps a state in most draws
+        name, _, _, values = decls[0]
+        lines.append(f"invariant {expr('bool')} or {name} = {values[0]}")
+    if draw(st.booleans()):
+        lines.append(f"init {expr('bool')}")
+    for i in range(draw(st.integers(1, 3))):
+        branches = []
+        for _ in range(draw(st.integers(1, 2))):
+            targets = draw(st.lists(st.sampled_from(decls), max_size=2, unique=True))
+            assigns = []
+            for name, kind, _, values in targets:
+                if draw(st.integers(0, 2)) == 0:
+                    choices = [value(kind, values) for _ in range(draw(st.integers(1, 3)))]
+                    assigns.append(f"{name} :in {{{', '.join(choices)}}}")
+                else:
+                    assigns.append(f"{name} := {value(kind, values)}")
+            branches.append(", ".join(assigns) or "skip")
+        guard = f" when {expr('bool')}" if draw(st.booleans()) else ""
+        lines.append(f"event e{i}{guard} then {' [] '.join(branches)}")
+    using = ""
+    if draw(st.booleans()):
+        lines.append(f"variant v := {expr('int')}")
+        using = " using v" if draw(st.booleans()) else ""
+    lines.append(f"property l : leadsto {{{expr('bool')}}} {{{expr('bool')}}} under mp{using}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models())
+def test_partition_elaboration_matches_the_per_state_reference(text):
+    _assert_same_as_reference(text)
+
+
+def test_the_generator_draws_loading_and_failing_models():
+    """The differential test above is only as good as its draws: models that
+    load and models that fail, and loading ones that never take the
+    per-state path."""
+    counts = {"fails": 0, "per-state": 0, "partition only": 0}
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(models())
+    def count(text):
+        with mock.patch.object(dsl, "eval_pred", wraps=dsl.eval_pred) as preds, \
+                mock.patch.object(dsl, "_action_successors",
+                                  wraps=dsl._action_successors) as actions:
+            elab = _load(text)[0]
+        if elab is None:
+            counts["fails"] += 1
+        elif preds.called or actions.called:
+            counts["per-state"] += 1
+        else:
+            counts["partition only"] += 1
+
+    count()
+    assert counts["fails"] >= 20 and counts["partition only"] >= 40
+
+
+def _read_data(name):
+    with open(os.path.join(DATA, f"{name}.evt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(n[:-4] for n in os.listdir(DATA) if n.endswith(".evt")))
+def test_data_models_match_the_per_state_reference(name):
+    _assert_same_as_reference(_read_data(name))
+
+
+SMALL = {
+    "lattice": ("system lattice\nvar c0 : 0 .. 3\nvar c1 : 0 .. 3\ninit c0 = 0 and c1 = 0\n"
+                "event inc0 when c0 < 3 then c0 := c0 + 1\n"
+                "event inc1 when c1 < 3 then c1 := c1 + 1, c0 :in {c0, 0}\n"
+                "variant togo := (3 - c0) + (3 - c1)\n"
+                "property top : leadsto {true} {c1 = 3} under mp using togo\n"),
+    # the dense index renumbers the states the invariant keeps
+    "wedge": ("system wedge\nvar c0 : 0 .. 3\nvar c1 : 0 .. 3\ninvariant c1 <= c0\n"
+              "init c0 = 0\nevent inc0 when c0 < 3 then c0 := c0 + 1\n"
+              "event inc1 when c1 < c0 then c1 := c1 + 1 [] c0 := c0, c1 := 0\n"
+              "property top : leadsto {true} {c1 = 3} under wf\n"),
+}
+
+
+@pytest.mark.parametrize("name", ["ring3", "starve3", "lattice", "wedge"])
+def test_models_over_small_domains_take_no_per_state_step(name):
+    """Every guard, action, predicate and variant of these models is decided
+    by partitions, the actions only on their guards: ``c0 := c0 + 1`` leaves
+    the domain outside ``c0 < 3``, which must not send it to the per-state
+    loop."""
+    text = SMALL.get(name) or _read_data(name)
+    with mock.patch.object(dsl, "eval_pred") as preds, \
+            mock.patch.object(dsl, "eval_expr") as evals, \
+            mock.patch.object(dsl, "_action_successors") as actions:
+        elab, err = _load(text)
+    assert err is None
+    assert not (preds.called or evals.called or actions.called)
+    assert _digest(elab) == _digest(_reference(text)[0])
+
+
+# --- the partition evaluator's pitfalls ----------------------------------------
+
+
+def _space(text):
+    return elaborate(parse(text)).system.space
+
+
+BASE = "system s\nvar x : 0 .. 2\nvar a : {a, b}\nvar on : bool\nvar n : 0 .. 1\n"
+
+
+def test_and_short_circuits_per_state():
+    # x = true is a type error on every state, but no state evaluates it
+    elab = _assert_same_as_reference(BASE + "event e when false and (x = true) then skip\n")
+    assert elab.system.event("e").guard.is_empty()
+    sp = elab.system.space
+    assert sp.partition(parse(BASE + "init false and (x = true)\n").init) == {
+        (bool, False): sp.full_mask}
+    # where the left operand lets it through, the error is the reference's
+    text = BASE + "init x = 1 and (x = true)\nevent e then skip\n"
+    assert _load(text)[1] == _reference(text)[1] == "init: cannot compare 1 with True"
+
+
+def test_a_variable_shadows_the_constant_of_the_same_name():
+    sp = _space(BASE + "event e then skip\n")
+    expr = parse(BASE + "init a = a\n").init
+    assert sp.partition(expr) == {(bool, True): sp.full_mask}
+    elab = _assert_same_as_reference(BASE + "init a = a\nevent e then a := b\n")
+    assert elab.system.init.is_universe()
+
+
+def test_true_and_1_stay_apart():
+    sp = _space(BASE + "event e then skip\n")
+    on = sp.partition(parse(BASE + "init on\n").init)
+    n = sp.partition(parse(BASE + "init n = 1\n").init.left)
+    assert set(on) == {(bool, False), (bool, True)}
+    assert set(n) == {(int, 0), (int, 1)}
+    # a bool assigned 1, or an int assigned true, is outside the domain
+    for action in ("on := n", "n := on", "on :in {true, 1}"):
+        text = BASE + f"event e when n = 1 then {action}\n"
+        assert "outside its domain" in _load(text)[1]
+        assert _load(text)[1] == _reference(text)[1]
+    with pytest.raises(Undecided):  # True = 1 is a type error, not True
+        sp.partition(parse(BASE + "init on = n\n").init)
+
+
+def test_out_of_domain_names_the_first_guarded_state():
+    text = ("system s\nvar y : {p, q}\nvar x : 0 .. 3\ninit x = 0\n"
+            "event e when x >= 1 and y = q then x := x + 2\n")
+    assert _load(text)[1] == (
+        "5:1: event 'e' assigns x := 4, outside its domain (at state {'y': 'q', 'x': 2})")
+    assert _reference(text)[1] == _load(text)[1]
+
+
+def test_leaving_the_invariant_gives_the_same_message():
+    text = ("system s\nvar x : 0 .. 3\nvar y : 0 .. 2\ninvariant x + y < 4\n"
+            "init x = 0\nevent e when y < 2 then y := y + 1\n")
+    assert _load(text)[1] == "6:1: event 'e' leaves the invariant at state {'x': 3, 'y': 0}"
+    assert _reference(text)[1] == _load(text)[1]
+
+
+def test_negative_variant_gives_the_same_message():
+    text = "system s\nvar x : -2 .. 1\ninit x = 0\nevent e then skip\nvariant v := x + 1\n"
+    assert _load(text)[1] == "5:1: variant 'v': variant is negative (-1) at state {'x': -2}"
+    assert _reference(text)[1] == _load(text)[1]
+
+
+def _check_quietly(text, tmp_path):
+    path = tmp_path / "m.evt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["check", str(path)])
+
+
+def test_a_flat_sum_of_900_terms_loads(tmp_path):
+    guard = " + ".join(["x"] * 900)
+    text = (f"system s\nvar x : 0 .. 1\ninit x = 0\nevent e when {guard} >= 0 then skip\n"
+            "property p : leadsto {true} {true} under mp\n")
+    assert _check_quietly(text, tmp_path) == 0
+    assert _assert_same_as_reference(text).system.event("e").guard.is_universe()
+
+
+def test_a_too_deep_expression_falls_back_to_the_per_state_path():
+    sp = _space(BASE + "event e then skip\n")
+    deep = parse(BASE + "init " + " + ".join(["x"] * 5000) + " >= 0\n").init
+    with pytest.raises(Undecided, match="nested too deeply"):
+        sp.partition(deep)
+
+
+def test_a_partition_larger_than_the_state_count_is_undecided():
+    text = "system s\nvar x : 0 .. 5\nvar y : 0 .. 5\nevent e then skip\n"
+    sp = _space(text)
+    assert len(sp.partition(parse(text + "init x + y >= 0\n").init.left)) == 11
+    # 11 sums times 6 values of x: 66 pairs for 36 states
+    with pytest.raises(Undecided, match="larger than the state count"):
+        sp.partition(parse(text + "init x + y + x >= 0\n").init)
+    _assert_same_as_reference(text + "init x + y + x >= 4\n")
+
+
+def test_a_variable_with_many_values_has_no_value_masks():
+    text = "system s\nvar x : 0 .. 99\nvar b : bool\nevent e when x < 50 then x := x + 1\n"
+    sp = _space(text)
+    assert sp.value_masks["x"] is None and sp.value_masks["b"] is not None
+    _assert_same_as_reference(text)
+
+
+def test_eval_partition_keeps_every_block_inside_care():
+    sp = _space(BASE + "event e then skip\n")
+    care = 0b101101
+    part = eval_partition(parse(BASE + "init x + n\n").init, sp.value_masks,
+                          sp.constants, care, sp.size)
+    union = 0
+    for m in part.values():
+        assert m and m & ~care == 0 and m & union == 0
+        union |= m
+    assert union == care

@@ -136,7 +136,12 @@ def test_engines_match_kleene_and_oracle_on_models(model):
 def test_kernel_is_built_on_first_use():
     elab = load_file(os.path.join(DATA, "ring3.evt"))
     sys_ = elab.system
-    assert sys_._classes is None  # loading never pays for them
-    assert all(e._classes is None for e in sys_.events)
+    assert sys_._classes is None  # the merged classes wait for the first engine call
+    # each event's classes come straight from the value partitions, and its
+    # per-state relation is decoded only when a per-state reader asks
+    assert all(e._classes is not None and e._rel is None for e in sys_.events)
     sys_.strongest_invariant()  # the forward shift of the classes
     assert sys_._classes is not None
+    assert all(e._rel is None for e in sys_.events)
+    sys_.events[0].successors(0)
+    assert sys_.events[0]._rel is not None
