@@ -44,6 +44,7 @@ from .states import (
     StateSet,
     StateSpace,
     VarDecl,
+    bit_positions,
     eval_pred,
 )
 from .variants import VariantError, VariantFn
@@ -663,7 +664,7 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
     except Undecided:
         pass
     table = {}
-    for i in range(space.size):
+    for i in bit_positions(space.full_mask):
         env = space.state_of(i)
         try:
             val = eval_expr(v.expr, env, space.constants)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .states import StateSet, StateSpace, SpaceMismatch, bit_positions, group_by_offset
+from .states import StateSet, StateSpace, SpaceMismatch, bit_positions
 
 Classes = Tuple[Tuple[int, int], ...]
 
@@ -29,17 +29,17 @@ class ModelError(Exception):
     """Malformed event or system (miraculous image, duplicate names, ...)."""
 
 
-def _offset_classes(rel: Dict[int, int], size: int) -> Classes:
-    """The edges ``s -> t`` of ``rel`` grouped by ``d = t - s``, sorted by ``d``."""
-
-    def edges():
-        for s, image in rel.items():
-            while image:
-                t = image.bit_length() - 1
-                image ^= 1 << t
-                yield s, t
-
-    return group_by_offset(edges(), size)
+def _offset_classes(rel: Dict[int, int], width: int) -> Classes:
+    """The edges ``s -> t`` of ``rel``, over indices below ``width``, grouped
+    by ``d = t - s``, sorted by ``d``."""
+    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
+    for s, image in rel.items():
+        for t in bit_positions(image):
+            row = rows.get(t - s)
+            if row is None:
+                row = rows[t - s] = bytearray(b"0" * width)
+            row[~s] = 49  # "1" for bit s, most significant digit first
+    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
 
 
 def _ex(classes: Classes, mask: int) -> int:
@@ -108,7 +108,7 @@ class Event:
     def classes(self) -> Classes:
         """The offset classes of this event's edges, built on first use."""
         if self._classes is None:
-            self._classes = _offset_classes(self._rel, self.space.size)
+            self._classes = _offset_classes(self._rel, self.space.raw_size)
         return self._classes
 
     def apply(self, r: StateSet) -> StateSet:

@@ -1,9 +1,10 @@
 """Finite state universe enumeration and the bitset algebra over it.
 
 A :class:`StateSpace` enumerates every assignment of the declared variables
-(optionally filtered by an invariant predicate) and fixes a stable index
-codec: mixed radix, first declared variable least significant.  All set
-values downstream are :class:`StateSet` bitmasks over those indices.
+and fixes a stable index codec: mixed radix, first declared variable least
+significant.  An invariant predicate only restricts the universe: it is the
+mask ``full_mask`` over that index, which may have holes.  All set values
+downstream are :class:`StateSet` bitmasks inside it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
 
@@ -41,11 +42,13 @@ class VarDecl:
 
 
 class StateSpace:
-    """Immutable enumeration of all states, with a dense index per state.
+    """Immutable enumeration of all states, each at its mixed-radix index.
 
-    Besides the states, a space keeps ``value_masks``: for each variable, the
-    partition of the states by its value, ``{(type, value): mask}`` in domain
-    order (see :func:`exprs.eval_partition`), the leaves from which
+    ``size`` counts the states: the indices inside ``full_mask``, out of
+    ``raw_size``.  Besides the states, a space keeps ``value_masks``: for
+    each variable, the partition of the raw index by its value,
+    ``{(type, value): mask}`` in domain order (see
+    :func:`exprs.eval_partition`), the leaves from which
     :meth:`partition` evaluates an expression on every state at once.  Its
     one bound is the raw state count ``N``, the product of the domain sizes:
     a variable with more than ``sqrt(N)`` values has no masks (``None``), so
@@ -88,42 +91,30 @@ class StateSpace:
             if len(v.domain) ** 2 <= raw else None
             for v in self.vars
         }
-        # raw index of each dense index, when the invariant drops states
-        self._raw: Optional[List[int]] = None
+        self.full_mask: int = (1 << raw) - 1
         if invariant is not None:
             try:
-                keep = true_mask(eval_partition(
-                    invariant, self.value_masks, self.constants, (1 << raw) - 1, raw
-                ))
+                keep = true_mask(self.partition(invariant))
             except Undecided:
                 keep = 0
-                for i, vals in enumerate(self._raw_states()):
+                for i, vals in enumerate(self.states):
                     if eval_bool(invariant, dict(zip(names, vals)), self.constants):
                         keep |= 1 << i
             if not keep:
                 raise SpaceError("invariant leaves no states in the universe")
-            if keep != (1 << raw) - 1:
-                self._raw = bit_positions(keep)
-                self.value_masks = {
-                    v.name: _compress(masks, v.domain, self._stride[v.name], self._raw)
-                    for v, masks in zip(self.vars, self.value_masks.values())
-                }
-        self.size: int = raw if self._raw is None else len(self._raw)
-        self.full_mask: int = (1 << self.size) - 1
-
-    def _raw_states(self) -> List[Tuple[Value, ...]]:
-        """Every raw state, in raw index order."""
-        return [t[::-1] for t in itertools.product(*(v.domain for v in reversed(self.vars)))]
+            self.full_mask = keep
+        self.size: int = self.full_mask.bit_count()
 
     @cached_property
     def states(self) -> Tuple[Tuple[Value, ...], ...]:
-        """The values of each state, in declaration order, by dense index."""
-        raw = self._raw_states()
-        return tuple(raw) if self._raw is None else tuple(raw[r] for r in self._raw)
+        """The values of each raw state, in declaration order, by index; the
+        indices outside ``full_mask`` name no state."""
+        return tuple(t[::-1] for t in itertools.product(*(v.domain for v in reversed(self.vars))))
 
     @cached_property
     def _index(self) -> Dict[Tuple[Value, ...], int]:
-        return {vals: i for i, vals in enumerate(self.states)}
+        states = self.states
+        return {states[i]: i for i in bit_positions(self.full_mask)}
 
     def partition(self, expr: Expr, care: Optional[int] = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
@@ -143,14 +134,13 @@ class StateSpace:
         On the raw index, setting ``x`` from ``u`` to ``v`` moves a state by
         ``(pos v - pos u) * stride x``: each assignment partitions the guard
         by its move, parallel assignments add their moves and the choices and
-        branches take the union.  Under an invariant the dense index
-        renumbers the kept states, so the moves are renumbered edge by edge.
-        Raises :class:`Undecided` where the partitions cannot decide some
-        assignment on the guard, and :class:`SpaceError` when a move leaves
-        the invariant; the per-state loop then reports the error."""
+        branches take the union.  Raises :class:`Undecided` where the
+        partitions cannot decide some assignment on the guard, and
+        :class:`SpaceError` when a class moves some state outside
+        ``full_mask``; the per-state loop then reports the error."""
         if not guard:
             return ()
-        merged: Dict[int, int] = {}  # raw move -> the states that take it
+        merged: Dict[int, int] = {}  # move -> the states that take it
         for assigns in branches:
             moves = {0: guard}
             for var, choices in assigns:
@@ -173,23 +163,10 @@ class StateSpace:
                 moves = _add_moves(moves, step)
             for d, m in moves.items():
                 merged[d] = merged.get(d, 0) | m
-        if self._raw is None:
-            return tuple(sorted(merged.items()))
-        return group_by_offset(self._renumbered(merged), self.size)
-
-    def _renumbered(self, merged: Dict[int, int]) -> Iterator[Tuple[int, int]]:
-        """The dense edges ``(s, t)`` of the raw moves ``{d: src}``."""
-        dense = self._dense_of
         for d, src in merged.items():
-            for s in bit_positions(src):
-                t = dense.get(self._raw[s] + d)
-                if t is None:
-                    raise SpaceError(f"state {s} steps outside the invariant")
-                yield s, t
-
-    @cached_property
-    def _dense_of(self) -> Dict[int, int]:
-        return {r: i for i, r in enumerate(self._raw)}
+            if (src << d if d >= 0 else src >> -d) & ~self.full_mask:
+                raise SpaceError(f"offset {d} leaves the invariant")
+        return tuple(sorted(merged.items()))
 
     def index_of(self, assignment: dict) -> int:
         return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
@@ -213,8 +190,8 @@ class StateSpace:
     def from_indices(self, indices) -> "StateSet":
         mask = 0
         for i in indices:
-            if not 0 <= i < self.size:
-                raise SpaceError(f"state index {i} out of range")
+            if i < 0 or not self.full_mask >> i & 1:
+                raise SpaceError(f"state index {i} is outside the universe")
             mask |= 1 << i
         return StateSet(self, mask)
 
@@ -245,19 +222,6 @@ def _value_masks(domain: Tuple[Value, ...], stride: int, raw: int) -> Partition:
     return {(type(val), val): first << (p * stride) for p, val in enumerate(domain)}
 
 
-def _compress(
-    masks: Optional[Partition], domain: Tuple[Value, ...], stride: int, kept: List[int]
-) -> Optional[Partition]:
-    """``masks`` over the raw index renumbered to the dense one, whose state
-    ``j`` is the raw state ``kept[j]``."""
-    if masks is None:
-        return None
-    rows = [bytearray(b"0" * len(kept)) for _ in domain]
-    for j, r in enumerate(kept):
-        rows[r // stride % len(domain)][~j] = 49  # "1", most significant digit first
-    return {key: int(row, 2) for key, row in zip(masks, rows)}
-
-
 def _add_moves(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel."""
     out: Dict[int, int] = {}
@@ -267,18 +231,6 @@ def _add_moves(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
             if m:
                 out[d1 + d2] = out.get(d1 + d2, 0) | m
     return out
-
-
-def group_by_offset(edges: Iterable[Tuple[int, int]], size: int) -> Tuple[Tuple[int, int], ...]:
-    """The edges ``s -> t`` grouped by ``d = t - s`` into offset classes
-    ``((d, src), ...)``, sorted by ``d``."""
-    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
-    for s, t in edges:
-        row = rows.get(t - s)
-        if row is None:
-            row = rows[t - s] = bytearray(b"0" * size)
-        row[~s] = 49  # "1" for bit s, most significant digit first
-    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
 
 
 def bit_positions(mask: int) -> List[int]:
@@ -357,7 +309,7 @@ def eval_pred(space: StateSpace, pred: Expr) -> StateSet:
     """The set of states satisfying ``pred``."""
     mask = 0
     names = [v.name for v in space.vars]
-    for i, vals in enumerate(space.states):
-        if eval_bool(pred, dict(zip(names, vals)), space.constants):
+    for i in bit_positions(space.full_mask):
+        if eval_bool(pred, dict(zip(names, space.states[i])), space.constants):
             mask |= 1 << i
     return StateSet(space, mask)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from .states import StateSet, StateSpace
+from .states import StateSet, StateSpace, bit_positions
 from .transformers import lfp
 from .verdicts import SelfCheckDefect, Verdict
 
@@ -16,7 +16,7 @@ class VariantFn:
     """A total map from states to naturals, with its level and below sets."""
 
     def __init__(self, space: StateSpace, table: Dict[int, int], name: str = "variant"):
-        if set(table) != set(range(space.size)):
+        if set(table) != set(bit_positions(space.full_mask)):
             raise VariantError("variant must be total on the universe")
         for s, val in table.items():
             if val < 0:
@@ -51,7 +51,8 @@ class VariantFn:
 
     @classmethod
     def from_function(cls, space: StateSpace, fn: Callable[[dict], int], name: str = "variant"):
-        return cls(space, {i: fn(space.state_of(i)) for i in range(space.size)}, name)
+        states = bit_positions(space.full_mask)
+        return cls(space, {i: fn(space.state_of(i)) for i in states}, name)
 
     def value_at(self, state_index: int) -> int:
         for val, mask in self._levels.items():

@@ -1,6 +1,7 @@
 """Shared fixtures and random model generators for the test suite."""
 import random
 from collections import deque
+from typing import Iterable
 
 import pytest
 
@@ -15,6 +16,7 @@ from fixleads import (
     lfp,
 )
 from fixleads.cli import check_property, resolve
+from fixleads.exprs import And, Cmp, IntLit, Name
 
 from fixtures import (
     cycle3_system,
@@ -55,22 +57,31 @@ def xs(sys, *values):
     return x_set(sys, values)
 
 
-def make_space(n: int) -> StateSpace:
-    return StateSpace([VarDecl("x", tuple(range(n)))])
+def make_space(n: int, holes: Iterable[int] = ()) -> StateSpace:
+    """``x : 0 .. n-1``, under ``invariant x != k and ...`` for each ``k`` of
+    ``holes``: a universe whose mask has those raw indices cleared."""
+    invariant = None
+    for k in holes:
+        clause = Cmp("!=", Name("x"), IntLit(k))
+        invariant = clause if invariant is None else And(invariant, clause)
+    return StateSpace([VarDecl("x", tuple(range(n)))], invariant)
 
 
 def random_set(rng: random.Random, space: StateSpace) -> StateSet:
-    return StateSet(space, rng.getrandbits(space.size) & space.full_mask)
+    return StateSet(space, rng.getrandbits(space.raw_size) & space.full_mask)
+
+
+def random_state(rng: random.Random, space: StateSpace) -> int:
+    return rng.choice(list(space.universe()))
 
 
 def random_event(rng: random.Random, space: StateSpace, name: str) -> Event:
-    n = space.size
-    guard = StateSet(space, rng.getrandbits(n) & space.full_mask)
+    guard = random_set(rng, space)
     rel = {}
     for s in guard:
-        img = rng.getrandbits(n) & space.full_mask
+        img = random_set(rng, space).mask
         if img == 0:
-            img = 1 << rng.randrange(n)  # images must be non-empty
+            img = 1 << random_state(rng, space)  # images must be non-empty
         rel[s] = img
     return Event(name, guard, rel)
 
@@ -78,13 +89,24 @@ def random_event(rng: random.Random, space: StateSpace, name: str) -> Event:
 def random_system(
     rng: random.Random, max_states: int = 10, max_events: int = 4
 ) -> EventSystem:
-    n = rng.randint(1, max_states)
-    space = make_space(n)
+    return random_system_over(rng, rng.randint(1, max_states), max_events)
+
+
+def random_system_over(rng: random.Random, n: int, max_events: int = 4) -> EventSystem:
+    """A random system over ``x : 0 .. n-1``.  In about a third of the draws
+    an invariant clears up to a third of the raw states, so the universe has
+    holes."""
+    holes = ()
+    if n > 1 and rng.random() < 1 / 3:
+        holes = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
+    space = make_space(n, holes)
     events = [
         random_event(rng, space, f"e{i}")
         for i in range(rng.randint(1, max_events))
     ]
-    init = StateSet(space, rng.getrandbits(n) & space.full_mask or 1)
+    init = random_set(rng, space)
+    if init.is_empty():
+        init = space.from_indices([random_state(rng, space)])
     return EventSystem(space, events, init)
 
 

@@ -40,6 +40,7 @@ from conftest import (
     random_event,
     random_set,
     random_system,
+    random_system_over,
     variant_decreasing_system,
     xs,
 )
@@ -66,15 +67,7 @@ def _sized_system(rng):
         n = rng.randint(11, 24)
     else:
         n = rng.randint(25, 64)
-    space = make_space(n)
-    events = [
-        random_event(rng, space, f"e{i}")
-        for i in range(rng.randint(1, 4))
-    ]
-    from fixleads import EventSystem
-
-    init = StateSet(space, rng.getrandbits(n) & space.full_mask or 1)
-    return EventSystem(space, events, init)
+    return random_system_over(rng, n)
 
 
 def test_acceptance_1_mp_verdicts_match_oracle():
@@ -138,7 +131,7 @@ def test_acceptance_4_fair_loop_laws():
         # guard law: an empty reach set collapses the loop to q
         ok &= fair_loop(sys_, q, g, sp.empty()).mask == q.mask
         # liberal loop stays below the termination set (r strictly below u)
-        r_strict = r if not r.is_universe() else r - sp.from_indices([0])
+        r_strict = r if not r.is_universe() else r - sp.from_indices([next(iter(r))])
         if sp.size > 0 and not r_strict.is_universe():
             ok &= fair_loop_liberal(sys_, q, g, r_strict).is_subset(
                 fair_loop_termination(sys_, q, g))
@@ -209,7 +202,7 @@ def test_acceptance_6_variant_theorem():
         sp = sys_.space
         b = random_set(rng, sp)
         f = lambda x: b | mp_step(sys_, x)
-        variant = VariantFn(sp, {s: rng.randint(0, sp.size) for s in range(sp.size)})
+        variant = VariantFn(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
         p = random_set(rng, sp)
         verdict = check_variant_theorem(f, p, variant)  # self-check on success
         if verdict.holds:

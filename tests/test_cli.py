@@ -174,6 +174,17 @@ def test_check_cert_rejects_tampering(tmp_path, capsys):
     assert main(["check-cert", _path("mono3.evt"), str(out_file)]) == 1
 
 
+def test_check_cert_rejects_a_row_outside_the_invariant(tmp_path, capsys):
+    out_file = tmp_path / "top_wf.cert.json"
+    assert main(["explain", _path("triangle3.evt"), "top_wf", "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    payload["sets"][0].append([0, 1, 0])  # c1 > c0: a raw index, but no state
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check-cert", _path("triangle3.evt"), str(out_file)]) == 2
+    assert "[0, 1, 0] is not a state" in capsys.readouterr().err
+
+
 # a variant whose levels do not decrease: the rule fails on both claims
 BAD_RULE = "variant bad := x\nproperty climb_bad : leadsto {x = 0} {x = 2} under mp using bad\n"
 

@@ -49,7 +49,7 @@ def _digest(elab):
     return {
         "states": sys_.space.states,
         "events": [(e.name, e.guard.mask, e.rel, e.classes(),
-                    _offset_classes(e.rel, sys_.space.size)) for e in sys_.events],
+                    _offset_classes(e.rel, sys_.space.raw_size)) for e in sys_.events],
         "init": sys_.init.mask,
         "properties": [(p.name, p.p.mask, p.q.mask) for p in elab.properties],
         "variants": {name: v._levels for name, v in elab.variants.items()},
@@ -214,12 +214,19 @@ SMALL = {
                 "event inc1 when c1 < 3 then c1 := c1 + 1, c0 :in {c0, 0}\n"
                 "variant togo := (3 - c0) + (3 - c1)\n"
                 "property top : leadsto {true} {c1 = 3} under mp using togo\n"),
-    # the dense index renumbers the states the invariant keeps
+    # the invariant leaves holes in the universe
     "wedge": ("system wedge\nvar c0 : 0 .. 3\nvar c1 : 0 .. 3\ninvariant c1 <= c0\n"
               "init c0 = 0\nevent inc0 when c0 < 3 then c0 := c0 + 1\n"
               "event inc1 when c1 < c0 then c1 := c1 + 1 [] c0 := c0, c1 := 0\n"
               "property top : leadsto {true} {c1 = 3} under wf\n"),
 }
+
+
+def test_each_triangle3_event_is_one_offset_class():
+    """The invariant ``c2 <= c1 <= c0`` only masks the universe: each counter
+    step moves every state it is enabled on by its variable's stride."""
+    sys_ = elaborate(parse(_read_data("triangle3"))).system
+    assert [len(e.classes()) for e in sys_.events] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("name", ["ring3", "starve3", "lattice", "wedge"])

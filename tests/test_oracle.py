@@ -98,11 +98,11 @@ def test_validator_rejects_corrupt_counterexamples(idle):
 
 
 def _avoiding_successors(sys_, b):
-    size = sys_.space.size
+    universe = sys_.space.universe()
     return {
-        s: {t for e in sys_.events for t in range(size)
+        s: {t for e in sys_.events for t in universe
             if (e.successors(s) >> t) & 1 and t not in b}
-        for s in range(size) if s not in b
+        for s in universe if s not in b
     }
 
 

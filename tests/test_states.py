@@ -34,15 +34,21 @@ def test_mixed_domains():
     assert sp.state_of(3) == {"flag": True, "c": "green"}
 
 
-def test_invariant_restricts_and_reindexes_densely():
+def test_invariant_is_the_universe_mask_over_the_raw_index():
     sp = StateSpace(
         [VarDecl("x", (0, 1, 2, 3))],
-        invariant=Cmp("<", Name("x"), IntLit(3)),
+        invariant=Cmp("!=", Name("x"), IntLit(1)),
     )
     assert sp.size == 3
-    assert [sp.state_of(i)["x"] for i in range(3)] == [0, 1, 2]
+    assert sp.state_of(2) == {"x": 2}
+    # the raw index 1 is a hole: it names no state
     with pytest.raises(SpaceError):
-        sp.index_of({"x": 3})
+        sp.index_of({"x": 1})
+    with pytest.raises(SpaceError):
+        sp.from_indices([1])
+    with pytest.raises(SpaceError):
+        StateSet(sp, 0b10)
+    assert sp.empty().complement().mask == 0b1101
 
 
 def test_unsatisfiable_invariant_rejected():

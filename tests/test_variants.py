@@ -88,7 +88,7 @@ def test_variant_theorem_layer_bound(seed):
     sp = sys_.space
     b = random_set(rng, sp)
     f = lambda x: b | mp_step(sys_, x)
-    v_fn = VariantFn(sp, {s: rng.randint(0, sp.size) for s in range(sp.size)})
+    v_fn = VariantFn(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
     p = random_set(rng, sp)
     verdict = check_variant_theorem(f, p, v_fn)
     if not verdict.holds:

@@ -120,7 +120,7 @@ def _sys_q_g_r(seed, with_universe_r=True):
     g = sys_.events[rng.randrange(len(sys_.events))]
     r = random_set(rng, sys_.space)
     if not with_universe_r and r.is_universe():
-        r = r - sys_.space.from_indices([0])
+        r = r - sys_.space.from_indices([next(iter(r))])
     return sys_, q, g, r
 
 
