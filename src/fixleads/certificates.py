@@ -8,11 +8,11 @@ keeps checking bit-exact and independent of any source syntax.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .events import EventSystem, ModelError
 from .mp import ensures_mp
+from .records import Frozen, setfield
 from .states import SpaceError, StateSet, StateSpace
 from .transformers import IterateTrace
 from .wf import ensures_wf, fair_loop
@@ -25,32 +25,35 @@ class CertificateError(Exception):
     certificate document is malformed."""
 
 
-@dataclass(frozen=True)
-class Basic:
+class Basic(Frozen):
     """One ensures step: p leads to q by a single fair/minimal-progress step."""
 
-    p: StateSet
-    q: StateSet
-    assumption: str  # 'mp' | 'wf'
-    helpful: Optional[str] = None  # event name, wf only
-
+    __slots__ = ("p", "q", "assumption", "helpful")
     rule = "SBR"
 
+    def __init__(self, p: StateSet, q: StateSet, assumption: str, helpful: Optional[str] = None):
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "assumption", assumption)  # 'mp' | 'wf'
+        setfield(self, "helpful", helpful)  # event name, wf only
 
-@dataclass(frozen=True)
-class Trans:
-    left: "Certificate"
-    right: "Certificate"
 
+class Trans(Frozen):
+    __slots__ = ("left", "right")
     rule = "STR"
 
+    def __init__(self, left: "Certificate", right: "Certificate"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
-@dataclass(frozen=True)
-class Disj:
-    parts: Tuple["Certificate", ...]
-    q: StateSet
 
+class Disj(Frozen):
+    __slots__ = ("parts", "q")
     rule = "SDR"
+
+    def __init__(self, parts: Tuple["Certificate", ...], q: StateSet):
+        setfield(self, "parts", parts)
+        setfield(self, "q", q)
 
 
 Certificate = Union[Basic, Trans, Disj]

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -29,6 +27,7 @@ from .certificates import (
 from .dsl import DslError, Elaborated, Property, load_file
 from .mp import ensures_mp, leadsto_mp, rule_mp_variant
 from .oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
+from .records import Frozen, setfield
 from .states import DEFAULT_STATE_CAP, SpaceError, StateSet
 from .verdicts import SelfCheckDefect, Verdict
 from .wf import ensures_wf, leadsto_wf, rule_wf_to_mp
@@ -71,15 +70,22 @@ def _load(path: str, args) -> Elaborated:
         raise UsageError(f"{path}: model nested too deeply") from None
 
 
-@dataclass(frozen=True)
-class Claim:
-    """What one property claims, as check, the oracle and explain judge it."""
+class Claim(Frozen):
+    """What one property claims, as check, the oracle and explain judge it:
+    ``a`` and ``b`` lie inside ``si`` when the claim asks for si,
+    ``assumption`` picks the engine or the rule of a ``using`` property, and
+    ``semantics`` ('mp' | 'wf') is the leads-to the oracle and certificates
+    judge."""
 
-    a: StateSet  # inside ``si`` when the claim asks for si
-    b: StateSet
-    assumption: str  # picks the engine, or the rule of a ``using`` property
-    semantics: str  # 'mp' | 'wf': the leads-to the oracle and certificates judge
-    si: Optional[StateSet] = None
+    __slots__ = ("a", "b", "assumption", "semantics", "si")
+
+    def __init__(self, a: StateSet, b: StateSet, assumption: str, semantics: str,
+                 si: Optional[StateSet] = None):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "assumption", assumption)
+        setfield(self, "semantics", semantics)
+        setfield(self, "si", si)
 
 
 def resolve(
@@ -352,6 +358,8 @@ def main(argv=None) -> int:
         print(f"internal defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
     except Exception as exc:
+        import traceback  # only a defect needs it
+
         traceback.print_exc()
         print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEFECT

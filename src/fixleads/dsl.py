@@ -18,7 +18,6 @@ as its own helpful step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .events import Event, EventSystem, ModelError
@@ -38,6 +37,7 @@ from .exprs import (
     to_text,
     true_mask,
 )
+from .records import Frozen, Record, setfield
 from .states import (
     DEFAULT_STATE_CAP,
     SpaceError,
@@ -64,80 +64,108 @@ class DslError(Exception):
 # --- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Domain:
-    kind: str  # 'range' | 'bool' | 'enum'
-    lo: int = 0
-    hi: int = 0
-    names: Tuple[str, ...] = ()
+class Domain(Frozen):
+    __slots__ = ("kind", "lo", "hi", "names")
+
+    def __init__(self, kind: str, lo: int = 0, hi: int = 0, names: Tuple[str, ...] = ()):
+        setfield(self, "kind", kind)  # 'range' | 'bool' | 'enum'
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "names", names)
 
 
-@dataclass(frozen=True)
-class VarDeclAst:
-    name: str
-    domain: Domain
-    line: int = 0
+class VarDeclAst(Frozen):
+    __slots__ = ("name", "domain", "line")
+
+    def __init__(self, name: str, domain: Domain, line: int = 0):
+        setfield(self, "name", name)
+        setfield(self, "domain", domain)
+        setfield(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: Expr
+class Assign(Frozen):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        setfield(self, "var", var)
+        setfield(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class ChooseAssign:
-    var: str
-    choices: Tuple[Expr, ...]
+class ChooseAssign(Frozen):
+    __slots__ = ("var", "choices")
+
+    def __init__(self, var: str, choices: Tuple[Expr, ...]):
+        setfield(self, "var", var)
+        setfield(self, "choices", choices)
 
 
 AssignItem = Union[Assign, ChooseAssign]
 
 
-@dataclass(frozen=True)
-class ActionAst:
+class ActionAst(Frozen):
     """One action branch: skip is the empty assignment list."""
 
-    assigns: Tuple[AssignItem, ...]
+    __slots__ = ("assigns",)
+
+    def __init__(self, assigns: Tuple[AssignItem, ...]):
+        setfield(self, "assigns", assigns)
 
 
-@dataclass(frozen=True)
-class EventAst:
-    name: str
-    guard: Optional[Expr]
-    actions: Tuple[ActionAst, ...]
-    line: int = 0
+class EventAst(Frozen):
+    __slots__ = ("name", "guard", "actions", "line")
+
+    def __init__(self, name: str, guard: Optional[Expr], actions: Tuple[ActionAst, ...],
+                 line: int = 0):
+        setfield(self, "name", name)
+        setfield(self, "guard", guard)
+        setfield(self, "actions", actions)
+        setfield(self, "line", line)
 
 
-@dataclass(frozen=True)
-class VariantAst:
-    name: str
-    expr: Expr
-    line: int = 0
+class VariantAst(Frozen):
+    __slots__ = ("name", "expr", "line")
+
+    def __init__(self, name: str, expr: Expr, line: int = 0):
+        setfield(self, "name", name)
+        setfield(self, "expr", expr)
+        setfield(self, "line", line)
 
 
-@dataclass(frozen=True)
-class PropertyAst:
-    name: str
-    kind: str  # 'ensures' | 'leadsto'
-    p: Expr
-    q: Expr
-    assumption: str  # 'mp' | 'wf'
-    via: Optional[str] = None  # helpful event, ensures only
-    using: Optional[str] = None  # variant name, leadsto only
-    with_si: bool = False
-    line: int = 0
+class PropertyAst(Frozen):
+    """``via`` names the helpful event of an ensures, ``using`` the variant
+    of a leads-to."""
+
+    __slots__ = ("name", "kind", "p", "q", "assumption", "via", "using", "with_si", "line")
+
+    def __init__(self, name: str, kind: str, p: Expr, q: Expr, assumption: str,
+                 via: Optional[str] = None, using: Optional[str] = None,
+                 with_si: bool = False, line: int = 0):
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)  # 'ensures' | 'leadsto'
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "assumption", assumption)  # 'mp' | 'wf'
+        setfield(self, "via", via)
+        setfield(self, "using", using)
+        setfield(self, "with_si", with_si)
+        setfield(self, "line", line)
 
 
-@dataclass
-class SpecAst:
-    name: str
-    vars: List[VarDeclAst] = field(default_factory=list)
-    invariant: Optional[Expr] = None
-    init: Optional[Expr] = None
-    events: List[EventAst] = field(default_factory=list)
-    variants: List[VariantAst] = field(default_factory=list)
-    properties: List[PropertyAst] = field(default_factory=list)
+class SpecAst(Record):
+    __slots__ = ("name", "vars", "invariant", "init", "events", "variants", "properties")
+
+    def __init__(self, name: str, vars: Optional[List[VarDeclAst]] = None,
+                 invariant: Optional[Expr] = None, init: Optional[Expr] = None,
+                 events: Optional[List[EventAst]] = None,
+                 variants: Optional[List[VariantAst]] = None,
+                 properties: Optional[List[PropertyAst]] = None):
+        self.name = name
+        self.vars = [] if vars is None else vars
+        self.invariant = invariant
+        self.init = init
+        self.events = [] if events is None else events
+        self.variants = [] if variants is None else variants
+        self.properties = [] if properties is None else properties
 
 
 # --- Tokenizer -------------------------------------------------------------
@@ -156,12 +184,14 @@ _SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'int' | 'keyword' | symbol itself | 'eof'
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        setfield(self, "kind", kind)  # 'ident' | 'int' | 'keyword' | symbol itself | 'eof'
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "col", col)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -556,26 +586,32 @@ def _prop_text(p: PropertyAst) -> str:
 # --- Elaboration -----------------------------------------------------------
 
 
-@dataclass
-class Property:
+class Property(Record):
     """An elaborated property: predicate sets plus how to check them."""
 
-    name: str
-    kind: str
-    p: StateSet
-    q: StateSet
-    assumption: str
-    via: Optional[str] = None
-    using: Optional[str] = None
-    with_si: bool = False
+    __slots__ = ("name", "kind", "p", "q", "assumption", "via", "using", "with_si")
+
+    def __init__(self, name: str, kind: str, p: StateSet, q: StateSet, assumption: str,
+                 via: Optional[str] = None, using: Optional[str] = None, with_si: bool = False):
+        self.name = name
+        self.kind = kind
+        self.p = p
+        self.q = q
+        self.assumption = assumption
+        self.via = via
+        self.using = using
+        self.with_si = with_si
 
 
-@dataclass
-class Elaborated:
-    system: EventSystem
-    properties: List[Property]
-    variants: Dict[str, VariantFn]
-    has_init: bool
+class Elaborated(Record):
+    __slots__ = ("system", "properties", "variants", "has_init")
+
+    def __init__(self, system: EventSystem, properties: List[Property],
+                 variants: Dict[str, VariantFn], has_init: bool):
+        self.system = system
+        self.properties = properties
+        self.variants = variants
+        self.has_init = has_init
 
 
 def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:

@@ -7,8 +7,9 @@ operation is total or raises :class:`EvalError`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
+
+from .records import Frozen, setfield
 
 Value = Union[int, bool, str]
 
@@ -17,50 +18,66 @@ class EvalError(Exception):
     """Unknown identifier or type mismatch during expression evaluation."""
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Name(Frozen):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str):
+        setfield(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # '+', '-', '*'
-    left: "Expr"
-    right: "Expr"
+class Arith(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        setfield(self, "op", op)  # '+', '-', '*'
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # '=', '!=', '<', '<=', '>', '>='
-    left: "Expr"
-    right: "Expr"
+class Cmp(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        setfield(self, "op", op)  # '=', '!=', '<', '<=', '>', '>='
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
+class Not(Frozen):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        setfield(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
+class And(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
+class Or(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 Expr = Union[IntLit, BoolLit, Name, Arith, Cmp, Not, And, Or]

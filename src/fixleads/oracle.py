@@ -10,21 +10,25 @@ can be taken inside the component.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .events import EventSystem
+from .records import Record
 from .states import StateSet
 
 
-@dataclass
-class Counterexample:
-    kind: str  # 'deadlock-path' | 'lasso'
-    start: int
-    prefix: List[Tuple[str, int]] = field(default_factory=list)
-    cycle: List[Tuple[str, int]] = field(default_factory=list)
-    fairness_witness: Dict[str, int] = field(default_factory=dict)
-    assumption: str = "mp"  # lassos need fairness witnesses only under 'wf'
+class Counterexample(Record):
+    __slots__ = ("kind", "start", "prefix", "cycle", "fairness_witness", "assumption")
+
+    def __init__(self, kind: str, start: int, prefix: Optional[List[Tuple[str, int]]] = None,
+                 cycle: Optional[List[Tuple[str, int]]] = None,
+                 fairness_witness: Optional[Dict[str, int]] = None, assumption: str = "mp"):
+        self.kind = kind  # 'deadlock-path' | 'lasso'
+        self.start = start
+        self.prefix = [] if prefix is None else prefix
+        self.cycle = [] if cycle is None else cycle
+        self.fairness_witness = {} if fairness_witness is None else fairness_witness
+        self.assumption = assumption  # lassos need fairness witnesses only under 'wf'
 
     def states(self) -> List[int]:
         out = [self.start]

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
+from .records import Frozen, setfield
 
 DEFAULT_STATE_CAP = 1 << 20
 WARN_STATE_THRESHOLD = 1 << 16
@@ -29,16 +29,16 @@ class SpaceMismatch(Exception):
     """Operands of a set operation belong to different state spaces."""
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    domain: Tuple[Value, ...]
+class VarDecl(Frozen):
+    __slots__ = ("name", "domain")
 
-    def __post_init__(self):
-        if not self.domain:
-            raise SpaceError(f"variable {self.name!r} has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise SpaceError(f"variable {self.name!r} has duplicate domain values")
+    def __init__(self, name: str, domain: Tuple[Value, ...]):
+        if not domain:
+            raise SpaceError(f"variable {name!r} has an empty domain")
+        if len(set(domain)) != len(domain):
+            raise SpaceError(f"variable {name!r} has duplicate domain values")
+        setfield(self, "name", name)
+        setfield(self, "domain", domain)
 
 
 class StateSpace:
@@ -238,16 +238,33 @@ def bit_positions(mask: int) -> List[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-@dataclass(frozen=True)
-class StateSet:
-    """An immutable subset of a state space, stored as a bitmask."""
+def peel_positions(mask: int) -> Iterator[int]:
+    """:func:`bit_positions` by peeling the lowest bit: cheaper on sparse masks."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
 
-    space: StateSpace = field(compare=False)
-    mask: int
 
-    def __post_init__(self):
-        if self.mask & ~self.space.full_mask:
+class StateSet(Frozen):
+    """An immutable subset of a state space, stored as a bitmask.  Equality
+    and hashing look at ``mask`` only."""
+
+    __slots__ = ("space", "mask")
+
+    def __init__(self, space: StateSpace, mask: int):
+        if mask & ~space.full_mask:
             raise SpaceError("mask has bits outside the universe")
+        setfield(self, "space", space)
+        setfield(self, "mask", mask)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.mask,))
 
     def _check(self, other: "StateSet") -> None:
         if other.space is not self.space:
@@ -291,11 +308,13 @@ class StateSet:
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
+        # a peeling step costs a full-width big-integer operation, about
+        # (width + 2048) / 1024 times a bit_positions step per bit of width
         m = self.mask
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        width = m.bit_length()
+        if m.bit_count() * (width + 2048) < width << 10:
+            return peel_positions(m)
+        return iter(bit_positions(m))
 
     def to_json(self) -> list:
         """Canonical form: sorted list of assignment objects."""

@@ -9,9 +9,9 @@ meaning comes from the pairing condition ``apply = liberal ∩ pre``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
+from .records import Frozen, setfield
 from .states import StateSet, SpaceMismatch
 
 
@@ -19,46 +19,57 @@ class FixpointError(Exception):
     """Iteration failed to stabilize within the guaranteed bound."""
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Guard:
-    guard: StateSet
-    body: "Transformer"
+class Guard(Frozen):
+    __slots__ = ("guard", "body")
+
+    def __init__(self, guard: StateSet, body: "Transformer"):
+        setfield(self, "guard", guard)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Precond:
-    precond: StateSet
-    body: "Transformer"
+class Precond(Frozen):
+    __slots__ = ("precond", "body")
+
+    def __init__(self, precond: StateSet, body: "Transformer"):
+        setfield(self, "precond", precond)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Choice:
-    left: "Transformer"
-    right: "Transformer"
+class Choice(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Transformer", right: "Transformer"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Transformer"
-    second: "Transformer"
+class Seq(Frozen):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: "Transformer", second: "Transformer"):
+        setfield(self, "first", first)
+        setfield(self, "second", second)
 
 
-@dataclass(frozen=True)
-class Dovetail:
-    left: "Transformer"
-    right: "Transformer"
+class Dovetail(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Transformer", right: "Transformer"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Frozen):
     """A named event given by a guarded successor relation (see events.py)."""
 
-    event: object  # events.Event; kept loose to avoid an import cycle
+    __slots__ = ("event",)
+
+    def __init__(self, event):  # events.Event; kept loose to avoid an import cycle
+        setfield(self, "event", event)
 
 
 Transformer = Union[Skip, Guard, Precond, Choice, Seq, Dovetail, Rel]
@@ -135,12 +146,14 @@ def grd(t: Transformer, universe: StateSet) -> StateSet:
     return apply(t, universe.space.empty()).complement()
 
 
-@dataclass(frozen=True)
-class IterateTrace:
+class IterateTrace(Frozen):
     """The full chain of iterates of a stabilized fixpoint computation."""
 
-    steps: Tuple[StateSet, ...]
-    kind: str  # 'least' | 'greatest'
+    __slots__ = ("steps", "kind")
+
+    def __init__(self, steps: Tuple[StateSet, ...], kind: str):
+        setfield(self, "steps", steps)
+        setfield(self, "kind", kind)  # 'least' | 'greatest'
 
     @property
     def value(self) -> StateSet:

@@ -1,20 +1,25 @@
 """Verdict values returned by every property check."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .records import Record
 from .states import StateSet
 from .transformers import IterateTrace
 
 
-@dataclass
-class Verdict:
-    holds: bool
-    relation: str  # 'T_m' | 'T_w' | 'E_m' | 'E_w' | 'rule-mp-variant' | 'rule-wf-to-mp'
-    fixpoint: Optional[StateSet] = None
-    trace: Optional[IterateTrace] = None
-    details: dict = field(default_factory=dict)
+class Verdict(Record):
+    """``relation`` is 'T_m' | 'T_w' | 'E_m' | 'E_w' | 'rule-mp-variant' | 'rule-wf-to-mp'."""
+
+    __slots__ = ("holds", "relation", "fixpoint", "trace", "details")
+
+    def __init__(self, holds: bool, relation: str, fixpoint: Optional[StateSet] = None,
+                 trace: Optional[IterateTrace] = None, details: Optional[dict] = None):
+        self.holds = holds
+        self.relation = relation
+        self.fixpoint = fixpoint
+        self.trace = trace
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         out = {"holds": self.holds, "relation": self.relation}

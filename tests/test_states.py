@@ -9,7 +9,9 @@ from fixleads.states import (
     StateSet,
     StateSpace,
     VarDecl,
+    bit_positions,
     eval_pred,
+    peel_positions,
 )
 
 from conftest import make_space
@@ -46,7 +48,7 @@ def test_invariant_is_the_universe_mask_over_the_raw_index():
         sp.index_of({"x": 1})
     with pytest.raises(SpaceError):
         sp.from_indices([1])
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="mask has bits outside the universe"):
         StateSet(sp, 0b10)
     assert sp.empty().complement().mask == 0b1101
 
@@ -57,9 +59,9 @@ def test_unsatisfiable_invariant_rejected():
 
 
 def test_bad_declarations():
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="variable 'x' has an empty domain"):
         VarDecl("x", ())
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="variable 'x' has duplicate domain values"):
         VarDecl("x", (1, 1))
     with pytest.raises(SpaceError):
         StateSpace([VarDecl("x", (0,)), VarDecl("x", (1,))])
@@ -104,6 +106,23 @@ def test_to_json_is_canonical():
     sp = make_space(3)
     s = sp.from_indices([2, 0])
     assert s.to_json() == [{"x": 0}, {"x": 2}]
+
+
+def test_iteration_paths_agree_in_ascending_order():
+    dense = make_space(3000)
+    holes = make_space(3000, holes=range(0, 3000, 7))
+    sets = [
+        dense.empty(),
+        dense.from_indices([2999, 0, 1234]),  # sparse: __iter__ peels
+        dense.universe(),  # dense: __iter__ takes bit_positions
+        StateSet(dense, int("10" * 1500, 2)),
+        holes.universe(),
+    ]
+    for s in sets:
+        expected = [i for i in range(s.mask.bit_length()) if s.mask >> i & 1]
+        assert list(peel_positions(s.mask)) == expected
+        assert bit_positions(s.mask) == expected
+        assert list(s) == expected
 
 
 def test_eval_pred():
