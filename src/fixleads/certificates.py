@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .events import EventSystem, ModelError
 from .mp import ensures_mp
 from .records import Frozen, setfield
-from .states import SpaceError, StateSet, StateSpace
+from .states import SpaceError, StateRows, StateSet, StateSpace
 from .transformers import IterateTrace
 from .wf import ensures_wf, fair_loop
 
@@ -194,17 +194,18 @@ def derive_certificate_wf(
 
 
 def cert_to_json(cert: Certificate, claimed: Tuple[StateSet, StateSet]) -> dict:
-    """The schema-2 document for ``cert`` proving ``claimed = (a, b)``."""
+    """The schema-2 document for ``cert`` proving ``claimed = (a, b)``; each
+    entry of ``sets`` is a :class:`StateRows`, written as its rows."""
     a, b = claimed
     space = a.space
     refs: Dict[int, int] = {}
-    sets: List[list] = []
+    sets: List[StateRows] = []
 
     def ref(s: StateSet) -> int:
         i = refs.get(s.mask)
         if i is None:
             i = refs[s.mask] = len(sets)
-            sets.append([list(space.states[k]) for k in s])
+            sets.append(StateRows(space, s.mask))
         return i
 
     def node(c: Certificate) -> dict:
@@ -285,12 +286,15 @@ def _decode_set(space: StateSpace, rows) -> StateSet:
     if not isinstance(rows, list):
         raise CertificateError(f"set {rows!r} is not a list of rows")
     width = len(space.vars)
-    mask = 0
     for row in rows:
         if not isinstance(row, list) or len(row) != width:
             raise CertificateError(f"row {row!r} does not have {width} values")
-        try:
-            mask |= 1 << space.index_of_row(row)
-        except (SpaceError, TypeError):  # TypeError: an unhashable value
-            raise CertificateError(f"row {row!r} is not a state") from None
-    return StateSet(space, mask)
+    try:
+        return space.from_rows(rows)
+    except (SpaceError, TypeError):  # TypeError: an unhashable value
+        for row in rows:  # name the first row that is no state
+            try:
+                space.index_of_row(row)
+            except (SpaceError, TypeError):
+                raise CertificateError(f"row {row!r} is not a state") from None
+        raise

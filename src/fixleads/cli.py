@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from typing import Optional
 
 from . import __version__
@@ -136,9 +137,34 @@ def _format_set(s: StateSet) -> str:
     return f"<{len(s)} states>"
 
 
+def json_line(obj) -> str:
+    """``json.dumps(obj)``, where each :class:`StateSet` stands for its
+    ``to_json()`` list, with no indentation: dicts and lists are walked here,
+    strings and ints are written as ``json.dumps`` writes them, every other
+    value goes through it, and a set joins its members' text, which its
+    space builds once per state."""
+    kind = type(obj)
+    if kind is str:
+        return _quoted(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_key(k) + ": " + json_line(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([json_line(v) for v in obj]) + "]"
+    if isinstance(obj, StateSet):
+        return obj.json_text()
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    # json.dumps writes a non-string key (a number, a bool, None) as its text
+    return _quoted(key if isinstance(key, str) else json.dumps(key))
+
+
 def _write_json(obj, fh) -> None:
-    """One line of JSON: a single call into the C encoder, no indentation."""
-    fh.write(json.dumps(obj) + "\n")
+    """One line of JSON, written by :func:`json_line`."""
+    fh.write(json_line(obj) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -153,6 +179,7 @@ def cmd_check(args) -> int:
         raise UsageError(f"{args.file}: no properties declared")
     all_hold = True
     defect = False
+    searched = {}  # (semantics, a, b) -> the oracle's (holds, counterexample)
     for prop in elab.properties:
         started = time.perf_counter()
         claim = resolve(elab, prop, args.assume, args.si)
@@ -164,8 +191,11 @@ def cmd_check(args) -> int:
             "verdict": verdict.to_json(),
         }
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
-            oracle = oracle_mp if claim.semantics == "mp" else oracle_wf
-            o_holds, cx = oracle(elab.system, claim.a, claim.b)
+            question = (claim.semantics, claim.a.mask, claim.b.mask)
+            if question not in searched:
+                oracle = oracle_mp if claim.semantics == "mp" else oracle_wf
+                searched[question] = oracle(elab.system, claim.a, claim.b)
+            o_holds, cx = searched[question]
             # a variant rule is only sufficient: when it fails, the oracle
             # is held against the direct mp fixpoint, not against the rule
             fix_holds = verdict.holds or (
@@ -202,10 +232,10 @@ def cmd_check(args) -> int:
             print(line)
             for antecedent in ("failing_level", "not_invariant"):
                 if antecedent in entry["verdict"].get("details", {}):
-                    detail = json.dumps(entry["verdict"]["details"][antecedent])
+                    detail = json_line(entry["verdict"]["details"][antecedent])
                     print(f"       rule antecedent fails, {antecedent}: {detail}")
             if "counterexample" in entry:
-                print(f"       counterexample: {json.dumps(entry['counterexample'])}")
+                print(f"       counterexample: {json_line(entry['counterexample'])}")
     if defect:
         print("internal defect: oracle and fixpoint verdicts disagree", file=sys.stderr)
         return EXIT_DEFECT
@@ -283,7 +313,7 @@ def cmd_si(args) -> int:
         raise UsageError(f"{args.file}: no init declared")
     si = elab.system.strongest_invariant()
     if args.json:
-        _write_json({"schema": SI_SCHEMA, "si": si.to_json()}, sys.stdout)
+        _write_json({"schema": SI_SCHEMA, "si": si}, sys.stdout)
     else:
         print(_format_set(si))
     if args.verify:

@@ -9,6 +9,7 @@ downstream are :class:`StateSet` bitmasks inside it.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import warnings
 from functools import cached_property
@@ -116,6 +117,25 @@ class StateSpace:
         states = self.states
         return {states[i]: i for i in bit_positions(self.full_mask)}
 
+    @cached_property
+    def _kinds(self) -> List[set]:
+        # each variable's one value type; none where its domain mixes types
+        kinds = [{type(val) for val in v.domain} for v in self.vars]
+        return [k if len(k) == 1 else set() for k in kinds]
+
+    @cached_property
+    def state_texts(self) -> List[str]:
+        """The JSON text of each raw state's object, ``json.dumps`` of
+        :meth:`state_of`, by index; built on first use."""
+        return _joined([[f"{json.dumps(v.name)}: {json.dumps(val)}" for val in v.domain]
+                        for v in self.vars], "{", "}")
+
+    @cached_property
+    def row_texts(self) -> List[str]:
+        """The JSON text of each raw state's values as a certificate row,
+        ``json.dumps`` of the list of its values, by index; built on first use."""
+        return _joined([[json.dumps(val) for val in v.domain] for v in self.vars], "[", "]")
+
     def partition(self, expr: Expr, care: Optional[int] = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
         ``expr``; raises :class:`Undecided` where the partition evaluator
@@ -172,11 +192,30 @@ class StateSpace:
         return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
 
     def index_of_row(self, values: Sequence[Value]) -> int:
-        """Index of the state whose values, in declaration order, are ``values``."""
+        """Index of the state whose values, in declaration order, are ``values``,
+        each of the type it has in its domain: ``False == 0`` and ``1.0 == 1``,
+        but neither names a state of an int or a bool variable."""
+        row = tuple(values)
+        i = self._index.get(row)
+        if i is None or tuple(map(type, row)) != tuple(map(type, self.states[i])):
+            raise SpaceError(f"values {list(values)!r} are not a state")
+        return i
+
+    def from_rows(self, rows: Sequence[Sequence[Value]]) -> "StateSet":
+        """The states whose values are ``rows``, each row as :meth:`index_of_row`
+        takes it: a row that names no state raises."""
+        indices = map(self.index_of_row, rows)
         try:
-            return self._index[tuple(values)]
-        except KeyError:
-            raise SpaceError(f"values {list(values)!r} are not a state") from None
+            # when each column has only its variable's one type, a row names a
+            # state exactly when its values do: look them up by value alone
+            if all(k.issuperset(map(type, col)) for k, col in zip(self._kinds, zip(*rows))):
+                indices = list(map(self._index.__getitem__, map(tuple, rows)))
+        except (KeyError, TypeError):  # no state, or an unhashable value
+            pass
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return StateSet(self, mask)
 
     def state_of(self, index: int) -> dict:
         return dict(zip((v.name for v in self.vars), self.states[index]))
@@ -198,6 +237,18 @@ class StateSpace:
     def __repr__(self):
         decls = ", ".join(v.name for v in self.vars)
         return f"StateSpace({decls}; {self.size} states)"
+
+
+def _joined(pieces: List[List[str]], open_: str, close: str) -> List[str]:
+    """The text of every raw state, by index: one piece per variable, in
+    declaration order, between ``open_`` and ``close``, where ``pieces[k]``
+    lists variable ``k``'s piece for each domain value.  Index order puts
+    the first variable fastest, so each variable repeats the table so far
+    once per value."""
+    table = [open_ + p for p in pieces[0]]
+    for values in pieces[1:]:
+        table = [t + p for p in [", " + p for p in values] for t in table]
+    return [t + close for t in table]
 
 
 def _tile(block: int, width: int, count: int) -> int:
@@ -320,8 +371,29 @@ class StateSet(Frozen):
         """Canonical form: sorted list of assignment objects."""
         return [self.space.state_of(i) for i in self]
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())``, joined from each member's text."""
+        return _spliced(self.space.state_texts, self)
+
     def __repr__(self):
         return f"StateSet({sorted(self)})"
+
+
+class StateRows(StateSet):
+    """A state set whose JSON form is certificate rows: each state as the list
+    of its values in declaration order."""
+
+    __slots__ = ()
+
+    def to_json(self) -> list:
+        return [list(self.space.states[i]) for i in self]
+
+    def json_text(self) -> str:
+        return _spliced(self.space.row_texts, self)
+
+
+def _spliced(texts: List[str], indices) -> str:
+    return "[" + ", ".join(map(texts.__getitem__, indices)) + "]"
 
 
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:

@@ -163,13 +163,13 @@ class IterateTrace(Frozen):
         """``delta[k]`` lists ``steps[k] ^ steps[k+1]``: the states that join
         (least) or leave (greatest) at step ``k``, because ``_iterate`` only
         accepts monotone chains.  ``steps[k+1] = steps[k] ^ delta[k]`` rebuilds
-        the chain from ``steps[0]``, ``∅`` or the universe."""
+        the chain from ``steps[0]``, ``∅`` or the universe.  Each delta is a
+        :class:`StateSet`, written as its ``to_json()`` list."""
         space = self.steps[0].space
         return {
             "kind": self.kind,
             "delta": [
-                StateSet(space, lo.mask ^ hi.mask).to_json()
-                for lo, hi in zip(self.steps, self.steps[1:])
+                StateSet(space, lo.mask ^ hi.mask) for lo, hi in zip(self.steps, self.steps[1:])
             ],
         }
 

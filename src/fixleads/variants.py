@@ -87,10 +87,10 @@ def variant_antecedents(
         lhs = p & variant.level_set(n)
         rhs = step(variant.below_set(n))
         if not lhs.is_subset(rhs):
-            details["failing_level"] = {"n": n, "states": (lhs - rhs).to_json()}
+            details["failing_level"] = {"n": n, "states": lhs - rhs}
             break
     if not p.is_subset(image):
-        details["not_invariant"] = (p - image).to_json()
+        details["not_invariant"] = p - image
     return details
 
 

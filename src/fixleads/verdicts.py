@@ -22,16 +22,15 @@ class Verdict(Record):
         self.details = {} if details is None else details
 
     def to_json(self) -> dict:
+        """The report entry, with every set still a :class:`StateSet`, which
+        ``cli.json_line`` writes as its ``to_json()`` list."""
         out = {"holds": self.holds, "relation": self.relation}
         if self.fixpoint is not None:
-            out["fixpoint"] = self.fixpoint.to_json()
+            out["fixpoint"] = self.fixpoint
         if self.trace is not None:
             out["trace"] = self.trace.to_json()
         if self.details:
-            out["details"] = {
-                k: (v.to_json() if isinstance(v, StateSet) else v)
-                for k, v in self.details.items()
-            }
+            out["details"] = dict(self.details)
         return out
 
 

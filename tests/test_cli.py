@@ -185,6 +185,35 @@ def test_check_cert_rejects_a_row_outside_the_invariant(tmp_path, capsys):
     assert "[0, 1, 0] is not a state" in capsys.readouterr().err
 
 
+LAMP = ("system lamp\nvar on : bool\ninit not on\nevent flip when not on then on := not on\n"
+        "property light : leadsto {not on} {on} under wf\n")
+
+
+# False == 0, 1.0 == 1 and True == 1, but none of them names a state of the
+# other type: row values match on (type, value)
+@pytest.mark.parametrize("model, good, bad", [
+    ("idle", 0, False), ("idle", 1, True), ("idle", 1, 1.0), ("idle", 0, 0.0), ("idle", 0, "0"),
+    ("lamp", False, 0), ("lamp", True, 1), ("lamp", True, 1.0), ("lamp", False, "false"),
+])
+def test_check_cert_rejects_a_row_value_of_the_wrong_type(tmp_path, capsys, model, good, bad):
+    path = _path("idle.evt")
+    if model == "lamp":
+        path = str(tmp_path / "lamp.evt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(LAMP)
+    prop = "reach" if model == "idle" else "light"
+    out_file = tmp_path / "cert.json"
+    assert main(["explain", path, prop, "--out", str(out_file)]) == 0
+    assert main(["check-cert", path, str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    rows = next(rows for rows in payload["sets"] if [good] in rows)
+    rows[rows.index([good])] = [bad]
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check-cert", path, str(out_file)]) == 2
+    assert f"row {[bad]!r} is not a state" in capsys.readouterr().err
+
+
 # a variant whose levels do not decrease: the rule fails on both claims
 BAD_RULE = "variant bad := x\nproperty climb_bad : leadsto {x = 0} {x = 2} under mp using bad\n"
 
@@ -206,6 +235,52 @@ def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, ho
     assert entry["oracle"]["holds"] is holds and entry["agreement"] is True
     # a false property keeps its (validated) counterexample
     assert ("counterexample" in entry) is not holds
+
+
+def _counted(monkeypatch, name):
+    """The calls ``cli`` makes to its function ``name`` from now on."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+# a second property with climb's claim, one direct and one by a variant rule
+SAME_CLAIM = {
+    "mono3": "property climb_again : leadsto {x = 0} {x = 2} under mp\n"
+             "property climb_ruled : leadsto {x = 0} {x = 2} under mp using togo\n",
+    "cycle3": "property climb_again : leadsto {x = 0} {x = 2} under mp\n",
+}
+
+
+@pytest.mark.parametrize("model", sorted(SAME_CLAIM))
+def test_oracle_searches_once_per_distinct_claim(tmp_path, monkeypatch, model):
+    src = tmp_path / f"{model}.evt"
+    with open(_path(f"{model}.evt"), encoding="utf-8") as fh:
+        src.write_text(fh.read() + SAME_CLAIM[model])
+    searches = _counted(monkeypatch, "oracle_mp")
+    validations = _counted(monkeypatch, "validate_counterexample")
+    code, out, _ = _captured(["check", str(src), "--oracle", "--json"])
+    with open(os.path.join(GOLDEN, model, "check.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["properties"][0]  # climb
+    questions = [(a.mask, b.mask) for _, a, b in searches]
+    assert len(questions) == len(set(questions)) == {"mono3": 2, "cycle3": 1}[model]
+    entries = json.loads(out)["properties"]
+    assert code == (0 if all(e["verdict"]["holds"] for e in entries) else 1)
+    # every failing verdict's counterexample is still validated
+    failing = sum("counterexample" in e for e in entries)
+    assert len(validations) == failing == {"mono3": 0, "cycle3": 2}[model]
+    for entry in entries:
+        del entry["time_ms"]
+        if entry["name"] in ("climb", "climb_again"):
+            assert {**entry, "name": "climb"} == golden
+        elif entry["name"] == "climb_ruled":  # the rule's own verdict, the same search
+            assert entry["oracle"] == golden["oracle"] and entry["agreement"] is True
 
 
 # `using` rules with si: the rule, the oracle and explain judge one claim
@@ -354,12 +429,11 @@ CHECK_WAYS = {
 }
 
 
-def golden_outputs(model, work):
-    """Every golden output of ``tests/data/<model>.evt``, as ``{file name: text}``:
+def golden_outputs(path, work):
+    """Every golden output of the model at ``path``, as ``{file name: text}``:
     the ``check --oracle --json`` reports (without ``time_ms``), the ``si --json``
     report, each ``explain`` certificate, and every exit code in ``exits.json``.
     ``work`` is a scratch directory for the certificates."""
-    path = _path(model + ".evt")
     files, exits = {}, {}
     for way, flags in CHECK_WAYS.items():
         code, out, _ = _captured(["check", path, "--oracle", "--json", *flags])
@@ -388,7 +462,7 @@ def test_golden_outputs(tmp_path, model):
     for name in os.listdir(folder):
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
             expected[name] = fh.read()
-    assert golden_outputs(model, str(tmp_path)) == expected
+    assert golden_outputs(_path(model + ".evt"), str(tmp_path)) == expected
 
 
 def test_usage_without_subcommand():
