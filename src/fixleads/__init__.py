@@ -34,6 +34,7 @@ from .states import (
     StateSpace,
     VarDecl,
     eval_pred,
+    json_line,
 )
 from .transformers import (
     Choice,

@@ -291,10 +291,5 @@ def _decode_set(space: StateSpace, rows) -> StateSet:
             raise CertificateError(f"row {row!r} does not have {width} values")
     try:
         return space.from_rows(rows)
-    except (SpaceError, TypeError):  # TypeError: an unhashable value
-        for row in rows:  # name the first row that is no state
-            try:
-                space.index_of_row(row)
-            except (SpaceError, TypeError):
-                raise CertificateError(f"row {row!r} is not a state") from None
-        raise
+    except SpaceError as e:
+        raise CertificateError(str(e)) from None

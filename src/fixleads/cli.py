@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from typing import Optional
 
 from . import __version__
@@ -29,7 +28,7 @@ from .dsl import DslError, Elaborated, Property, load_file
 from .mp import ensures_mp, leadsto_mp, rule_mp_variant
 from .oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from .records import Frozen, setfield
-from .states import DEFAULT_STATE_CAP, SpaceError, StateSet
+from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line
 from .verdicts import SelfCheckDefect, Verdict
 from .wf import ensures_wf, leadsto_wf, rule_wf_to_mp
 
@@ -137,33 +136,8 @@ def _format_set(s: StateSet) -> str:
     return f"<{len(s)} states>"
 
 
-def json_line(obj) -> str:
-    """``json.dumps(obj)``, where each :class:`StateSet` stands for its
-    ``to_json()`` list, with no indentation: dicts and lists are walked here,
-    strings and ints are written as ``json.dumps`` writes them, every other
-    value goes through it, and a set joins its members' text, which its
-    space builds once per state."""
-    kind = type(obj)
-    if kind is str:
-        return _quoted(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join([_key(k) + ": " + json_line(v) for k, v in obj.items()]) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([json_line(v) for v in obj]) + "]"
-    if isinstance(obj, StateSet):
-        return obj.json_text()
-    return json.dumps(obj)
-
-
-def _key(key) -> str:
-    # json.dumps writes a non-string key (a number, a bool, None) as its text
-    return _quoted(key if isinstance(key, str) else json.dumps(key))
-
-
 def _write_json(obj, fh) -> None:
-    """One line of JSON, written by :func:`json_line`."""
+    """One line of JSON, written by :func:`states.json_line`."""
     fh.write(json_line(obj) + "\n")
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
@@ -118,12 +119,6 @@ class StateSpace:
         return {states[i]: i for i in bit_positions(self.full_mask)}
 
     @cached_property
-    def _kinds(self) -> List[set]:
-        # each variable's one value type; none where its domain mixes types
-        kinds = [{type(val) for val in v.domain} for v in self.vars]
-        return [k if len(k) == 1 else set() for k in kinds]
-
-    @cached_property
     def state_texts(self) -> List[str]:
         """The JSON text of each raw state's object, ``json.dumps`` of
         :meth:`state_of`, by index; built on first use."""
@@ -195,27 +190,43 @@ class StateSpace:
         """Index of the state whose values, in declaration order, are ``values``,
         each of the type it has in its domain: ``False == 0`` and ``1.0 == 1``,
         but neither names a state of an int or a bool variable."""
-        row = tuple(values)
-        i = self._index.get(row)
-        if i is None or tuple(map(type, row)) != tuple(map(type, self.states[i])):
+        i = self._find(values)
+        if i is None:
             raise SpaceError(f"values {list(values)!r} are not a state")
         return i
 
     def from_rows(self, rows: Sequence[Sequence[Value]]) -> "StateSet":
-        """The states whose values are ``rows``, each row as :meth:`index_of_row`
-        takes it: a row that names no state raises."""
-        indices = map(self.index_of_row, rows)
-        try:
-            # when each column has only its variable's one type, a row names a
-            # state exactly when its values do: look them up by value alone
-            if all(k.issuperset(map(type, col)) for k, col in zip(self._kinds, zip(*rows))):
-                indices = list(map(self._index.__getitem__, map(tuple, rows)))
-        except (KeyError, TypeError):  # no state, or an unhashable value
-            pass
+        """The states whose values are ``rows``, each row matched as
+        :meth:`index_of_row` matches it; raises :class:`SpaceError` naming the
+        first row that is no state.  Where every value of each column has its
+        variable's one type, the rows are looked up by value alone, in one
+        pass; otherwise row by row."""
+        if all(kind >= {*map(type, col)} for kind, col in zip(self._kinds, zip(*rows))):
+            found = list(map(self._index.get, map(tuple, rows)))
+        else:
+            found = list(map(self._find, rows))
+        if None in found:
+            raise SpaceError(f"row {list(rows[found.index(None)])!r} is not a state")
         mask = 0
-        for i in indices:
+        for i in found:
             mask |= 1 << i
         return StateSet(self, mask)
+
+    def _find(self, values: Sequence[Value]) -> Optional[int]:
+        row = tuple(values)
+        try:
+            i = self._index.get(row)
+        except TypeError:  # an unhashable value
+            return None
+        if i is None or tuple(map(type, row)) != tuple(map(type, self.states[i])):
+            return None
+        return i
+
+    @cached_property
+    def _kinds(self) -> Tuple[set, ...]:
+        # each variable's one value type; none where its domain mixes types
+        kinds = [{type(val) for val in v.domain} for v in self.vars]
+        return tuple(k if len(k) == 1 else set() for k in kinds)
 
     def state_of(self, index: int) -> dict:
         return dict(zip((v.name for v in self.vars), self.states[index]))
@@ -310,7 +321,7 @@ class StateSet(Frozen):
         setfield(self, "mask", mask)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, StateSet):
             return NotImplemented
         return self.mask == other.mask
 
@@ -394,6 +405,32 @@ class StateRows(StateSet):
 
 def _spliced(texts: List[str], indices) -> str:
     return "[" + ", ".join(map(texts.__getitem__, indices)) + "]"
+
+
+def json_line(obj) -> str:
+    """``json.dumps(obj)``, where each :class:`StateSet` stands for its
+    ``to_json()`` list, with no indentation: dicts and lists are walked here,
+    strings and ints are written as ``json.dumps`` writes them, every other
+    value goes through it, and a set joins its members' text, which its
+    space builds once per state.  This writes the ``to_json()`` documents of
+    verdicts, traces and certificates, whose sets stay :class:`StateSet`."""
+    kind = type(obj)
+    if kind is str:
+        return _quoted(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_key(k) + ": " + json_line(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([json_line(v) for v in obj]) + "]"
+    if isinstance(obj, StateSet):
+        return obj.json_text()
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    # json.dumps writes a non-string key (a number, a bool, None) as its text
+    return _quoted(key if isinstance(key, str) else json.dumps(key))
 
 
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:

@@ -23,7 +23,7 @@ class Verdict(Record):
 
     def to_json(self) -> dict:
         """The report entry, with every set still a :class:`StateSet`, which
-        ``cli.json_line`` writes as its ``to_json()`` list."""
+        ``states.json_line`` writes as its ``to_json()`` list."""
         out = {"holds": self.holds, "relation": self.relation}
         if self.fixpoint is not None:
             out["fixpoint"] = self.fixpoint

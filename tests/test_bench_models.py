@@ -49,16 +49,18 @@ def test_benchmark_model_verdicts_and_oracle_agreement(tmp_path, name):
     assert code == (0 if all(model.expected.values()) else 1)
 
 
-# sha256 of each file that ``test_cli.golden_outputs`` collects, recorded while
-# every document was still one ``json.dumps`` call: the families' long trace
-# deltas and large certificate tables, which the small ``tests/data`` models
-# lack, must keep those bytes under the per-state text writer
+# sha256 of each file that ``test_cli.golden_outputs(..., raw=True)`` collects,
+# recorded while every document was still one ``json.dumps`` call: the reports
+# as ``check`` wrote them (``time_ms`` set to 0), ``si --json`` and the
+# certificates.  The families' long trace deltas and large certificate tables,
+# which the small ``tests/data`` models lack, must keep those bytes under the
+# per-state text writer.
 PINNED = {
     "lattice3x9": {
-        "check-assume-mp.json": "33f2755051b6358124c7c22cf9cc0f9e4c531996b5ea5bcc6ff50f5bbafae9b4",
-        "check-assume-wf.json": "af2c4dcb363976f24f5a9bfc3a9faedec0cfec22d8931654376b49d7ac1b10d1",
-        "check-si.json": "d270bb0e1a643b3367d41cfd54f1d5bfa40cc7f4a8e533351dbc68cfbb59e011",
-        "check.json": "33f2755051b6358124c7c22cf9cc0f9e4c531996b5ea5bcc6ff50f5bbafae9b4",
+        "check-assume-mp.json": "55ff8ae7e9b89cfc6d01e67768b8eb6b88570e28481e3240bf7363b1872cc03d",
+        "check-assume-wf.json": "cce7513de5f96866d08b20bc56beea4f6626a9563d2e548d7d25b2370f509f25",
+        "check-si.json": "d12e8c963740a3e88e2e640caddfb00ace63c5a5c83fc01335cee7c83106ea77",
+        "check.json": "55ff8ae7e9b89cfc6d01e67768b8eb6b88570e28481e3240bf7363b1872cc03d",
         "exits.json": "bb65b41f771bcb07e6f07c15af0f7f64001af45d2cbdc891e56b9ff3829d2b58",
         "si.json": "0e197f7e0da2fa5cb92ffd2c188a56f027fdf45c22be15c9e371a94dba6c0818",
         "top.cert.json": "9d0260ed8b8f453553696caf4fd0f2c6ac741f60c3aba7fb47a766dc320b2930",
@@ -66,10 +68,10 @@ PINNED = {
         "top_si.cert.json": "a3b6a9ed4391dc1cac9a964dc6da2d5d63e6a1065b0597550723793f4ba50e49",
     },
     "ring4": {
-        "check-assume-mp.json": "b73ac3abd4c56139f98407f0fe159e6ecfe8fcca86035f109b26dc6f160f2c99",
-        "check-assume-wf.json": "2d51b69dbb13acb7250a7b357f8105dfa4b81cdb8d5c17d7cd178de024fb0802",
-        "check-si.json": "3c9c1c458e5ba5069f2546ce4fb42c4b5c6cc79b3c39c8d8839fd15a390d2a8a",
-        "check.json": "53e6ffd57c45ce097ebe38624c307931b90ed171e92762727335887fc619ffa6",
+        "check-assume-mp.json": "1313f5736b33c87b9cc4c88b9788d2d9aea090e164e61494e3693bc51141f351",
+        "check-assume-wf.json": "f1dae9c45c124c1c183be65dbd8470569fe5afa824baadd6856c5b2d79a5c489",
+        "check-si.json": "e934d8bf4e9dbd219f2af0b248bb9ba426e450e601eff6aad7e9bb64b09f9f09",
+        "check.json": "3fbe154d81d948f493c8852d88fc987d159e29ce9d9569fc57f91da933d16af0",
         "enter_mp.cert.json": "c8dcd5fb6f2f9a239b3910478a3d1f1c4bf94ce048150474e92138c97fdca7f8",
         "enter_wf.cert.json": "5c3721f83a6e9a08677d09cb12feca6c6d82ddf0191b585a2f2b7a6fc0845fd0",
         "enter_wf_si.cert.json": "3486fef0d792782caa99255c37c9667ded47fb869fd1051ab85bef1310255a27",
@@ -77,10 +79,10 @@ PINNED = {
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
     "ring5": {
-        "check-assume-mp.json": "581caa619f7675f66d9627dc8413e390210f44b7b1741b1a899739f9d8898476",
-        "check-assume-wf.json": "1637e7ade63fb27628a34ec6a41b8221cf5c98b3ad55f9c613b9cb0e5ec8accf",
-        "check-si.json": "2dbef9748e02561f5ba9ecd681f97fb107e67146e634e61a5b8a1a3ccd6bed11",
-        "check.json": "1a4f611a4da8da9ed94eee193e0784f541642f57440826c18555fb518ce4e7cb",
+        "check-assume-mp.json": "2a357b3cc78ce7047fd91d34ba84092b51abe865b5f9eeba235854926c390451",
+        "check-assume-wf.json": "6e9c9ef6d22ced8c6dae43340880f89033ec0aa2fa932c9d2e478ccf530e9a0f",
+        "check-si.json": "f305de33071ddcd5fafd726328583799a911d2128e08388c05336e4079095cbb",
+        "check.json": "eedfa7e5c88ea2699203a91c5411d2d434849231b52202f4424cde835b83cd7f",
         "enter_mp.cert.json": "c01c0e6e403aa796302acd0bbbc0b422a89f47ef019f54da02649b5138e2beb0",
         "enter_wf.cert.json": "c4ba6d5586f4c59c1194f1ff7c39ec01cc9ea2a3faef807deac72957a1c61be6",
         "enter_wf_si.cert.json": "389c3fcc2de439b61824b51d979ab65fa8dac411fb3429f38b2d65f7b23cc430",
@@ -88,10 +90,10 @@ PINNED = {
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
     "starve4": {
-        "check-assume-mp.json": "7179e6bb5b393af71773e862f16c285167761850e34c2d7c8e6acc88e43dbd81",
-        "check-assume-wf.json": "562e9eebd2065445a3e5cef62442d57b77275ca5ff37e015aa909e61822a3ac9",
-        "check-si.json": "4a92b44078762b6b0ace0312b84df8e749d084269f9df8dff2ae84a0b9447bd0",
-        "check.json": "b1d63e1098c7157ac7ec4b7368167fa0090606d4088df31d8bd19f5369592ef9",
+        "check-assume-mp.json": "e6c269abe5f83d019259d32e94f21f925c09032703f82250fe493ebede58823a",
+        "check-assume-wf.json": "dc81f1bbe6ef98738e9f02b9cb99be7533b11cd4b1a79187936b06f8c1745161",
+        "check-si.json": "4fd5eef96e4eeddd6c88ddfaf212ff97083d5b2cff3bb7d042a6a6b4b2947a9b",
+        "check.json": "a9aa1d8a69873e0b94f7597ee4cffd8d2515480afa6c3b3c35212dfb12368e0c",
         "exits.json": "63e3ad0ba6c3850f3ee74a5e932e96c2d77cf857ec7605ecf3b30519caea4719",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
@@ -102,6 +104,6 @@ PINNED = {
 def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     path = tmp_path / f"{name}.evt"
     path.write_text(FAMILIES[name].text)
-    files = golden_outputs(str(path), str(tmp_path))
+    files = golden_outputs(str(path), str(tmp_path), raw=True)
     digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in files.items()}
     assert digests == PINNED[name]

@@ -16,7 +16,7 @@ from fixleads.certificates import (
     derive_certificate_mp,
     derive_certificate_wf,
 )
-from fixleads.cli import json_line
+from fixleads import json_line
 from fixleads.mp import leadsto_mp
 from fixleads.wf import leadsto_wf
 

@@ -429,18 +429,23 @@ CHECK_WAYS = {
 }
 
 
-def golden_outputs(path, work):
+def golden_outputs(path, work, raw=False):
     """Every golden output of the model at ``path``, as ``{file name: text}``:
     the ``check --oracle --json`` reports (without ``time_ms``), the ``si --json``
     report, each ``explain`` certificate, and every exit code in ``exits.json``.
-    ``work`` is a scratch directory for the certificates."""
+    ``work`` is a scratch directory for the certificates.  With ``raw``, each
+    report is the text ``check`` wrote, with every ``time_ms`` value set to 0,
+    instead of ``json.dumps`` of it without ``time_ms``."""
     files, exits = {}, {}
     for way, flags in CHECK_WAYS.items():
         code, out, _ = _captured(["check", path, "--oracle", "--json", *flags])
-        report = json.loads(out)
-        for entry in report["properties"]:
-            del entry["time_ms"]
-        files[way + ".json"] = json.dumps(report) + "\n"
+        if raw:
+            files[way + ".json"] = re.sub(r'"time_ms": [-+.eE0-9]+', '"time_ms": 0', out)
+        else:
+            report = json.loads(out)
+            for entry in report["properties"]:
+                del entry["time_ms"]
+            files[way + ".json"] = json.dumps(report) + "\n"
         exits[way] = code
     code, files["si.json"], _ = _captured(["si", path, "--json"])
     exits["si"] = code

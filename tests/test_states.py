@@ -1,4 +1,6 @@
 """State space enumeration, the index codec, and bitset algebra."""
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from fixleads.exprs import Cmp, IntLit, Name
 from fixleads.states import (
     SpaceError,
     SpaceMismatch,
+    StateRows,
     StateSet,
     StateSpace,
     VarDecl,
@@ -144,3 +147,46 @@ def test_boolean_algebra_laws(ma, mb, mc):
     assert (a - b).mask == (a & ~b).mask
     assert (~~a).mask == a.mask
     assert a.is_subset(a | b) and (a & b).is_subset(a)
+
+
+# a domain may mix types; ``0 == False`` and ``1 == 1.0`` may not stand in for each other
+_domains = st.sampled_from([(0, 1, 2), (-1, 0), (False, True), ("a", "b"), (0, True, "a"), (1, False)])
+# values a certificate row may carry in place of one of the domain's
+_strays = st.sampled_from([0, 1, 2, -1, False, True, 0.0, 1.0, "a", "0", None, [0], {}])
+
+
+@given(st.lists(_domains, min_size=1, max_size=3), st.data())
+def test_from_rows_matches_each_row_as_index_of_row(domains, data):
+    sp = StateSpace([VarDecl(f"v{k}", d) for k, d in enumerate(domains)])
+    rows = [list(sp.states[i]) for i in data.draw(st.lists(st.integers(0, sp.raw_size - 1)))]
+    for row in rows:  # now and then a value of another type, or no value of the domain
+        for k in range(len(row)):
+            if data.draw(st.integers(0, 9)) == 0:
+                row[k] = data.draw(_strays)
+    expected, first_bad = 0, None
+    for row in rows:
+        try:
+            expected |= 1 << sp.index_of_row(row)
+        except (SpaceError, TypeError):
+            first_bad = row
+            break
+    if first_bad is None:
+        assert sp.from_rows(rows).mask == expected
+    else:
+        with pytest.raises(SpaceError, match=f"^row {re.escape(repr(first_bad))} is not a state$"):
+            sp.from_rows(rows)
+
+
+def test_index_of_row_matches_type_and_value():
+    sp = StateSpace([VarDecl("x", (0, 1)), VarDecl("on", (False, True))])
+    assert sp.index_of_row([1, True]) == 3
+    for row in ([True, True], [1.0, True], [1, 1], [1, 1.0], ["1", True]):
+        with pytest.raises(SpaceError, match="are not a state"):
+            sp.index_of_row(row)
+
+
+def test_state_rows_equal_the_state_set_with_their_mask():
+    sp = make_space(4)
+    assert StateRows(sp, 0b101) == StateSet(sp, 0b101) == StateRows(sp, 0b101)
+    assert hash(StateRows(sp, 0b101)) == hash(StateSet(sp, 0b101))
+    assert StateRows(sp, 0b101) != StateSet(sp, 0b100)

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads.cli import json_line
+from fixleads import json_line
 from fixleads.events import Event
 from fixleads.states import StateSet
 from fixleads.transformers import (

@@ -1,13 +1,12 @@
 """The one-line JSON writer against ``json.dumps``: the CLI writes every
-document with ``cli.json_line``, which joins each state set from per-state
+document with ``fixleads.json_line``, which joins each state set from per-state
 text, and the bytes must be those of ``json.dumps`` of the plain form, where
 each set is its reference ``to_json()`` list (rows for a ``StateRows``)."""
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from fixleads import StateSet, StateSpace, VarDecl
-from fixleads.cli import json_line
+from fixleads import StateSet, StateSpace, VarDecl, json_line
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import StateRows
 
