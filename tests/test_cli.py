@@ -13,6 +13,7 @@ from fixleads.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
+SCHEMA2 = os.path.join(DATA, "golden-schema2")  # certificates as schema 2 wrote them
 MODELS = sorted(name[:-4] for name in os.listdir(DATA) if name.endswith(".evt"))
 
 
@@ -468,6 +469,17 @@ def test_golden_outputs(tmp_path, model):
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
             expected[name] = fh.read()
     assert golden_outputs(_path(model + ".evt"), str(tmp_path)) == expected
+
+
+SCHEMA2_FILES = sorted(
+    (model, name) for model in os.listdir(SCHEMA2) for name in os.listdir(os.path.join(SCHEMA2, model))
+)
+
+
+@pytest.mark.parametrize("model, name", SCHEMA2_FILES)
+def test_schema2_certificates_stay_accepted(model, name):
+    code, out, err = _captured(["check-cert", _path(model + ".evt"), os.path.join(SCHEMA2, model, name)])
+    assert (code, out, err) == (0, "certificate accepted\n", "")
 
 
 def test_usage_without_subcommand():
