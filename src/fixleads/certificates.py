@@ -15,9 +15,10 @@ from .mp import ensures_mp
 from .records import Frozen, setfield
 from .states import SpaceError, StateRows, StateSet, StateSpace
 from .transformers import IterateTrace
-from .wf import ensures_wf, fair_loop
+from .wf import ensures_wf
 
-SCHEMA_VERSION = 2  # one interned set table; nodes hold indices into it
+SCHEMA_VERSION = 3  # one interned set table of row lists and delta entries
+READ_SCHEMAS = (2, 3)  # schema 2: the same table without delta entries
 
 
 class CertificateError(Exception):
@@ -142,10 +143,11 @@ def _layers(trace: IterateTrace) -> List[StateSet]:
 
 def _derive(
     a: StateSet, b: StateSet, trace: IterateTrace, assumption: str, helpful: Optional[str],
-    layer_node: Callable[[StateSet, StateSet], Certificate],
+    layer_node: Callable[[StateSet, StateSet, int], Certificate],
 ) -> Certificate:
     """The chain ``a -> fix = r_K -> r_{K-1} -> ... -> r_1 = b`` down the
-    iterate trace, where ``layer_node(r_k, r_{k-1})`` proves each layer step."""
+    iterate trace, where ``layer_node(r_k, r_{k-1}, k - 1)`` proves each layer
+    step (``k - 1`` is the index of ``r_{k-1}`` in ``trace.steps``)."""
     layers = _layers(trace)
     fix = layers[-1]
     if not a.is_subset(fix):
@@ -154,7 +156,7 @@ def _derive(
         return Basic(a, b, assumption, helpful)
     links: List[Certificate] = [Basic(a, fix, assumption, helpful)]
     for k in range(len(layers) - 1, 1, -1):
-        links.append(layer_node(layers[k], layers[k - 1]))
+        links.append(layer_node(layers[k], layers[k - 1], k - 1))
     return _chain(links)
 
 
@@ -162,87 +164,133 @@ def derive_certificate_mp(
     sys: EventSystem, a: StateSet, b: StateSet, trace: IterateTrace
 ) -> Certificate:
     """Chain certificate read off the iterate trace of the MP leads-to check."""
-    return _derive(a, b, trace, "mp", None, lambda layer, below: Basic(layer, below, "mp"))
+    return _derive(a, b, trace, "mp", None, lambda layer, below, _: Basic(layer, below, "mp"))
 
 
 def derive_certificate_wf(
-    sys: EventSystem, a: StateSet, b: StateSet, trace: IterateTrace
+    sys: EventSystem, a: StateSet, b: StateSet, trace: IterateTrace, fair_deltas: tuple
 ) -> Certificate:
-    """Layered certificate for the WF leads-to check: each layer is the
-    disjunction of per-event fair-loop basic steps down to the layer below."""
+    """Layered certificate for the WF leads-to check, read off the verdict of
+    ``leadsto_wf``: its ``trace`` and its ``fair_deltas``.  Each layer is the
+    disjunction of ``Basic(below, below)`` and, for each event ``g`` whose
+    fair loop adds states to the layer below, a lean leaf
+    ``Basic(fair_loop_g - below, below, helpful=g)``.  It holds because the
+    loop contains ``below``: ``ensures_wf`` reads only ``p - q`` and
+    ``AX(p ∪ q)``, which are the same for the loop and for the lean ``p``."""
     first = sys.events[0].name
 
-    def layer_node(layer: StateSet, below: StateSet) -> Certificate:
+    def layer_node(layer: StateSet, below: StateSet, k: int) -> Certificate:
         parts: List[Certificate] = [Basic(below, below, "wf", helpful=first)]
-        for g in sys.events:
-            parts.append(Basic(fair_loop(sys, below, g, below), below, "wf", helpful=g.name))
+        for name, added in fair_deltas[k]:
+            parts.append(Basic(added, below, "wf", helpful=name))
         node = Disj(tuple(parts), below)
         # the layer is exactly target ∪ fair steps, so conclusions match
         if conclusion(node)[0].mask != layer.mask:
-            raise CertificateError("iterate trace does not reconstruct from fair loops")
+            raise CertificateError("iterate trace does not reconstruct from the fair deltas")
         return node
 
+    if len(fair_deltas) < len(trace.steps) - 1:
+        raise CertificateError("fair deltas do not cover the iterate trace")
     return _derive(a, b, trace, "wf", first, layer_node)
 
 
 # --- JSON round trip -------------------------------------------------------
 #
-# A document stores each distinct set once, in ``sets``, as rows of variable
-# values in ``vars`` order (state-index order); ``claimed`` and the tree's
-# ``p``/``q`` fields are indices into it.  Sets are numbered in first-use
-# order (a, b, then the tree in pre-order), so the output is deterministic.
+# A document stores each distinct set once, in ``sets``; ``claimed`` and the
+# tree's ``p``/``q`` fields are indices into it.  A row lists one state's
+# values in ``vars`` order, and rows follow state-index order.  Sets are
+# numbered by size, smallest first, and sets of one size in first-use order
+# (a, b, then the tree in pre-order), so the output is deterministic.  A set
+# that contains an earlier non-empty set is written as the largest such set,
+# ``{"base": i, "rows": [...]}``, plus the rows of its other states; any
+# other set as its rows.  Each layer of a chain contains the layer below it,
+# which is smaller, so it costs at most its new rows.
 
 
 def cert_to_json(cert: Certificate, claimed: Tuple[StateSet, StateSet]) -> dict:
-    """The schema-2 document for ``cert`` proving ``claimed = (a, b)``; each
-    entry of ``sets`` is a :class:`StateRows`, written as its rows."""
+    """The schema-3 document for ``cert`` proving ``claimed = (a, b)``; each
+    entry of ``sets`` is a :class:`StateRows`, written as its rows, or a delta
+    entry whose ``rows`` is one."""
     a, b = claimed
     space = a.space
-    refs: Dict[int, int] = {}
-    sets: List[StateRows] = []
-
-    def ref(s: StateSet) -> int:
-        i = refs.get(s.mask)
-        if i is None:
-            i = refs[s.mask] = len(sets)
-            sets.append(StateRows(space, s.mask))
-        return i
+    first: Dict[int, int] = {}  # mask -> first-use rank
+    for s in _sets_in_use_order(cert, a, b):
+        first.setdefault(s.mask, len(first))
+    masks = sorted(first, key=lambda m: (m.bit_count(), first[m]))
+    index = {m: i for i, m in enumerate(masks)}
+    sets: List[Union[StateRows, dict]] = []
+    for i, m in enumerate(masks):
+        base = _largest_subset(masks, i)
+        if base is None:
+            sets.append(StateRows(space, m))
+        else:
+            sets.append({"base": base, "rows": StateRows(space, m & ~masks[base])})
 
     def node(c: Certificate) -> dict:
         if isinstance(c, Basic):
-            out = {"rule": "SBR", "p": ref(c.p), "q": ref(c.q), "assumption": c.assumption}
+            out = {"rule": "SBR", "p": index[c.p.mask], "q": index[c.q.mask],
+                   "assumption": c.assumption}
             if c.helpful is not None:
                 out["helpful"] = c.helpful
             return out
         if isinstance(c, Trans):
             return {"rule": "STR", "left": node(c.left), "right": node(c.right)}
         if isinstance(c, Disj):
-            return {"rule": "SDR", "q": ref(c.q), "parts": [node(p) for p in c.parts]}
+            return {"rule": "SDR", "q": index[c.q.mask], "parts": [node(p) for p in c.parts]}
         raise TypeError(f"bad certificate node {c!r}")
 
-    claimed_refs = {"a": ref(a), "b": ref(b)}
-    tree = node(cert)
     return {
         "schema": SCHEMA_VERSION,
         "vars": [v.name for v in space.vars],
         "sets": sets,
-        "claimed": claimed_refs,
-        "certificate": tree,
+        "claimed": {"a": index[a.mask], "b": index[b.mask]},
+        "certificate": node(cert),
     }
+
+
+def _sets_in_use_order(cert: Certificate, a: StateSet, b: StateSet) -> List[StateSet]:
+    out = [a, b]
+    stack = [cert]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Basic):
+            out += (c.p, c.q)
+        elif isinstance(c, Trans):
+            stack += (c.right, c.left)
+        elif isinstance(c, Disj):
+            out.append(c.q)
+            stack += reversed(c.parts)
+        else:
+            raise TypeError(f"bad certificate node {c!r}")
+    return out
+
+
+def _largest_subset(masks: List[int], i: int) -> Optional[int]:
+    """The index of the largest non-empty set before ``masks[i]`` inside it,
+    the latest of equal size; ``masks`` is sorted by size, and sets of
+    ``masks[i]``'s size are not inside it."""
+    outside = ~masks[i]
+    for j in range(i - 1, -1, -1):
+        if not masks[j]:
+            return None  # only the empty set is left
+        if not masks[j] & outside:
+            return j
+    return None
 
 
 def cert_from_json(
     space: StateSpace, data: dict
 ) -> Tuple[Certificate, Tuple[StateSet, StateSet]]:
-    """The certificate and the claim ``(a, b)`` of a schema-2 document.
+    """The certificate and the claim ``(a, b)`` of a schema-2 or schema-3
+    document; a schema-2 ``sets`` table is one without delta entries.
 
     The document comes from outside the program, so every field is checked;
     any mismatch raises :class:`CertificateError`."""
     if not isinstance(data, dict):
         raise CertificateError("a certificate document is a JSON object")
     schema = data.get("schema")
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        hint = "; re-run explain to write schema 2" if schema == 1 else ""
+    if type(schema) is not int or schema not in READ_SCHEMAS:
+        hint = f"; re-run explain to write schema {SCHEMA_VERSION}" if schema == 1 else ""
         raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
     names = [v.name for v in space.vars]
     if data.get("vars") != names:
@@ -250,7 +298,12 @@ def cert_from_json(
     table = data.get("sets")
     if not isinstance(table, list):
         raise CertificateError("sets must be a list")
-    sets = [_decode_set(space, rows) for rows in table]
+    sets: List[StateSet] = []
+    for entry in table:
+        if isinstance(entry, dict):
+            sets.append(_decode_delta(space, entry, sets))
+        else:
+            sets.append(_decode_set(space, entry))
 
     def ref(value) -> StateSet:
         # bool is an int subclass, and a negative index would wrap around
@@ -280,6 +333,18 @@ def cert_from_json(
     if not isinstance(claimed, dict):
         raise CertificateError("claimed must be an object")
     return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
+
+
+def _decode_delta(space: StateSpace, entry: dict, earlier: List[StateSet]) -> StateSet:
+    """Set ``len(earlier)``, written as ``{"base": i, "rows": [...]}``: the
+    earlier set ``i`` plus the states of ``rows``."""
+    i = len(earlier)
+    if entry.keys() != {"base", "rows"}:
+        raise CertificateError(f"set {i} is neither a list of rows nor an object of base and rows")
+    base = entry["base"]
+    if type(base) is not int or not 0 <= base < i:
+        raise CertificateError(f"base {base!r} of set {i} is not the index of an earlier set")
+    return earlier[base] | _decode_set(space, entry["rows"])
 
 
 def _decode_set(space: StateSpace, rows) -> StateSet:

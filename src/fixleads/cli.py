@@ -234,9 +234,10 @@ def cmd_explain(args) -> int:
         return EXIT_FAIL
     if prop.kind == "ensures":
         cert = Basic(claim.a, claim.b, claim.semantics, helpful=prop.via)
+    elif claim.semantics == "mp":
+        cert = derive_certificate_mp(sys_, claim.a, claim.b, verdict.trace)
     else:
-        derive = derive_certificate_mp if claim.semantics == "mp" else derive_certificate_wf
-        cert = derive(sys_, claim.a, claim.b, verdict.trace)
+        cert = derive_certificate_wf(sys_, claim.a, claim.b, verdict.trace, verdict.fair_deltas)
     payload = {
         "system": sys_.name,
         "property": prop.name,
@@ -267,18 +268,41 @@ def cmd_check_cert(args) -> int:
         raise UsageError(f"{args.cert}: {exc.strerror}")
     except RecursionError:
         raise UsageError(too_deep) from None
+    if not isinstance(payload, dict):
+        raise UsageError(f"{args.cert}: malformed certificate file (not a JSON object)")
+    system = payload.get("system")
+    if system != elab.system.name:
+        raise UsageError(f"{args.cert}: certificate for system {system!r}, not {elab.system.name!r}")
+    prop = _find_property(elab, payload.get("property"))
+    claim = resolve(elab, prop)
     try:
         cert, claimed = cert_from_json(elab.system.space, payload)
         assumption = payload.get("assumption")
         if not isinstance(assumption, str):
             raise CertificateError(f"assumption {assumption!r} is not a string")
-        ok = check_certificate(elab.system, cert, claimed, assumption)
+        ok = _proves(prop, claim, cert, claimed, assumption) and check_certificate(
+            elab.system, cert, claimed, assumption)
     except CertificateError as exc:
         raise UsageError(f"{args.cert}: malformed certificate file ({exc})")
     except RecursionError:
         raise UsageError(too_deep) from None
     print("certificate accepted" if ok else "certificate rejected")
     return EXIT_OK if ok else EXIT_FAIL
+
+
+def _proves(prop: Property, claim: Claim, cert, claimed, assumption: str) -> bool:
+    """Whether a certificate of ``claimed`` under ``assumption`` is about the
+    claim of ``prop``, as ``explain`` resolves it.  An ensures property
+    needs one leaf on exactly its sets, and under wf its ``via`` event: a
+    chain proves only a leads-to, and a wf leaf with a larger ``p`` does not
+    give the ensures of a smaller one."""
+    a, b = claimed
+    if assumption != claim.semantics or (a.mask, b.mask) != (claim.a.mask, claim.b.mask):
+        return False
+    if prop.kind != "ensures":
+        return True
+    return (isinstance(cert, Basic) and cert.p.mask == a.mask and cert.q.mask == b.mask
+            and (assumption == "mp" or cert.helpful == prop.via))
 
 
 def cmd_si(args) -> int:

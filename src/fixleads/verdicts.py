@@ -9,17 +9,23 @@ from .transformers import IterateTrace
 
 
 class Verdict(Record):
-    """``relation`` is 'T_m' | 'T_w' | 'E_m' | 'E_w' | 'rule-mp-variant' | 'rule-wf-to-mp'."""
+    """``relation`` is 'T_m' | 'T_w' | 'E_m' | 'E_w' | 'rule-mp-variant' | 'rule-wf-to-mp'.
 
-    __slots__ = ("holds", "relation", "fixpoint", "trace", "details")
+    ``fair_deltas`` is the per-iterate evidence of ``leadsto_wf``
+    (``wf.fair_deltas`` of each iterate), which ``explain`` reads; it is
+    never part of the report."""
+
+    __slots__ = ("holds", "relation", "fixpoint", "trace", "details", "fair_deltas")
 
     def __init__(self, holds: bool, relation: str, fixpoint: Optional[StateSet] = None,
-                 trace: Optional[IterateTrace] = None, details: Optional[dict] = None):
+                 trace: Optional[IterateTrace] = None, details: Optional[dict] = None,
+                 fair_deltas: Optional[tuple] = None):
         self.holds = holds
         self.relation = relation
         self.fixpoint = fixpoint
         self.trace = trace
         self.details = {} if details is None else details
+        self.fair_deltas = fair_deltas
 
     def to_json(self) -> dict:
         """The report entry, with every set still a :class:`StateSet`, which

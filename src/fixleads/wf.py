@@ -8,6 +8,8 @@ again a least fixpoint over fair steps.
 """
 from __future__ import annotations
 
+from typing import Tuple
+
 from .events import Event, EventSystem
 from .mp import leadsto_mp, mp_step
 from .states import StateSet
@@ -41,12 +43,35 @@ def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> S
     return fair_loop(sys, q, g, r)
 
 
-def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
-    """One fair iteration step: some event's fair loop reaches ``r``."""
-    out = sys.space.empty()
+FairDeltas = Tuple[Tuple[str, StateSet], ...]
+
+
+def fair_deltas(sys: EventSystem, r: StateSet) -> FairDeltas:
+    """Each event whose fair loop to ``r`` adds a state beyond ``r``, with the
+    states it adds, in declaration order: ``fair_loop(sys, r, g, r)`` is ``r``
+    plus those.  An event whose guarded states all step into ``r`` adds
+    nothing, because its loop is then exactly ``r``, so its loop is skipped."""
+    out = []
     for g in sys.events:
-        out = out | fair_loop(sys, r, g, r)
-    return out
+        if g.guarded_apply(r).is_subset(r):
+            continue
+        added = fair_loop(sys, r, g, r) - r
+        if not added.is_empty():
+            out.append((g.name, added))
+    return tuple(out)
+
+
+def _joined(r: StateSet, deltas: FairDeltas) -> StateSet:
+    mask = r.mask
+    for _, added in deltas:
+        mask |= added.mask
+    return StateSet(r.space, mask)
+
+
+def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
+    """One fair iteration step: some event's fair loop reaches ``r``.  Every
+    loop contains ``r``, so this is ``r`` plus the :func:`fair_deltas`."""
+    return _joined(r, fair_deltas(sys, r))
 
 
 def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
@@ -58,15 +83,24 @@ def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
 
 
 def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
+    """The verdict carries, in ``fair_deltas[k]``, the :func:`fair_deltas` of
+    iterate ``k``, which build iterate ``k + 1`` as ``b ∪ steps[k]`` plus them."""
+    deltas = []
+
+    def fair_step(x: StateSet) -> StateSet:
+        deltas.append(fair_deltas(sys, x))
+        return b | _joined(x, deltas[-1])
+
     # a Kleene loop, not a kernel call: its iterates are the certificate layers
-    fix, trace = lfp(lambda x: b | wf_step(sys, x), sys.space)
+    fix, trace = lfp(fair_step, sys.space)
     # every iterate stays inside target-or-(enabled and one step from the
     # fixpoint); a violation would unsound the WF-to-MP bridge
     bound = b | mp_step(sys, fix)
     for step in trace.steps:
         if not step.is_subset(bound):
             raise SelfCheckDefect("fair iterate escapes the one-step bound")
-    return Verdict(holds=a.is_subset(fix), relation="T_w", fixpoint=fix, trace=trace)
+    return Verdict(holds=a.is_subset(fix), relation="T_w", fixpoint=fix, trace=trace,
+                   fair_deltas=tuple(deltas))
 
 
 def leadsto_wf_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:

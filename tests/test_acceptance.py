@@ -313,13 +313,14 @@ def test_acceptance_9_certificates():
         sys_ = random_system(rng, max_states=6)
         a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
         for assumption, check, derive in (
-            ("mp", leadsto_mp, derive_certificate_mp),
-            ("wf", leadsto_wf, derive_certificate_wf),
+            ("mp", leadsto_mp, lambda v: derive_certificate_mp(sys_, a, b, v.trace)),
+            ("wf", leadsto_wf,
+             lambda v: derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)),
         ):
             verdict = check(sys_, a, b)
             if not verdict.holds:
                 continue
-            cert = derive(sys_, a, b, verdict.trace)
+            cert = derive(verdict)
             derived += 1
             if check_certificate(sys_, cert, (a, b), assumption):
                 rechecked += 1

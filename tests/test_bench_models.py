@@ -107,3 +107,17 @@ def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     files = golden_outputs(str(path), str(tmp_path), raw=True)
     digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in files.items()}
     assert digests == PINNED[name]
+
+
+def test_check_cert_rejects_a_certificate_that_does_not_prove_its_property(tmp_path, capsys):
+    # one trivially true leaf that claims ∅ leads to ∅, filed under enter_wf,
+    # which fails in the starving ring
+    path = tmp_path / "starve4.evt"
+    path.write_text(FAMILIES["starve4"].text)
+    forged = {"system": "starve4", "property": "enter_wf", "assumption": "wf", "schema": 3,
+              "vars": ["x0", "x1", "x2", "x3", "t"], "sets": [[]], "claimed": {"a": 0, "b": 0},
+              "certificate": {"rule": "SBR", "p": 0, "q": 0, "assumption": "wf", "helpful": "try0"}}
+    cert = tmp_path / "forged.cert.json"
+    cert.write_text(json.dumps(forged))
+    assert main(["check-cert", str(path), str(cert)]) == 1
+    assert capsys.readouterr().out == "certificate rejected\n"

@@ -1,6 +1,7 @@
 """Certificate derivation, checking, serialization, and mutation robustness."""
 
 import json
+import os
 
 import pytest
 
@@ -16,11 +17,19 @@ from fixleads.certificates import (
     derive_certificate_mp,
     derive_certificate_wf,
 )
-from fixleads import json_line
+from fixleads import json_line, load_file
 from fixleads.mp import leadsto_mp
 from fixleads.wf import leadsto_wf
 
 from conftest import xs
+
+
+@pytest.fixture(scope="module")
+def ring3():
+    """ring3's system and the sets of its enter_wf property."""
+    elab = load_file(os.path.join(os.path.dirname(__file__), "data", "ring3.evt"))
+    prop = next(p for p in elab.properties if p.name == "enter_wf")
+    return elab.system, prop.p, prop.q
 
 
 def _leaves(cert):
@@ -58,10 +67,17 @@ def test_derive_mp_rejects_claims_outside_fixpoint(idle):
         derive_certificate_mp(idle, a, b, v.trace)
 
 
+def _derive(sys_, a, b, assumption):
+    """The certificate ``explain`` derives for ``a`` leads to ``b``."""
+    if assumption == "mp":
+        return derive_certificate_mp(sys_, a, b, leadsto_mp(sys_, a, b).trace)
+    v = leadsto_wf(sys_, a, b)
+    return derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)
+
+
 def test_derive_wf_idle(idle):
     a, b = xs(idle, 0), xs(idle, 1)
-    v = leadsto_wf(idle, a, b)
-    cert = derive_certificate_wf(idle, a, b, v.trace)
+    cert = _derive(idle, a, b, "wf")
     assert check_certificate(idle, cert, (a, b), "wf")
     assert any(isinstance(n, Disj) for n in _walk(cert))
 
@@ -70,7 +86,7 @@ def test_derive_wf_rejects_cycle3(cycle3):
     a, b = xs(cycle3, 0), xs(cycle3, 2)
     v = leadsto_wf(cycle3, a, b)
     with pytest.raises(CertificateError):
-        derive_certificate_wf(cycle3, a, b, v.trace)
+        derive_certificate_wf(cycle3, a, b, v.trace, v.fair_deltas)
 
 
 def _walk(cert):
@@ -107,22 +123,34 @@ def test_json_round_trip(idle, mono3):
     for sys_, assumption in ((mono3, "mp"), (idle, "wf")):
         a = xs(sys_, 0)
         b = xs(sys_, 2) if assumption == "mp" else xs(sys_, 1)
-        trace = (leadsto_mp if assumption == "mp" else leadsto_wf)(sys_, a, b).trace
-        derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
-        cert = derive(sys_, a, b, trace)
+        cert = _derive(sys_, a, b, assumption)
         data = json.loads(json_line(cert_to_json(cert, (a, b))))  # as explain writes it
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
-        # each distinct set is stored once
-        assert len({repr(rows) for rows in data["sets"]}) == len(data["sets"])
         back, claimed = cert_from_json(sys_.space, data)
+        # each distinct set is stored once, by size; a set holding an earlier
+        # one is stored as the largest such plus its other rows
+        masks = []
+        for entry in data["sets"]:
+            if isinstance(entry, dict):
+                masks.append(masks[entry["base"]] | sys_.space.from_rows(entry["rows"]).mask)
+            else:
+                masks.append(sys_.space.from_rows(entry).mask)
+        assert len(set(masks)) == len(masks)
+        assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+        for i, entry in enumerate(data["sets"]):
+            inside = [j for j in range(i) if masks[j] and not masks[j] & ~masks[i]]
+            if isinstance(entry, dict):
+                assert entry["base"] == max(inside, key=lambda j: (masks[j].bit_count(), j))
+            else:
+                assert not inside
         assert [s.mask for s in claimed] == [a.mask, b.mask]
         assert check_certificate(sys_, back, claimed, assumption)
         assert json.loads(json_line(cert_to_json(back, claimed))) == data
 
 
 def _document(**fields):
-    doc = {"schema": 2, "vars": ["x"], "sets": [[[0]], [[2]]],
+    doc = {"schema": 2, "system": "mono3", "property": "climb", "vars": ["x"], "sets": [[[0]], [[2]]],
            "claimed": {"a": 0, "b": 1},
            "certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "mp"}}
     doc.update(fields)
@@ -134,7 +162,7 @@ def test_unknown_schema_rejected(mono3):
     assert (sorted(a), sorted(b)) == ([0], [2]) and cert.p is a
     no_schema = _document()
     del no_schema["schema"]
-    with pytest.raises(CertificateError, match="re-run explain"):
+    with pytest.raises(CertificateError, match="re-run explain to write schema 3"):
         cert_from_json(mono3.space, _document(schema=1))
     for bad in (no_schema, _document(schema=99), _document(schema=True),
                 _document(certificate={"rule": "XYZ"})):
@@ -159,6 +187,13 @@ def test_unknown_schema_rejected(mono3):
     {"certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "wf", "helpful": 3}},
     {"certificate": {"rule": "STR", "left": [], "right": {}}},
     {"certificate": {"rule": "SDR", "q": 1, "parts": {}}},
+    {"sets": [[[0]], {"base": 1, "rows": [[2]]}]},  # its own base
+    {"sets": [[[0]], {"base": 2, "rows": [[2]]}, [[1]]]},  # a later base
+    {"sets": [[[0]], {"base": False, "rows": [[2]]}]},
+    {"sets": [[[0]], {"base": 0, "rows": [2]}]},
+    {"sets": [[[0]], {"base": 0, "rows": None}]},
+    {"sets": [[[0]], {"base": 0}]},
+    {"sets": [[[0]], {"base": 0, "rows": [], "more": []}]},
 ])
 def test_malformed_documents_rejected(mono3, fields):
     with pytest.raises(CertificateError):
@@ -184,16 +219,27 @@ def _mutate_leaf(space, cert, target, grow_p):
                 cert.q)
 
 
-def test_mutations_never_crash_and_usually_reject(mono3, idle):
-    """Acceptance-style mutation check on the two fixture certificates."""
+def test_schema_2_and_3_tables_decode_alike(mono3):
+    rows = {"sets": [[[0]], [[2]], [[1], [2]], [[0], [1], [2]]]}
+    deltas = {"sets": [[[0]], [[2]], {"base": 1, "rows": [[1]]}, {"base": 2, "rows": [[0]]}]}
+    schema2 = cert_from_json(mono3.space, _document(**rows, claimed={"a": 3, "b": 2}))
+    for schema in (2, 3):
+        doc = _document(**deltas, schema=schema, claimed={"a": 3, "b": 2})
+        assert cert_from_json(mono3.space, doc) == schema2
+    # rows already in the base are allowed; the entry is the union
+    doc = _document(sets=[[[0]], {"base": 0, "rows": [[0], [1]]}], claimed={"a": 1, "b": 0})
+    assert sorted(cert_from_json(mono3.space, doc)[1][0]) == [0, 1]
+
+
+def test_mutations_never_crash_and_usually_reject(mono3, idle, ring3):
+    """Acceptance-style mutation check on the fixture certificates: every
+    leaf of mono3's and idle's, and every lean wf leaf of ring3's."""
     from fixleads.certificates import _leaf_ok
 
     for sys_, assumption in ((mono3, "mp"), (idle, "wf")):
         a = xs(sys_, 0)
         b = xs(sys_, 2) if assumption == "mp" else xs(sys_, 1)
-        trace = (leadsto_mp if assumption == "mp" else leadsto_wf)(sys_, a, b).trace
-        derive = derive_certificate_mp if assumption == "mp" else derive_certificate_wf
-        cert = derive(sys_, a, b, trace)
+        cert = _derive(sys_, a, b, assumption)
         for leaf in _leaves(cert):
             for idx in sys_.space.universe():
                 extra = sys_.space.from_indices([idx])
@@ -203,3 +249,20 @@ def test_mutations_never_crash_and_usually_reject(mono3, idle):
                     # acceptance may survive only if every leaf still ensures
                     for m_leaf in _leaves(mutated):
                         assert _leaf_ok(sys_, m_leaf)
+    # lean wf leaves: p is the states a fair loop adds to q, so p and q are
+    # disjoint, and only growing p by a state outside q changes the leaf
+    ring, a, b = ring3
+    cert = _derive(ring, a, b, "wf")
+    lean = [leaf for leaf in _leaves(cert) if leaf.p.mask and not leaf.p.mask & leaf.q.mask]
+    assert len(lean) >= 10
+    space, rejected = ring.space, 0
+    for leaf in lean:
+        for idx in space.universe():
+            if idx in leaf.p:
+                continue
+            mutated = _mutate_leaf(space, cert, leaf, space.from_indices([idx]))
+            if check_certificate(ring, mutated, (a, b), "wf"):
+                assert all(_leaf_ok(ring, m_leaf) for m_leaf in _leaves(mutated))
+            else:
+                rejected += 1
+    assert rejected > 0

@@ -118,7 +118,7 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     out_file = tmp_path / "reach.cert.json"
     assert main(["explain", _path("idle.evt"), "reach", "--out", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["assumption"] == "wf" and payload["vars"] == ["x"]
     assert payload["certificate"]["rule"] in ("SBR", "STR", "SDR")
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
@@ -364,6 +364,8 @@ def test_long_chain_certificate_is_balanced(tmp_path, capsys):
 
 SDR_PARTS_NUMBER = {
     "schema": 2,
+    "system": "mono3",
+    "property": "climb",
     "assumption": "wf",
     "vars": ["x"],
     "sets": [[]],
@@ -376,8 +378,8 @@ def _deep_document(depth):
     """A schema-2 document whose tree nests ``depth`` STR nodes."""
     leaf = '{"rule": "SBR", "p": 0, "q": 0, "assumption": "mp"}'
     tree = '{"rule": "STR", "left": ' * depth + leaf + (', "right": ' + leaf + "}") * depth
-    return ('{"schema": 2, "assumption": "mp", "vars": ["x"], "sets": [[]], '
-            '"claimed": {"a": 0, "b": 0}, "certificate": ' + tree + "}")
+    return ('{"schema": 2, "system": "mono3", "property": "climb", "assumption": "mp", '
+            '"vars": ["x"], "sets": [[]], "claimed": {"a": 0, "b": 0}, "certificate": ' + tree + "}")
 
 
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
@@ -409,6 +411,123 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # each hand-written document fails where it was written to fail
+    cause = {"parts-number": "SDR parts must be a list", "deep-nesting": "nested too deeply"}
+    assert cause.get(case, "") in err
+
+
+# each bad entry stands as set 2 of an otherwise valid mono3 climb document
+BAD_DELTA_ENTRIES = {
+    "self-reference": {"base": 2, "rows": []},
+    "forward-reference": {"base": 3, "rows": []},
+    "out-of-range": {"base": 99, "rows": []},
+    "negative": {"base": -1, "rows": []},
+    "bool-base": {"base": True, "rows": []},
+    "float-base": {"base": 0.0, "rows": []},
+    "string-base": {"base": "0", "rows": []},
+    "no-base": {"rows": [[1]]},
+    "extra-key": {"base": 0, "rows": [], "more": []},
+    "rows-object": {"base": 0, "rows": {"0": [1]}},
+    "rows-number": {"base": 0, "rows": 1},
+    "row-not-a-state": {"base": 0, "rows": [[3]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DELTA_ENTRIES))
+def test_bad_delta_entry_exits_2_without_traceback(tmp_path, case):
+    doc = {"schema": 3, "system": "mono3", "property": "climb", "assumption": "mp",
+           "vars": ["x"], "sets": [[[0]], [[2]], BAD_DELTA_ENTRIES[case], [[1]]],
+           "claimed": {"a": 0, "b": 1},
+           "certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "mp"}}
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["check-cert", _path("mono3.evt"), str(bad)])
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert "set 2" in err or "not a list of rows" in err or "is not a state" in err
+
+
+def test_a_deep_base_chain_decodes(tmp_path, capsys):
+    # sets 1..5000 are each set 0 again, one delta on the next
+    sets = [[[0]]] + [{"base": i, "rows": []} for i in range(5000)]
+    doc = {"schema": 3, "system": "mono3", "property": "climb", "assumption": "mp",
+           "vars": ["x"], "sets": sets + [[[2]], {"base": 5001, "rows": [[1]]}],
+           "claimed": {"a": 5000, "b": 5001},
+           "certificate": {"rule": "STR",
+                           "left": {"rule": "SBR", "p": 5000, "q": 5002, "assumption": "mp"},
+                           "right": {"rule": "SBR", "p": 5002, "q": 5001, "assumption": "mp"}}}
+    cert = tmp_path / "deep.cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["check-cert", _path("mono3.evt"), str(cert)]) == 0
+    assert capsys.readouterr().out == "certificate accepted\n"
+
+
+def _explained(tmp_path, model, prop):
+    out = tmp_path / f"{prop}.cert.json"
+    assert _run(["explain", model, prop, "--out", str(out)])[0] == 0
+    return json.loads(out.read_text())
+
+
+def _check_cert(tmp_path, model, doc):
+    cert = tmp_path / "edited.cert.json"
+    cert.write_text(json.dumps(doc))
+    return _captured(["check-cert", model, str(cert)])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("system", "idle"), ("system", None), ("property", "ghost"), ("property", ["climb"]),
+])
+def test_check_cert_for_nothing_in_the_model_exits_2(tmp_path, field, value):
+    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    code, out, err = _check_cert(tmp_path, _path("mono3.evt"), doc)
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+# ``step`` fails (x = 0 steps to 1), but climb's chain proves the leads-to of
+# its sets; ``by_idle`` fails (idle stays at 0), but goal makes that step
+ENSURES = {
+    "mono3": ("mono3.evt", "climb", "property step : ensures {x = 0} {x = 2} under mp\n"
+              "property one : ensures {x = 0} {x = 1} under mp\n"),
+    "idle": ("idle.evt", "reach", "property by_idle : ensures {x = 0} {x = 1} via idle under wf\n"
+             "property by_goal : ensures {x = 0} {x = 1} via goal under wf\n"),
+}
+
+
+def _with_ensures(tmp_path, name):
+    source, prop, extra = ENSURES[name]
+    with open(_path(source), encoding="utf-8") as fh:
+        text = fh.read()
+    model = tmp_path / source
+    model.write_text(text + extra)
+    return str(model), prop
+
+
+def test_check_cert_binds_the_claim_of_the_named_property(tmp_path):
+    model, _ = _with_ensures(tmp_path, "mono3")
+    doc = _explained(tmp_path, model, "climb")
+    assert _check_cert(tmp_path, model, doc)[:2] == (0, "certificate accepted\n")
+    # climb_by_variant claims {true}: the same tree does not cover it
+    for edit in ({"property": "climb_by_variant"}, {"assumption": "wf"},
+                 {"property": "step"}, {"claimed": {"a": doc["claimed"]["b"], "b": doc["claimed"]["b"]}}):
+        code, out, err = _check_cert(tmp_path, model, {**doc, **edit})
+        assert (code, out, err) == (1, "certificate rejected\n", ""), edit
+    # a passing ensures: one leaf on its sets
+    one = _explained(tmp_path, model, "one")
+    assert one["certificate"]["rule"] == "SBR"
+    assert _check_cert(tmp_path, model, one)[:2] == (0, "certificate accepted\n")
+
+
+def test_check_cert_holds_a_wf_ensures_to_its_via_event(tmp_path):
+    model, _ = _with_ensures(tmp_path, "idle")
+    doc = _explained(tmp_path, model, "by_goal")
+    assert doc["certificate"]["helpful"] == "goal"
+    assert _check_cert(tmp_path, model, doc)[:2] == (0, "certificate accepted\n")
+    # the goal leaf holds, but by_idle claims the step of idle
+    assert _check_cert(tmp_path, model, {**doc, "property": "by_idle"})[:2] == (
+        1, "certificate rejected\n")
 
 
 def test_unexpected_exception_is_a_defect(monkeypatch, capsys):
@@ -532,7 +651,7 @@ def _replaced(value, path, new):
 
 @pytest.fixture(scope="module")
 def valid_certificates(tmp_path_factory):
-    """A valid schema-2 document for mono3 (mp) and idle (wf), by model path."""
+    """A valid schema-3 document for mono3 (mp) and idle (wf), by model path."""
     out = {}
     for model, prop in (("mono3.evt", "climb"), ("idle.evt", "reach")):
         cert = tmp_path_factory.mktemp("cert") / f"{prop}.cert.json"

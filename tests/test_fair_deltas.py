@@ -1,0 +1,146 @@
+"""The skipping fair step, the fair deltas ``leadsto_wf`` carries, and the lean
+certificates built from them, against their references: the plain union of
+every event's fair loop, the Kleene iteration of that union, and
+``check-cert`` on what ``explain`` writes.  Run on every model in
+``tests/data``, on the benchmark families and on random systems."""
+import json
+import os
+import random
+
+import pytest
+
+from fixleads import EventSystem, json_line, lfp, load_file
+from fixleads import wf
+from fixleads.certificates import (
+    Basic,
+    Disj,
+    cert_from_json,
+    cert_to_json,
+    check_certificate,
+    derive_certificate_wf,
+)
+from fixleads.cli import check_property, main, resolve
+
+from conftest import random_set, random_system
+from test_bench_models import FAMILIES
+from test_cli import MODELS, _captured, _path
+
+
+def plain_wf_step(sys_, r):
+    """The fair step as the union of every event's fair loop, none skipped."""
+    out = sys_.space.empty()
+    for g in sys_.events:
+        out = out | wf.fair_loop(sys_, r, g, r)
+    return out
+
+
+def assert_engine_matches_reference(sys_, a, b):
+    """``leadsto_wf`` against the Kleene iteration of :func:`plain_wf_step`;
+    its fair deltas against each event's loop at each iterate."""
+    v = wf.leadsto_wf(sys_, a, b)
+    _, trace = lfp(lambda x: b | plain_wf_step(sys_, x), sys_.space)
+    assert [s.mask for s in v.trace.steps] == [s.mask for s in trace.steps]
+    assert len(v.fair_deltas) == len(trace.steps) - 1
+    for below, above, deltas in zip(trace.steps, trace.steps[1:], v.fair_deltas):
+        assert wf.wf_step(sys_, below).mask == plain_wf_step(sys_, below).mask
+        added = {}
+        for g in sys_.events:
+            beyond = wf.fair_loop(sys_, below, g, below) - below
+            if not beyond.is_empty():
+                added[g.name] = beyond.mask
+        assert {name: d.mask for name, d in deltas} == added
+        assert [name for name, _ in deltas] == [g.name for g in sys_.events if g.name in added]
+        layer = below | b
+        for _, d in deltas:
+            layer = layer | d
+        assert layer.mask == above.mask
+    return v
+
+
+def assert_certificate_round_trip(sys_, a, b, v):
+    """The certificate ``explain`` writes for ``v``, read back and checked as
+    ``check-cert`` does; each layer is ``Basic(below, below)`` and one lean
+    leaf per event that adds states, which all hold and join to the layer."""
+    cert = derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)
+    data = json.loads(json_line(cert_to_json(cert, (a, b))))
+    back, claimed = cert_from_json(sys_.space, data)
+    assert [s.mask for s in claimed] == [a.mask, b.mask]
+    assert check_certificate(sys_, back, claimed, "wf")
+    layers = {s.mask for s in v.trace.steps}
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Disj):
+            below = node.q
+            assert node.parts[0].p == below
+            joined = below
+            for leaf in node.parts[1:]:
+                assert isinstance(leaf, Basic) and leaf.q == below
+                assert not leaf.p.is_empty() and (leaf.p & below).is_empty()
+                assert wf.ensures_wf(sys_, sys_.event(leaf.helpful), leaf.p, below).holds
+                joined = joined | leaf.p
+            assert joined.mask in layers
+        elif not isinstance(node, Basic):
+            stack += (node.left, node.right)
+
+
+def _claims(path):
+    elab = load_file(path)
+    for prop in elab.properties:
+        if prop.kind == "leadsto":
+            claim = resolve(elab, prop)
+            yield elab, prop, claim
+
+
+@pytest.mark.parametrize("model", MODELS + sorted(FAMILIES))
+def test_fair_deltas_and_lean_certificates_on_models(tmp_path, model):
+    if model in FAMILIES:
+        path = tmp_path / f"{model}.evt"
+        path.write_text(FAMILIES[model].text)
+        path = str(path)
+    else:
+        path = _path(model + ".evt")
+    for elab, prop, claim in _claims(path):
+        v = assert_engine_matches_reference(elab.system, claim.a, claim.b)
+        if v.holds:
+            assert_certificate_round_trip(elab.system, claim.a, claim.b, v)
+        if check_property(elab, prop, claim).holds:
+            cert = str(tmp_path / f"{prop.name}.cert.json")
+            assert _captured(["explain", path, prop.name, "--out", cert])[0] == 0
+            assert _captured(["check-cert", path, cert]) == (0, "certificate accepted\n", "")
+
+
+def test_fair_deltas_and_lean_certificates_on_random_systems():
+    rng = random.Random(1111)
+    holes = certified = 0
+    for _ in range(300):
+        sys_ = random_system(rng, max_states=8)
+        holes += sys_.space.size < sys_.space.raw_size
+        a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+        v = assert_engine_matches_reference(sys_, a, b)
+        if v.holds:
+            assert_certificate_round_trip(sys_, a, b, v)
+            certified += 1
+    assert holes >= 50 and certified >= 50
+
+
+def test_explain_runs_no_fair_loop_beyond_the_engine(tmp_path, monkeypatch):
+    calls = []
+    loop, attract = wf.fair_loop, EventSystem.weak_attract
+    monkeypatch.setattr(wf, "fair_loop", lambda *args: calls.append(args) or loop(*args))
+    monkeypatch.setattr(EventSystem, "weak_attract",
+                        lambda *args: calls.append(args) or attract(*args))
+    path = _path("ring3.evt")
+    for elab, prop, claim in _claims(path):
+        if claim.semantics != "wf":
+            continue
+        verdict = check_property(elab, prop, claim)
+        engine = len(calls)
+        assert engine > 0
+        del calls[:]
+        derive_certificate_wf(elab.system, claim.a, claim.b, verdict.trace, verdict.fair_deltas)
+        assert calls == []
+        out = str(tmp_path / "cert.json")
+        assert main(["explain", path, prop.name, "--out", out]) == 0
+        assert len(calls) == engine  # the engine's own, and nothing else
+        del calls[:]
