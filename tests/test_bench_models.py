@@ -49,12 +49,14 @@ def test_benchmark_model_verdicts_and_oracle_agreement(tmp_path, name):
     assert code == (0 if all(model.expected.values()) else 1)
 
 
-# sha256 of each file that ``test_cli.golden_outputs(..., raw=True)`` collects,
-# recorded while every document was still one ``json.dumps`` call: the reports
-# as ``check`` wrote them (``time_ms`` set to 0), ``si --json`` and the
-# certificates.  The families' long trace deltas and large certificate tables,
-# which the small ``tests/data`` models lack, must keep those bytes under the
-# per-state text writer.
+# sha256 of each file that ``test_cli.golden_outputs(..., raw=True)`` collects:
+# the reports as ``check`` wrote them (``time_ms`` set to 0), ``si --json`` and
+# the certificates.  The reports' and ``si``'s were recorded while every
+# document was still one ``json.dumps`` call, the certificates' when schema 3
+# replaced schema 2 (their text equals ``json.dumps`` of their plain form).
+# The families' long trace deltas and large certificate tables, which the
+# small ``tests/data`` models lack, must keep those bytes under the per-state
+# text writer.
 PINNED = {
     "lattice3x9": {
         "check-assume-mp.json": "55ff8ae7e9b89cfc6d01e67768b8eb6b88570e28481e3240bf7363b1872cc03d",
@@ -63,18 +65,18 @@ PINNED = {
         "check.json": "55ff8ae7e9b89cfc6d01e67768b8eb6b88570e28481e3240bf7363b1872cc03d",
         "exits.json": "bb65b41f771bcb07e6f07c15af0f7f64001af45d2cbdc891e56b9ff3829d2b58",
         "si.json": "0e197f7e0da2fa5cb92ffd2c188a56f027fdf45c22be15c9e371a94dba6c0818",
-        "top.cert.json": "9d0260ed8b8f453553696caf4fd0f2c6ac741f60c3aba7fb47a766dc320b2930",
-        "top_by_variant.cert.json": "557cf5bdc53ca9cb5001ec37336327821223f1b5f62b2d345607d7ea9435e836",
-        "top_si.cert.json": "a3b6a9ed4391dc1cac9a964dc6da2d5d63e6a1065b0597550723793f4ba50e49",
+        "top.cert.json": "63b913719b2bffed8983fbd260d8ff1870879b73787395a1294ccff67c29f3ba",
+        "top_by_variant.cert.json": "b5cf9a6ea365c5aeed98fbcb9dc079e8848c95618715e93ac27598b0bd4c9658",
+        "top_si.cert.json": "46cce8fe6bde96a2eb7d261af3508e74300dbf167b6ffa95ca41a2d52403d1f4",
     },
     "ring4": {
         "check-assume-mp.json": "1313f5736b33c87b9cc4c88b9788d2d9aea090e164e61494e3693bc51141f351",
         "check-assume-wf.json": "f1dae9c45c124c1c183be65dbd8470569fe5afa824baadd6856c5b2d79a5c489",
         "check-si.json": "e934d8bf4e9dbd219f2af0b248bb9ba426e450e601eff6aad7e9bb64b09f9f09",
         "check.json": "3fbe154d81d948f493c8852d88fc987d159e29ce9d9569fc57f91da933d16af0",
-        "enter_mp.cert.json": "c8dcd5fb6f2f9a239b3910478a3d1f1c4bf94ce048150474e92138c97fdca7f8",
-        "enter_wf.cert.json": "5c3721f83a6e9a08677d09cb12feca6c6d82ddf0191b585a2f2b7a6fc0845fd0",
-        "enter_wf_si.cert.json": "3486fef0d792782caa99255c37c9667ded47fb869fd1051ab85bef1310255a27",
+        "enter_mp.cert.json": "5809110efb0eb554e44ebdb47329ad881df7281660b89f5a19ddac07641501c7",
+        "enter_wf.cert.json": "e62b07ddb3dfcdd11a6ae52e515e1c6b5bd71065103a8ca377bf5b3edd027db1",
+        "enter_wf_si.cert.json": "24552de3acde058f55f8b153437ddb6fc27eb39bad7ab955ac98b8cc429d37da",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
@@ -83,9 +85,9 @@ PINNED = {
         "check-assume-wf.json": "6e9c9ef6d22ced8c6dae43340880f89033ec0aa2fa932c9d2e478ccf530e9a0f",
         "check-si.json": "f305de33071ddcd5fafd726328583799a911d2128e08388c05336e4079095cbb",
         "check.json": "eedfa7e5c88ea2699203a91c5411d2d434849231b52202f4424cde835b83cd7f",
-        "enter_mp.cert.json": "c01c0e6e403aa796302acd0bbbc0b422a89f47ef019f54da02649b5138e2beb0",
-        "enter_wf.cert.json": "c4ba6d5586f4c59c1194f1ff7c39ec01cc9ea2a3faef807deac72957a1c61be6",
-        "enter_wf_si.cert.json": "389c3fcc2de439b61824b51d979ab65fa8dac411fb3429f38b2d65f7b23cc430",
+        "enter_mp.cert.json": "de1a314f10da02cc0c10588e702b895ac45f3ee03828b5e8fada682f03b31dfb",
+        "enter_wf.cert.json": "a5c0fc769c53c0b55c1e1d67ce367202e7dfec5d8574d7938e86b2d035cb3b4a",
+        "enter_wf_si.cert.json": "59fc668f04e49182d72b5acf6ea505998f9e3c0ac7da680c9eee326fabaaca78",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
