@@ -189,8 +189,6 @@ def derive_certificate_wf(
             raise CertificateError("iterate trace does not reconstruct from the fair deltas")
         return node
 
-    if len(fair_deltas) < len(trace.steps) - 1:
-        raise CertificateError("fair deltas do not cover the iterate trace")
     return _derive(a, b, trace, "wf", first, layer_node)
 
 
