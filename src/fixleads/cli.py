@@ -310,16 +310,18 @@ def cmd_si(args) -> int:
     if not elab.has_init:
         raise UsageError(f"{args.file}: no init declared")
     si = elab.system.strongest_invariant()
+    report = {"schema": SI_SCHEMA, "si": si}
+    if args.verify:
+        report["verified"] = oracle_reachable(elab.system, elab.system.init) == si
     if args.json:
-        _write_json({"schema": SI_SCHEMA, "si": si}, sys.stdout)
+        _write_json(report, sys.stdout)
     else:
         print(_format_set(si))
-    if args.verify:
-        reachable = oracle_reachable(elab.system, elab.system.init)
-        if reachable.mask != si.mask:
-            print("internal defect: reachability disagrees with the fixpoint", file=sys.stderr)
-            return EXIT_DEFECT
-        print("verified against trace reachability")
+        if report.get("verified"):
+            print("verified against trace reachability")
+    if report.get("verified") is False:
+        print("internal defect: reachability disagrees with the fixpoint", file=sys.stderr)
+        return EXIT_DEFECT
     return EXIT_OK
 
 
@@ -386,9 +388,12 @@ def main(argv=None) -> int:
         print(f"internal defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
     except Exception as exc:
-        import traceback  # only a defect needs it
+        try:
+            import traceback  # only a defect needs it
 
-        traceback.print_exc()
+            traceback.print_exc()
+        except Exception:  # printing fails too when memory ran out; still a defect
+            pass
         print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEFECT
 

@@ -13,8 +13,9 @@ per class (``_ex``) and the successor image its forward dual (``_post``);
 every fixpoint below loops over them.  An event holds its relation in one
 format and derives the other on first use: ``Event(name, guard, rel)`` the
 classes, and ``Event.from_classes`` (how ``dsl`` builds every event it can)
-the per-state ``rel``.  ``Event.apply`` stays the per-state reference loop of
-the term algebra over ``rel``.
+the per-state ``rel``.  Everything else, the trace oracle and
+``Event.successors`` included, reads the classes too; ``rel`` is only the
+term algebra's per-state reference, which ``Event.apply`` loops over.
 """
 from __future__ import annotations
 
@@ -96,7 +97,9 @@ class Event:
 
     @property
     def rel(self) -> Dict[int, int]:
-        """``{s: successor mask}`` for each guarded state ``s``, in index order."""
+        """``{s: successor mask}`` for each guarded state ``s``, in index order:
+        the term algebra's per-state reference (``apply``), decoded from the
+        classes on first use.  No engine, oracle or command reads it."""
         if self._rel is None:
             rel = dict.fromkeys(bit_positions(self.guard.mask), 0)
             for d, src in self._classes:
@@ -131,8 +134,12 @@ class Event:
         return StateSet(self.space, self.guard.mask & ~_ex(self.classes(), full ^ r.mask))
 
     def successors(self, s: int) -> int:
-        """Successor mask of state ``s`` (0 outside the guard)."""
-        return self.rel.get(s, 0)
+        """Successor mask of state ``s`` (0 outside the guard), read off the classes."""
+        out = 0
+        for d, src in self.classes():
+            if src >> s & 1:
+                out |= 1 << (s + d)
+        return out
 
     def __repr__(self):
         return f"Event({self.name!r})"

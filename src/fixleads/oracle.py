@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .events import EventSystem
 from .records import Record
-from .states import StateSet
+from .states import StateSet, bit_positions
 
 
 class Counterexample(Record):
@@ -52,23 +52,16 @@ class Counterexample(Record):
         return out
 
 
-def _edges_within(sys: EventSystem, allowed_mask: int) -> Dict[int, List[Tuple[str, int]]]:
-    """Adjacency (event label, successor) restricted to ``allowed_mask`` nodes."""
-    adj: Dict[int, List[Tuple[str, int]]] = {}
-    m = allowed_mask
-    while m:
-        lsb = m & -m
-        s = lsb.bit_length() - 1
-        m ^= lsb
-        out = []
-        for e in sys.events:
-            image = e.successors(s)
-            img = image & allowed_mask
-            while img:
-                l2 = img & -img
-                out.append((e.name, l2.bit_length() - 1))
-                img ^= l2
-        adj[s] = out
+def _edges_within(sys: EventSystem, allowed: int) -> Dict[int, List[Tuple[str, int]]]:
+    """Adjacency (event label, successor) among the ``allowed`` states, read
+    off each event's offset classes: a state's edges list the events in
+    declaration order and each event's successors ascending."""
+    adj: Dict[int, List[Tuple[str, int]]] = {s: [] for s in bit_positions(allowed)}
+    for e in sys.events:
+        for d, src in e.classes():  # sorted by d
+            targets = allowed >> d if d >= 0 else allowed << -d
+            for s in bit_positions(src & allowed & targets):
+                adj[s].append((e.name, s + d))
     return adj
 
 
@@ -167,19 +160,8 @@ def _sccs(adj) -> List[List[int]]:
 
 def oracle_reachable(sys: EventSystem, start: StateSet) -> StateSet:
     """Forward reachability closure by breadth-first search."""
-    seen = start.mask
-    frontier = deque(start)
-    while frontier:
-        s = frontier.popleft()
-        for e in sys.events:
-            img = e.successors(s) & ~seen
-            while img:
-                lsb = img & -img
-                t = lsb.bit_length() - 1
-                img ^= lsb
-                seen |= lsb
-                frontier.append(t)
-    return StateSet(sys.space, seen)
+    parent, _ = _bfs_tree(_edges_within(sys, sys.space.full_mask), start)
+    return sys.space.from_indices(parent)
 
 
 def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_trap):

@@ -4,12 +4,14 @@ import io
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixleads import cli, load_file
 from fixleads.cli import main
+from fixleads.events import Event
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
@@ -87,6 +89,19 @@ def test_si_command(capsys):
     assert code == 0
     assert "x=0" in out and "x=2" in out
     assert "verified" in out
+
+
+def test_si_json_verify_is_one_document(monkeypatch):
+    code, plain, _ = _captured(["si", _path("triangle3.evt"), "--json"])
+    assert code == 0 and "verified" not in json.loads(plain)
+    code, out, err = _captured(["si", _path("triangle3.evt"), "--json", "--verify"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(plain), "verified": True}
+    assert out.count("\n") == 1
+    monkeypatch.setattr(cli, "oracle_reachable", lambda system, init: system.space.empty())
+    code, out, err = _captured(["si", _path("triangle3.evt"), "--json", "--verify"])
+    assert code == 3 and "reachability disagrees" in err
+    assert json.loads(out) == {**json.loads(plain), "verified": False}
 
 
 def test_si_shifted_init(tmp_path, capsys):
@@ -539,6 +554,16 @@ def test_unexpected_exception_is_a_defect(monkeypatch, capsys):
     assert "internal defect: RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_a_defect_exits_3_even_when_the_traceback_cannot_be_printed(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "oracle_wf", exhausted)
+    monkeypatch.setitem(sys.modules, "traceback", None)  # importing it fails
+    assert main(["check", _path("starve3.evt"), "--oracle"]) == 3
+    assert "internal defect: MemoryError" in capsys.readouterr().err
+
+
 # --- golden outputs ---------------------------------------------------------
 
 CHECK_WAYS = {
@@ -599,6 +624,28 @@ SCHEMA2_FILES = sorted(
 def test_schema2_certificates_stay_accepted(model, name):
     code, out, err = _captured(["check-cert", _path(model + ".evt"), os.path.join(SCHEMA2, model, name)])
     assert (code, out, err) == (0, "certificate accepted\n", "")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_no_command_decodes_the_per_state_relation(tmp_path, monkeypatch, model):
+    """Every command reads a loaded model's edges from its offset classes:
+    none decodes ``Event.rel``, the term algebra's per-state reference."""
+    decoded = []
+    rel = Event.rel.fget
+
+    def recording(event):
+        if event._rel is None:
+            decoded.append(event.name)
+        return rel(event)
+
+    monkeypatch.setattr(Event, "rel", property(recording))
+    path = _path(model + ".evt")
+    golden_outputs(path, str(tmp_path))  # check --oracle four ways, si --json, explain
+    for name in os.listdir(tmp_path):
+        assert _run(["check-cert", path, str(tmp_path / name)])[0] == 0
+    for argv in (["check", path], ["si", path, "--verify"], ["si", path, "--json", "--verify"]):
+        assert _run(argv)[0] in (0, 1, 2)
+    assert decoded == []
 
 
 def test_usage_without_subcommand():

@@ -11,7 +11,7 @@ from fixleads import load_file
 from fixleads.cli import resolve
 from fixleads.events import Event, EventSystem
 from fixleads.mp import leadsto_mp
-from fixleads.oracle import oracle_mp, oracle_wf
+from fixleads.oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from fixleads.states import StateSet
 from fixleads.transformers import apply, gfp, grd, lfp, system_choice
 from fixleads.wf import leadsto_wf
@@ -78,11 +78,12 @@ def test_strongest_invariant_is_the_kleene_lfp(seed, idle_event):
     rng, sys_ = _system(seed, idle_event)
 
     def post(x):
-        """The union of the events' successors of the states of ``x``."""
+        """The union of the events' successors of the states of ``x``, read
+        from the per-state relation."""
         mask = 0
         for s in x:
             for e in sys_.events:
-                mask |= e.successors(s)
+                mask |= e.rel.get(s, 0)
         return StateSet(sys_.space, mask)
 
     fix, _ = lfp(lambda x: sys_.init | post(x), sys_.space)
@@ -143,5 +144,21 @@ def test_kernel_is_built_on_first_use():
     sys_.strongest_invariant()  # the forward shift of the classes
     assert sys_._classes is not None
     assert all(e._rel is None for e in sys_.events)
-    sys_.events[0].successors(0)
+    # the oracle and the per-state successors read the classes too
+    starve = load_file(os.path.join(DATA, "starve3.evt"))
+    for prop in starve.properties:
+        oracle = oracle_mp if prop.assumption == "mp" else oracle_wf
+        holds, cx = oracle(starve.system, prop.p, prop.q)
+        assert not holds and cx.kind == "lasso"
+        assert validate_counterexample(starve.system, cx, prop.q)
+    assert oracle_reachable(sys_, sys_.init) == sys_.strongest_invariant()
+    post = 0
+    for s in sys_.init:
+        for e in sys_.events:
+            post |= e.successors(s)
+    assert post == sys_.forward_image(sys_.init).mask
+    for e in sys_.events + starve.system.events:
+        assert e._rel is None
+    # the term algebra's reference decodes the per-state relation
+    sys_.events[0].apply(sys_.space.universe())
     assert sys_.events[0]._rel is not None

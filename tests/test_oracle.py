@@ -1,12 +1,15 @@
 """Trace-semantics oracle: verdicts, counterexamples, and their validator."""
+import os
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from fixleads import load_file
 from fixleads.oracle import (
     Counterexample,
+    _edges_within,
     _shortest_cycle_through,
     oracle_mp,
     oracle_reachable,
@@ -15,6 +18,8 @@ from fixleads.oracle import (
 )
 
 from conftest import random_set, random_system, reference_shortest_cycle, xs
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_oracle_mp_idle_lasso(idle):
@@ -97,11 +102,49 @@ def test_validator_rejects_corrupt_counterexamples(idle):
     assert not validate_counterexample(idle, bad, xs(idle, 1))
 
 
+def _adjacency_from_rel(sys_, allowed):
+    """``_edges_within`` read from the per-state relation: each allowed
+    state's edges into ``allowed``, events in declaration order, each
+    event's successors ascending."""
+    states = [s for s in range(sys_.space.raw_size) if (allowed >> s) & 1]
+    return [(s, [(e.name, t) for e in sys_.events for t in states if (e.rel.get(s, 0) >> t) & 1])
+            for s in states]
+
+
+def _assert_edges_match_rel(sys_, allowed):
+    assert list(_edges_within(sys_, allowed).items()) == _adjacency_from_rel(sys_, allowed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_edges_within_equal_the_relation(seed):
+    """The oracle's edges, read off the offset classes that ``Event`` derives
+    from a random ``rel`` (about a third of the universes with holes), are
+    that ``rel``'s edges in the same order, inside random masks that may
+    cover the holes too."""
+    rng = random.Random(seed)
+    sys_ = random_system(rng)
+    raw = sys_.space.raw_size
+    for allowed in [sys_.space.full_mask, 0] + [rng.getrandbits(raw) for _ in range(4)]:
+        _assert_edges_match_rel(sys_, allowed)
+    for e in sys_.events:
+        assert [e.successors(s) for s in range(raw)] == [e.rel.get(s, 0) for s in range(raw)]
+
+
+@pytest.mark.parametrize("model", sorted(n for n in os.listdir(DATA) if n.endswith(".evt")))
+def test_edges_within_equal_the_relation_on_models(model):
+    elab = load_file(os.path.join(DATA, model))
+    sys_ = elab.system
+    _assert_edges_match_rel(sys_, sys_.space.full_mask)
+    for prop in elab.properties:
+        _assert_edges_match_rel(sys_, prop.q.complement().mask)
+
+
 def _avoiding_successors(sys_, b):
     universe = sys_.space.universe()
     return {
         s: {t for e in sys_.events for t in universe
-            if (e.successors(s) >> t) & 1 and t not in b}
+            if (e.rel.get(s, 0) >> t) & 1 and t not in b}
         for s in universe if s not in b
     }
 
