@@ -8,7 +8,7 @@ keeps checking bit-exact and independent of any source syntax.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from collections.abc import Callable
 
 from .events import EventSystem, ModelError
 from .mp import ensures_mp
@@ -32,7 +32,7 @@ class Basic(Frozen):
     __slots__ = ("p", "q", "assumption", "helpful")
     rule = "SBR"
 
-    def __init__(self, p: StateSet, q: StateSet, assumption: str, helpful: Optional[str] = None):
+    def __init__(self, p: StateSet, q: StateSet, assumption: str, helpful: str | None = None):
         setfield(self, "p", p)
         setfield(self, "q", q)
         setfield(self, "assumption", assumption)  # 'mp' | 'wf'
@@ -52,15 +52,15 @@ class Disj(Frozen):
     __slots__ = ("parts", "q")
     rule = "SDR"
 
-    def __init__(self, parts: Tuple["Certificate", ...], q: StateSet):
+    def __init__(self, parts: tuple["Certificate", ...], q: StateSet):
         setfield(self, "parts", parts)
         setfield(self, "q", q)
 
 
-Certificate = Union[Basic, Trans, Disj]
+Certificate = Basic | Trans | Disj
 
 
-def conclusion(cert: Certificate) -> Tuple[StateSet, StateSet]:
+def conclusion(cert: Certificate) -> tuple[StateSet, StateSet]:
     """The (p, q) pair a well-formed certificate concludes."""
     if isinstance(cert, Basic):
         return cert.p, cert.q
@@ -89,7 +89,7 @@ def _leaf_ok(sys: EventSystem, leaf: Basic) -> bool:
 def check_certificate(
     sys: EventSystem,
     cert: Certificate,
-    claimed: Tuple[StateSet, StateSet],
+    claimed: tuple[StateSet, StateSet],
     assumption: str,
 ) -> bool:
     """True iff every leaf passes its ensures check, internal nodes compose,
@@ -99,7 +99,7 @@ def check_certificate(
     return concluded is not None and a.is_subset(concluded[0]) and concluded[1].mask == b.mask
 
 
-def _checked_conclusion(sys, cert, assumption) -> Optional[Tuple[StateSet, StateSet]]:
+def _checked_conclusion(sys, cert, assumption) -> tuple[StateSet, StateSet] | None:
     """``conclusion(cert)`` if every node of ``cert`` checks, else None."""
     if isinstance(cert, Basic):
         ok = cert.assumption == assumption and _leaf_ok(sys, cert)
@@ -125,7 +125,7 @@ def _checked_conclusion(sys, cert, assumption) -> Optional[Tuple[StateSet, State
     return None
 
 
-def _chain(links: List[Certificate]) -> Certificate:
+def _chain(links: list[Certificate]) -> Certificate:
     """``links[0] ; ... ; links[-1]`` as a balanced ``Trans`` tree: the rule is
     associative, so the leaves keep their order and the depth is logarithmic."""
     if len(links) == 1:
@@ -134,7 +134,7 @@ def _chain(links: List[Certificate]) -> Certificate:
     return Trans(_chain(links[:mid]), _chain(links[mid:]))
 
 
-def _layers(trace: IterateTrace) -> List[StateSet]:
+def _layers(trace: IterateTrace) -> list[StateSet]:
     steps = list(trace.steps)
     while len(steps) >= 2 and steps[-1].mask == steps[-2].mask:
         steps.pop()
@@ -142,7 +142,7 @@ def _layers(trace: IterateTrace) -> List[StateSet]:
 
 
 def _derive(
-    a: StateSet, b: StateSet, trace: IterateTrace, assumption: str, helpful: Optional[str],
+    a: StateSet, b: StateSet, trace: IterateTrace, assumption: str, helpful: str | None,
     layer_node: Callable[[StateSet, StateSet, int], Certificate],
 ) -> Certificate:
     """The chain ``a -> fix = r_K -> r_{K-1} -> ... -> r_1 = b`` down the
@@ -154,7 +154,7 @@ def _derive(
         raise CertificateError("claimed start set is not inside the fixpoint")
     if a.is_subset(b):
         return Basic(a, b, assumption, helpful)
-    links: List[Certificate] = [Basic(a, fix, assumption, helpful)]
+    links: list[Certificate] = [Basic(a, fix, assumption, helpful)]
     for k in range(len(layers) - 1, 1, -1):
         links.append(layer_node(layers[k], layers[k - 1], k - 1))
     return _chain(links)
@@ -180,7 +180,7 @@ def derive_certificate_wf(
     first = sys.events[0].name
 
     def layer_node(layer: StateSet, below: StateSet, k: int) -> Certificate:
-        parts: List[Certificate] = [Basic(below, below, "wf", helpful=first)]
+        parts: list[Certificate] = [Basic(below, below, "wf", helpful=first)]
         for name, added in fair_deltas[k]:
             parts.append(Basic(added, below, "wf", helpful=name))
         node = Disj(tuple(parts), below)
@@ -205,18 +205,18 @@ def derive_certificate_wf(
 # which is smaller, so it costs at most its new rows.
 
 
-def cert_to_json(cert: Certificate, claimed: Tuple[StateSet, StateSet]) -> dict:
+def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
     """The schema-3 document for ``cert`` proving ``claimed = (a, b)``; each
     entry of ``sets`` is a :class:`StateRows`, written as its rows, or a delta
     entry whose ``rows`` is one."""
     a, b = claimed
     space = a.space
-    first: Dict[int, int] = {}  # mask -> first-use rank
+    first: dict[int, int] = {}  # mask -> first-use rank
     for s in _sets_in_use_order(cert, a, b):
         first.setdefault(s.mask, len(first))
     masks = sorted(first, key=lambda m: (m.bit_count(), first[m]))
     index = {m: i for i, m in enumerate(masks)}
-    sets: List[Union[StateRows, dict]] = []
+    sets: list[StateRows | dict] = []
     for i, m in enumerate(masks):
         base = _largest_subset(masks, i)
         if base is None:
@@ -246,7 +246,7 @@ def cert_to_json(cert: Certificate, claimed: Tuple[StateSet, StateSet]) -> dict:
     }
 
 
-def _sets_in_use_order(cert: Certificate, a: StateSet, b: StateSet) -> List[StateSet]:
+def _sets_in_use_order(cert: Certificate, a: StateSet, b: StateSet) -> list[StateSet]:
     out = [a, b]
     stack = [cert]
     while stack:
@@ -263,7 +263,7 @@ def _sets_in_use_order(cert: Certificate, a: StateSet, b: StateSet) -> List[Stat
     return out
 
 
-def _largest_subset(masks: List[int], i: int) -> Optional[int]:
+def _largest_subset(masks: list[int], i: int) -> int | None:
     """The index of the largest non-empty set before ``masks[i]`` inside it,
     the latest of equal size; ``masks`` is sorted by size, and sets of
     ``masks[i]``'s size are not inside it."""
@@ -278,7 +278,7 @@ def _largest_subset(masks: List[int], i: int) -> Optional[int]:
 
 def cert_from_json(
     space: StateSpace, data: dict
-) -> Tuple[Certificate, Tuple[StateSet, StateSet]]:
+) -> tuple[Certificate, tuple[StateSet, StateSet]]:
     """The certificate and the claim ``(a, b)`` of a schema-2 or schema-3
     document; a schema-2 ``sets`` table is one without delta entries.
 
@@ -296,7 +296,7 @@ def cert_from_json(
     table = data.get("sets")
     if not isinstance(table, list):
         raise CertificateError("sets must be a list")
-    sets: List[StateSet] = []
+    sets: list[StateSet] = []
     for entry in table:
         if isinstance(entry, dict):
             sets.append(_decode_delta(space, entry, sets))
@@ -333,7 +333,7 @@ def cert_from_json(
     return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
 
 
-def _decode_delta(space: StateSpace, entry: dict, earlier: List[StateSet]) -> StateSet:
+def _decode_delta(space: StateSpace, entry: dict, earlier: list[StateSet]) -> StateSet:
     """Set ``len(earlier)``, written as ``{"base": i, "rows": [...]}``: the
     earlier set ``i`` plus the states of ``rows``."""
     i = len(earlier)

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .certificates import (
@@ -80,7 +79,7 @@ class Claim(Frozen):
     __slots__ = ("a", "b", "assumption", "semantics", "si")
 
     def __init__(self, a: StateSet, b: StateSet, assumption: str, semantics: str,
-                 si: Optional[StateSet] = None):
+                 si: StateSet | None = None):
         setfield(self, "a", a)
         setfield(self, "b", b)
         setfield(self, "assumption", assumption)
@@ -89,7 +88,7 @@ class Claim(Frozen):
 
 
 def resolve(
-    elab: Elaborated, prop: Property, assume: Optional[str] = None, force_si: bool = False
+    elab: Elaborated, prop: Property, assume: str | None = None, force_si: bool = False
 ) -> Claim:
     """The claim of ``prop`` under ``--assume`` and ``--si``: a leads-to with
     si is the plain one on ``si ∩ a`` and ``si ∩ b``."""

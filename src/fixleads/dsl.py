@@ -18,7 +18,6 @@ as its own helpful step.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, Union
 
 from .events import Event, EventSystem, ModelError
 from .exprs import (
@@ -53,7 +52,7 @@ from .variants import VariantError, VariantFn
 class DslError(Exception):
     """Syntax or elaboration failure, with source position when known."""
 
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
         if line is not None:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
@@ -67,7 +66,7 @@ class DslError(Exception):
 class Domain(Frozen):
     __slots__ = ("kind", "lo", "hi", "names")
 
-    def __init__(self, kind: str, lo: int = 0, hi: int = 0, names: Tuple[str, ...] = ()):
+    def __init__(self, kind: str, lo: int = 0, hi: int = 0, names: tuple[str, ...] = ()):
         setfield(self, "kind", kind)  # 'range' | 'bool' | 'enum'
         setfield(self, "lo", lo)
         setfield(self, "hi", hi)
@@ -84,22 +83,13 @@ class VarDeclAst(Frozen):
 
 
 class Assign(Frozen):
-    __slots__ = ("var", "expr")
+    """``var :in {choices}``; ``var := e`` is the one choice ``(e,)``."""
 
-    def __init__(self, var: str, expr: Expr):
-        setfield(self, "var", var)
-        setfield(self, "expr", expr)
-
-
-class ChooseAssign(Frozen):
     __slots__ = ("var", "choices")
 
-    def __init__(self, var: str, choices: Tuple[Expr, ...]):
+    def __init__(self, var: str, choices: tuple[Expr, ...]):
         setfield(self, "var", var)
         setfield(self, "choices", choices)
-
-
-AssignItem = Union[Assign, ChooseAssign]
 
 
 class ActionAst(Frozen):
@@ -107,14 +97,14 @@ class ActionAst(Frozen):
 
     __slots__ = ("assigns",)
 
-    def __init__(self, assigns: Tuple[AssignItem, ...]):
+    def __init__(self, assigns: tuple[Assign, ...]):
         setfield(self, "assigns", assigns)
 
 
 class EventAst(Frozen):
     __slots__ = ("name", "guard", "actions", "line")
 
-    def __init__(self, name: str, guard: Optional[Expr], actions: Tuple[ActionAst, ...],
+    def __init__(self, name: str, guard: Expr | None, actions: tuple[ActionAst, ...],
                  line: int = 0):
         setfield(self, "name", name)
         setfield(self, "guard", guard)
@@ -138,7 +128,7 @@ class PropertyAst(Frozen):
     __slots__ = ("name", "kind", "p", "q", "assumption", "via", "using", "with_si", "line")
 
     def __init__(self, name: str, kind: str, p: Expr, q: Expr, assumption: str,
-                 via: Optional[str] = None, using: Optional[str] = None,
+                 via: str | None = None, using: str | None = None,
                  with_si: bool = False, line: int = 0):
         setfield(self, "name", name)
         setfield(self, "kind", kind)  # 'ensures' | 'leadsto'
@@ -154,11 +144,11 @@ class PropertyAst(Frozen):
 class SpecAst(Record):
     __slots__ = ("name", "vars", "invariant", "init", "events", "variants", "properties")
 
-    def __init__(self, name: str, vars: Optional[List[VarDeclAst]] = None,
-                 invariant: Optional[Expr] = None, init: Optional[Expr] = None,
-                 events: Optional[List[EventAst]] = None,
-                 variants: Optional[List[VariantAst]] = None,
-                 properties: Optional[List[PropertyAst]] = None):
+    def __init__(self, name: str, vars: list[VarDeclAst] | None = None,
+                 invariant: Expr | None = None, init: Expr | None = None,
+                 events: list[EventAst] | None = None,
+                 variants: list[VariantAst] | None = None,
+                 properties: list[PropertyAst] | None = None):
         self.name = name
         self.vars = [] if vars is None else vars
         self.invariant = invariant
@@ -194,8 +184,8 @@ class Token(Frozen):
         setfield(self, "col", col)
 
 
-def tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
+def tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
@@ -247,7 +237,7 @@ def tokenize(text: str) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, toks: List[Token]):
+    def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
 
@@ -264,7 +254,7 @@ class _Parser:
         got = tok.text if tok.kind != "eof" else "end of input"
         return DslError(f"expected {expected}, got {got!r}", tok.line, tok.col)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             raise self.fail(text or kind)
@@ -289,18 +279,18 @@ class _Parser:
     def spec(self) -> SpecAst:
         self.expect_keyword("system")
         ast = SpecAst(self.ident().text)
-        seen: Dict[str, Token] = {}
+        seen: dict[str, Token] = {}
         while self.peek().kind != "eof":
             self.item(ast, seen)
         return ast
 
-    def _declare(self, kind: str, tok: Token, seen: Dict[str, Token]) -> None:
+    def _declare(self, kind: str, tok: Token, seen: dict[str, Token]) -> None:
         key = f"{kind}:{tok.text}"
         if key in seen:
             raise DslError(f"duplicate {kind} {tok.text!r}", tok.line, tok.col)
         seen[key] = tok
 
-    def item(self, ast: SpecAst, seen: Dict[str, Token]) -> None:
+    def item(self, ast: SpecAst, seen: dict[str, Token]) -> None:
         if self.at_keyword("var"):
             self.next()
             name = self.ident()
@@ -387,7 +377,7 @@ class _Parser:
             raise DslError("variable assigned twice in one action", tok.line, tok.col)
         return ActionAst(tuple(assigns))
 
-    def assign(self) -> AssignItem:
+    def assign(self) -> Assign:
         var = self.ident()
         if self.peek().kind == ":in":
             self.next()
@@ -397,9 +387,9 @@ class _Parser:
                 self.next()
                 choices.append(self.expr())
             self.expect("}")
-            return ChooseAssign(var.text, tuple(choices))
+            return Assign(var.text, tuple(choices))
         self.expect(":=")
-        return Assign(var.text, self.expr())
+        return Assign(var.text, (self.expr(),))
 
     def prop(self, name: Token) -> PropertyAst:
         if self.at_keyword("ensures"):
@@ -562,8 +552,8 @@ def _action_text(a: ActionAst) -> str:
         return "skip"
     parts = []
     for item in a.assigns:
-        if isinstance(item, Assign):
-            parts.append(f"{item.var} := {to_text(item.expr)}")
+        if len(item.choices) == 1:
+            parts.append(f"{item.var} := {to_text(item.choices[0])}")
         else:
             opts = ", ".join(to_text(c) for c in item.choices)
             parts.append(f"{item.var} :in {{{opts}}}")
@@ -592,7 +582,7 @@ class Property(Record):
     __slots__ = ("name", "kind", "p", "q", "assumption", "via", "using", "with_si")
 
     def __init__(self, name: str, kind: str, p: StateSet, q: StateSet, assumption: str,
-                 via: Optional[str] = None, using: Optional[str] = None, with_si: bool = False):
+                 via: str | None = None, using: str | None = None, with_si: bool = False):
         self.name = name
         self.kind = kind
         self.p = p
@@ -606,8 +596,8 @@ class Property(Record):
 class Elaborated(Record):
     __slots__ = ("system", "properties", "variants", "has_init")
 
-    def __init__(self, system: EventSystem, properties: List[Property],
-                 variants: Dict[str, VariantFn], has_init: bool):
+    def __init__(self, system: EventSystem, properties: list[Property],
+                 variants: dict[str, VariantFn], has_init: bool):
         self.system = system
         self.properties = properties
         self.variants = variants
@@ -643,7 +633,7 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
     except ModelError as exc:
         raise DslError(str(exc)) from exc
 
-    variants: Dict[str, VariantFn] = {}
+    variants: dict[str, VariantFn] = {}
     for v in ast.variants:
         try:
             variants[v.name] = _variant(space, v)
@@ -651,7 +641,7 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
             raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
 
     event_names = {e.name for e in events}
-    props: List[Property] = []
+    props: list[Property] = []
     for p in ast.properties:
         if p.via is not None and p.via not in event_names:
             raise DslError(f"property {p.name!r} names unknown event {p.via!r}", p.line, 1)
@@ -712,13 +702,9 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
     return VariantFn(space, table, v.name)
 
 
-def _elaborate_event(space: StateSpace, domains: Dict[str, set], e: EventAst) -> Event:
+def _elaborate_event(space: StateSpace, domains: dict[str, set], e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
-    branches = [
-        [(item.var, (item.expr,) if isinstance(item, Assign) else item.choices)
-         for item in action.assigns]
-        for action in e.actions
-    ]
+    branches = [[(item.var, item.choices) for item in action.assigns] for action in e.actions]
     try:
         classes = space.action_classes(branches, guard.mask)
     except (Undecided, SpaceError):
@@ -726,7 +712,7 @@ def _elaborate_event(space: StateSpace, domains: Dict[str, set], e: EventAst) ->
     try:
         if classes is not None:
             return Event.from_classes(e.name, guard, classes)
-        rel: Dict[int, int] = {}
+        rel: dict[int, int] = {}
         for i in guard:
             env = space.state_of(i)
             image = 0
@@ -743,15 +729,14 @@ def _action_successors(space, domains, e: EventAst, env: dict, action: ActionAst
     a :in assignment fans out over every listed value): the per-state
     reference of ``StateSpace.action_classes``, and the path that reports
     its errors."""
-    per_assign: List[List[Tuple[str, object]]] = []
+    per_assign: list[list[tuple[str, object]]] = []
     for item in action.assigns:
         if item.var not in domains:
             raise DslError(
                 f"event {e.name!r} assigns undeclared variable {item.var!r}", e.line, 1
             )
-        exprs = (item.expr,) if isinstance(item, Assign) else item.choices
         options = []
-        for ex in exprs:
+        for ex in item.choices:
             try:
                 val = eval_expr(ex, env, space.constants)
             except EvalError as exc:

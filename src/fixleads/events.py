@@ -19,21 +19,19 @@ term algebra's per-state reference, which ``Event.apply`` loops over.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 from .states import StateSet, StateSpace, SpaceMismatch, bit_positions
 
-Classes = Tuple[Tuple[int, int], ...]
+Classes = tuple[tuple[int, int], ...]
 
 
 class ModelError(Exception):
     """Malformed event or system (miraculous image, duplicate names, ...)."""
 
 
-def _offset_classes(rel: Dict[int, int], width: int) -> Classes:
+def _offset_classes(rel: dict[int, int], width: int) -> Classes:
     """The edges ``s -> t`` of ``rel``, over indices below ``width``, grouped
     by ``d = t - s``, sorted by ``d``."""
-    rows: Dict[int, bytearray] = {}  # d -> the binary digits of src
+    rows: dict[int, bytearray] = {}  # d -> the binary digits of src
     for s, image in rel.items():
         for t in bit_positions(image):
             row = rows.get(t - s)
@@ -62,7 +60,7 @@ def _post(classes: Classes, mask: int) -> int:
 class Event:
     """A named event: guard set plus successor masks for each guarded state."""
 
-    def __init__(self, name: str, guard: StateSet, rel: Dict[int, int]):
+    def __init__(self, name: str, guard: StateSet, rel: dict[int, int]):
         space = guard.space
         if set(rel) != set(guard):
             raise ModelError(f"event {name!r}: relation domain must equal the guard")
@@ -74,8 +72,8 @@ class Event:
         self.name = name
         self.guard = guard
         self.space = space
-        self._rel: Optional[Dict[int, int]] = dict(rel)
-        self._classes: Optional[Classes] = None  # see classes
+        self._rel: dict[int, int] | None = dict(rel)
+        self._classes: Classes | None = None  # see classes
 
     @classmethod
     def from_classes(cls, name: str, guard: StateSet, classes: Classes) -> "Event":
@@ -96,7 +94,7 @@ class Event:
         return event
 
     @property
-    def rel(self) -> Dict[int, int]:
+    def rel(self) -> dict[int, int]:
         """``{s: successor mask}`` for each guarded state ``s``, in index order:
         the term algebra's per-state reference (``apply``), decoded from the
         classes on first use.  No engine, oracle or command reads it."""
@@ -148,7 +146,7 @@ class Event:
 class EventSystem:
     """An ordered family of events plus an initial-state set."""
 
-    def __init__(self, space: StateSpace, events: List[Event], init: StateSet, name: str = "system"):
+    def __init__(self, space: StateSpace, events: list[Event], init: StateSet, name: str = "system"):
         if not events:
             raise ModelError("a system needs at least one event")
         names = [e.name for e in events]
@@ -166,7 +164,7 @@ class EventSystem:
         self.grd_all = space.empty()
         for e in events:
             self.grd_all = self.grd_all | e.guard
-        self._classes: Optional[Classes] = None  # see classes
+        self._classes: Classes | None = None  # see classes
 
     def event(self, name: str) -> Event:
         for e in self.events:
@@ -178,7 +176,7 @@ class EventSystem:
         """The events' offset classes merged by offset, built on first use:
         loading a model builds none."""
         if self._classes is None:
-            merged: Dict[int, int] = {}
+            merged: dict[int, int] = {}
             for e in self.events:
                 for d, src in e.classes():
                     merged[d] = merged.get(d, 0) | src
@@ -196,7 +194,7 @@ class EventSystem:
             raise SpaceMismatch("postcondition over a different space")
         return StateSet(self.space, self._ax(r.mask))
 
-    def attract(self, a: StateSet, b: StateSet) -> List[StateSet]:
+    def attract(self, a: StateSet, b: StateSet) -> list[StateSet]:
         """The Kleene iterates of ``lfp x. a ∪ (b ∩ AX x)``: ``[∅, x1, ..., xK,
         xK]``, or ``[∅, ∅]`` when ``x1`` is empty.  States without successors
         are in ``AX ∅``, so they join in ``x1``."""
@@ -212,10 +210,6 @@ class EventSystem:
         while x != prev:
             x, prev = a.mask | (b.mask & self._ax(x)), x
         return StateSet(self.space, x)
-
-    def forward_image(self, r: StateSet) -> StateSet:
-        """All one-step successors of states in ``r``."""
-        return StateSet(self.space, _post(self.classes(), r.mask))
 
     def strongest_invariant(self) -> StateSet:
         """Least set containing init and closed under every event: a forward

@@ -7,11 +7,10 @@ operation is total or raises :class:`EvalError`.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Optional, Tuple, Union
 
 from .records import Frozen, setfield
 
-Value = Union[int, bool, str]
+Value = int | bool | str
 
 
 class EvalError(Exception):
@@ -80,10 +79,7 @@ class Or(Frozen):
         setfield(self, "right", right)
 
 
-Expr = Union[IntLit, BoolLit, Name, Arith, Cmp, Not, And, Or]
-
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
+Expr = IntLit | BoolLit | Name | Arith | Cmp | Not | And | Or
 
 
 def _is_int(v: Value) -> bool:
@@ -159,8 +155,8 @@ def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool
 
 # --- Set-valued evaluation ---------------------------------------------------
 
-Key = Tuple[type, Value]  # the type keeps True and 1 apart as dict keys
-Partition = Dict[Key, int]
+Key = tuple[type, Value]  # the type keeps True and 1 apart as dict keys
+Partition = dict[Key, int]
 
 
 class Undecided(Exception):
@@ -173,7 +169,7 @@ _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.
 
 
 def eval_partition(
-    node: Expr, leaves: Dict[str, Optional[Partition]], constants: frozenset, care: int, limit: int
+    node: Expr, leaves: dict[str, Partition | None], constants: frozenset, care: int, limit: int
 ) -> Partition:
     """The states of the mask ``care`` grouped by the value of ``node``:
     ``{(type, value): mask}``, every mask non-empty, disjoint and inside

@@ -10,7 +10,6 @@ can be taken inside the component.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
 
 from .events import EventSystem
 from .records import Record
@@ -20,9 +19,9 @@ from .states import StateSet, bit_positions
 class Counterexample(Record):
     __slots__ = ("kind", "start", "prefix", "cycle", "fairness_witness", "assumption")
 
-    def __init__(self, kind: str, start: int, prefix: Optional[List[Tuple[str, int]]] = None,
-                 cycle: Optional[List[Tuple[str, int]]] = None,
-                 fairness_witness: Optional[Dict[str, int]] = None, assumption: str = "mp"):
+    def __init__(self, kind: str, start: int, prefix: list[tuple[str, int]] | None = None,
+                 cycle: list[tuple[str, int]] | None = None,
+                 fairness_witness: dict[str, int] | None = None, assumption: str = "mp"):
         self.kind = kind  # 'deadlock-path' | 'lasso'
         self.start = start
         self.prefix = [] if prefix is None else prefix
@@ -30,16 +29,14 @@ class Counterexample(Record):
         self.fairness_witness = {} if fairness_witness is None else fairness_witness
         self.assumption = assumption  # lassos need fairness witnesses only under 'wf'
 
-    def states(self) -> List[int]:
+    def states(self) -> list[int]:
         out = [self.start]
         out += [s for _, s in self.prefix]
         out += [s for _, s in self.cycle]
         return out
 
-    def to_json(self, space=None) -> dict:
-        def st(i):
-            return space.state_of(i) if space is not None else i
-
+    def to_json(self, space) -> dict:
+        st = space.state_of
         out = {
             "kind": self.kind,
             "assumption": self.assumption,
@@ -52,11 +49,11 @@ class Counterexample(Record):
         return out
 
 
-def _edges_within(sys: EventSystem, allowed: int) -> Dict[int, List[Tuple[str, int]]]:
+def _edges_within(sys: EventSystem, allowed: int) -> dict[int, list[tuple[str, int]]]:
     """Adjacency (event label, successor) among the ``allowed`` states, read
     off each event's offset classes: a state's edges list the events in
     declaration order and each event's successors ascending."""
-    adj: Dict[int, List[Tuple[str, int]]] = {s: [] for s in bit_positions(allowed)}
+    adj: dict[int, list[tuple[str, int]]] = {s: [] for s in bit_positions(allowed)}
     for e in sys.events:
         for d, src in e.classes():  # sorted by d
             targets = allowed >> d if d >= 0 else allowed << -d
@@ -68,8 +65,8 @@ def _edges_within(sys: EventSystem, allowed: int) -> Dict[int, List[Tuple[str, i
 def _bfs_tree(adj, sources):
     """Parent pointers (pred state, event) and BFS distances for nodes
     reachable from sources."""
-    parent: Dict[int, Optional[Tuple[int, str]]] = {}
-    depth: Dict[int, int] = {}
+    parent: dict[int, tuple[int, str] | None] = {}
+    depth: dict[int, int] = {}
     dq = deque()
     for s in sources:
         if s in adj and s not in parent:
@@ -86,8 +83,8 @@ def _bfs_tree(adj, sources):
     return parent, depth
 
 
-def _path_from_root(parent, node) -> Tuple[int, List[Tuple[str, int]]]:
-    steps: List[Tuple[str, int]] = []
+def _path_from_root(parent, node) -> tuple[int, list[tuple[str, int]]]:
+    steps: list[tuple[str, int]] = []
     cur = node
     while parent[cur] is not None:
         prev, ev = parent[cur]
@@ -97,7 +94,7 @@ def _path_from_root(parent, node) -> Tuple[int, List[Tuple[str, int]]]:
     return cur, steps
 
 
-def _shortest_cycle_through(adj, node) -> List[Tuple[str, int]]:
+def _shortest_cycle_through(adj, node) -> list[tuple[str, int]]:
     """Shortest closed walk from ``node`` back to itself: the BFS tree path to
     the first state, in BFS order, with an edge back to ``node``."""
     parent, _ = _bfs_tree(adj, [node])
@@ -108,13 +105,13 @@ def _shortest_cycle_through(adj, node) -> List[Tuple[str, int]]:
     raise ValueError(f"state {node} is not on a cycle")
 
 
-def _sccs(adj) -> List[List[int]]:
+def _sccs(adj) -> list[list[int]]:
     """Tarjan's algorithm, iterative, deterministic in ascending node order."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    stack: List[int] = []
-    sccs: List[List[int]] = []
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: dict[int, bool] = {}
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     counter = [0]
 
     for root in sorted(adj):
@@ -193,7 +190,7 @@ def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_tr
 
 def oracle_mp(
     sys: EventSystem, a: StateSet, b: StateSet
-) -> Tuple[bool, Optional[Counterexample]]:
+) -> tuple[bool, Counterexample | None]:
     """Trace verdict under minimal progress.
 
     Fails iff from some start in ``a`` there is a maximal run avoiding ``b``:
@@ -216,7 +213,7 @@ def _mp_trap(sys, adj, nearest):
 
 def oracle_wf(
     sys: EventSystem, a: StateSet, b: StateSet
-) -> Tuple[bool, Optional[Counterexample]]:
+) -> tuple[bool, Counterexample | None]:
     """Trace verdict under weak fairness.
 
     Fails iff from some start in ``a`` the avoid-subgraph reaches a deadlock,
@@ -268,16 +265,16 @@ def _fair_cycle(adj, comp_set, anchor, witness_edges):
         s: [(ev, t) for ev, t in adj[s] if t in comp_set] for s in comp_set
     }
 
-    def path(u, v) -> List[Tuple[str, int]]:
+    def path(u, v) -> list[tuple[str, int]]:
         if u == v:
             return []
         parent, _ = _bfs_tree(comp_adj, [u])
         _, steps = _path_from_root(parent, v)
         return steps
 
-    cycle: List[Tuple[str, int]] = []
+    cycle: list[tuple[str, int]] = []
     cur = anchor
-    witness: Dict[str, int] = {}
+    witness: dict[str, int] = {}
     for name in sorted(witness_edges):
         s, t = witness_edges[name]
         cycle += path(cur, s)
@@ -295,14 +292,18 @@ def _fair_cycle(adj, comp_set, anchor, witness_edges):
 def validate_counterexample(
     sys: EventSystem, cx: Counterexample, b: StateSet
 ) -> bool:
-    """Re-check a counterexample against its own structural invariants."""
+    """Re-check a counterexample against its own structural invariants: every
+    state lies in the universe and outside ``b``, and every step is an edge of
+    a declared event."""
     states = cx.states()
-    if any(s in b for s in states):
+    full = sys.space.full_mask
+    if any(s < 0 or not full >> s & 1 or s in b for s in states):
         return False
+    events = {e.name: e for e in sys.events}
     cur = cx.start
     for ev, t in cx.prefix + cx.cycle:
-        e = sys.event(ev)
-        if (e.successors(cur) >> t) & 1 == 0:
+        e = events.get(ev)
+        if e is None or (e.successors(cur) >> t) & 1 == 0:
             return False
         cur = t
     if cx.kind == "deadlock-path":

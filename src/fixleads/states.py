@@ -14,7 +14,7 @@ import math
 import warnings
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Iterator, Sequence
 
 from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
 from .records import Frozen, setfield
@@ -34,7 +34,7 @@ class SpaceMismatch(Exception):
 class VarDecl(Frozen):
     __slots__ = ("name", "domain")
 
-    def __init__(self, name: str, domain: Tuple[Value, ...]):
+    def __init__(self, name: str, domain: tuple[Value, ...]):
         if not domain:
             raise SpaceError(f"variable {name!r} has an empty domain")
         if len(set(domain)) != len(domain):
@@ -61,7 +61,7 @@ class StateSpace:
     def __init__(
         self,
         vars: Sequence[VarDecl],
-        invariant: Optional[Expr] = None,
+        invariant: Expr | None = None,
         cap: int = DEFAULT_STATE_CAP,
     ):
         names = [v.name for v in vars]
@@ -79,16 +79,16 @@ class StateSpace:
                 f"state space has {raw} raw states; fixpoint checks may be slow",
                 stacklevel=2,
             )
-        self.vars: Tuple[VarDecl, ...] = tuple(vars)
+        self.vars: tuple[VarDecl, ...] = tuple(vars)
         self.raw_size: int = raw
         self.constants: frozenset = frozenset(
             val for v in vars for val in v.domain if isinstance(val, str)
         )
         # mixed radix, first declared variable least significant
-        self._stride: Dict[str, int] = {
+        self._stride: dict[str, int] = {
             v.name: math.prod(len(w.domain) for w in vars[:k]) for k, v in enumerate(vars)
         }
-        self.value_masks: Dict[str, Optional[Partition]] = {
+        self.value_masks: dict[str, Partition | None] = {
             v.name: _value_masks(v.domain, self._stride[v.name], raw)
             if len(v.domain) ** 2 <= raw else None
             for v in self.vars
@@ -108,30 +108,30 @@ class StateSpace:
         self.size: int = self.full_mask.bit_count()
 
     @cached_property
-    def states(self) -> Tuple[Tuple[Value, ...], ...]:
+    def states(self) -> tuple[tuple[Value, ...], ...]:
         """The values of each raw state, in declaration order, by index; the
         indices outside ``full_mask`` name no state."""
         return tuple(t[::-1] for t in itertools.product(*(v.domain for v in reversed(self.vars))))
 
     @cached_property
-    def _index(self) -> Dict[Tuple[Value, ...], int]:
+    def _index(self) -> dict[tuple[Value, ...], int]:
         states = self.states
         return {states[i]: i for i in bit_positions(self.full_mask)}
 
     @cached_property
-    def state_texts(self) -> List[str]:
+    def state_texts(self) -> list[str]:
         """The JSON text of each raw state's object, ``json.dumps`` of
         :meth:`state_of`, by index; built on first use."""
         return _joined([[f"{json.dumps(v.name)}: {json.dumps(val)}" for val in v.domain]
                         for v in self.vars], "{", "}")
 
     @cached_property
-    def row_texts(self) -> List[str]:
+    def row_texts(self) -> list[str]:
         """The JSON text of each raw state's values as a certificate row,
         ``json.dumps`` of the list of its values, by index; built on first use."""
         return _joined([[json.dumps(val) for val in v.domain] for v in self.vars], "[", "]")
 
-    def partition(self, expr: Expr, care: Optional[int] = None) -> Partition:
+    def partition(self, expr: Expr, care: int | None = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
         ``expr``; raises :class:`Undecided` where the partition evaluator
         cannot decide it, and the caller falls back to a per-state loop."""
@@ -139,8 +139,8 @@ class StateSpace:
         return eval_partition(expr, self.value_masks, self.constants, care, self.raw_size)
 
     def action_classes(
-        self, branches: Sequence[Sequence[Tuple[str, Sequence[Expr]]]], guard: int
-    ) -> Tuple[Tuple[int, int], ...]:
+        self, branches: Sequence[Sequence[tuple[str, Sequence[Expr]]]], guard: int
+    ) -> tuple[tuple[int, int], ...]:
         """The offset classes ``((d, src), ...)``, sorted by ``d``, of an event
         enabled on the mask ``guard`` that runs one of ``branches``, each a
         list of parallel assignments ``(variable, choices)`` setting the
@@ -155,7 +155,7 @@ class StateSpace:
         ``full_mask``; the per-state loop then reports the error."""
         if not guard:
             return ()
-        merged: Dict[int, int] = {}  # move -> the states that take it
+        merged: dict[int, int] = {}  # move -> the states that take it
         for assigns in branches:
             moves = {0: guard}
             for var, choices in assigns:
@@ -163,7 +163,7 @@ class StateSpace:
                 if old is None:  # undeclared, or without value masks
                     raise Undecided(f"no value masks for {var!r}")
                 pos = {key: p for p, key in enumerate(old)}
-                step: Dict[int, int] = {}
+                step: dict[int, int] = {}
                 for expr in choices:
                     for key, m in self.partition(expr, guard).items():
                         if key not in pos:
@@ -212,7 +212,7 @@ class StateSpace:
             mask |= 1 << i
         return StateSet(self, mask)
 
-    def _find(self, values: Sequence[Value]) -> Optional[int]:
+    def _find(self, values: Sequence[Value]) -> int | None:
         row = tuple(values)
         try:
             i = self._index.get(row)
@@ -223,7 +223,7 @@ class StateSpace:
         return i
 
     @cached_property
-    def _kinds(self) -> Tuple[set, ...]:
+    def _kinds(self) -> tuple[set, ...]:
         # each variable's one value type; none where its domain mixes types
         kinds = [{type(val) for val in v.domain} for v in self.vars]
         return tuple(k if len(k) == 1 else set() for k in kinds)
@@ -250,7 +250,7 @@ class StateSpace:
         return f"StateSpace({decls}; {self.size} states)"
 
 
-def _joined(pieces: List[List[str]], open_: str, close: str) -> List[str]:
+def _joined(pieces: list[list[str]], open_: str, close: str) -> list[str]:
     """The text of every raw state, by index: one piece per variable, in
     declaration order, between ``open_`` and ``close``, where ``pieces[k]``
     lists variable ``k``'s piece for each domain value.  Index order puts
@@ -276,7 +276,7 @@ def _tile(block: int, width: int, count: int) -> int:
     return out
 
 
-def _value_masks(domain: Tuple[Value, ...], stride: int, raw: int) -> Partition:
+def _value_masks(domain: tuple[Value, ...], stride: int, raw: int) -> Partition:
     """The raw index's partition by one variable's value: value ``p`` holds
     on runs of ``stride`` states, one per ``stride * len(domain)``."""
     period = stride * len(domain)
@@ -284,9 +284,9 @@ def _value_masks(domain: Tuple[Value, ...], stride: int, raw: int) -> Partition:
     return {(type(val), val): first << (p * stride) for p, val in enumerate(domain)}
 
 
-def _add_moves(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+def _add_moves(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel."""
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     for d1, m1 in a.items():
         for d2, m2 in b.items():
             m = m1 & m2
@@ -295,7 +295,7 @@ def _add_moves(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def bit_positions(mask: int) -> List[int]:
+def bit_positions(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
@@ -403,7 +403,7 @@ class StateRows(StateSet):
         return _spliced(self.space.row_texts, self)
 
 
-def _spliced(texts: List[str], indices) -> str:
+def _spliced(texts: list[str], indices) -> str:
     return "[" + ", ".join(map(texts.__getitem__, indices)) + "]"
 
 

@@ -9,7 +9,7 @@ meaning comes from the pairing condition ``apply = liberal ∩ pre``.
 """
 from __future__ import annotations
 
-from typing import Callable, List, Tuple, Union
+from collections.abc import Callable
 
 from .records import Frozen, setfield
 from .states import StateSet, SpaceMismatch
@@ -72,7 +72,7 @@ class Rel(Frozen):
         setfield(self, "event", event)
 
 
-Transformer = Union[Skip, Guard, Precond, Choice, Seq, Dovetail, Rel]
+Transformer = Skip | Guard | Precond | Choice | Seq | Dovetail | Rel
 
 
 def system_choice(sys) -> Transformer:
@@ -151,7 +151,7 @@ class IterateTrace(Frozen):
 
     __slots__ = ("steps", "kind")
 
-    def __init__(self, steps: Tuple[StateSet, ...], kind: str):
+    def __init__(self, steps: tuple[StateSet, ...], kind: str):
         setfield(self, "steps", steps)
         setfield(self, "kind", kind)  # 'least' | 'greatest'
 
@@ -174,18 +174,18 @@ class IterateTrace(Frozen):
         }
 
 
-def lfp(f: Callable[[StateSet], StateSet], space) -> Tuple[StateSet, IterateTrace]:
+def lfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
     """Least fixpoint of a monotone function by Kleene iteration from ∅."""
     return _iterate(f, space.empty(), "least", space.size)
 
 
-def gfp(f: Callable[[StateSet], StateSet], space) -> Tuple[StateSet, IterateTrace]:
+def gfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
     """Greatest fixpoint by Kleene iteration from the universe."""
     return _iterate(f, space.universe(), "greatest", space.size)
 
 
 def _iterate(f, start: StateSet, kind: str, size: int):
-    steps: List[StateSet] = [start]
+    steps: list[StateSet] = [start]
     current = start
     for _ in range(size + 1):
         nxt = f(current)

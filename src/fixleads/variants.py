@@ -1,7 +1,7 @@
 """Natural-number variant functions and the variant-decrease termination rule."""
 from __future__ import annotations
 
-from typing import Callable, Dict
+from collections.abc import Callable
 
 from .states import StateSet, StateSpace, bit_positions
 from .transformers import lfp
@@ -15,7 +15,7 @@ class VariantError(Exception):
 class VariantFn:
     """A total map from states to naturals, with its level and below sets."""
 
-    def __init__(self, space: StateSpace, table: Dict[int, int], name: str = "variant"):
+    def __init__(self, space: StateSpace, table: dict[int, int], name: str = "variant"):
         if set(table) != set(bit_positions(space.full_mask)):
             raise VariantError("variant must be total on the universe")
         for s, val in table.items():
@@ -23,13 +23,13 @@ class VariantFn:
                 raise VariantError(
                     f"variant is negative ({val}) at state {space.state_of(s)!r}"
                 )
-        levels: Dict[int, int] = {}
+        levels: dict[int, int] = {}
         for s, val in table.items():
             levels[val] = levels.get(val, 0) | (1 << s)
         self._init(space, levels, name)
 
     @classmethod
-    def from_levels(cls, space: StateSpace, levels: Dict[int, int], name: str = "variant"):
+    def from_levels(cls, space: StateSpace, levels: dict[int, int], name: str = "variant"):
         """The variant whose level ``n`` is the mask ``levels[n]``: non-empty,
         disjoint masks covering the universe, for naturals ``n``."""
         union = 0
@@ -43,22 +43,11 @@ class VariantFn:
         variant._init(space, dict(levels), name)
         return variant
 
-    def _init(self, space: StateSpace, levels: Dict[int, int], name: str) -> None:
+    def _init(self, space: StateSpace, levels: dict[int, int], name: str) -> None:
         self.space = space
         self.name = name
         self.max_value = max(levels)
         self._levels = levels
-
-    @classmethod
-    def from_function(cls, space: StateSpace, fn: Callable[[dict], int], name: str = "variant"):
-        states = bit_positions(space.full_mask)
-        return cls(space, {i: fn(space.state_of(i)) for i in states}, name)
-
-    def value_at(self, state_index: int) -> int:
-        for val, mask in self._levels.items():
-            if mask >> state_index & 1:
-                return val
-        raise VariantError(f"state index {state_index} out of range")
 
     def level_set(self, n: int) -> StateSet:
         """States whose variant value is exactly ``n``."""

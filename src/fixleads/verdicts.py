@@ -1,8 +1,6 @@
 """Verdict values returned by every property check."""
 from __future__ import annotations
 
-from typing import Optional
-
 from .records import Record
 from .states import StateSet
 from .transformers import IterateTrace
@@ -17,9 +15,9 @@ class Verdict(Record):
 
     __slots__ = ("holds", "relation", "fixpoint", "trace", "details", "fair_deltas")
 
-    def __init__(self, holds: bool, relation: str, fixpoint: Optional[StateSet] = None,
-                 trace: Optional[IterateTrace] = None, details: Optional[dict] = None,
-                 fair_deltas: Optional[tuple] = None):
+    def __init__(self, holds: bool, relation: str, fixpoint: StateSet | None = None,
+                 trace: IterateTrace | None = None, details: dict | None = None,
+                 fair_deltas: tuple | None = None):
         self.holds = holds
         self.relation = relation
         self.fixpoint = fixpoint

@@ -8,8 +8,6 @@ again a least fixpoint over fair steps.
 """
 from __future__ import annotations
 
-from typing import Tuple
-
 from .events import Event, EventSystem
 from .mp import leadsto_mp, mp_step
 from .states import StateSet
@@ -43,7 +41,7 @@ def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> S
     return fair_loop(sys, q, g, r)
 
 
-FairDeltas = Tuple[Tuple[str, StateSet], ...]
+FairDeltas = tuple[tuple[str, StateSet], ...]
 
 
 def fair_deltas(sys: EventSystem, r: StateSet) -> FairDeltas:

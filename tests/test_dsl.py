@@ -4,12 +4,14 @@ import os
 import pytest
 
 from fixleads.dsl import (
+    Assign,
     DslError,
     elaborate,
     load_file,
     parse,
     print_spec,
 )
+from fixleads.exprs import Arith, IntLit, Name
 from fixleads.states import StateSet
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -81,7 +83,7 @@ def test_elaborate_mono3_relations():
     assert sorted(inc.guard) == [sp.index_of({"x": 0}), sp.index_of({"x": 1})]
     assert inc.rel[sp.index_of({"x": 0})] == 1 << sp.index_of({"x": 1})
     assert "togo" in elab.variants
-    assert elab.variants["togo"].value_at(sp.index_of({"x": 0})) == 2
+    assert sp.index_of({"x": 0}) in elab.variants["togo"].level_set(2)
 
 
 def test_choose_from_set_fans_out():
@@ -157,6 +159,19 @@ def test_parse_print_parse_is_stable():
         again = parse(printed)
         assert print_spec(again) == printed
         assert again == ast, name
+
+
+def test_assignment_forms_parse_to_one_node():
+    head = "system s\nvar x : 0 .. 2\nvar y : 0 .. 1\nevent e then "
+    single = parse(head + "x := x + 1\n")
+    assert single.events[0].actions[0].assigns == (
+        Assign("x", (Arith("+", Name("x"), IntLit(1)),)),)
+    assert parse(head + "x :in {x + 1}\n") == single
+    assert "then x := x + 1\n" in print_spec(single)
+    several = parse(head + "x :in {0, x}, y := 1\n")
+    printed = print_spec(several)
+    assert "then x :in {0, x}, y := 1\n" in printed
+    assert parse(printed) == several
 
 
 def test_elaboration_errors():

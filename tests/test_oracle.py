@@ -102,6 +102,23 @@ def test_validator_rejects_corrupt_counterexamples(idle):
     assert not validate_counterexample(idle, bad, xs(idle, 1))
 
 
+def test_validator_rejects_states_and_events_outside_the_model():
+    elab = load_file(os.path.join(DATA, "triangle3.evt"))
+    sys_, space = elab.system, elab.system.space
+    back = next(p for p in elab.properties if p.name == "back")
+    ok, cx = oracle_wf(sys_, back.p, back.q)
+    assert not ok and cx.kind == "deadlock-path" and cx.prefix
+    assert validate_counterexample(sys_, cx, back.q)
+    # index 4 is c0 = 0, c1 = 1: a hole of the invariant, outside every guard
+    assert not space.full_mask >> 4 & 1 and space.raw_size == 64
+    for start in (4, space.raw_size + 5, -1):
+        bad = Counterexample("deadlock-path", start, assumption="wf")
+        assert not validate_counterexample(sys_, bad, back.q)
+    ghost = [("ghost", cx.prefix[0][1])] + cx.prefix[1:]
+    bad = Counterexample("deadlock-path", cx.start, ghost, assumption="wf")
+    assert not validate_counterexample(sys_, bad, back.q)
+
+
 def _adjacency_from_rel(sys_, allowed):
     """``_edges_within`` read from the per-state relation: each allowed
     state's edges into ``allowed``, events in declaration order, each

@@ -10,7 +10,6 @@ from fixleads.cli import Claim
 from fixleads.dsl import (
     ActionAst,
     Assign,
-    ChooseAssign,
     Domain,
     Elaborated,
     EventAst,
@@ -51,8 +50,8 @@ def _frozen_records():
         Skip(), Guard(s, Skip()), Precond(s, Skip()), Choice(Skip(), Skip()),
         Seq(Skip(), Skip()), Dovetail(Skip(), Skip()), Rel("e"), IterateTrace((s,), "least"),
         Basic(s, s, "mp"), Trans(Skip(), Skip()), Disj((), s), Claim(s, s, "mp", "mp"),
-        Domain("bool"), VarDeclAst("x", Domain("bool")), Assign("x", ONE),
-        ChooseAssign("x", (ONE,)), ActionAst(()), EventAst("e", None, ()),
+        Domain("bool"), VarDeclAst("x", Domain("bool")), Assign("x", (ONE,)),
+        ActionAst(()), EventAst("e", None, ()),
         VariantAst("v", X), PropertyAst("p", "leadsto", X, X, "mp"), Token("int", "1", 1, 1),
     ]
 

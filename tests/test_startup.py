@@ -12,8 +12,9 @@ from test_bench_bindings import _targets
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # a start-up cost with no use at run time: ``dataclasses`` alone pulls in
-# ``inspect``, ``ast``, ``dis`` and ``copy``
-HEAVY = ["dataclasses", "inspect", "ast", "dis", "copy", "traceback"]
+# ``inspect``, ``ast``, ``dis`` and ``copy``; ``typing`` would only spell
+# annotations, which ``from __future__ import annotations`` never evaluates
+HEAVY = ["dataclasses", "inspect", "ast", "dis", "copy", "traceback", "typing"]
 
 
 def _loaded(statement: str, names) -> dict:

@@ -33,10 +33,14 @@ def test_variant_validation():
         VariantFn(sp, {0: 0, 1: -1, 2: 0})  # negative
 
 
-def test_from_function():
-    sp = make_space(4)
-    v = VariantFn.from_function(sp, lambda st_: 3 - st_["x"])
-    assert v.value_at(0) == 3 and v.value_at(3) == 0
+def test_table_levels_on_a_space_with_holes():
+    sp = make_space(4, holes=[1])
+    v = VariantFn(sp, {i: 3 - sp.state_of(i)["x"] for i in sp.universe()})
+    assert sorted(v.level_set(3)) == [0] and sorted(v.level_set(0)) == [3]
+    assert v.level_set(2).is_empty()  # the hole's level holds no state
+    assert sorted(v.below_set(2)) == [2, 3]
+    with pytest.raises(VariantError):
+        VariantFn(sp, {0: 3, 1: 2, 2: 1, 3: 0})  # keyed on the hole
 
 
 @settings(max_examples=60, deadline=None)
