@@ -612,13 +612,7 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
         space = StateSpace(decls, ast.invariant, cap)
     except (SpaceError, EvalError) as exc:
         raise DslError(str(exc)) from exc
-    # keyed by (type, value) so bool domains do not admit 0/1 via int equality
-    domains = {
-        v.name: {(type(val), val) for val in d.domain}
-        for v, d in zip(ast.vars, decls)
-    }
-
-    events = [_elaborate_event(space, domains, e) for e in ast.events]
+    events = [_elaborate_event(space, e) for e in ast.events]
     if not events:
         raise DslError(f"system {ast.name!r} declares no events")
 
@@ -702,7 +696,7 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
     return VariantFn(space, table, v.name)
 
 
-def _elaborate_event(space: StateSpace, domains: dict[str, set], e: EventAst) -> Event:
+def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
     branches = [[(item.var, item.choices) for item in action.assigns] for action in e.actions]
     try:
@@ -717,31 +711,32 @@ def _elaborate_event(space: StateSpace, domains: dict[str, set], e: EventAst) ->
             env = space.state_of(i)
             image = 0
             for action in e.actions:
-                image |= _action_successors(space, domains, e, env, action)
+                image |= _action_successors(space, e, env, action)
             rel[i] = image
         return Event(e.name, guard, rel)
     except ModelError as exc:
         raise DslError(str(exc), e.line, 1) from exc
 
 
-def _action_successors(space, domains, e: EventAst, env: dict, action: ActionAst) -> int:
+def _action_successors(space: StateSpace, e: EventAst, env: dict, action: ActionAst) -> int:
     """Successor mask of one action branch at one pre-state (parallel assigns;
     a :in assignment fans out over every listed value): the per-state
     reference of ``StateSpace.action_classes``, and the path that reports
-    its errors."""
+    its errors.  A value is in its variable's domain when its ``(type,
+    value)`` key is, so a bool variable admits no 0 or 1."""
     per_assign: list[list[tuple[str, object]]] = []
     for item in action.assigns:
-        if item.var not in domains:
-            raise DslError(
-                f"event {e.name!r} assigns undeclared variable {item.var!r}", e.line, 1
-            )
+        offsets = space.offsets.get(item.var)
+        if offsets is None:
+            raise DslError(f"event {e.name!r} assigns undeclared variable {item.var!r}",
+                           e.line, 1)
         options = []
         for ex in item.choices:
             try:
                 val = eval_expr(ex, env, space.constants)
             except EvalError as exc:
                 raise DslError(f"event {e.name!r}: {exc}", e.line, 1) from exc
-            if (type(val), val) not in domains[item.var]:
+            if (type(val), val) not in offsets:
                 raise DslError(
                     f"event {e.name!r} assigns {item.var} := {val!r}, "
                     f"outside its domain (at state {env!r})",

@@ -27,8 +27,7 @@ def ensures_mp(sys: EventSystem, p: StateSet, q: StateSet) -> Verdict:
 def leadsto_mp(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     # lfp x. b ∪ mp_step(x), iterate by iterate
     trace = IterateTrace(tuple(sys.attract(b, sys.grd_all)), "least")
-    fix = trace.value
-    return Verdict(holds=a.is_subset(fix), relation="T_m", fixpoint=fix, trace=trace)
+    return Verdict(holds=a.is_subset(trace.value), relation="T_m", trace=trace)
 
 
 def leadsto_mp_si(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:

@@ -1,14 +1,13 @@
 """Finite state universe enumeration and the bitset algebra over it.
 
-A :class:`StateSpace` enumerates every assignment of the declared variables
-and fixes a stable index codec: mixed radix, first declared variable least
-significant.  An invariant predicate only restricts the universe: it is the
-mask ``full_mask`` over that index, which may have holes.  All set values
-downstream are :class:`StateSet` bitmasks inside it.
+A :class:`StateSpace` numbers every assignment of the declared variables by
+one arithmetic codec, with no table of states: mixed radix, first declared
+variable least significant, so a state *is* its index.  An invariant only
+restricts the universe: it is the mask ``full_mask`` over that index, which
+may have holes.  All set values downstream are :class:`StateSet` bitmasks.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -16,7 +15,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from collections.abc import Iterator, Sequence
 
-from .exprs import Expr, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
+from .exprs import Expr, Key, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
 from .records import Frozen, setfield
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -47,9 +46,12 @@ class StateSpace:
     """Immutable enumeration of all states, each at its mixed-radix index.
 
     ``size`` counts the states: the indices inside ``full_mask``, out of
-    ``raw_size``.  Besides the states, a space keeps ``value_masks``: for
-    each variable, the partition of the raw index by its value,
-    ``{(type, value): mask}`` in domain order (see
+    ``raw_size``.  The raw state ``i`` gives each variable the value
+    ``domain[i // stride % len(domain)]``, and a row of values is the sum of
+    their ``offsets``: each variable maps its ``(type, value)`` keys to
+    their position in its domain times its stride.  A space also keeps
+    ``value_masks``: for each variable, the partition of the raw index by
+    its value, ``{(type, value): mask}`` in domain order (see
     :func:`exprs.eval_partition`), the leaves from which
     :meth:`partition` evaluates an expression on every state at once.  Its
     one bound is the raw state count ``N``, the product of the domain sizes:
@@ -64,14 +66,11 @@ class StateSpace:
         invariant: Expr | None = None,
         cap: int = DEFAULT_STATE_CAP,
     ):
-        names = [v.name for v in vars]
-        if len(set(names)) != len(names):
+        if len({v.name for v in vars}) != len(vars):
             raise SpaceError("duplicate variable names")
         if not vars:
             raise SpaceError("at least one variable is required")
-        raw = 1
-        for v in vars:
-            raw *= len(v.domain)
+        raw = math.prod(len(v.domain) for v in vars)
         if raw > cap:
             raise SpaceError(f"state space has {raw} raw states, cap is {cap}")
         if raw > WARN_STATE_THRESHOLD:
@@ -84,39 +83,28 @@ class StateSpace:
         self.constants: frozenset = frozenset(
             val for v in vars for val in v.domain if isinstance(val, str)
         )
-        # mixed radix, first declared variable least significant
-        self._stride: dict[str, int] = {
-            v.name: math.prod(len(w.domain) for w in vars[:k]) for k, v in enumerate(vars)
+        # mixed radix, first declared variable least significant: each
+        # variable's name, domain, stride and radix
+        self._digits = [(v.name, v.domain, math.prod(len(w.domain) for w in vars[:k]),
+                         len(v.domain)) for k, v in enumerate(vars)]
+        self.offsets: dict[str, dict[Key, int]] = {
+            name: {(type(val), val): p * stride for p, val in enumerate(domain)}
+            for name, domain, stride, _ in self._digits
         }
         self.value_masks: dict[str, Partition | None] = {
-            v.name: _value_masks(v.domain, self._stride[v.name], raw)
-            if len(v.domain) ** 2 <= raw else None
-            for v in self.vars
+            name: _value_masks(domain, stride, raw) if radix ** 2 <= raw else None
+            for name, domain, stride, radix in self._digits
         }
         self.full_mask: int = (1 << raw) - 1
         if invariant is not None:
             try:
                 keep = true_mask(self.partition(invariant))
             except Undecided:
-                keep = 0
-                for i, vals in enumerate(self.states):
-                    if eval_bool(invariant, dict(zip(names, vals)), self.constants):
-                        keep |= 1 << i
+                keep = eval_pred(self, invariant).mask
             if not keep:
                 raise SpaceError("invariant leaves no states in the universe")
             self.full_mask = keep
         self.size: int = self.full_mask.bit_count()
-
-    @cached_property
-    def states(self) -> tuple[tuple[Value, ...], ...]:
-        """The values of each raw state, in declaration order, by index; the
-        indices outside ``full_mask`` name no state."""
-        return tuple(t[::-1] for t in itertools.product(*(v.domain for v in reversed(self.vars))))
-
-    @cached_property
-    def _index(self) -> dict[tuple[Value, ...], int]:
-        states = self.states
-        return {states[i]: i for i in bit_positions(self.full_mask)}
 
     @cached_property
     def state_texts(self) -> list[str]:
@@ -147,7 +135,7 @@ class StateSpace:
         variable to one of the expressions' values, with no per-state step.
 
         On the raw index, setting ``x`` from ``u`` to ``v`` moves a state by
-        ``(pos v - pos u) * stride x``: each assignment partitions the guard
+        ``offsets[x][v] - offsets[x][u]``: each assignment partitions the guard
         by its move, parallel assignments add their moves and the choices and
         branches take the union.  Raises :class:`Undecided` where the
         partitions cannot decide some assignment on the guard, and
@@ -162,16 +150,16 @@ class StateSpace:
                 old = self.value_masks.get(var)
                 if old is None:  # undeclared, or without value masks
                     raise Undecided(f"no value masks for {var!r}")
-                pos = {key: p for p, key in enumerate(old)}
+                offset = self.offsets[var]
                 step: dict[int, int] = {}
                 for expr in choices:
                     for key, m in self.partition(expr, guard).items():
-                        if key not in pos:
+                        if key not in offset:
                             raise Undecided(f"{var} := {key[1]!r} is outside its domain")
-                        for p, old_mask in enumerate(old.values()):
+                        for old_key, old_mask in old.items():
                             moved = m & old_mask
                             if moved:
-                                d = (pos[key] - p) * self._stride[var]
+                                d = offset[key] - offset[old_key]
                                 step[d] = step.get(d, 0) | moved
                 if len(moves) * len(step) > self.raw_size:
                     raise Undecided("partition larger than the state count")
@@ -187,49 +175,46 @@ class StateSpace:
         return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
 
     def index_of_row(self, values: Sequence[Value]) -> int:
-        """Index of the state whose values, in declaration order, are ``values``,
-        each of the type it has in its domain: ``False == 0`` and ``1.0 == 1``,
-        but neither names a state of an int or a bool variable."""
-        i = self._find(values)
+        """Index of the state whose values, in declaration order, are ``values``:
+        the sum of their offsets, each of the type it has in its domain, so
+        neither ``False`` nor ``1.0`` names a state of an int variable."""
+        i = self._encode(values)
         if i is None:
             raise SpaceError(f"values {list(values)!r} are not a state")
         return i
 
+    def _encode(self, row: Sequence[Value]) -> int | None:
+        # None for a wrong width, a value outside its domain or a hole
+        try:
+            i = sum([offset[type(val), val]
+                     for offset, val in zip(self.offsets.values(), row, strict=True)])
+        except (KeyError, TypeError, ValueError):
+            return None
+        return i if self.full_mask >> i & 1 else None
+
     def from_rows(self, rows: Sequence[Sequence[Value]]) -> "StateSet":
         """The states whose values are ``rows``, each row matched as
         :meth:`index_of_row` matches it; raises :class:`SpaceError` naming the
-        first row that is no state.  Where every value of each column has its
-        variable's one type, the rows are looked up by value alone, in one
-        pass; otherwise row by row."""
-        if all(kind >= {*map(type, col)} for kind, col in zip(self._kinds, zip(*rows))):
-            found = list(map(self._index.get, map(tuple, rows)))
-        else:
-            found = list(map(self._find, rows))
-        if None in found:
-            raise SpaceError(f"row {list(rows[found.index(None)])!r} is not a state")
-        mask = 0
-        for i in found:
-            mask |= 1 << i
-        return StateSet(self, mask)
-
-    def _find(self, values: Sequence[Value]) -> int | None:
-        row = tuple(values)
-        try:
-            i = self._index.get(row)
-        except TypeError:  # an unhashable value
-            return None
-        if i is None or tuple(map(type, row)) != tuple(map(type, self.states[i])):
-            return None
-        return i
-
-    @cached_property
-    def _kinds(self) -> tuple[set, ...]:
-        # each variable's one value type; none where its domain mixes types
-        kinds = [{type(val) for val in v.domain} for v in self.vars]
-        return tuple(k if len(k) == 1 else set() for k in kinds)
+        first row that is no state.  The rows are encoded column by column,
+        and one test of the mask against ``full_mask`` finds any hole; only
+        when some row fails are they encoded again one by one, to name it."""
+        index = None
+        if {*map(len, rows)} <= {len(self.vars)}:
+            try:  # each column's offsets, added up row by row
+                columns = [map(offset.__getitem__, zip(map(type, col), col))
+                           for offset, col in zip(self.offsets.values(), zip(*rows))]
+                index = list(map(sum, zip(*columns)))
+            except (KeyError, TypeError):  # a value outside its domain, or unhashable
+                index = None
+        if index is not None:
+            mask = _mask_of(index, self.raw_size)
+            if not mask & ~self.full_mask:
+                return StateSet(self, mask)
+        bad = next(row for row in rows if self._encode(row) is None)
+        raise SpaceError(f"row {list(bad)!r} is not a state")
 
     def state_of(self, index: int) -> dict:
-        return dict(zip((v.name for v in self.vars), self.states[index]))
+        return {name: domain[index // stride % radix] for name, domain, stride, radix in self._digits}
 
     def empty(self) -> "StateSet":
         return StateSet(self, 0)
@@ -260,6 +245,14 @@ def _joined(pieces: list[list[str]], open_: str, close: str) -> list[str]:
     for values in pieces[1:]:
         table = [t + p for p in [", " + p for p in values] for t in table]
     return [t + close for t in table]
+
+
+def _mask_of(indices: list[int], width: int) -> int:
+    # set in bytes: or-ing each bit into an int would cost the int's width
+    buf = bytearray((width + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _tile(block: int, width: int, count: int) -> int:
@@ -397,7 +390,7 @@ class StateRows(StateSet):
     __slots__ = ()
 
     def to_json(self) -> list:
-        return [list(self.space.states[i]) for i in self]
+        return [list(self.space.state_of(i).values()) for i in self]
 
     def json_text(self) -> str:
         return _spliced(self.space.row_texts, self)
@@ -435,9 +428,6 @@ def _key(key) -> str:
 
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:
     """The set of states satisfying ``pred``."""
-    mask = 0
-    names = [v.name for v in space.vars]
-    for i in bit_positions(space.full_mask):
-        if eval_bool(pred, dict(zip(names, space.states[i])), space.constants):
-            mask |= 1 << i
-    return StateSet(space, mask)
+    members = [i for i in bit_positions(space.full_mask)
+               if eval_bool(pred, space.state_of(i), space.constants)]
+    return StateSet(space, _mask_of(members, space.raw_size))

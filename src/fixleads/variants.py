@@ -88,14 +88,14 @@ def rule_verdict(
 ) -> Verdict:
     """The verdict of a sufficient rule whose antecedents ``holds``, with the
     failed ones in ``details``.  When they hold, the conclusion is verified
-    against ``direct()``, the direct fixpoint verdict, whose fixpoint and trace
-    the verdict carries; a disagreement is a defect, not a verdict."""
+    against ``direct()``, the direct fixpoint verdict, whose trace (and so
+    fixpoint) the verdict carries; a disagreement is a defect, not a verdict."""
     v = Verdict(holds=holds, relation=relation, details=details)
     if holds:
         conclusion = direct()
         if not conclusion.holds:
             raise SelfCheckDefect(f"{relation}: antecedents passed but the conclusion fails")
-        v.fixpoint, v.trace = conclusion.fixpoint, conclusion.trace
+        v.trace = conclusion.trace
     return v
 
 
@@ -115,6 +115,6 @@ def check_variant_theorem(
 
     def direct() -> Verdict:
         fix, trace = lfp(f, p.space)
-        return Verdict(holds=p.is_subset(fix), relation="lfp", fixpoint=fix, trace=trace)
+        return Verdict(holds=p.is_subset(fix), relation="lfp", trace=trace)
 
     return rule_verdict("variant-theorem", not details, details, direct)

@@ -13,25 +13,26 @@ class Verdict(Record):
     (``wf.fair_deltas`` of each iterate), which ``explain`` reads; it is
     never part of the report."""
 
-    __slots__ = ("holds", "relation", "fixpoint", "trace", "details", "fair_deltas")
+    __slots__ = ("holds", "relation", "trace", "details", "fair_deltas")
 
-    def __init__(self, holds: bool, relation: str, fixpoint: StateSet | None = None,
-                 trace: IterateTrace | None = None, details: dict | None = None,
-                 fair_deltas: tuple | None = None):
+    def __init__(self, holds: bool, relation: str, trace: IterateTrace | None = None,
+                 details: dict | None = None, fair_deltas: tuple | None = None):
         self.holds = holds
         self.relation = relation
-        self.fixpoint = fixpoint
         self.trace = trace
         self.details = {} if details is None else details
         self.fair_deltas = fair_deltas
+
+    @property
+    def fixpoint(self) -> StateSet | None:  # the trace's last iterate
+        return None if self.trace is None else self.trace.value
 
     def to_json(self) -> dict:
         """The report entry, with every set still a :class:`StateSet`, which
         ``states.json_line`` writes as its ``to_json()`` list."""
         out = {"holds": self.holds, "relation": self.relation}
-        if self.fixpoint is not None:
-            out["fixpoint"] = self.fixpoint
         if self.trace is not None:
+            out["fixpoint"] = self.fixpoint
             out["trace"] = self.trace.to_json()
         if self.details:
             out["details"] = dict(self.details)

@@ -18,13 +18,20 @@ from .verdicts import SelfCheckDefect, Verdict
 
 def fair_loop(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
     """Start states from which looping the system, with ``g`` fairly scheduled
-    and guaranteed to reach ``r``, terminates in ``q``."""
+    and guaranteed to reach ``r``, terminates in ``q``.  It is ``q`` itself
+    when ``g.guarded_apply(r)``, where ``g`` is enabled and only steps into
+    ``r``, lies inside ``q``."""
+    stay = g.guarded_apply(r)
+    if stay.is_subset(q):
+        # the gfp's step below is then constantly q; at the full postcondition
+        # stay is grd g, and the termination set's step adds ¬AX q ∩ AX q = ∅
+        return q
     if r.is_universe():
         # at the full postcondition the liberal side is trivial, so the
         # demonic loop coincides with its termination set
         return fair_loop_termination(sys, q, g)
     # gfp x. q ∪ (g.guarded_apply(r) ∩ AX x)
-    return sys.weak_attract(q, g.guarded_apply(r))
+    return sys.weak_attract(q, stay)
 
 
 def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
@@ -48,11 +55,9 @@ def fair_deltas(sys: EventSystem, r: StateSet) -> FairDeltas:
     """Each event whose fair loop to ``r`` adds a state beyond ``r``, with the
     states it adds, in declaration order: ``fair_loop(sys, r, g, r)`` is ``r``
     plus those.  An event whose guarded states all step into ``r`` adds
-    nothing, because its loop is then exactly ``r``, so its loop is skipped."""
+    nothing: :func:`fair_loop` returns ``r`` for it at once."""
     out = []
     for g in sys.events:
-        if g.guarded_apply(r).is_subset(r):
-            continue
         added = fair_loop(sys, r, g, r) - r
         if not added.is_empty():
             out.append((g.name, added))
@@ -97,7 +102,7 @@ def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     for step in trace.steps:
         if not step.is_subset(bound):
             raise SelfCheckDefect("fair iterate escapes the one-step bound")
-    return Verdict(holds=a.is_subset(fix), relation="T_w", fixpoint=fix, trace=trace,
+    return Verdict(holds=a.is_subset(fix), relation="T_w", trace=trace,
                    fair_deltas=tuple(deltas))
 
 

@@ -1,4 +1,5 @@
 """Shared fixtures and random model generators for the test suite."""
+import itertools
 import random
 from collections import deque
 from typing import Iterable
@@ -55,6 +56,14 @@ def twodown():
 
 def xs(sys, *values):
     return x_set(sys, values)
+
+
+def raw_states(space: StateSpace) -> list[tuple]:
+    """The values of every raw state of ``space``, in declaration order, by
+    raw index, holes included: the mixed-radix enumeration with the first
+    declared variable fastest, read off the declarations alone, as the
+    reference for the space's codec."""
+    return [t[::-1] for t in itertools.product(*(v.domain for v in reversed(space.vars)))]
 
 
 def make_space(n: int, holes: Iterable[int] = ()) -> StateSpace:

@@ -20,6 +20,8 @@ from fixleads.dsl import DslError, elaborate, parse
 from fixleads.events import _offset_classes
 from fixleads.exprs import Undecided, eval_partition
 
+from conftest import raw_states
+
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -47,7 +49,7 @@ def _digest(elab):
     """Everything elaboration produces, with the relation in both formats."""
     sys_ = elab.system
     return {
-        "states": sys_.space.states,
+        "states": raw_states(sys_.space),
         "events": [(e.name, e.guard.mask, e.rel, e.classes(),
                     _offset_classes(e.rel, sys_.space.raw_size)) for e in sys_.events],
         "init": sys_.init.mask,

@@ -1,4 +1,4 @@
-"""The skipping fair step, the fair deltas ``leadsto_wf`` carries, and the lean
+"""The fair step, the fair deltas ``leadsto_wf`` carries, and the lean
 certificates built from them, against their references: the plain union of
 every event's fair loop, the Kleene iteration of that union, and
 ``check-cert`` on what ``explain`` writes.  Run on every model in
@@ -27,7 +27,7 @@ from test_cli import MODELS, _captured, _path
 
 
 def plain_wf_step(sys_, r):
-    """The fair step as the union of every event's fair loop, none skipped."""
+    """The fair step as the union of every event's fair loop."""
     out = sys_.space.empty()
     for g in sys_.events:
         out = out | wf.fair_loop(sys_, r, g, r)

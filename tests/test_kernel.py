@@ -14,7 +14,7 @@ from fixleads.mp import leadsto_mp
 from fixleads.oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from fixleads.states import StateSet
 from fixleads.transformers import apply, gfp, grd, lfp, system_choice
-from fixleads.wf import leadsto_wf
+from fixleads.wf import fair_loop, leadsto_wf
 
 from conftest import random_set, random_system
 
@@ -100,6 +100,20 @@ def _kleene_fair_loop(sys_, t, q, g, r):
         return lfp(lambda x: base | (blocked & apply(t, x)), sys_.space)[0]
     g_r = g.guard & g.apply(r)
     return gfp(lambda x: q | (g_r & apply(t, x)), sys_.space)[0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fair_loop_is_the_kleene_loop(seed):
+    """``wf.fair_loop``, its early exit included, against the Kleene loop over
+    the terms, below and at the full postcondition."""
+    rng = random.Random(seed)
+    sys_ = random_system(rng, max_states=7)
+    t = system_choice(sys_)
+    for g in sys_.events:
+        for r in (random_set(rng, sys_.space), sys_.space.universe()):
+            q = random_set(rng, sys_.space)
+            for q in (q, q | g.guarded_apply(r)):  # the second exits early
+                assert fair_loop(sys_, q, g, r).mask == _kleene_fair_loop(sys_, t, q, g, r).mask
 
 
 def _kleene_leadsto(sys_, b, semantics):

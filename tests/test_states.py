@@ -1,10 +1,12 @@
 """State space enumeration, the index codec, and bitset algebra."""
+import json
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fixleads.exprs import Cmp, IntLit, Name
+from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import (
     SpaceError,
     SpaceMismatch,
@@ -17,7 +19,7 @@ from fixleads.states import (
     peel_positions,
 )
 
-from conftest import make_space
+from conftest import make_space, raw_states
 
 
 def test_first_declared_variable_is_least_significant():
@@ -158,7 +160,8 @@ _strays = st.sampled_from([0, 1, 2, -1, False, True, 0.0, 1.0, "a", "0", None, [
 @given(st.lists(_domains, min_size=1, max_size=3), st.data())
 def test_from_rows_matches_each_row_as_index_of_row(domains, data):
     sp = StateSpace([VarDecl(f"v{k}", d) for k, d in enumerate(domains)])
-    rows = [list(sp.states[i]) for i in data.draw(st.lists(st.integers(0, sp.raw_size - 1)))]
+    every = raw_states(sp)
+    rows = [list(every[i]) for i in data.draw(st.lists(st.integers(0, sp.raw_size - 1)))]
     for row in rows:  # now and then a value of another type, or no value of the domain
         for k in range(len(row)):
             if data.draw(st.integers(0, 9)) == 0:
@@ -167,7 +170,7 @@ def test_from_rows_matches_each_row_as_index_of_row(domains, data):
     for row in rows:
         try:
             expected |= 1 << sp.index_of_row(row)
-        except (SpaceError, TypeError):
+        except SpaceError:
             first_bad = row
             break
     if first_bad is None:
@@ -175,6 +178,74 @@ def test_from_rows_matches_each_row_as_index_of_row(domains, data):
     else:
         with pytest.raises(SpaceError, match=f"^row {re.escape(repr(first_bad))} is not a state$"):
             sp.from_rows(rows)
+
+
+def _typed(values):
+    # True == 1 and 0 == False: compare the types too
+    return [(type(val), val) for val in values]
+
+
+@st.composite
+def _spaces(draw):
+    """1-3 variables over ``_domains``, some of mixed types, under an
+    invariant that clears some values of the variables of one type, so the
+    raw index has holes."""
+    decls, clauses = [], []
+    for k, domain in enumerate(draw(st.lists(_domains, min_size=1, max_size=3))):
+        decls.append(VarDecl(f"v{k}", domain))
+        if len({*map(type, domain)}) == 1:
+            cleared = st.lists(st.sampled_from(domain), max_size=len(domain) - 1, unique=True)
+            for val in draw(cleared):
+                lit = (BoolLit if type(val) is bool else IntLit if type(val) is int else Name)(val)
+                clauses.append(Cmp("!=", Name(f"v{k}"), lit))
+    invariant = None
+    for clause in clauses:
+        invariant = clause if invariant is None else And(invariant, clause)
+    return StateSpace(decls, invariant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaces())
+def test_the_codec_inverts_the_enumeration_on_every_raw_index(sp):
+    names = [v.name for v in sp.vars]
+    every = raw_states(sp)
+    assert len(every) == sp.raw_size
+    members = [i for i in range(sp.raw_size) if sp.full_mask >> i & 1]
+    for i, row in enumerate(every):
+        state = sp.state_of(i)
+        assert list(state) == names and _typed(state.values()) == _typed(row)
+        assert sp.state_texts[i] == json.dumps(dict(zip(names, row)))
+        assert sp.row_texts[i] == json.dumps(list(row))
+        if sp.full_mask >> i & 1:
+            assert sp.index_of_row(row) == i
+            assert sp.index_of(dict(zip(names, row))) == i
+        else:  # a hole: no state, even among the universe's rows
+            with pytest.raises(SpaceError, match="are not a state"):
+                sp.index_of_row(row)
+            with pytest.raises(SpaceError, match=f"^row {re.escape(repr(list(row)))} is not"):
+                sp.from_rows([list(every[j]) for j in members] + [list(row)])
+    universe = sp.universe()
+    assert [_typed(r) for r in StateRows(sp, sp.full_mask).to_json()] == [
+        _typed(every[i]) for i in members]
+    assert [_typed(s.values()) for s in universe.to_json()] == [_typed(every[i]) for i in members]
+    assert sp.from_rows([list(every[i]) for i in reversed(members)]) == universe
+
+
+def test_decoding_or_encoding_a_few_states_builds_no_table():
+    """``state_of`` and ``from_rows`` are arithmetic on the index: on 10**5
+    raw states they allocate kilobytes, not a table of every state."""
+    with pytest.warns(UserWarning, match="raw states"):
+        sp = StateSpace([VarDecl(f"v{k}", tuple(range(10))) for k in range(5)])
+    tracemalloc.start()
+    try:
+        state = sp.state_of(54321)
+        found = sp.from_rows([[k, 2, 3, 4, 5] for k in range(10)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state == {"v0": 1, "v1": 2, "v2": 3, "v3": 4, "v4": 5}
+    assert sorted(found) == [54320 + k for k in range(10)]
+    assert peak < 1 << 20
 
 
 def test_index_of_row_matches_type_and_value():

@@ -10,6 +10,8 @@ from fixleads import StateSet, StateSpace, VarDecl, json_line
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import StateRows
 
+from conftest import raw_states
+
 # enum values that need escapes: quotes, backslashes, control and non-ASCII
 _enum_values = st.text(alphabet='ab"\\\n\té€😀', min_size=1, max_size=4)
 
@@ -91,7 +93,7 @@ def test_writer_bytes_equal_json_dumps_of_the_plain_form(doc):
 @settings(max_examples=100, deadline=None)
 @given(spaces())
 def test_each_state_text_is_its_json_dumps(space):
-    for i in range(space.raw_size):
+    for i, row in enumerate(raw_states(space)):
         if space.full_mask >> i & 1:
             assert space.state_texts[i] == json.dumps(space.state_of(i))
-            assert space.row_texts[i] == json.dumps(list(space.states[i]))
+            assert space.row_texts[i] == json.dumps(list(row))
