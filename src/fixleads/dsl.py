@@ -43,10 +43,11 @@ from .states import (
     StateSet,
     StateSpace,
     VarDecl,
+    _mask_of,
     bit_positions,
     eval_pred,
 )
-from .variants import VariantError, VariantFn
+from .variants import VariantFn
 
 
 class DslError(Exception):
@@ -627,12 +628,7 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
     except ModelError as exc:
         raise DslError(str(exc)) from exc
 
-    variants: dict[str, VariantFn] = {}
-    for v in ast.variants:
-        try:
-            variants[v.name] = _variant(space, v)
-        except VariantError as exc:
-            raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
+    variants = {v.name: _variant(space, v) for v in ast.variants}
 
     event_names = {e.name for e in events}
     props: list[Property] = []
@@ -676,14 +672,14 @@ def _pred_set(space: StateSpace, pred: Expr, what: str) -> StateSet:
 
 
 def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
-    """The variant's levels from its partition, or else from a per-state table."""
+    """The variant's levels from its partition, or else state by state."""
     try:
         part = space.partition(v.expr)
         if all(t is int and val >= 0 for t, val in part):
             return VariantFn.from_levels(space, {val: m for (_, val), m in part.items()}, v.name)
     except Undecided:
         pass
-    table = {}
+    levels: dict[int, list[int]] = {}  # value -> the states that take it
     for i in bit_positions(space.full_mask):
         env = space.state_of(i)
         try:
@@ -692,8 +688,12 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
             raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
         if type(val) is not int:
             raise DslError(f"variant {v.name!r} is not an integer at {env!r}", v.line, 1)
-        table[i] = val
-    return VariantFn(space, table, v.name)
+        if val < 0:
+            raise DslError(f"variant {v.name!r}: variant is negative ({val}) at state {env!r}",
+                           v.line, 1)
+        levels.setdefault(val, []).append(i)
+    return VariantFn.from_levels(
+        space, {val: _mask_of(ix, space.raw_size) for val, ix in levels.items()}, v.name)
 
 
 def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
@@ -702,59 +702,58 @@ def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
     try:
         classes = space.action_classes(branches, guard.mask)
     except (Undecided, SpaceError):
-        classes = None
-    try:
-        if classes is not None:
-            return Event.from_classes(e.name, guard, classes)
-        rel: dict[int, int] = {}
+        # a byte per 8 states: testing a bit of full_mask would shift all of it
+        universe = space.full_mask.to_bytes((space.raw_size + 7) >> 3, "little")
+        sources: dict[int, list[int]] = {}  # d -> the guarded states with an edge i -> i + d
         for i in guard:
             env = space.state_of(i)
-            image = 0
             for action in e.actions:
-                image |= _action_successors(space, e, env, action)
-            rel[i] = image
-        return Event(e.name, guard, rel)
+                for t in _action_successors(space, e, i, env, action):
+                    if not universe[t >> 3] >> (t & 7) & 1:
+                        raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}",
+                                       e.line, 1)
+                    sources.setdefault(t - i, []).append(i)
+        classes = sorted((d, _mask_of(src, space.raw_size)) for d, src in sources.items())
+    try:
+        return Event(e.name, guard, classes)
     except ModelError as exc:
         raise DslError(str(exc), e.line, 1) from exc
 
 
-def _action_successors(space: StateSpace, e: EventAst, env: dict, action: ActionAst) -> int:
-    """Successor mask of one action branch at one pre-state (parallel assigns;
-    a :in assignment fans out over every listed value): the per-state
-    reference of ``StateSpace.action_classes``, and the path that reports
-    its errors.  A value is in its variable's domain when its ``(type,
-    value)`` key is, so a bool variable admits no 0 or 1."""
-    per_assign: list[list[tuple[str, object]]] = []
+def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
+                       action: ActionAst) -> list[int]:
+    """The raw indices of the successors of one action branch at the state
+    ``i`` whose values are ``env`` (parallel assigns; a :in assignment fans
+    out over every listed value), by the offset arithmetic of
+    ``StateSpace.action_classes``: setting ``x`` from ``u`` to ``v`` moves
+    the index by ``offsets[x][v] - offsets[x][u]``.  It is that method's
+    per-state reference, and the path that reports its errors but one: the
+    caller tests the successors against the invariant.  A value is in its
+    variable's domain when its ``(type, value)`` key is, so a bool variable
+    admits no 0 or 1."""
+    per_assign: list[list[int]] = []  # each assignment's moves
     for item in action.assigns:
         offsets = space.offsets.get(item.var)
         if offsets is None:
             raise DslError(f"event {e.name!r} assigns undeclared variable {item.var!r}",
                            e.line, 1)
-        options = []
+        old = env[item.var]
+        moves = []
         for ex in item.choices:
             try:
                 val = eval_expr(ex, env, space.constants)
             except EvalError as exc:
                 raise DslError(f"event {e.name!r}: {exc}", e.line, 1) from exc
-            if (type(val), val) not in offsets:
+            new = offsets.get((type(val), val))
+            if new is None:
                 raise DslError(
                     f"event {e.name!r} assigns {item.var} := {val!r}, "
                     f"outside its domain (at state {env!r})",
                     e.line, 1,
                 )
-            options.append((item.var, val))
-        per_assign.append(options)
-    mask = 0
-    for combo in itertools.product(*per_assign):
-        succ = dict(env)
-        succ.update(combo)
-        try:
-            mask |= 1 << space.index_of(succ)
-        except SpaceError as exc:
-            raise DslError(
-                f"event {e.name!r} leaves the invariant at state {env!r}", e.line, 1
-            ) from exc
-    return mask
+            moves.append(new - offsets[type(old), old])
+        per_assign.append(moves)
+    return [i + sum(combo) for combo in itertools.product(*per_assign)]
 
 
 def load_file(path: str, cap: int = DEFAULT_STATE_CAP) -> Elaborated:

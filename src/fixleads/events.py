@@ -10,12 +10,10 @@ The engines reach the relation through one format: offset classes
 the state ``d`` indices above them (the explicit-state form of a partitioned
 transition relation, Burch, Clarke & Long 1991).  ``EX`` is one shift and AND
 per class (``_ex``) and the successor image its forward dual (``_post``);
-every fixpoint below loops over them.  An event holds its relation in one
-format and derives the other on first use: ``Event(name, guard, rel)`` the
-classes, and ``Event.from_classes`` (how ``dsl`` builds every event it can)
-the per-state ``rel``.  Everything else, the trace oracle and
-``Event.successors`` included, reads the classes too; ``rel`` is only the
-term algebra's per-state reference, which ``Event.apply`` loops over.
+every fixpoint below loops over them.  An event is built from its classes
+alone, and everything, the trace oracle and ``Event.successors`` included,
+reads them; the per-state ``rel`` is decoded from them on first use, only
+for the term algebra's reference loop ``Event.apply``.
 """
 from __future__ import annotations
 
@@ -26,19 +24,6 @@ Classes = tuple[tuple[int, int], ...]
 
 class ModelError(Exception):
     """Malformed event or system (miraculous image, duplicate names, ...)."""
-
-
-def _offset_classes(rel: dict[int, int], width: int) -> Classes:
-    """The edges ``s -> t`` of ``rel``, over indices below ``width``, grouped
-    by ``d = t - s``, sorted by ``d``."""
-    rows: dict[int, bytearray] = {}  # d -> the binary digits of src
-    for s, image in rel.items():
-        for t in bit_positions(image):
-            row = rows.get(t - s)
-            if row is None:
-                row = rows[t - s] = bytearray(b"0" * width)
-            row[~s] = 49  # "1" for bit s, most significant digit first
-    return tuple(sorted((d, int(row, 2)) for d, row in rows.items()))
 
 
 def _ex(classes: Classes, mask: int) -> int:
@@ -58,27 +43,12 @@ def _post(classes: Classes, mask: int) -> int:
 
 
 class Event:
-    """A named event: guard set plus successor masks for each guarded state."""
+    """A named event: a guard set plus the offset classes of its edges."""
 
-    def __init__(self, name: str, guard: StateSet, rel: dict[int, int]):
-        space = guard.space
-        if set(rel) != set(guard):
-            raise ModelError(f"event {name!r}: relation domain must equal the guard")
-        for s, image in rel.items():
-            if image == 0:
-                raise ModelError(f"event {name!r}: empty successor set at state {s}")
-            if image & ~space.full_mask:
-                raise ModelError(f"event {name!r}: successors outside the universe")
-        self.name = name
-        self.guard = guard
-        self.space = space
-        self._rel: dict[int, int] | None = dict(rel)
-        self._classes: Classes | None = None  # see classes
-
-    @classmethod
-    def from_classes(cls, name: str, guard: StateSet, classes: Classes) -> "Event":
-        """The event whose edges are the offset classes ``classes`` (sorted by
-        ``d``, no empty ``src``); its ``rel`` is decoded on first use."""
+    def __init__(self, name: str, guard: StateSet, classes: Classes):
+        """The event whose edges are the offset classes ``classes``, sorted by
+        ``d``, with no empty ``src``: every guarded state, and only those, is
+        a source, and every edge lands on a state of the universe."""
         space = guard.space
         full, sources = space.full_mask, 0
         for d, src in classes:
@@ -88,10 +58,11 @@ class Event:
                 raise ModelError(f"event {name!r}: successors outside the universe")
         if sources != guard.mask:
             raise ModelError(f"event {name!r}: relation domain must equal the guard")
-        event = cls.__new__(cls)
-        event.name, event.guard, event.space = name, guard, space
-        event._rel, event._classes = None, tuple(classes)
-        return event
+        self.name = name
+        self.guard = guard
+        self.space = space
+        self._classes = tuple(classes)
+        self._rel: dict[int, int] | None = None  # see rel
 
     @property
     def rel(self) -> dict[int, int]:
@@ -107,14 +78,12 @@ class Event:
         return self._rel
 
     def classes(self) -> Classes:
-        """The offset classes of this event's edges, built on first use."""
-        if self._classes is None:
-            self._classes = _offset_classes(self._rel, self.space.raw_size)
+        """The offset classes of this event's edges."""
         return self._classes
 
     def apply(self, r: StateSet) -> StateSet:
         """Start states from which every successor lands in ``r`` (or no-guard):
-        the per-state reference loop, which never touches the classes."""
+        the per-state reference loop over ``rel``."""
         if r.space is not self.space:
             raise SpaceMismatch("postcondition over a different space")
         mask = self.guard.complement().mask

@@ -3,30 +3,18 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .states import StateSet, StateSpace, bit_positions
+from .states import StateSet, StateSpace
 from .transformers import lfp
 from .verdicts import SelfCheckDefect, Verdict
 
 
 class VariantError(Exception):
-    """Variant is partial or takes a negative value."""
+    """Variant levels that are partial, overlapping, empty or negative."""
 
 
 class VariantFn:
-    """A total map from states to naturals, with its level and below sets."""
-
-    def __init__(self, space: StateSpace, table: dict[int, int], name: str = "variant"):
-        if set(table) != set(bit_positions(space.full_mask)):
-            raise VariantError("variant must be total on the universe")
-        for s, val in table.items():
-            if val < 0:
-                raise VariantError(
-                    f"variant is negative ({val}) at state {space.state_of(s)!r}"
-                )
-        levels: dict[int, int] = {}
-        for s, val in table.items():
-            levels[val] = levels.get(val, 0) | (1 << s)
-        self._init(space, levels, name)
+    """A total map from states to naturals, held as its level sets, with the
+    sets below each level."""
 
     @classmethod
     def from_levels(cls, space: StateSpace, levels: dict[int, int], name: str = "variant"):
@@ -40,14 +28,11 @@ class VariantFn:
         if union != space.full_mask:
             raise VariantError("variant must be total on the universe")
         variant = cls.__new__(cls)
-        variant._init(space, dict(levels), name)
+        variant.space = space
+        variant.name = name
+        variant.max_value = max(levels)
+        variant._levels = dict(levels)
         return variant
-
-    def _init(self, space: StateSpace, levels: dict[int, int], name: str) -> None:
-        self.space = space
-        self.name = name
-        self.max_value = max(levels)
-        self._levels = levels
 
     def level_set(self, n: int) -> StateSet:
         """States whose variant value is exactly ``n``."""

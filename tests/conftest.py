@@ -14,10 +14,12 @@ from fixleads import (
     StateSet,
     StateSpace,
     VarDecl,
+    VariantFn,
     lfp,
 )
 from fixleads.cli import check_property, resolve
 from fixleads.exprs import And, Cmp, IntLit, Name
+from fixleads.states import bit_positions
 
 from fixtures import (
     cycle3_system,
@@ -66,6 +68,28 @@ def raw_states(space: StateSpace) -> list[tuple]:
     return [t[::-1] for t in itertools.product(*(v.domain for v in reversed(space.vars)))]
 
 
+def event_from_rel(name: str, guard: StateSet, rel: dict[int, int]) -> Event:
+    """The event with successor mask ``rel[s]`` at each guarded state ``s``:
+    its edges grouped into offset classes by ``d = t - s``, sorted by ``d``,
+    independently of ``dsl``, and its decoded ``rel`` checked against
+    ``rel``."""
+    rows: dict[int, int] = {}  # d -> the states with an edge s -> s + d
+    for s, image in rel.items():
+        for t in bit_positions(image):
+            rows[t - s] = rows.get(t - s, 0) | 1 << s
+    event = Event(name, guard, tuple(sorted(rows.items())))
+    assert event.rel == rel
+    return event
+
+
+def variant_from_table(space: StateSpace, table: dict[int, int], name: str = "variant") -> VariantFn:
+    """The variant taking the value ``table[s]`` at each state ``s``."""
+    levels: dict[int, int] = {}
+    for s, val in table.items():
+        levels[val] = levels.get(val, 0) | 1 << s
+    return VariantFn.from_levels(space, levels, name)
+
+
 def make_space(n: int, holes: Iterable[int] = ()) -> StateSpace:
     """``x : 0 .. n-1``, under ``invariant x != k and ...`` for each ``k`` of
     ``holes``: a universe whose mask has those raw indices cleared."""
@@ -92,7 +116,7 @@ def random_event(rng: random.Random, space: StateSpace, name: str) -> Event:
         if img == 0:
             img = 1 << random_state(rng, space)  # images must be non-empty
         rel[s] = img
-    return Event(name, guard, rel)
+    return event_from_rel(name, guard, rel)
 
 
 def random_system(
@@ -182,8 +206,6 @@ def reference_shortest_cycle(adj, node):
 def variant_decreasing_system(rng: random.Random, max_states: int = 8):
     """A system whose every event strictly lowers the state index outside 0,
     plus the variant V(x) = x; index 0 is absorbing via a self-loop."""
-    from fixleads import VariantFn
-
     n = rng.randint(2, max_states)
     space = make_space(n)
     events = []
@@ -195,10 +217,10 @@ def variant_decreasing_system(rng: random.Random, max_states: int = 8):
                 guard_mask |= 1 << s
                 succs = rng.sample(range(s), k=rng.randint(1, s))
                 rel[s] = sum(1 << t for t in succs)
-        events.append(Event(f"d{i}", StateSet(space, guard_mask), rel))
-    stay = Event("stay", StateSet(space, 1), {0: 1})
+        events.append(event_from_rel(f"d{i}", StateSet(space, guard_mask), rel))
+    stay = event_from_rel("stay", StateSet(space, 1), {0: 1})
     events.append(stay)
     init = space.universe()
     sys_ = EventSystem(space, events, init)
-    variant = VariantFn(space, {s: s for s in range(n)}, "down")
+    variant = variant_from_table(space, {s: s for s in range(n)}, "down")
     return sys_, variant

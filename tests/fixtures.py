@@ -27,7 +27,9 @@ def _event(space: StateSpace, name: str, rel_by_x: Dict[int, Sequence[int]]) -> 
         space.index_of({"x": x}): _set(space, succs).mask
         for x, succs in rel_by_x.items()
     }
-    return Event(name, guard, rel)
+    from conftest import event_from_rel  # conftest imports this module
+
+    return event_from_rel(name, guard, rel)
 
 
 def idle_system(init: Sequence[int] = (0,)) -> EventSystem:

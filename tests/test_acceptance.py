@@ -10,7 +10,6 @@ import random
 from fixleads import (
     Dovetail,
     StateSet,
-    VariantFn,
     apply,
     check_certificate,
     check_variant_theorem,
@@ -42,6 +41,7 @@ from conftest import (
     random_system,
     random_system_over,
     variant_decreasing_system,
+    variant_from_table,
     xs,
 )
 from fixtures import (
@@ -202,7 +202,7 @@ def test_acceptance_6_variant_theorem():
         sp = sys_.space
         b = random_set(rng, sp)
         f = lambda x: b | mp_step(sys_, x)
-        variant = VariantFn(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
+        variant = variant_from_table(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
         p = random_set(rng, sp)
         verdict = check_variant_theorem(f, p, variant)  # self-check on success
         if verdict.holds:
@@ -215,7 +215,7 @@ def test_acceptance_6_variant_theorem():
         (twodown_system(), {0: 0, 1: 1, 2: 2}),
     ]
     for sys_, table in fixture_variants:
-        v = VariantFn(sys_.space, table)
+        v = variant_from_table(sys_.space, table)
         sp = sys_.space
         union_levels = sp.empty()
         for n in range(v.max_value + 2):
@@ -233,8 +233,8 @@ def test_acceptance_7_variant_rules_sound():
     ok = True
     mono3 = mono3_system()
     twodown = twodown_system()
-    togo = VariantFn(mono3.space, {0: 2, 1: 1, 2: 0})
-    down = VariantFn(twodown.space, {0: 0, 1: 1, 2: 2})
+    togo = variant_from_table(mono3.space, {0: 2, 1: 1, 2: 0})
+    down = variant_from_table(twodown.space, {0: 0, 1: 1, 2: 2})
     v = rule_mp_variant(mono3, mono3.space.universe(), xs(mono3, 2), togo)
     ok &= v.holds and leadsto_mp(mono3, mono3.space.universe(), xs(mono3, 2)).holds
     v = rule_wf_to_mp(twodown, twodown.space.universe(), xs(twodown, 0), down)

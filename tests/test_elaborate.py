@@ -9,6 +9,7 @@ everywhere, so the two can be compared on any model.
 import contextlib
 import io
 import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -17,10 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fixleads import dsl, states
 from fixleads.cli import main
 from fixleads.dsl import DslError, elaborate, parse
-from fixleads.events import _offset_classes
 from fixleads.exprs import Undecided, eval_partition
 
-from conftest import raw_states
+from conftest import event_from_rel, raw_states
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -46,12 +46,13 @@ def _reference(text):
 
 
 def _digest(elab):
-    """Everything elaboration produces, with the relation in both formats."""
+    """Everything elaboration produces, with the relation in both formats and
+    the classes built again from the per-state relation."""
     sys_ = elab.system
     return {
         "states": raw_states(sys_.space),
         "events": [(e.name, e.guard.mask, e.rel, e.classes(),
-                    _offset_classes(e.rel, sys_.space.raw_size)) for e in sys_.events],
+                    event_from_rel(e.name, e.guard, e.rel).classes()) for e in sys_.events],
         "init": sys_.init.mask,
         "properties": [(p.name, p.p.mask, p.q.mask) for p in elab.properties],
         "variants": {name: v._levels for name, v in elab.variants.items()},
@@ -343,6 +344,24 @@ def test_a_partition_larger_than_the_state_count_is_undecided():
     with pytest.raises(Undecided, match="larger than the state count"):
         sp.partition(parse(text + "init x + y + x >= 0\n").init)
     _assert_same_as_reference(text + "init x + y + x >= 4\n")
+
+
+def test_the_per_state_path_takes_memory_linear_in_the_states(tmp_path):
+    """``c`` has more than sqrt(N) values, so ``inc`` takes the per-state
+    path, which writes each edge into its offset class: one class, and no
+    full-width mask per state (20 000 raw states)."""
+    path = tmp_path / "wide.evt"
+    path.write_text("system wide\nvar c : 0 .. 9999\nvar b : bool\ninit c = 0\n"
+                    "event inc when c < 9999 then c := c + 1\nevent flip then b := not b\n")
+    tracemalloc.start()
+    try:
+        sys_ = dsl.load_file(str(path)).system
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys_.space.value_masks["c"] is None
+    assert len(sys_.event("inc").classes()) == 1
+    assert peak < 8 << 20, peak
 
 
 def test_a_variable_with_many_values_has_no_value_masks():

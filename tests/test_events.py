@@ -57,18 +57,29 @@ def test_si_from_one(idle):
 
 
 def test_event_validation():
-    sp = make_space(2)
+    """The offset classes ``((d, src), ...)`` of an event are checked: each
+    guarded state, and no other, is a source, and each edge lands in the
+    universe."""
+    sp = make_space(3)
+    guard = sp.from_indices([0, 1])
+    e = Event("e", guard, ((-1, 0b010), (1, 0b011)))
+    assert e.rel == {0: 0b010, 1: 0b101}
     with pytest.raises(ModelError):
-        Event("e", sp.from_indices([0]), {})  # relation misses a guarded state
+        Event("e", guard, ((1, 0b001),))  # the guarded state 1 has no edge
     with pytest.raises(ModelError):
-        Event("e", sp.from_indices([0]), {0: 0})  # empty image is a miracle
+        Event("e", guard, ((0, 0b111),))  # the source 2 is outside the guard
     with pytest.raises(ModelError):
-        Event("e", sp.from_indices([0]), {0: 1, 1: 1})  # rel outside guard
+        Event("e", guard, ((2, 0b011),))  # 1 + 2 is above the raw size 3
+    holed = make_space(3, holes=[2])
+    with pytest.raises(ModelError):
+        Event("e", holed.from_indices([0]), ((2, 0b001),))  # 0 + 2 is the hole
+    with pytest.raises(ModelError):
+        Event("e", guard, ((-1, 0b011),))  # 0 - 1 is below index 0
 
 
 def test_system_validation():
     sp = make_space(2)
-    e = Event("e", sp.universe(), {0: 1, 1: 2})
+    e = Event("e", sp.universe(), ((0, 0b11),))
     with pytest.raises(ModelError):
         EventSystem(sp, [], sp.universe())
     with pytest.raises(ModelError):

@@ -29,7 +29,7 @@ def _system(seed, idle_event):
     sys_ = random_system(rng)
     if idle_event:
         space = sys_.space
-        events = list(sys_.events) + [Event("never", space.empty(), {})]
+        events = list(sys_.events) + [Event("never", space.empty(), ())]
         sys_ = EventSystem(space, events, sys_.init)
     return rng, sys_
 

@@ -10,7 +10,6 @@ from fixleads.mp import (
     mp_step,
     rule_mp_variant,
 )
-from fixleads.variants import VariantFn
 
 from conftest import (
     assert_matches_restricted,
@@ -18,6 +17,7 @@ from conftest import (
     random_system,
     restricted_leadsto,
     si_verdict,
+    variant_from_table,
     xs,
 )
 from fixtures import mono3_system
@@ -67,20 +67,20 @@ def test_leadsto_mp_si():
 
 
 def test_rule_mp_variant_mono3(mono3):
-    variant = VariantFn(mono3.space, {0: 2, 1: 1, 2: 0}, "togo")
+    variant = variant_from_table(mono3.space, {0: 2, 1: 1, 2: 0}, "togo")
     v = rule_mp_variant(mono3, mono3.space.universe(), xs(mono3, 2), variant)
     assert v.holds and v.relation == "rule-mp-variant"
 
 
 def test_rule_mp_variant_ladder3_fails(ladder3):
-    variant = VariantFn(ladder3.space, {0: 2, 1: 1, 2: 0}, "togo")
+    variant = variant_from_table(ladder3.space, {0: 2, 1: 1, 2: 0}, "togo")
     v = rule_mp_variant(ladder3, ladder3.space.universe(), xs(ladder3, 2), variant)
     assert not v.holds
     assert v.details["failing_level"]["n"] == 1
 
 
 def test_rule_mp_variant_trivial(mono3):
-    variant = VariantFn(mono3.space, {0: 0, 1: 0, 2: 0})
+    variant = variant_from_table(mono3.space, {0: 0, 1: 0, 2: 0})
     assert rule_mp_variant(mono3, xs(mono3, 1), xs(mono3, 1, 2), variant).holds
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixleads import json_line
-from fixleads.events import Event
 from fixleads.states import StateSet
 from fixleads.transformers import (
     Choice,
@@ -24,7 +23,7 @@ from fixleads.transformers import (
     pre,
 )
 
-from conftest import make_space
+from conftest import event_from_rel, make_space
 
 SP = make_space(3)
 
@@ -134,7 +133,7 @@ def _rel_event(draw_rel):
     for s_idx in guard:
         img = images[s_idx] or 1
         rel[s_idx] = img & SP.full_mask
-    return Rel(Event("e", guard, rel))
+    return Rel(event_from_rel("e", guard, rel))
 
 
 _rels = st.tuples(

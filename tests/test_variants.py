@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from fixleads.mp import mp_step
 from fixleads.variants import VariantError, VariantFn, check_variant_theorem
 
-from conftest import make_space, random_set, random_system, xs
+from conftest import make_space, random_set, random_system, variant_from_table, xs
 
 
 def _togo(sys):
-    return VariantFn(sys.space, {0: 2, 1: 1, 2: 0}, "togo")
+    return variant_from_table(sys.space, {0: 2, 1: 1, 2: 0}, "togo")
 
 
 def test_level_sets_mono3(mono3):
@@ -27,20 +27,25 @@ def test_level_sets_mono3(mono3):
 
 def test_variant_validation():
     sp = make_space(3)
+    assert VariantFn.from_levels(sp, {0: 0b001, 4: 0b110}).max_value == 4
     with pytest.raises(VariantError):
-        VariantFn(sp, {0: 0, 1: 1})  # partial
+        VariantFn.from_levels(sp, {0: 0b001, 1: 0b010})  # partial
     with pytest.raises(VariantError):
-        VariantFn(sp, {0: 0, 1: -1, 2: 0})  # negative
+        VariantFn.from_levels(sp, {0: 0b011, 1: 0b110})  # overlapping
+    with pytest.raises(VariantError):
+        VariantFn.from_levels(sp, {0: 0b101, -1: 0b010})  # negative
+    with pytest.raises(VariantError):
+        VariantFn.from_levels(sp, {0: 0b111, 1: 0})  # an empty level
 
 
 def test_table_levels_on_a_space_with_holes():
     sp = make_space(4, holes=[1])
-    v = VariantFn(sp, {i: 3 - sp.state_of(i)["x"] for i in sp.universe()})
+    v = variant_from_table(sp, {i: 3 - sp.state_of(i)["x"] for i in sp.universe()})
     assert sorted(v.level_set(3)) == [0] and sorted(v.level_set(0)) == [3]
     assert v.level_set(2).is_empty()  # the hole's level holds no state
     assert sorted(v.below_set(2)) == [2, 3]
-    with pytest.raises(VariantError):
-        VariantFn(sp, {0: 3, 1: 2, 2: 1, 3: 0})  # keyed on the hole
+    with pytest.raises(VariantError):  # the level 2 is the hole
+        VariantFn.from_levels(sp, {3: 0b0001, 2: 0b0010, 1: 0b0100, 0: 0b1000})
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,7 +53,7 @@ def test_table_levels_on_a_space_with_holes():
 def test_level_set_identities(seed):
     rng = random.Random(seed)
     sp = make_space(rng.randint(1, 8))
-    v = VariantFn(sp, {s: rng.randint(0, 4) for s in range(sp.size)})
+    v = variant_from_table(sp, {s: rng.randint(0, 4) for s in range(sp.size)})
     union_levels = sp.empty()
     for n in range(v.max_value + 2):
         below = sp.empty()
@@ -92,7 +97,7 @@ def test_variant_theorem_layer_bound(seed):
     sp = sys_.space
     b = random_set(rng, sp)
     f = lambda x: b | mp_step(sys_, x)
-    v_fn = VariantFn(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
+    v_fn = variant_from_table(sp, {s: rng.randint(0, sp.size) for s in sp.universe()})
     p = random_set(rng, sp)
     verdict = check_variant_theorem(f, p, v_fn)
     if not verdict.holds:

@@ -1,10 +1,13 @@
 """Weak-fairness engine: fair loops, the fair step, leads-to, bridge rule."""
 import random
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixleads import wf
 from fixleads.mp import leadsto_mp
-from fixleads.variants import VariantFn
+from fixleads.verdicts import SelfCheckDefect
 from fixleads.wf import (
     ensures_wf,
     fair_loop,
@@ -22,6 +25,7 @@ from conftest import (
     random_system,
     restricted_leadsto,
     si_verdict,
+    variant_from_table,
     xs,
 )
 
@@ -96,15 +100,25 @@ def test_ensures_wf_examples(idle):
     assert ensures_wf(idle, idle.event("idle"), q, q).holds  # p subset of q
 
 
+def test_an_iterate_outside_the_one_step_bound_is_a_defect(mono3):
+    """The fixpoint, every state, leaves the target ``x = 2``: with a
+    one-step image made empty, it escapes the bound ``b ∪ mp_step(fix)``."""
+    a, b = mono3.space.universe(), xs(mono3, 2)
+    assert leadsto_wf(mono3, a, b).fixpoint.is_universe()
+    with mock.patch.object(wf, "mp_step", lambda sys_, x: sys_.space.empty()):
+        with pytest.raises(SelfCheckDefect, match="one-step bound"):
+            leadsto_wf(mono3, a, b)
+
+
 def test_rule_wf_to_mp_twodown(twodown):
-    variant = VariantFn(twodown.space, {0: 0, 1: 1, 2: 2}, "down")
+    variant = variant_from_table(twodown.space, {0: 0, 1: 1, 2: 2}, "down")
     v = rule_wf_to_mp(twodown, twodown.space.universe(), xs(twodown, 0), variant)
     assert v.holds and v.relation == "rule-wf-to-mp"
     assert leadsto_mp(twodown, twodown.space.universe(), xs(twodown, 0)).holds
 
 
 def test_rule_wf_to_mp_ladder3_fails(ladder3):
-    variant = VariantFn(ladder3.space, {0: 2, 1: 1, 2: 0}, "togo")
+    variant = variant_from_table(ladder3.space, {0: 2, 1: 1, 2: 0}, "togo")
     v = rule_wf_to_mp(ladder3, xs(ladder3, 0), xs(ladder3, 2), variant)
     assert not v.holds
     assert "failing_level" in v.details
