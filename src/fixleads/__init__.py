@@ -16,7 +16,7 @@ from .certificates import (
     derive_certificate_wf,
 )
 from .dsl import DslError, Elaborated, Property, SpecAst, elaborate, load_file, parse, print_spec
-from .events import Event, EventSystem, ModelError
+from .events import Event, EventSystem, FixpointError, IterateTrace, ModelError, gfp, lfp
 from .exprs import EvalError, eval_bool, eval_expr, to_text
 from .mp import ensures_mp, leadsto_mp, leadsto_mp_si, mp_step, rule_mp_variant
 from .oracle import (
@@ -39,32 +39,29 @@ from .states import (
 from .transformers import (
     Choice,
     Dovetail,
-    FixpointError,
     Guard,
-    IterateTrace,
     Precond,
     Rel,
     Seq,
     Skip,
     apply,
-    gfp,
+    check_variant_theorem,
+    fair_loop_liberal,
     grd,
-    lfp,
     liberal,
     pre,
     system_choice,
+    wf_step,
 )
-from .variants import VariantError, VariantFn, check_variant_theorem
+from .variants import VariantError, VariantFn
 from .verdicts import SelfCheckDefect, Verdict
 from .wf import (
     ensures_wf,
     fair_loop,
-    fair_loop_liberal,
     fair_loop_termination,
     leadsto_wf,
     leadsto_wf_si,
     rule_wf_to_mp,
-    wf_step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

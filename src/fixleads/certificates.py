@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .events import EventSystem, ModelError
+from .events import EventSystem, IterateTrace, ModelError
 from .mp import ensures_mp
 from .records import Frozen, setfield
 from .states import SpaceError, StateRows, StateSet, StateSpace
-from .transformers import IterateTrace
 from .wf import ensures_wf
 
 SCHEMA_VERSION = 3  # one interned set table of row lists and delta entries

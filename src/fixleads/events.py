@@ -14,9 +14,14 @@ every fixpoint below loops over them.  An event is built from its classes
 alone, and everything, the trace oracle and ``Event.successors`` included,
 reads them; the per-state ``rel`` is decoded from them on first use, only
 for the term algebra's reference loop ``Event.apply``.
+Every iterate chain (:class:`IterateTrace`) is built here, by ``attract``
+and by the Kleene loops :func:`lfp` and :func:`gfp`.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
+from .records import Frozen, setfield
 from .states import StateSet, StateSpace, SpaceMismatch, bit_positions
 
 Classes = tuple[tuple[int, int], ...]
@@ -24,6 +29,63 @@ Classes = tuple[tuple[int, int], ...]
 
 class ModelError(Exception):
     """Malformed event or system (miraculous image, duplicate names, ...)."""
+
+
+class FixpointError(Exception):
+    """Iteration failed to stabilize within the guaranteed bound."""
+
+
+class IterateTrace(Frozen):
+    """The full chain of iterates of a stabilized fixpoint computation."""
+
+    __slots__ = ("steps", "kind")
+
+    def __init__(self, steps: tuple[StateSet, ...], kind: str):
+        setfield(self, "steps", steps)
+        setfield(self, "kind", kind)  # 'least' | 'greatest'
+
+    @property
+    def value(self) -> StateSet:
+        return self.steps[-1]
+
+    def to_json(self) -> dict:
+        """``delta[k]`` lists ``steps[k] ^ steps[k+1]``: the states that join
+        (least) or leave (greatest) at step ``k``, because ``_iterate`` only
+        accepts monotone chains.  ``steps[k+1] = steps[k] ^ delta[k]`` rebuilds
+        the chain from ``steps[0]``, ``∅`` or the universe.  Each delta is a
+        :class:`StateSet`, written as its ``to_json()`` list."""
+        space = self.steps[0].space
+        return {
+            "kind": self.kind,
+            "delta": [
+                StateSet(space, lo.mask ^ hi.mask) for lo, hi in zip(self.steps, self.steps[1:])
+            ],
+        }
+
+
+def lfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
+    """Least fixpoint of a monotone function by Kleene iteration from ∅."""
+    return _iterate(f, space.empty(), "least", space.size)
+
+
+def gfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
+    """Greatest fixpoint by Kleene iteration from the universe."""
+    return _iterate(f, space.universe(), "greatest", space.size)
+
+
+def _iterate(f, start: StateSet, kind: str, size: int):
+    steps: list[StateSet] = [start]
+    current = start
+    for _ in range(size + 1):
+        nxt = f(current)
+        steps.append(nxt)
+        if nxt.mask == current.mask:
+            return nxt, IterateTrace(tuple(steps), kind)
+        # a monotone f only climbs from ∅ and only descends from the universe
+        if current.mask & ~nxt.mask if kind == "least" else nxt.mask & ~current.mask:
+            raise FixpointError(f"iterate {len(steps) - 1} breaks the {kind} chain; f is not monotone")
+        current = nxt
+    raise FixpointError(f"no stabilization within {size + 1} steps; f is not monotone")
 
 
 def _ex(classes: Classes, mask: int) -> int:
@@ -163,15 +225,15 @@ class EventSystem:
             raise SpaceMismatch("postcondition over a different space")
         return StateSet(self.space, self._ax(r.mask))
 
-    def attract(self, a: StateSet, b: StateSet) -> list[StateSet]:
-        """The Kleene iterates of ``lfp x. a ∪ (b ∩ AX x)``: ``[∅, x1, ..., xK,
-        xK]``, or ``[∅, ∅]`` when ``x1`` is empty.  States without successors
-        are in ``AX ∅``, so they join in ``x1``."""
+    def attract(self, a: StateSet, b: StateSet) -> IterateTrace:
+        """The least chain of ``lfp x. a ∪ (b ∩ AX x)``: steps ``(∅, x1, ...,
+        xK, xK)``, or ``(∅, ∅)`` when ``x1`` is empty.  States without
+        successors are in ``AX ∅``, so they join in ``x1``."""
         masks = [0]
         while True:
             masks.append(a.mask | (b.mask & self._ax(masks[-1])))
             if masks[-1] == masks[-2]:
-                return [StateSet(self.space, m) for m in masks]
+                return IterateTrace(tuple([StateSet(self.space, m) for m in masks]), "least")
 
     def weak_attract(self, a: StateSet, b: StateSet) -> StateSet:
         """``gfp x. a ∪ (b ∩ AX x)``, by Kleene iteration down from the universe."""

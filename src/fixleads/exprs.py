@@ -99,17 +99,16 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
             return node.ident
         raise EvalError(f"unknown identifier {node.ident!r}")
     if isinstance(node, Arith):
-        lv = eval_expr(node.left, env, constants)
-        rv = eval_expr(node.right, env, constants)
-        if not (_is_int(lv) and _is_int(rv)):
-            raise EvalError(f"arithmetic {node.op!r} needs integers, got {lv!r}, {rv!r}")
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        raise EvalError(f"bad arithmetic operator {node.op!r}")
+        spine = _left_spine(node, Arith)
+        lv = eval_expr(spine[-1].left, env, constants)
+        for link in reversed(spine):
+            rv = eval_expr(link.right, env, constants)
+            if not (_is_int(lv) and _is_int(rv)):
+                raise EvalError(f"arithmetic {link.op!r} needs integers, got {lv!r}, {rv!r}")
+            if link.op not in _ARITH:
+                raise EvalError(f"bad arithmetic operator {link.op!r}")
+            lv = _ARITH[link.op](lv, rv)
+        return lv
     if isinstance(node, Cmp):
         lv = eval_expr(node.left, env, constants)
         rv = eval_expr(node.right, env, constants)
@@ -133,17 +132,27 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
         if not isinstance(v, bool):
             raise EvalError(f"'not' needs a boolean, got {v!r}")
         return not v
-    if isinstance(node, And):
-        lv = eval_expr(node.left, env, constants)
-        if not isinstance(lv, bool):
-            raise EvalError(f"'and' needs booleans, got {lv!r}")
-        return lv and eval_bool(node.right, env, constants)
-    if isinstance(node, Or):
-        lv = eval_expr(node.left, env, constants)
-        if not isinstance(lv, bool):
-            raise EvalError(f"'or' needs booleans, got {lv!r}")
-        return lv or eval_bool(node.right, env, constants)
+    if isinstance(node, (And, Or)):
+        spine = _left_spine(node, (And, Or))
+        lv = eval_expr(spine[-1].left, env, constants)
+        for link in reversed(spine):
+            is_or = isinstance(link, Or)
+            if not isinstance(lv, bool):
+                raise EvalError(f"'{'or' if is_or else 'and'}' needs booleans, got {lv!r}")
+            if lv is not is_or:  # the left value decides nothing: ``and`` on true, ``or`` on false
+                lv = eval_bool(link.right, env, constants)
+        return lv
     raise EvalError(f"bad expression node {node!r}")
+
+
+def _left_spine(node: Expr, kinds) -> list:
+    """``node`` and its chain of left operands of the types ``kinds``, top
+    first: a chain such as ``a + b - c`` parses left-deep, so the evaluators
+    walk its links in a loop, and only real nesting recurses."""
+    spine = [node]
+    while isinstance(spine[-1].left, kinds):
+        spine.append(spine[-1].left)
+    return spine
 
 
 def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool:
@@ -209,54 +218,68 @@ def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partitio
         if node.ident in constants:
             return {(str, node.ident): care}
         raise Undecided(f"unknown identifier {node.ident!r}")
-    if isinstance(node, (Arith, Cmp)):
+    if isinstance(node, Cmp):
         left = _partition(node.left, leaves, constants, care, limit)
-        right = _partition(node.right, leaves, constants, care, limit)
-        if len(left) * len(right) > limit:
-            raise Undecided("partition larger than the state count")
-        equality = isinstance(node, Cmp) and node.op in ("=", "!=")
-        fn = (_ARITH if isinstance(node, Arith) else _ORDER).get(node.op)
-        if fn is None and not equality:
-            raise Undecided(f"bad operator {node.op!r}")
-        out: Partition = {}
-        for (lt, lv), lm in left.items():
-            for (rt, rv), rm in right.items():
-                m = lm & rm
-                if not m:
-                    continue
-                if equality:
-                    if lt is not rt:
-                        raise Undecided("comparison of different types")
-                    key = (bool, (lv == rv) == (node.op == "="))
-                elif lt is not int or rt is not int:
-                    raise Undecided(f"{node.op!r} needs integers")
-                else:
-                    value = fn(lv, rv)
-                    key = (type(value), value)
-                out[key] = out.get(key, 0) | m
-        return out
+        return _pairwise(node, left, _partition(node.right, leaves, constants, care, limit), limit)
+    if isinstance(node, Arith):
+        spine = _left_spine(node, Arith)
+        left = _partition(spine[-1].left, leaves, constants, care, limit)
+        for link in reversed(spine):
+            right = _partition(link.right, leaves, constants, care, limit)
+            left = _pairwise(link, left, right, limit)
+        return left
     if isinstance(node, Not):
         inner = _partition(node.operand, leaves, constants, care, limit)
         if any(t is not bool for t, _ in inner):
             raise Undecided("'not' needs a boolean")
         return {(bool, not v): m for (_, v), m in inner.items()}
     if isinstance(node, (And, Or)):
-        left = _partition(node.left, leaves, constants, care, limit)
-        if any(t is not bool for t, _ in left):
-            raise Undecided("'and'/'or' needs booleans")
-        # the left value that decides the result without the right operand
-        decides = isinstance(node, Or)
-        right = _partition(
-            node.right, leaves, constants, left.get((bool, not decides), 0), limit
-        )
-        if any(t is not bool for t, _ in right):
-            raise Undecided("'and'/'or' needs booleans")
-        out = dict(right)
-        decided = left.get((bool, decides), 0)
-        if decided:
-            out[(bool, decides)] = out.get((bool, decides), 0) | decided
-        return out
+        spine = _left_spine(node, (And, Or))
+        left = _partition(spine[-1].left, leaves, constants, care, limit)
+        for link in reversed(spine):
+            if any(t is not bool for t, _ in left):
+                raise Undecided("'and'/'or' needs booleans")
+            # the left value that decides the result without the right operand
+            decides = isinstance(link, Or)
+            right = _partition(
+                link.right, leaves, constants, left.get((bool, not decides), 0), limit
+            )
+            if any(t is not bool for t, _ in right):
+                raise Undecided("'and'/'or' needs booleans")
+            out = dict(right)
+            decided = left.get((bool, decides), 0)
+            if decided:
+                out[(bool, decides)] = out.get((bool, decides), 0) | decided
+            left = out
+        return left
     raise Undecided(f"bad expression node {node!r}")
+
+
+def _pairwise(node: Arith | Cmp, left: Partition, right: Partition, limit: int) -> Partition:
+    """The partition of ``node`` from the partitions of its operands."""
+    if len(left) * len(right) > limit:
+        raise Undecided("partition larger than the state count")
+    equality = isinstance(node, Cmp) and node.op in ("=", "!=")
+    fn = (_ARITH if isinstance(node, Arith) else _ORDER).get(node.op)
+    if fn is None and not equality:
+        raise Undecided(f"bad operator {node.op!r}")
+    out: Partition = {}
+    for (lt, lv), lm in left.items():
+        for (rt, rv), rm in right.items():
+            m = lm & rm
+            if not m:
+                continue
+            if equality:
+                if lt is not rt:
+                    raise Undecided("comparison of different types")
+                key = (bool, (lv == rv) == (node.op == "="))
+            elif lt is not int or rt is not int:
+                raise Undecided(f"{node.op!r} needs integers")
+            else:
+                value = fn(lv, rv)
+                key = (type(value), value)
+            out[key] = out.get(key, 0) | m
+    return out
 
 
 _PREC = {Or: 1, And: 2, Not: 3, Cmp: 4, Arith: 5}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .events import EventSystem
 from .states import StateSet
-from .transformers import IterateTrace
 from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import Verdict
 
@@ -26,7 +25,7 @@ def ensures_mp(sys: EventSystem, p: StateSet, q: StateSet) -> Verdict:
 
 def leadsto_mp(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     # lfp x. b ∪ mp_step(x), iterate by iterate
-    trace = IterateTrace(tuple(sys.attract(b, sys.grd_all)), "least")
+    trace = sys.attract(b, sys.grd_all)
     return Verdict(holds=a.is_subset(trace.value), relation="T_m", trace=trace)
 
 

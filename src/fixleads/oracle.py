@@ -13,7 +13,7 @@ from collections import deque
 
 from .events import EventSystem
 from .records import Record
-from .states import StateSet, bit_positions
+from .states import StateSet, _mask_of, bit_positions
 
 
 class Counterexample(Record):
@@ -242,9 +242,7 @@ def _wf_trap(sys, adj, nearest):
 def _fair_component(sys, comp_set, internal_edges):
     """A component is a fair trap iff every event enabled on all of it has an
     internal edge; returns one such edge per always-enabled event."""
-    comp_mask = 0
-    for s in comp_set:
-        comp_mask |= 1 << s
+    comp_mask = _mask_of(comp_set, sys.space.raw_size)
     witness_edges = {}
     for e in sys.events:
         if comp_mask & ~e.guard.mask == 0:  # enabled at every state of the component

@@ -223,12 +223,14 @@ class StateSpace:
         return StateSet(self, self.full_mask)
 
     def from_indices(self, indices) -> "StateSet":
-        mask = 0
-        for i in indices:
-            if i < 0 or not self.full_mask >> i & 1:
-                raise SpaceError(f"state index {i} is outside the universe")
-            mask |= 1 << i
-        return StateSet(self, mask)
+        """The states at ``indices``; walked one by one only to name a bad one."""
+        indices = list(indices)
+        if not indices or 0 <= min(indices) and max(indices) < self.raw_size:
+            mask = _mask_of(indices, self.raw_size)
+            if not mask & ~self.full_mask:
+                return StateSet(self, mask)
+        bad = next(i for i in indices if i < 0 or not self.full_mask >> i & 1)
+        raise SpaceError(f"state index {bad} is outside the universe")
 
     def __repr__(self):
         decls = ", ".join(v.name for v in self.vars)

@@ -1,4 +1,4 @@
-"""The closed term algebra of set transformers.
+"""The paper's reference semantics: the term algebra of set transformers.
 
 Each term has two interpretations over a postcondition set: the demonic one
 (``apply``: start states guaranteed to terminate inside the postcondition)
@@ -6,17 +6,21 @@ and the liberal one (``liberal``: terminate inside it or loop forever).
 ``pre`` is the termination set, ``grd`` the enabledness set.  The fair-choice
 (dovetail) term only has direct liberal/termination definitions; its demonic
 meaning comes from the pairing condition ``apply = liberal ∩ pre``.
+
+The laws at the end are stated as the paper defines them, and the tests
+hold the engines to them.  No engine imports this module; ``lfp``, ``gfp``
+and ``IterateTrace`` are the kernel's (``events``), bound here by name.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from .events import Event, EventSystem, FixpointError, IterateTrace, gfp, lfp
 from .records import Frozen, setfield
 from .states import StateSet, SpaceMismatch
-
-
-class FixpointError(Exception):
-    """Iteration failed to stabilize within the guaranteed bound."""
+from .variants import VariantFn, rule_verdict, variant_antecedents
+from .verdicts import Verdict
+from .wf import fair_loop
 
 
 class Skip(Frozen):
@@ -64,19 +68,19 @@ class Dovetail(Frozen):
 
 
 class Rel(Frozen):
-    """A named event given by a guarded successor relation (see events.py)."""
+    """A named event given by a guarded successor relation."""
 
     __slots__ = ("event",)
 
-    def __init__(self, event):  # events.Event; kept loose to avoid an import cycle
+    def __init__(self, event: Event):
         setfield(self, "event", event)
 
 
 Transformer = Skip | Guard | Precond | Choice | Seq | Dovetail | Rel
 
 
-def system_choice(sys) -> Transformer:
-    """The demonic choice of every event of an ``events.EventSystem``."""
+def system_choice(sys: EventSystem) -> Transformer:
+    """The demonic choice of every event of ``sys``."""
     t: Transformer = Rel(sys.events[0])
     for e in sys.events[1:]:
         t = Choice(t, Rel(e))
@@ -146,59 +150,42 @@ def grd(t: Transformer, universe: StateSet) -> StateSet:
     return apply(t, universe.space.empty()).complement()
 
 
-class IterateTrace(Frozen):
-    """The full chain of iterates of a stabilized fixpoint computation."""
-
-    __slots__ = ("steps", "kind")
-
-    def __init__(self, steps: tuple[StateSet, ...], kind: str):
-        setfield(self, "steps", steps)
-        setfield(self, "kind", kind)  # 'least' | 'greatest'
-
-    @property
-    def value(self) -> StateSet:
-        return self.steps[-1]
-
-    def to_json(self) -> dict:
-        """``delta[k]`` lists ``steps[k] ^ steps[k+1]``: the states that join
-        (least) or leave (greatest) at step ``k``, because ``_iterate`` only
-        accepts monotone chains.  ``steps[k+1] = steps[k] ^ delta[k]`` rebuilds
-        the chain from ``steps[0]``, ``∅`` or the universe.  Each delta is a
-        :class:`StateSet`, written as its ``to_json()`` list."""
-        space = self.steps[0].space
-        return {
-            "kind": self.kind,
-            "delta": [
-                StateSet(space, lo.mask ^ hi.mask) for lo, hi in zip(self.steps, self.steps[1:])
-            ],
-        }
-
-
-def lfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
-    """Least fixpoint of a monotone function by Kleene iteration from ∅."""
-    return _iterate(f, space.empty(), "least", space.size)
-
-
-def gfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:
-    """Greatest fixpoint by Kleene iteration from the universe."""
-    return _iterate(f, space.universe(), "greatest", space.size)
-
-
-def _iterate(f, start: StateSet, kind: str, size: int):
-    steps: list[StateSet] = [start]
-    current = start
-    for _ in range(size + 1):
-        nxt = f(current)
-        steps.append(nxt)
-        if nxt.mask == current.mask:
-            return nxt, IterateTrace(tuple(steps), kind)
-        # a monotone f only climbs from ∅ and only descends from the universe
-        if current.mask & ~nxt.mask if kind == "least" else nxt.mask & ~current.mask:
-            raise FixpointError(f"iterate {len(steps) - 1} breaks the {kind} chain; f is not monotone")
-        current = nxt
-    raise FixpointError(f"no stabilization within {size + 1} steps; f is not monotone")
-
-
 def _check(s: StateSet, r: StateSet) -> None:
     if s.space is not r.space:
         raise SpaceMismatch("transformer and postcondition use different spaces")
+
+
+def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
+    """One fair iteration step: the union of ``fair_loop(sys, r, g, r)`` over
+    every event ``g``."""
+    out = sys.space.empty()
+    for g in sys.events:
+        out = out | fair_loop(sys, r, g, r)
+    return out
+
+
+def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
+    """Liberal interpretation of the fair loop (reach ``q`` or run forever)."""
+    if r.is_universe():
+        return sys.space.universe()
+    # below the full postcondition the demonic loop is the liberal one
+    return fair_loop(sys, q, g, r)
+
+
+def check_variant_theorem(
+    f: Callable[[StateSet], StateSet], p: StateSet, variant: VariantFn
+) -> Verdict:
+    """Check the variant-decrease conditions for ``p`` lying inside lfp(f).
+
+    ``f`` must be monotone and conjunctive.  Antecedents: each level of the
+    variant inside ``p`` maps under ``f`` into the strictly-lower levels, and
+    ``p`` is invariant under ``f``.  On success the conclusion is verified
+    directly.
+    """
+    details = variant_antecedents(p, variant, f, f(p))
+
+    def direct() -> Verdict:
+        fix, trace = lfp(f, p.space)
+        return Verdict(holds=p.is_subset(fix), relation="lfp", trace=trace)
+
+    return rule_verdict("variant-theorem", not details, details, direct)

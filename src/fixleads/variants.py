@@ -1,10 +1,10 @@
-"""Natural-number variant functions and the variant-decrease termination rule."""
+"""Natural-number variant functions, held as their levels, and the
+variant-decrease rule, which walks the levels once in ascending order."""
 from __future__ import annotations
 
 from collections.abc import Callable
 
 from .states import StateSet, StateSpace
-from .transformers import lfp
 from .verdicts import SelfCheckDefect, Verdict
 
 
@@ -13,8 +13,7 @@ class VariantError(Exception):
 
 
 class VariantFn:
-    """A total map from states to naturals, held as its level sets, with the
-    sets below each level."""
+    """A total map from states to naturals, held as its level sets."""
 
     @classmethod
     def from_levels(cls, space: StateSpace, levels: dict[int, int], name: str = "variant"):
@@ -30,21 +29,12 @@ class VariantFn:
         variant = cls.__new__(cls)
         variant.space = space
         variant.name = name
-        variant.max_value = max(levels)
         variant._levels = dict(levels)
         return variant
 
     def level_set(self, n: int) -> StateSet:
         """States whose variant value is exactly ``n``."""
         return StateSet(self.space, self._levels.get(n, 0))
-
-    def below_set(self, n: int) -> StateSet:
-        """States whose variant value is strictly below ``n``."""
-        mask = 0
-        for val, m in self._levels.items():
-            if val < n:
-                mask |= m
-        return StateSet(self.space, mask)
 
 
 def variant_antecedents(
@@ -55,14 +45,17 @@ def variant_antecedents(
     ``p`` does not ``step`` strictly below ``n``, as ``{"n", "states"}``, and
     ``not_invariant``, the states of ``p`` outside ``image``."""
     details = {}
+    space = variant.space
+    below = 0  # the union of the levels passed so far: the states below ``n``
     # only the values the variant takes: the levels between them hold no state
     # and pass vacuously, and counting up to a large maximum would never end
-    for n in sorted(variant._levels):
-        lhs = p & variant.level_set(n)
-        rhs = step(variant.below_set(n))
+    for n, level in sorted(variant._levels.items()):
+        lhs = p & StateSet(space, level)
+        rhs = step(StateSet(space, below))
         if not lhs.is_subset(rhs):
             details["failing_level"] = {"n": n, "states": lhs - rhs}
             break
+        below |= level
     if not p.is_subset(image):
         details["not_invariant"] = p - image
     return details
@@ -82,24 +75,3 @@ def rule_verdict(
             raise SelfCheckDefect(f"{relation}: antecedents passed but the conclusion fails")
         v.trace = conclusion.trace
     return v
-
-
-def check_variant_theorem(
-    f: Callable[[StateSet], StateSet],
-    p: StateSet,
-    variant: VariantFn,
-) -> Verdict:
-    """Check the variant-decrease conditions for ``p`` lying inside lfp(f).
-
-    ``f`` must be monotone and conjunctive.  Antecedents: each level of the
-    variant inside ``p`` maps under ``f`` into the strictly-lower levels, and
-    ``p`` is invariant under ``f``.  On success the conclusion is verified
-    directly.
-    """
-    details = variant_antecedents(p, variant, f, f(p))
-
-    def direct() -> Verdict:
-        fix, trace = lfp(f, p.space)
-        return Verdict(holds=p.is_subset(fix), relation="lfp", trace=trace)
-
-    return rule_verdict("variant-theorem", not details, details, direct)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .records import Record
 from .states import StateSet
-from .transformers import IterateTrace
+from .events import IterateTrace
 
 
 class Verdict(Record):

@@ -8,10 +8,9 @@ again a least fixpoint over fair steps.
 """
 from __future__ import annotations
 
-from .events import Event, EventSystem
+from .events import Event, EventSystem, lfp
 from .mp import leadsto_mp, mp_step
 from .states import StateSet
-from .transformers import lfp
 from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import SelfCheckDefect, Verdict
 
@@ -37,21 +36,10 @@ def fair_loop(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
 def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
     """Termination set of the fair loop for helpful event ``g``."""
     # lfp x. (q ∪ grd g) ∪ (¬AX q ∩ AX x)
-    return sys.attract(q | g.guard, sys.apply_all(q).complement())[-1]
+    return sys.attract(q | g.guard, sys.apply_all(q).complement()).value
 
 
-def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
-    """Liberal interpretation of the fair loop (reach ``q`` or run forever)."""
-    if r.is_universe():
-        return sys.space.universe()
-    # below the full postcondition the demonic loop is the liberal one
-    return fair_loop(sys, q, g, r)
-
-
-FairDeltas = tuple[tuple[str, StateSet], ...]
-
-
-def fair_deltas(sys: EventSystem, r: StateSet) -> FairDeltas:
+def fair_deltas(sys: EventSystem, r: StateSet) -> tuple[tuple[str, StateSet], ...]:
     """Each event whose fair loop to ``r`` adds a state beyond ``r``, with the
     states it adds, in declaration order: ``fair_loop(sys, r, g, r)`` is ``r``
     plus those.  An event whose guarded states all step into ``r`` adds
@@ -64,19 +52,6 @@ def fair_deltas(sys: EventSystem, r: StateSet) -> FairDeltas:
     return tuple(out)
 
 
-def _joined(r: StateSet, deltas: FairDeltas) -> StateSet:
-    mask = r.mask
-    for _, added in deltas:
-        mask |= added.mask
-    return StateSet(r.space, mask)
-
-
-def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
-    """One fair iteration step: some event's fair loop reaches ``r``.  Every
-    loop contains ``r``, so this is ``r`` plus the :func:`fair_deltas`."""
-    return _joined(r, fair_deltas(sys, r))
-
-
 def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
     rhs = sys.apply_all(p | q) & g.guarded_apply(q)
     ok = (p - q).is_subset(rhs)
@@ -87,12 +62,16 @@ def ensures_wf(sys: EventSystem, g: Event, p: StateSet, q: StateSet) -> Verdict:
 
 def leadsto_wf(sys: EventSystem, a: StateSet, b: StateSet) -> Verdict:
     """The verdict carries, in ``fair_deltas[k]``, the :func:`fair_deltas` of
-    iterate ``k``, which build iterate ``k + 1`` as ``b ∪ steps[k]`` plus them."""
+    iterate ``k``, which build iterate ``k + 1`` as ``b ∪ steps[k]`` plus them:
+    each event's fair loop to ``x`` is ``x`` plus its delta."""
     deltas = []
 
     def fair_step(x: StateSet) -> StateSet:
         deltas.append(fair_deltas(sys, x))
-        return b | _joined(x, deltas[-1])
+        mask = b.mask | x.mask
+        for _, added in deltas[-1]:
+            mask |= added.mask
+        return StateSet(sys.space, mask)
 
     # a Kleene loop, not a kernel call: its iterates are the certificate layers
     fix, trace = lfp(fair_step, sys.space)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fixleads import dsl, states
 from fixleads.cli import main
 from fixleads.dsl import DslError, elaborate, parse
-from fixleads.exprs import Undecided, eval_partition
+from fixleads.exprs import Arith, Cmp, IntLit, Name, Undecided, eval_partition
 
 from conftest import event_from_rel, raw_states
 
@@ -321,19 +321,31 @@ def _check_quietly(text, tmp_path):
         return main(["check", str(path)])
 
 
-def test_a_flat_sum_of_900_terms_loads(tmp_path):
-    guard = " + ".join(["x"] * 900)
-    text = (f"system s\nvar x : 0 .. 1\ninit x = 0\nevent e when {guard} >= 0 then skip\n"
+# a chain of one operator parses left-deep; each guard holds at one value of x
+FLAT_CHAINS = {
+    "plus": (" + ".join(["x"] * 5000) + " <= 3", [0]),  # the sum takes the per-state path
+    "and": (" and ".join(["x >= 0"] * 4999 + ["x != 2"]), [0, 1, 3]),
+    "or": (" or ".join(["x = 9"] * 4999 + ["x = 1"]), [1]),
+}
+
+
+@pytest.mark.parametrize("op", FLAT_CHAINS)
+def test_a_flat_chain_of_5000_terms_loads(tmp_path, op):
+    guard, values = FLAT_CHAINS[op]
+    text = (f"system s\nvar x : 0 .. 3\ninit x = 0\nevent e when {guard} then skip\n"
             "property p : leadsto {true} {true} under mp\n")
     assert _check_quietly(text, tmp_path) == 0
-    assert _assert_same_as_reference(text).system.event("e").guard.is_universe()
+    elab = _assert_same_as_reference(text)
+    assert [elab.system.space.state_of(s)["x"] for s in elab.system.event("e").guard] == values
 
 
 def test_a_too_deep_expression_falls_back_to_the_per_state_path():
     sp = _space(BASE + "event e then skip\n")
-    deep = parse(BASE + "init " + " + ".join(["x"] * 5000) + " >= 0\n").init
+    deep = Name("x")  # x + (x + (x + ...)): real nesting, which no chain parses to
+    for _ in range(5000):
+        deep = Arith("+", Name("x"), deep)
     with pytest.raises(Undecided, match="nested too deeply"):
-        sp.partition(deep)
+        sp.partition(Cmp(">=", deep, IntLit(0)))
 
 
 def test_a_partition_larger_than_the_state_count_is_undecided():

@@ -58,7 +58,7 @@ def test_attract_is_the_kleene_trace(seed, idle_event):
     for _ in range(5):
         a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
         _, trace = lfp(lambda x: a | (b & apply(t, x)), sys_.space)
-        assert _masks(sys_.attract(a, b)) == _masks(trace.steps)
+        assert _masks(sys_.attract(a, b).steps) == _masks(trace.steps)
 
 
 @settings(max_examples=150, deadline=None)

@@ -58,6 +58,15 @@ def test_invariant_is_the_universe_mask_over_the_raw_index():
     assert sp.empty().complement().mask == 0b1101
 
 
+@pytest.mark.parametrize("bad", [-1, -9, 4, 1])  # negative, raw_size and past it, a hole
+def test_from_indices_names_the_first_index_outside_the_universe(bad):
+    sp = StateSpace([VarDecl("x", (0, 1, 2, 3))], invariant=Cmp("!=", Name("x"), IntLit(1)))
+    assert sp.from_indices(iter([3, 0, 2, 0])).mask == 0b1101
+    assert sp.from_indices([]).is_empty()
+    with pytest.raises(SpaceError, match=rf"^state index {bad} is outside the universe$"):
+        sp.from_indices([0, bad, 3, -2])
+
+
 def test_unsatisfiable_invariant_rejected():
     with pytest.raises(SpaceError):
         StateSpace([VarDecl("x", (0, 1))], invariant=Cmp("<", Name("x"), IntLit(0)))

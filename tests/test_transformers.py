@@ -1,10 +1,15 @@
-"""Transformer algebra: the two interpretations, pairing, and fixpoints."""
+"""Transformer algebra: the two interpretations, pairing, and fixpoints;
+and the module's place as reference code that no engine imports."""
+import ast
+import glob
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads import json_line
+import fixleads
+from fixleads import events, json_line, transformers
 from fixleads.states import StateSet
 from fixleads.transformers import (
     Choice,
@@ -204,3 +209,28 @@ def test_lfp_prefix_containment(b):
     fix, trace = lfp(lambda x: b | StateSet(SP, (x.mask << 1) & SP.full_mask), SP)
     for step in trace.steps:
         assert step.is_subset(fix)
+
+
+def _imports_transformers(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "fixleads.transformers" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    package = (node.level, node.module) in ((1, None), (0, "fixleads"))
+    return (node.level, node.module) in ((1, "transformers"), (0, "fixleads.transformers")) or (
+        package and any(alias.name == "transformers" for alias in node.names))
+
+
+def test_no_module_but_the_package_imports_the_reference_semantics():
+    importers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(fixleads.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        if any(_imports_transformers(node) for node in ast.walk(tree)):
+            importers.append(os.path.basename(path))
+    assert importers == ["__init__.py"]
+
+
+@pytest.mark.parametrize("name", ["lfp", "gfp", "IterateTrace", "FixpointError"])
+def test_the_kernel_chains_are_the_same_objects_under_every_name(name):
+    assert getattr(fixleads, name) is getattr(transformers, name) is getattr(events, name)

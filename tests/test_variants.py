@@ -1,13 +1,21 @@
-"""Variant functions, level sets, and the variant-decrease theorem checker."""
+"""Variant functions, level sets, the variant rule's antecedents and the
+variant-decrease theorem checker."""
+import glob
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixleads import StateSet, load_file
+from fixleads.cli import resolve
 from fixleads.mp import mp_step
-from fixleads.variants import VariantError, VariantFn, check_variant_theorem
+from fixleads.transformers import check_variant_theorem
+from fixleads.variants import VariantError, VariantFn, variant_antecedents
 
 from conftest import make_space, random_set, random_system, variant_from_table, xs
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _togo(sys):
@@ -20,14 +28,11 @@ def test_level_sets_mono3(mono3):
     assert sorted(v.level_set(1)) == [1]
     assert sorted(v.level_set(2)) == [0]
     assert v.level_set(5).is_empty()
-    assert v.below_set(0).is_empty()
-    assert sorted(v.below_set(2)) == [1, 2]
-    assert v.max_value == 2
 
 
 def test_variant_validation():
     sp = make_space(3)
-    assert VariantFn.from_levels(sp, {0: 0b001, 4: 0b110}).max_value == 4
+    assert VariantFn.from_levels(sp, {0: 0b001, 4: 0b110}).level_set(4).mask == 0b110
     with pytest.raises(VariantError):
         VariantFn.from_levels(sp, {0: 0b001, 1: 0b010})  # partial
     with pytest.raises(VariantError):
@@ -43,7 +48,7 @@ def test_table_levels_on_a_space_with_holes():
     v = variant_from_table(sp, {i: 3 - sp.state_of(i)["x"] for i in sp.universe()})
     assert sorted(v.level_set(3)) == [0] and sorted(v.level_set(0)) == [3]
     assert v.level_set(2).is_empty()  # the hole's level holds no state
-    assert sorted(v.below_set(2)) == [2, 3]
+    assert sorted(v.level_set(1)) == [2]
     with pytest.raises(VariantError):  # the level 2 is the hole
         VariantFn.from_levels(sp, {3: 0b0001, 2: 0b0010, 1: 0b0100, 0: 0b1000})
 
@@ -53,19 +58,15 @@ def test_table_levels_on_a_space_with_holes():
 def test_level_set_identities(seed):
     rng = random.Random(seed)
     sp = make_space(rng.randint(1, 8))
-    v = variant_from_table(sp, {s: rng.randint(0, 4) for s in range(sp.size)})
+    table = {s: rng.randint(0, 4) for s in range(sp.size)}
+    v = variant_from_table(sp, table)
     union_levels = sp.empty()
-    for n in range(v.max_value + 2):
-        below = sp.empty()
-        for i in range(n):
-            below = below | v.level_set(i)
-        assert v.below_set(n).mask == below.mask  # v'(n) = union of lower levels
-        union_levels = union_levels | v.level_set(n)
+    for n in range(6):
+        level = v.level_set(n)
+        assert (level & union_levels).is_empty()  # the levels are disjoint
+        assert sorted(level) == [s for s, val in table.items() if val == n]
+        union_levels = union_levels | level
     assert union_levels.is_universe()  # totality
-    union_below = sp.empty()
-    for i in range(v.max_value + 1):
-        union_below = union_below | v.below_set(i + 1)
-    assert union_below.mask == union_levels.mask
 
 
 def test_variant_theorem_mono3(mono3):
@@ -104,7 +105,69 @@ def test_variant_theorem_layer_bound(seed):
         return
     trace = verdict.trace
     covered = sp.empty()
-    for n in range(v_fn.max_value + 1):
+    for n in range(sp.size + 1):
         covered = covered | v_fn.level_set(n)
         iterate = trace.steps[min(n + 1, len(trace.steps) - 1)]
         assert (covered & p).is_subset(iterate)
+
+
+def per_level_antecedents(p, variant, step, image):
+    """Reference for ``variant_antecedents``: the set below each level built
+    again from every lower level, as ``VariantFn.below_set`` once did."""
+    def below_set(n):
+        mask = 0
+        for val, m in variant._levels.items():
+            if val < n:
+                mask |= m
+        return StateSet(variant.space, mask)
+
+    details = {}
+    for n in sorted(variant._levels):
+        lhs = p & variant.level_set(n)
+        rhs = step(below_set(n))
+        if not lhs.is_subset(rhs):
+            details["failing_level"] = {"n": n, "states": lhs - rhs}
+            break
+    if not p.is_subset(image):
+        details["not_invariant"] = p - image
+    return details
+
+
+def _rule_arguments(sys_, a, b, variant):
+    """The arguments of ``variant_antecedents`` in ``rule_mp_variant`` and in
+    ``rule_wf_to_mp``."""
+    yield a - b, variant, sys_.apply_all, mp_step(sys_, a)
+    yield b.complement(), variant, sys_.apply_all, sys_.space.universe()
+
+
+def _assert_same_antecedents(sys_, a, b, variant):
+    for args in _rule_arguments(sys_, a, b, variant):
+        assert variant_antecedents(*args) == per_level_antecedents(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_variant_antecedents_match_the_per_level_loop_on_random_systems(seed):
+    rng = random.Random(seed)
+    sys_ = random_system(rng, max_states=9)
+    sp = sys_.space
+    table = {s: rng.randint(0, 2 * sp.size) for s in sp.universe()}
+    variant = variant_from_table(sp, table)
+    _assert_same_antecedents(sys_, random_set(rng, sp), random_set(rng, sp), variant)
+
+
+def test_variant_antecedents_match_the_per_level_loop_on_every_data_variant():
+    models = 0
+    for path in sorted(glob.glob(os.path.join(DATA, "*.evt"))):
+        elab = load_file(path)
+        if not elab.variants:
+            continue
+        models += 1
+        for prop in elab.properties:
+            if prop.kind != "leadsto":
+                continue
+            for assume in ("mp", "wf"):
+                claim = resolve(elab, prop, assume)
+                for variant in elab.variants.values():
+                    _assert_same_antecedents(elab.system, claim.a, claim.b, variant)
+    assert models == 3

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from fixleads import wf
 from fixleads.mp import leadsto_mp
 from fixleads.verdicts import SelfCheckDefect
+from fixleads.transformers import fair_loop_liberal, wf_step
 from fixleads.wf import (
     ensures_wf,
     fair_loop,
-    fair_loop_liberal,
     fair_loop_termination,
     leadsto_wf,
     leadsto_wf_si,
     rule_wf_to_mp,
-    wf_step,
 )
 
 from conftest import (
