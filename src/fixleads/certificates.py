@@ -59,20 +59,6 @@ class Disj(Frozen):
 Certificate = Basic | Trans | Disj
 
 
-def conclusion(cert: Certificate) -> tuple[StateSet, StateSet]:
-    """The (p, q) pair a well-formed certificate concludes."""
-    if isinstance(cert, Basic):
-        return cert.p, cert.q
-    if isinstance(cert, Trans):
-        return conclusion(cert.left)[0], conclusion(cert.right)[1]
-    if isinstance(cert, Disj):
-        p = cert.q.space.empty()
-        for part in cert.parts:
-            p = p | conclusion(part)[0]
-        return p, cert.q
-    raise TypeError(f"bad certificate node {cert!r}")
-
-
 def _leaf_ok(sys: EventSystem, leaf: Basic) -> bool:
     if leaf.assumption == "mp":
         return ensures_mp(sys, leaf.p, leaf.q).holds
@@ -99,7 +85,8 @@ def check_certificate(
 
 
 def _checked_conclusion(sys, cert, assumption) -> tuple[StateSet, StateSet] | None:
-    """``conclusion(cert)`` if every node of ``cert`` checks, else None."""
+    """The ``(p, q)`` pair ``cert`` concludes if every node of it checks, else
+    None."""
     if isinstance(cert, Basic):
         ok = cert.assumption == assumption and _leaf_ok(sys, cert)
         return (cert.p, cert.q) if ok else None
@@ -180,13 +167,14 @@ def derive_certificate_wf(
 
     def layer_node(layer: StateSet, below: StateSet, k: int) -> Certificate:
         parts: list[Certificate] = [Basic(below, below, "wf", helpful=first)]
+        concluded = below.mask  # the disjunction's p: the union of its parts' p
         for name, added in fair_deltas[k]:
             parts.append(Basic(added, below, "wf", helpful=name))
-        node = Disj(tuple(parts), below)
+            concluded |= added.mask
         # the layer is exactly target ∪ fair steps, so conclusions match
-        if conclusion(node)[0].mask != layer.mask:
+        if concluded != layer.mask:
             raise CertificateError("iterate trace does not reconstruct from the fair deltas")
-        return node
+        return Disj(tuple(parts), below)
 
     return _derive(a, b, trace, "wf", first, layer_node)
 

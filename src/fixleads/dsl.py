@@ -2,11 +2,14 @@
 
 The surface syntax declares one system per file: variables over finite
 domains, an optional invariant, an init predicate, guarded events, variant
-functions and liveness properties.  Parsing yields a plain AST; elaboration
-evaluates every guard, action, predicate and variant on all states at once,
-as partitions of the states by value (``StateSpace.partition``), producing
-the relational objects the engines work on.  An item the partitions cannot
-decide goes through the per-state loop, which also reports its errors.
+functions and liveness properties.  Parsing yields a plain AST, in which a
+chain of one precedence level (``a + b - c``, ``p and q and r``) is one node
+holding its operands, and a parenthesised operand stays one operand.
+Elaboration evaluates every guard, action, predicate and variant on all
+states at once, as partitions of the states by value
+(``StateSpace.partition``), producing the relational objects the engines
+work on.  An item the partitions cannot decide goes through the per-state
+loop, which also reports its errors.
 
 A `[]` between actions inside one event merges the outcomes into a single
 event's relation (internal nondeterminism).  That is not the same as
@@ -302,12 +305,12 @@ class _Parser:
             tok = self.next()
             if ast.invariant is not None:
                 raise DslError("duplicate invariant", tok.line, tok.col)
-            ast.invariant = self.pred()
+            ast.invariant = self.expr()
         elif self.at_keyword("init"):
             tok = self.next()
             if ast.init is not None:
                 raise DslError("duplicate init", tok.line, tok.col)
-            ast.init = self.pred()
+            ast.init = self.expr()
         elif self.at_keyword("event"):
             self.next()
             name = self.ident()
@@ -315,7 +318,7 @@ class _Parser:
             guard = None
             if self.at_keyword("when"):
                 self.next()
-                guard = self.pred()
+                guard = self.expr()
             self.expect_keyword("then")
             actions = [self.action()]
             while self.peek().kind == "[]":
@@ -432,30 +435,31 @@ class _Parser:
 
     def braced_pred(self) -> Expr:
         self.expect("{")
-        p = self.pred()
+        p = self.expr()
         self.expect("}")
         return p
 
-    # predicates and expressions, lowest precedence first
-    def pred(self) -> Expr:
-        return self.or_expr()
-
+    # expressions, lowest precedence first; a predicate is a boolean one.  A
+    # lone operand is returned as it is, and a chain of one level is one node.
     def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
         e = self.and_expr()
-        while self.at_keyword("or"):
-            self.next()
-            e = Or(e, self.and_expr())
+        if self.peek().text == "or":
+            return self._chain(e, self.and_expr, ("or",), Or)
         return e
 
     def and_expr(self) -> Expr:
         e = self.not_expr()
-        while self.at_keyword("and"):
-            self.next()
-            e = And(e, self.not_expr())
+        if self.peek().text == "and":
+            return self._chain(e, self.not_expr, ("and",), And)
         return e
+
+    def _chain(self, first: Expr, operand, ops: tuple[str, ...], node: type) -> Expr:
+        """``first (op operand)*`` over the ``ops`` of one precedence level."""
+        links, operands = [], [first]
+        while self.peek().text in ops:
+            links.append(self.next().text)
+            operands.append(operand())
+        return Arith(tuple(links), tuple(operands)) if node is Arith else node(tuple(operands))
 
     def not_expr(self) -> Expr:
         if self.at_keyword("not"):
@@ -473,22 +477,20 @@ class _Parser:
 
     def sum_expr(self) -> Expr:
         e = self.term_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Arith(op, e, self.term_expr())
+        if self.peek().text in ("+", "-"):
+            return self._chain(e, self.term_expr, ("+", "-"), Arith)
         return e
 
     def term_expr(self) -> Expr:
         e = self.unary_expr()
-        while self.peek().kind == "*":
-            self.next()
-            e = Arith("*", e, self.unary_expr())
+        if self.peek().text == "*":
+            return self._chain(e, self.unary_expr, ("*",), Arith)
         return e
 
     def unary_expr(self) -> Expr:
         if self.peek().kind == "-":
             self.next()
-            return Arith("-", IntLit(0), self.unary_expr())
+            return Arith(("-",), (IntLit(0), self.unary_expr()))
         return self.atom()
 
     def atom(self) -> Expr:
@@ -507,7 +509,7 @@ class _Parser:
             return Name(tok.text)
         if tok.kind == "(":
             self.next()
-            e = self.pred()
+            e = self.expr()
             self.expect(")")
             return e
         raise self.fail("an expression")

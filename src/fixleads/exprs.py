@@ -3,6 +3,13 @@
 Values are plain ints, bools, or enumeration literals (strings).  Evaluation
 is always against a full assignment of the declared variables, so every
 operation is total or raises :class:`EvalError`.
+
+A chain of one precedence level, such as ``a + b - c`` or ``p and q and r``,
+is one node that holds its operands in order, as the grammar rule
+``sum := term (("+" | "-") term)*`` reads them.  So the evaluators, the
+printer and the records' equality, hashing and pickling walk a chain with
+one loop or none, and only real nesting (parentheses, ``not``, unary minus,
+a comparison's operands) recurses.
 """
 from __future__ import annotations
 
@@ -39,12 +46,16 @@ class Name(Frozen):
 
 
 class Arith(Frozen):
-    __slots__ = ("op", "left", "right")
+    """A chain of one precedence level, ``operands[0] ops[0] operands[1] ...``,
+    evaluated left to right: ``ops`` has one operator fewer than ``operands``,
+    and the parser builds it all ``'+'``/``'-'`` or all ``'*'``.  Unary minus
+    is ``Arith(("-",), (IntLit(0), x))``."""
 
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        setfield(self, "op", op)  # '+', '-', '*'
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+    __slots__ = ("ops", "operands")
+
+    def __init__(self, ops: tuple[str, ...], operands: tuple["Expr", ...]):
+        setfield(self, "ops", ops)
+        setfield(self, "operands", operands)
 
 
 class Cmp(Frozen):
@@ -64,22 +75,29 @@ class Not(Frozen):
 
 
 class And(Frozen):
-    __slots__ = ("left", "right")
+    """``operands[0] and operands[1] and ...``: at least two operands."""
 
-    def __init__(self, left: "Expr", right: "Expr"):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Expr", ...]):
+        setfield(self, "operands", operands)
 
 
 class Or(Frozen):
-    __slots__ = ("left", "right")
+    """``operands[0] or operands[1] or ...``: at least two operands."""
 
-    def __init__(self, left: "Expr", right: "Expr"):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Expr", ...]):
+        setfield(self, "operands", operands)
 
 
 Expr = IntLit | BoolLit | Name | Arith | Cmp | Not | And | Or
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_EQUALITY = {"=": operator.eq, "!=": operator.ne}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _is_int(v: Value) -> bool:
@@ -99,60 +117,43 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
             return node.ident
         raise EvalError(f"unknown identifier {node.ident!r}")
     if isinstance(node, Arith):
-        spine = _left_spine(node, Arith)
-        lv = eval_expr(spine[-1].left, env, constants)
-        for link in reversed(spine):
-            rv = eval_expr(link.right, env, constants)
+        lv = eval_expr(node.operands[0], env, constants)
+        for op, right in zip(node.ops, node.operands[1:]):
+            rv = eval_expr(right, env, constants)
             if not (_is_int(lv) and _is_int(rv)):
-                raise EvalError(f"arithmetic {link.op!r} needs integers, got {lv!r}, {rv!r}")
-            if link.op not in _ARITH:
-                raise EvalError(f"bad arithmetic operator {link.op!r}")
-            lv = _ARITH[link.op](lv, rv)
+                raise EvalError(f"arithmetic {op!r} needs integers, got {lv!r}, {rv!r}")
+            if op not in _ARITH:
+                raise EvalError(f"bad arithmetic operator {op!r}")
+            lv = _ARITH[op](lv, rv)
         return lv
     if isinstance(node, Cmp):
         lv = eval_expr(node.left, env, constants)
         rv = eval_expr(node.right, env, constants)
-        if node.op in ("=", "!="):
+        if node.op in _EQUALITY:
             if type(lv) is not type(rv):
                 raise EvalError(f"cannot compare {lv!r} with {rv!r}")
-            return (lv == rv) if node.op == "=" else (lv != rv)
+            return _EQUALITY[node.op](lv, rv)
         if not (_is_int(lv) and _is_int(rv)):
             raise EvalError(f"ordering {node.op!r} needs integers, got {lv!r}, {rv!r}")
-        if node.op == "<":
-            return lv < rv
-        if node.op == "<=":
-            return lv <= rv
-        if node.op == ">":
-            return lv > rv
-        if node.op == ">=":
-            return lv >= rv
-        raise EvalError(f"bad comparison operator {node.op!r}")
+        if node.op not in _ORDER:
+            raise EvalError(f"bad comparison operator {node.op!r}")
+        return _ORDER[node.op](lv, rv)
     if isinstance(node, Not):
         v = eval_expr(node.operand, env, constants)
         if not isinstance(v, bool):
             raise EvalError(f"'not' needs a boolean, got {v!r}")
         return not v
     if isinstance(node, (And, Or)):
-        spine = _left_spine(node, (And, Or))
-        lv = eval_expr(spine[-1].left, env, constants)
-        for link in reversed(spine):
-            is_or = isinstance(link, Or)
-            if not isinstance(lv, bool):
-                raise EvalError(f"'{'or' if is_or else 'and'}' needs booleans, got {lv!r}")
-            if lv is not is_or:  # the left value decides nothing: ``and`` on true, ``or`` on false
-                lv = eval_bool(link.right, env, constants)
-        return lv
+        decides = isinstance(node, Or)  # the value that decides the chain: ``or`` on true
+        v = eval_expr(node.operands[0], env, constants)
+        if not isinstance(v, bool):
+            raise EvalError(f"'{'or' if decides else 'and'}' needs booleans, got {v!r}")
+        for operand in node.operands[1:]:
+            if v is decides:
+                break
+            v = eval_bool(operand, env, constants)
+        return v
     raise EvalError(f"bad expression node {node!r}")
-
-
-def _left_spine(node: Expr, kinds) -> list:
-    """``node`` and its chain of left operands of the types ``kinds``, top
-    first: a chain such as ``a + b - c`` parses left-deep, so the evaluators
-    walk its links in a loop, and only real nesting recurses."""
-    spine = [node]
-    while isinstance(spine[-1].left, kinds):
-        spine.append(spine[-1].left)
-    return spine
 
 
 def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool:
@@ -173,10 +174,6 @@ class Undecided(Exception):
     some state would raise, or the partition grows past its bound."""
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
 def eval_partition(
     node: Expr, leaves: dict[str, Partition | None], constants: frozenset, care: int, limit: int
 ) -> Partition:
@@ -185,11 +182,12 @@ def eval_partition(
     ``care``, with ``eval_expr`` on each state of ``mask`` giving ``value``.
 
     ``leaves`` maps each variable to the partition of the whole space by its
-    value (``None`` when it has none).  Operands are combined pairwise, and
-    the right operand of ``and``/``or`` is evaluated only on the states the
-    left one does not decide, as ``eval_expr`` short-circuits per state.
-    Raises :class:`Undecided` where ``eval_expr`` would raise on some state
-    of ``care``, and when one operator pairs more than ``limit`` blocks."""
+    value (``None`` when it has none).  Operands are combined pairwise, left
+    to right, and each later operand of ``and``/``or`` is evaluated only on
+    the states the earlier ones do not decide, as ``eval_expr``
+    short-circuits per state.  Raises :class:`Undecided` where ``eval_expr``
+    would raise on some state of ``care``, and when one operator pairs more
+    than ``limit`` blocks."""
     try:
         return _partition(node, leaves, constants, care, limit)
     except RecursionError:
@@ -220,13 +218,14 @@ def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partitio
         raise Undecided(f"unknown identifier {node.ident!r}")
     if isinstance(node, Cmp):
         left = _partition(node.left, leaves, constants, care, limit)
-        return _pairwise(node, left, _partition(node.right, leaves, constants, care, limit), limit)
+        right = _partition(node.right, leaves, constants, care, limit)
+        table = _EQUALITY if node.op in _EQUALITY else _ORDER
+        return _pairwise(node.op, table, left, right, limit)
     if isinstance(node, Arith):
-        spine = _left_spine(node, Arith)
-        left = _partition(spine[-1].left, leaves, constants, care, limit)
-        for link in reversed(spine):
-            right = _partition(link.right, leaves, constants, care, limit)
-            left = _pairwise(link, left, right, limit)
+        left = _partition(node.operands[0], leaves, constants, care, limit)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            right = _partition(operand, leaves, constants, care, limit)
+            left = _pairwise(op, _ARITH, left, right, limit)
         return left
     if isinstance(node, Not):
         inner = _partition(node.operand, leaves, constants, care, limit)
@@ -234,59 +233,55 @@ def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partitio
             raise Undecided("'not' needs a boolean")
         return {(bool, not v): m for (_, v), m in inner.items()}
     if isinstance(node, (And, Or)):
-        spine = _left_spine(node, (And, Or))
-        left = _partition(spine[-1].left, leaves, constants, care, limit)
-        for link in reversed(spine):
-            if any(t is not bool for t, _ in left):
+        decides = isinstance(node, Or)  # the value that decides the chain
+        out: Partition = {}
+        for operand in node.operands:  # ``care``: the states still undecided
+            part = _partition(operand, leaves, constants, care, limit)
+            if any(t is not bool for t, _ in part):
                 raise Undecided("'and'/'or' needs booleans")
-            # the left value that decides the result without the right operand
-            decides = isinstance(link, Or)
-            right = _partition(
-                link.right, leaves, constants, left.get((bool, not decides), 0), limit
-            )
-            if any(t is not bool for t, _ in right):
-                raise Undecided("'and'/'or' needs booleans")
-            out = dict(right)
-            decided = left.get((bool, decides), 0)
-            if decided:
-                out[(bool, decides)] = out.get((bool, decides), 0) | decided
-            left = out
-        return left
+            if (bool, decides) in part:
+                out[(bool, decides)] = out.get((bool, decides), 0) | part[(bool, decides)]
+            care = part.get((bool, not decides), 0)
+            if not care:
+                return out
+        out[(bool, not decides)] = care
+        return out
     raise Undecided(f"bad expression node {node!r}")
 
 
-def _pairwise(node: Arith | Cmp, left: Partition, right: Partition, limit: int) -> Partition:
-    """The partition of ``node`` from the partitions of its operands."""
+def _pairwise(op: str, table: dict, left: Partition, right: Partition, limit: int) -> Partition:
+    """The partition of ``left op right``, with ``op`` read from ``table``:
+    ``_ARITH``, ``_EQUALITY`` or ``_ORDER``."""
     if len(left) * len(right) > limit:
         raise Undecided("partition larger than the state count")
-    equality = isinstance(node, Cmp) and node.op in ("=", "!=")
-    fn = (_ARITH if isinstance(node, Arith) else _ORDER).get(node.op)
-    if fn is None and not equality:
-        raise Undecided(f"bad operator {node.op!r}")
+    fn = table.get(op)
+    if fn is None:
+        raise Undecided(f"bad operator {op!r}")
     out: Partition = {}
     for (lt, lv), lm in left.items():
         for (rt, rv), rm in right.items():
             m = lm & rm
             if not m:
                 continue
-            if equality:
+            if table is _EQUALITY:
                 if lt is not rt:
                     raise Undecided("comparison of different types")
-                key = (bool, (lv == rv) == (node.op == "="))
             elif lt is not int or rt is not int:
-                raise Undecided(f"{node.op!r} needs integers")
-            else:
-                value = fn(lv, rv)
-                key = (type(value), value)
+                raise Undecided(f"{op!r} needs integers")
+            value = fn(lv, rv)
+            key = (type(value), value)
             out[key] = out.get(key, 0) | m
     return out
 
 
-_PREC = {Or: 1, And: 2, Not: 3, Cmp: 4, Arith: 5}
+_PREC = {Or: 1, And: 2, Not: 3, Cmp: 4}  # an Arith chain: 5 for '+'/'-', 6 for '*'
 
 
 def to_text(node: Expr) -> str:
-    """Render an expression back to concrete syntax (parse/print round-trips)."""
+    """Render an expression back to concrete syntax: ``parse`` of the text
+    gives ``node`` back.  A chain's operands are printed one level above it,
+    so an operand that is itself a chain of that level keeps its
+    parentheses."""
 
     def render(n: Expr, parent_prec: int) -> str:
         if isinstance(n, IntLit):
@@ -296,22 +291,19 @@ def to_text(node: Expr) -> str:
         if isinstance(n, Name):
             return n.ident
         if isinstance(n, Not):
-            s = "not " + render(n.operand, _PREC[Not])
             prec = _PREC[Not]
-        elif isinstance(n, And):
-            s = render(n.left, _PREC[And]) + " and " + render(n.right, _PREC[And] + 1)
-            prec = _PREC[And]
-        elif isinstance(n, Or):
-            s = render(n.left, _PREC[Or]) + " or " + render(n.right, _PREC[Or] + 1)
-            prec = _PREC[Or]
+            s = "not " + render(n.operand, prec)
         elif isinstance(n, Cmp):
-            s = render(n.left, _PREC[Cmp] + 1) + f" {n.op} " + render(n.right, _PREC[Cmp] + 1)
             prec = _PREC[Cmp]
+            s = render(n.left, prec + 1) + f" {n.op} " + render(n.right, prec + 1)
         elif isinstance(n, Arith):
-            # '+'/'-' associate left; '*' binds tighter
-            lp = 5 if n.op in "+-" else 6
-            s = render(n.left, lp) + f" {n.op} " + render(n.right, lp + 1)
-            prec = lp
+            prec = 6 if n.ops[0] == "*" else 5
+            s = render(n.operands[0], prec + 1) + "".join(
+                f" {op} {render(operand, prec + 1)}" for op, operand in zip(n.ops, n.operands[1:]))
+        elif isinstance(n, (And, Or)):
+            prec = _PREC[type(n)]
+            word = " and " if isinstance(n, And) else " or "
+            s = word.join(render(operand, prec + 1) for operand in n.operands)
         else:
             raise EvalError(f"bad expression node {n!r}")
         return f"({s})" if prec < parent_prec else s

@@ -2,7 +2,7 @@
 
 A subclass lists its fields in ``__slots__`` and sets them in an explicit
 ``__init__``.  :class:`Record` compares field by field and only with its
-exact type, so ``And(a, b) != Or(a, b)``, and is unhashable because it is
+exact type, so ``And((a, b)) != Or((a, b))``, and is unhashable because it is
 mutable.  :class:`Frozen` is read-only and hashable; its ``__init__`` takes
 the fields in ``__slots__`` order and sets each with :func:`setfield`.
 """

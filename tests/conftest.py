@@ -93,10 +93,8 @@ def variant_from_table(space: StateSpace, table: dict[int, int], name: str = "va
 def make_space(n: int, holes: Iterable[int] = ()) -> StateSpace:
     """``x : 0 .. n-1``, under ``invariant x != k and ...`` for each ``k`` of
     ``holes``: a universe whose mask has those raw indices cleared."""
-    invariant = None
-    for k in holes:
-        clause = Cmp("!=", Name("x"), IntLit(k))
-        invariant = clause if invariant is None else And(invariant, clause)
+    clauses = [Cmp("!=", Name("x"), IntLit(k)) for k in holes]
+    invariant = And(tuple(clauses)) if len(clauses) > 1 else clauses[0] if clauses else None
     return StateSpace([VarDecl("x", tuple(range(n)))], invariant)
 
 

@@ -1,5 +1,7 @@
 """Parser and elaborator for the specification language."""
+import copy
 import os
+import pickle
 
 import pytest
 
@@ -11,7 +13,8 @@ from fixleads.dsl import (
     parse,
     print_spec,
 )
-from fixleads.exprs import Arith, IntLit, Name
+from fixleads import dsl, exprs
+from fixleads.exprs import And, Arith, IntLit, Name, Or
 from fixleads.states import StateSet
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -165,13 +168,56 @@ def test_assignment_forms_parse_to_one_node():
     head = "system s\nvar x : 0 .. 2\nvar y : 0 .. 1\nevent e then "
     single = parse(head + "x := x + 1\n")
     assert single.events[0].actions[0].assigns == (
-        Assign("x", (Arith("+", Name("x"), IntLit(1)),)),)
+        Assign("x", (Arith(("+",), (Name("x"), IntLit(1))),)),)
     assert parse(head + "x :in {x + 1}\n") == single
     assert "then x := x + 1\n" in print_spec(single)
     several = parse(head + "x :in {0, x}, y := 1\n")
     printed = print_spec(several)
     assert "then x :in {0, x}, y := 1\n" in printed
     assert parse(printed) == several
+
+
+def test_chains_parse_to_one_node_and_parentheses_to_one_operand():
+    def guard(text):
+        return parse(f"system s\nvar x : 0 .. 1\nevent e when {text} then skip\n").events[0].guard
+
+    x, one = Name("x"), IntLit(1)
+    assert guard("x - x + 1 >= 0").left == Arith(("-", "+"), (x, x, one))
+    assert guard("x - (x - 1) >= 0").left == Arith(("-",), (x, Arith(("-",), (x, one))))
+    assert guard("(x - x) - 1 >= 0").left == Arith(("-",), (Arith(("-",), (x, x)), one))
+    assert guard("x * x + x * 1 >= 0").left == Arith(
+        ("+",), (Arith(("*",), (x, x)), Arith(("*",), (x, one))))
+    assert guard("-x + 1 >= 0").left == Arith(("+",), (Arith(("-",), (IntLit(0), x)), one))
+    p = guard("x = 1")
+    assert guard("x = 1 and x = 1 or x = 1") == Or((And((p, p)), p))
+    assert guard("x = 1 and (x = 1 and x = 1)") == And((p, And((p, p))))
+    # a lone operand is returned as it is, whatever its level
+    assert guard("(x = 1)") == guard("((x = 1))") == p
+
+
+# guards of 5000 operands in one chain of one precedence level
+LONG_GUARDS = {
+    "plus": " + ".join(["x"] * 5000) + " >= 0",
+    "minus": " - ".join(["x"] * 5000) + " <= 0",
+    "times": " * ".join(["x"] * 5000) + " >= 0",
+    "and": " and ".join(["x >= 0"] * 5000),
+    "or": " or ".join(["x = 1"] * 5000),
+    "and-or": " or ".join(["x = 0 and x = 1"] * 2500),
+}
+
+
+@pytest.mark.parametrize("op", LONG_GUARDS)
+def test_a_5000_operand_chain_compares_hashes_copies_and_prints(op):
+    text = f"system s\nvar x : 0 .. 1\nevent e when {LONG_GUARDS[op]} then skip\n"
+    ast, again = parse(text), parse(text)
+    event = ast.events[0]
+    assert event == again.events[0] and hash(event) == hash(again.events[0])
+    names = {name: getattr(module, name) for module in (dsl, exprs) for name in dir(module)}
+    assert eval(repr(event), names) == event
+    assert pickle.loads(pickle.dumps(event)) == event
+    assert copy.deepcopy(event) == event
+    printed = print_spec(ast)
+    assert parse(printed) == ast and print_spec(parse(printed)) == printed
 
 
 def test_elaboration_errors():

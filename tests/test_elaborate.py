@@ -8,6 +8,7 @@ everywhere, so the two can be compared on any model.
 """
 import contextlib
 import io
+import itertools
 import os
 import tracemalloc
 from unittest import mock
@@ -17,8 +18,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixleads import dsl, states
 from fixleads.cli import main
-from fixleads.dsl import DslError, elaborate, parse
-from fixleads.exprs import Arith, Cmp, IntLit, Name, Undecided, eval_partition
+from fixleads.dsl import DslError, _Parser, elaborate, parse, print_spec, tokenize
+from fixleads.exprs import (
+    And,
+    Arith,
+    Cmp,
+    EvalError,
+    IntLit,
+    Name,
+    Not,
+    Or,
+    Undecided,
+    eval_expr,
+    eval_partition,
+    to_text,
+)
 
 from conftest import event_from_rel, raw_states
 
@@ -93,10 +107,18 @@ def _domains(draw):
     return decls
 
 
+# the levels of the expression grammar, loosest first; an atom binds tightest
+OR, AND, NOT, CMP, SUM, TERM, ATOM = range(1, 8)
+
+
 def _expr(draw, decls, want, depth):
-    """Text of an expression meant to have type ``want`` ('int', 'bool' or
-    'enum'); now and then an operand of the wrong type, so the error paths
-    are drawn too."""
+    """``(text, level)`` of an expression meant to have type ``want`` ('int',
+    'bool' or 'enum'), where ``level`` is the grammar level of its top node;
+    now and then an operand of the wrong type, so the error paths are drawn
+    too.  A chain has 2-4 operands; an operand is written bare where the
+    grammar allows it, which draws flat chains and operands of a tighter
+    level, and is parenthesised now and then anyway, which draws nested
+    chains such as ``(a - b) - c`` and ``a - (b - c)``."""
     if draw(st.integers(0, 49)) == 25:  # hypothesis favours the bounds
         want = draw(st.sampled_from(["int", "bool", "enum"]))
     of_type = [name for name, kind, _, _ in decls if kind == {"int": "range"}.get(want, want)]
@@ -109,23 +131,33 @@ def _expr(draw, decls, want, depth):
         else:  # mostly a declared constant, now and then an unknown name
             declared = [v for _, kind, _, values in decls if kind == "enum" for v in values]
             options.append(("lit", draw(st.sampled_from(declared or ENUM_NAMES))))
-        return draw(st.sampled_from(options))[1]
-    sub = lambda w: _expr(draw, decls, w, depth - 1)  # noqa: E731
+        return draw(st.sampled_from(options))[1], ATOM
+
+    def sub(w, above):
+        """An operand that must bind tighter than the level ``above``."""
+        text, level = _expr(draw, decls, w, depth - 1)
+        return text if level > above and draw(st.booleans()) else f"({text})"
+
+    def chain(w, level, ops):
+        text = sub(w, level)
+        for _ in range(draw(st.integers(1, 3))):
+            text += f" {draw(st.sampled_from(ops))} {sub(w, level)}"
+        return text, level
+
     if want == "int":
-        op = draw(st.sampled_from(["+", "-", "*"]))
-        return f"({sub('int')} {op} {sub('int')})"
+        return chain("int", TERM, ["*"]) if draw(st.booleans()) else chain("int", SUM, ["+", "-"])
     if want == "bool":
         form = draw(st.sampled_from(["cmp", "eq", "not", "and", "or"]))
         if form == "cmp":
             op = draw(st.sampled_from(["<", "<=", ">", ">="]))
-            return f"({sub('int')} {op} {sub('int')})"
+            return f"{sub('int', CMP)} {op} {sub('int', CMP)}", CMP
         if form == "eq":
             t = draw(st.sampled_from(["int", "bool", "enum"]))
-            return f"({sub(t)} {draw(st.sampled_from(['=', '!=']))} {sub(t)})"
+            return f"{sub(t, CMP)} {draw(st.sampled_from(['=', '!=']))} {sub(t, CMP)}", CMP
         if form == "not":
-            return f"(not {sub('bool')})"
-        return f"({sub('bool')} {form} {sub('bool')})"
-    return sub("enum")
+            return f"not {sub('bool', AND)}", NOT
+        return chain("bool", AND if form == "and" else OR, [form])
+    return _expr(draw, decls, "enum", depth - 1)
 
 
 def _value_type(kind):
@@ -135,7 +167,7 @@ def _value_type(kind):
 @st.composite
 def models(draw):
     decls = draw(_domains())
-    expr = lambda want, depth=2: _expr(draw, decls, want, depth)  # noqa: E731
+    expr = lambda want, depth=2: _expr(draw, decls, want, depth)[0]  # noqa: E731
     lines = ["system m"] + [f"var {name} : {dom}" for name, _, dom, _ in decls]
 
     def value(kind, values):
@@ -181,7 +213,7 @@ def test_the_generator_draws_loading_and_failing_models():
     """The differential test above is only as good as its draws: models that
     load and models that fail, and loading ones that never take the
     per-state path."""
-    counts = {"fails": 0, "per-state": 0, "partition only": 0}
+    counts = {"fails": 0, "per-state": 0, "partition only": 0, "long chains": 0}
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(models())
@@ -196,9 +228,93 @@ def test_the_generator_draws_loading_and_failing_models():
             counts["per-state"] += 1
         else:
             counts["partition only"] += 1
+        if elab is not None and any(len(getattr(n, "operands", ())) > 2 for n in _nodes(text)):
+            counts["long chains"] += 1
 
     count()
     assert counts["fails"] >= 20 and counts["partition only"] >= 40
+    assert counts["long chains"] >= 30, counts
+
+
+def _nodes(text):
+    """Every expression node of the model ``text``."""
+    ast = parse(text)
+    stack = [ast.invariant, ast.init] + [v.expr for v in ast.variants]
+    for e in ast.events:
+        stack += [e.guard] + [c for a in e.actions for item in a.assigns for c in item.choices]
+    for p in ast.properties:
+        stack += [p.p, p.q]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            yield node
+            stack += [getattr(node, f) for f in ("left", "right", "operand") if hasattr(node, f)]
+            stack += getattr(node, "operands", ())
+
+
+def _parse_expr(text):
+    parser = _Parser(tokenize(text))
+    node = parser.expr()
+    assert parser.peek().kind == "eof", text
+    return node
+
+
+def _left_nested(node):
+    """``node`` with each chain folded into nested two-operand nodes, left
+    operand first: ``a - b + c`` as ``(a - b) + c``."""
+    if isinstance(node, (Arith, And, Or)):
+        folded = _left_nested(node.operands[0])
+        for i, operand in enumerate(node.operands[1:]):
+            pair = (folded, _left_nested(operand))
+            folded = Arith((node.ops[i],), pair) if isinstance(node, Arith) else type(node)(pair)
+        return folded
+    if isinstance(node, Cmp):
+        return Cmp(node.op, _left_nested(node.left), _left_nested(node.right))
+    if isinstance(node, Not):
+        return Not(_left_nested(node.operand))
+    return node
+
+
+def _outcome(node, env, constants):
+    try:
+        value = eval_expr(node, env, constants)
+    except EvalError as exc:
+        return str(exc)
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_chain_prints_back_exactly_and_evaluates_as_its_left_nested_form(data):
+    """On parser-built expressions: ``to_text`` reparses to the same node;
+    ``eval_expr`` gives each state the value, or the error text, of the
+    chain's left-nested form, the shape the grammar reads it in; and a
+    decided partition puts each state in the block of that value."""
+    decls = data.draw(_domains())
+    text = _expr(data.draw, decls, data.draw(st.sampled_from(["int", "bool", "enum"])), 3)[0]
+    node = _parse_expr(text)
+    assert _parse_expr(to_text(node)) == node
+    nested = _left_nested(node)
+    read = {"range": int, "bool": lambda v: v == "true", "enum": str}
+    sp = states.StateSpace([states.VarDecl(name, tuple(read[kind](v) for v in values))
+                            for name, kind, _, values in decls])
+    try:
+        blocks = sp.partition(node)
+    except Undecided:
+        blocks = {}
+    for i in range(sp.size):
+        env = sp.state_of(i)
+        outcome = _outcome(node, env, sp.constants)
+        assert outcome == _outcome(nested, env, sp.constants), (text, env)
+        if blocks:
+            assert [key for key, m in blocks.items() if m >> i & 1] == [outcome], (text, env)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models())
+def test_a_generated_model_prints_back_exactly(text):
+    ast = parse(text)
+    assert parse(print_spec(ast)) == ast
 
 
 def _read_data(name):
@@ -268,6 +384,25 @@ def test_and_short_circuits_per_state():
     # where the left operand lets it through, the error is the reference's
     text = BASE + "init x = 1 and (x = true)\nevent e then skip\n"
     assert _load(text)[1] == _reference(text)[1] == "init: cannot compare 1 with True"
+
+
+def test_each_three_operand_chain_partitions_as_it_evaluates():
+    """Every ``and``/``or`` chain of three of these atoms, one a type error:
+    a later operand sees only the states the earlier ones leave undecided,
+    so the partition puts each state in the block of its value, and it is
+    undecided only where some state raises."""
+    sp = _space(BASE + "event e then skip\n")
+    atoms = ["x = 0", "x != 1", "x >= 1", "true", "false", "x = true"]
+    for word, operands in itertools.product(["and", "or"], itertools.product(atoms, repeat=3)):
+        node = _parse_expr(f" {word} ".join(operands))
+        outcomes = [_outcome(node, sp.state_of(i), sp.constants) for i in range(sp.size)]
+        try:
+            blocks = sp.partition(node)
+        except Undecided:
+            assert any(isinstance(o, str) for o in outcomes), node
+            continue
+        assert [[k for k, m in blocks.items() if m >> i & 1] for i in range(sp.size)] == [
+            [o] for o in outcomes], node
 
 
 def test_a_variable_shadows_the_constant_of_the_same_name():
@@ -343,7 +478,7 @@ def test_a_too_deep_expression_falls_back_to_the_per_state_path():
     sp = _space(BASE + "event e then skip\n")
     deep = Name("x")  # x + (x + (x + ...)): real nesting, which no chain parses to
     for _ in range(5000):
-        deep = Arith("+", Name("x"), deep)
+        deep = Arith(("+",), (Name("x"), deep))
     with pytest.raises(Undecided, match="nested too deeply"):
         sp.partition(Cmp(">=", deep, IntLit(0)))
 

@@ -44,8 +44,8 @@ def _frozen_records():
     sp = make_space(3)
     s = sp.from_indices([1])
     return [
-        IntLit(1), BoolLit(True), Name("x"), Arith("+", X, ONE), Cmp("=", X, ONE),
-        Not(X), And(X, X), Or(X, X),
+        IntLit(1), BoolLit(True), Name("x"), Arith(("+",), (X, ONE)), Cmp("=", X, ONE),
+        Not(X), And((X, X)), Or((X, X)),
         VarDecl("x", (0, 1)), s,
         Skip(), Guard(s, Skip()), Precond(s, Skip()), Choice(Skip(), Skip()),
         Seq(Skip(), Skip()), Dovetail(Skip(), Skip()), Rel("e"), IterateTrace((s,), "least"),
@@ -65,8 +65,8 @@ def _mutable_records():
 
 
 def test_equality_checks_the_exact_type():
-    assert And(X, ONE) == And(Name("x"), IntLit(1))
-    assert And(X, ONE) != Or(X, ONE)
+    assert And((X, ONE)) == And((Name("x"), IntLit(1)))
+    assert And((X, ONE)) != Or((X, ONE))
     assert Choice(Skip(), Skip()) != Dovetail(Skip(), Skip())
     assert IntLit(1) != BoolLit(True)  # 1 == True, but the types differ
     assert Cmp("=", X, ONE) != Cmp("!=", X, ONE)

@@ -207,9 +207,7 @@ def _spaces(draw):
             for val in draw(cleared):
                 lit = (BoolLit if type(val) is bool else IntLit if type(val) is int else Name)(val)
                 clauses.append(Cmp("!=", Name(f"v{k}"), lit))
-    invariant = None
-    for clause in clauses:
-        invariant = clause if invariant is None else And(invariant, clause)
+    invariant = And(tuple(clauses)) if len(clauses) > 1 else clauses[0] if clauses else None
     return StateSpace(decls, invariant)
 
 

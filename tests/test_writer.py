@@ -48,9 +48,7 @@ def spaces(draw):
         for val in draw(cleared):
             lit = BoolLit(val) if kind == "bool" else IntLit(val) if kind == "int" else Name(val)
             holes.append(Cmp("!=", Name(name), lit))
-    invariant = None
-    for clause in holes:
-        invariant = clause if invariant is None else And(invariant, clause)
+    invariant = And(tuple(holes)) if len(holes) > 1 else holes[0] if holes else None
     return StateSpace(decls, invariant)
 
 
