@@ -29,7 +29,6 @@ class Basic(Frozen):
     """One ensures step: p leads to q by a single fair/minimal-progress step."""
 
     __slots__ = ("p", "q", "assumption", "helpful")
-    rule = "SBR"
 
     def __init__(self, p: StateSet, q: StateSet, assumption: str, helpful: str | None = None):
         setfield(self, "p", p)
@@ -40,7 +39,6 @@ class Basic(Frozen):
 
 class Trans(Frozen):
     __slots__ = ("left", "right")
-    rule = "STR"
 
     def __init__(self, left: "Certificate", right: "Certificate"):
         setfield(self, "left", left)
@@ -49,7 +47,6 @@ class Trans(Frozen):
 
 class Disj(Frozen):
     __slots__ = ("parts", "q")
-    rule = "SDR"
 
     def __init__(self, parts: tuple["Certificate", ...], q: StateSet):
         setfield(self, "parts", parts)

@@ -2,11 +2,14 @@
 
 The surface syntax declares one system per file: variables over finite
 domains, an optional invariant, an init predicate, guarded events, variant
-functions and liveness properties.  Parsing yields a plain AST, in which a
-chain of one precedence level (``a + b - c``, ``p and q and r``) is one node
-holding its operands, and a parenthesised operand stays one operand.
-Elaboration evaluates every guard, action, predicate and variant on all
-states at once, as partitions of the states by value
+functions and liveness properties.  One compiled pattern splits the text
+into tokens, each its kind, text and offset; ``line:col`` is worked out from
+the offset only for an error or a declaration.  Parsing yields a plain AST,
+in which a chain of one precedence level (``a + b - c``, ``p and q and r``)
+is one node holding its operands, a parenthesised operand stays one operand,
+a variable declaration holds its values and an event one tuple of ``Assign``
+per action branch.  Elaboration evaluates every guard, action, predicate and
+variant on all states at once, as partitions of the states by value
 (``StateSpace.partition``), producing the relational objects the engines
 work on.  An item the partitions cannot decide goes through the per-state
 loop, which also reports its errors.
@@ -21,6 +24,8 @@ as its own helpful step.
 from __future__ import annotations
 
 import itertools
+import re
+from array import array
 
 from .events import Event, EventSystem, ModelError
 from .exprs import (
@@ -67,23 +72,15 @@ class DslError(Exception):
 # --- AST -------------------------------------------------------------------
 
 
-class Domain(Frozen):
-    __slots__ = ("kind", "lo", "hi", "names")
-
-    def __init__(self, kind: str, lo: int = 0, hi: int = 0, names: tuple[str, ...] = ()):
-        setfield(self, "kind", kind)  # 'range' | 'bool' | 'enum'
-        setfield(self, "lo", lo)
-        setfield(self, "hi", hi)
-        setfield(self, "names", names)
-
-
 class VarDeclAst(Frozen):
-    __slots__ = ("name", "domain", "line")
+    """``domain`` holds the values: a ``range``, ``(False, True)`` or the
+    enumeration's names."""
 
-    def __init__(self, name: str, domain: Domain, line: int = 0):
+    __slots__ = ("name", "domain")
+
+    def __init__(self, name: str, domain: range | tuple):
         setfield(self, "name", name)
         setfield(self, "domain", domain)
-        setfield(self, "line", line)
 
 
 class Assign(Frozen):
@@ -96,19 +93,12 @@ class Assign(Frozen):
         setfield(self, "choices", choices)
 
 
-class ActionAst(Frozen):
-    """One action branch: skip is the empty assignment list."""
-
-    __slots__ = ("assigns",)
-
-    def __init__(self, assigns: tuple[Assign, ...]):
-        setfield(self, "assigns", assigns)
-
-
 class EventAst(Frozen):
+    """``actions`` holds one tuple of ``Assign`` per branch; skip is ``()``."""
+
     __slots__ = ("name", "guard", "actions", "line")
 
-    def __init__(self, name: str, guard: Expr | None, actions: tuple[ActionAst, ...],
+    def __init__(self, name: str, guard: Expr | None, actions: tuple[tuple[Assign, ...], ...],
                  line: int = 0):
         setfield(self, "name", name)
         setfield(self, "guard", guard)
@@ -164,238 +154,234 @@ class SpecAst(Record):
 
 # --- Tokenizer -------------------------------------------------------------
 
-_KEYWORDS = {
+# each keyword and symbol maps to the one string that all its tokens share
+_KEYWORDS = {w: w for w in (
     "system", "var", "invariant", "init", "event", "when", "then", "skip",
     "variant", "property", "ensures", "leadsto", "via", "under", "using",
     "with", "si", "mp", "wf", "bool", "true", "false", "not", "and", "or",
-}
+)}
 
-_DIGITS = "0123456789"
-
-_SYMBOLS = [
+_SYMBOLS = {s: s for s in (  # longest first where one is a prefix of another
     ":in", ":=", "..", "[]", "!=", "<=", ">=",
     "{", "}", "(", ")", ",", ":", "=", "<", ">", "+", "-", "*",
-]
+)}
+
+# Skips blanks, newlines and comment lines, then takes one token.  The end of
+# input after a last comment with no newline sits at that comment's '#'.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*\n)*"
+    r"(?:(?P<int>[0-9]+)|(?P<word>\w+)"  # str.isdigit would accept '²', which int() rejects
+    r"|(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<eof>(?:#[^\n]*)?\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
-class Token(Frozen):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        setfield(self, "kind", kind)  # 'ident' | 'int' | 'keyword' | symbol itself | 'eof'
-        setfield(self, "text", text)
-        setfield(self, "line", line)
-        setfield(self, "col", col)
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _DIGITS:  # str.isdigit also accepts '²', which int() rejects
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise DslError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+def tokenize(text: str) -> tuple[list[str], list[str], array]:
+    """The tokens of ``text`` as three parallel sequences: their kinds
+    ('int', 'ident', 'keyword', the symbol itself, then 'eof'), their texts
+    ('' for 'eof') and their offsets in ``text``."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets = array("L")
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "eof":
+            break
+        tok = m[kind]
+        if kind == "word":
+            if tok in _KEYWORDS:
+                kind, tok = "keyword", _KEYWORDS[tok]
+            elif tok[0].isalpha() or tok[0] == "_":
+                kind = "ident"
+            else:  # a numeral other than 0-9, such as '²' or '٣'
+                kind = "bad"
+        elif kind == "symbol":
+            kind = tok = _SYMBOLS[tok]
+        if kind == "bad":
+            line = text.count("\n", 0, at) + 1
+            raise DslError(f"unexpected character {tok[0]!r}", line, at - text.rfind("\n", 0, at))
+        kinds.append(kind)
+        texts.append(tok)
+        offsets.append(at)
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(at)
+    return kinds, texts, offsets
 
 
 # --- Parser ----------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts, self.offsets = tokenize(text)
         self.pos = 0
+        # the line of the offset ``_at``: the parser asks for positions in
+        # text order, so it counts the newlines from the last one it asked for
+        self._line, self._at = 1, 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token ``i``."""
+        at = self.offsets[i]
+        if at < self._at:
+            self._line, self._at = 1, 0
+        self._line += self.text.count("\n", self._at, at)
+        self._at = at
+        return self._line, at - self.text.rfind("\n", 0, at)
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
+    def error(self, message: str, i: int | None = None) -> DslError:
+        """``message`` at token ``i``, by default the next one."""
+        return DslError(message, *self.position(self.pos if i is None else i))
+
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.kinds[self.pos]
+
+    def next(self) -> str:
+        """The text of the next token, which is consumed."""
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
     def fail(self, expected: str) -> DslError:
-        tok = self.peek()
-        got = tok.text if tok.kind != "eof" else "end of input"
-        return DslError(f"expected {expected}, got {got!r}", tok.line, tok.col)
+        got = self.texts[self.pos] or "end of input"
+        return self.error(f"expected {expected}, got {got!r}")
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self.fail(text or kind)
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            raise self.fail(kind)
         return self.next()
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.text in words
+        return self.texts[self.pos] in words  # only a keyword has a keyword's text
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
             raise self.fail(f"'{word}'")
-        return self.next()
+        self.pos += 1
 
-    def ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
+    def ident(self) -> str:
+        if self.kinds[self.pos] != "ident":
             raise self.fail("an identifier")
         return self.next()
 
     # spec := "system" IDENT item*
     def spec(self) -> SpecAst:
         self.expect_keyword("system")
-        ast = SpecAst(self.ident().text)
-        seen: dict[str, Token] = {}
-        while self.peek().kind != "eof":
+        ast = SpecAst(self.ident())
+        seen: set[tuple[str, str]] = set()
+        while self.peek() != "eof":
             self.item(ast, seen)
         return ast
 
-    def _declare(self, kind: str, tok: Token, seen: dict[str, Token]) -> None:
-        key = f"{kind}:{tok.text}"
-        if key in seen:
-            raise DslError(f"duplicate {kind} {tok.text!r}", tok.line, tok.col)
-        seen[key] = tok
+    def declared(self, kind: str, seen: set) -> tuple[str, int]:
+        """The name of a new ``kind`` declaration, and its line."""
+        i = self.pos
+        name = self.ident()
+        line, col = self.position(i)
+        if (kind, name) in seen:
+            raise DslError(f"duplicate {kind} {name!r}", line, col)
+        seen.add((kind, name))
+        return name, line
 
-    def item(self, ast: SpecAst, seen: dict[str, Token]) -> None:
+    def item(self, ast: SpecAst, seen: set) -> None:
         if self.at_keyword("var"):
             self.next()
-            name = self.ident()
-            self._declare("var", name, seen)
+            name, _ = self.declared("var", seen)
             self.expect(":")
-            ast.vars.append(VarDeclAst(name.text, self.domain(), name.line))
+            ast.vars.append(VarDeclAst(name, self.domain()))
         elif self.at_keyword("invariant"):
-            tok = self.next()
+            self.next()
             if ast.invariant is not None:
-                raise DslError("duplicate invariant", tok.line, tok.col)
+                raise self.error("duplicate invariant", self.pos - 1)
             ast.invariant = self.expr()
         elif self.at_keyword("init"):
-            tok = self.next()
+            self.next()
             if ast.init is not None:
-                raise DslError("duplicate init", tok.line, tok.col)
+                raise self.error("duplicate init", self.pos - 1)
             ast.init = self.expr()
         elif self.at_keyword("event"):
             self.next()
-            name = self.ident()
-            self._declare("event", name, seen)
+            name, line = self.declared("event", seen)
             guard = None
             if self.at_keyword("when"):
                 self.next()
                 guard = self.expr()
             self.expect_keyword("then")
             actions = [self.action()]
-            while self.peek().kind == "[]":
+            while self.peek() == "[]":
                 self.next()
                 actions.append(self.action())
-            ast.events.append(EventAst(name.text, guard, tuple(actions), name.line))
+            ast.events.append(EventAst(name, guard, tuple(actions), line))
         elif self.at_keyword("variant"):
             self.next()
-            name = self.ident()
-            self._declare("variant", name, seen)
+            name, line = self.declared("variant", seen)
             self.expect(":=")
-            ast.variants.append(VariantAst(name.text, self.expr(), name.line))
+            ast.variants.append(VariantAst(name, self.expr(), line))
         elif self.at_keyword("property"):
             self.next()
-            name = self.ident()
-            self._declare("property", name, seen)
+            name, line = self.declared("property", seen)
             self.expect(":")
-            ast.properties.append(self.prop(name))
+            ast.properties.append(self.prop(name, line))
         else:
             raise self.fail("'var', 'invariant', 'init', 'event', 'variant' or 'property'")
 
-    def domain(self) -> Domain:
-        tok = self.peek()
+    def domain(self) -> range | tuple:
         if self.at_keyword("bool"):
             self.next()
-            return Domain("bool")
-        if tok.kind == "{":
+            return (False, True)
+        if self.peek() == "{":
             self.next()
-            names = [self.ident().text]
-            while self.peek().kind == ",":
+            names = [self.ident()]
+            while self.peek() == ",":
                 self.next()
-                names.append(self.ident().text)
+                names.append(self.ident())
             self.expect("}")
-            return Domain("enum", names=tuple(names))
+            return tuple(names)
+        i = self.pos
         lo = self.int_lit()
         self.expect("..")
         hi = self.int_lit()
         if lo > hi:
-            raise DslError(f"empty range {lo}..{hi}", tok.line, tok.col)
-        return Domain("range", lo, hi)
+            raise self.error(f"empty range {lo}..{hi}", i)
+        return range(lo, hi + 1)
 
     def int_lit(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.next()
             sign = -1
-        return sign * int(self.expect("int").text)
+        return sign * int(self.expect("int"))
 
-    def action(self) -> ActionAst:
+    def action(self) -> tuple[Assign, ...]:
         if self.at_keyword("skip"):
             self.next()
-            return ActionAst(())
+            return ()
         assigns = [self.assign()]
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.next()
             assigns.append(self.assign())
-        names = [a.var for a in assigns]
-        if len(set(names)) != len(names):
-            tok = self.peek()
-            raise DslError("variable assigned twice in one action", tok.line, tok.col)
-        return ActionAst(tuple(assigns))
+        if len({a.var for a in assigns}) != len(assigns):
+            raise self.error("variable assigned twice in one action")
+        return tuple(assigns)
 
     def assign(self) -> Assign:
         var = self.ident()
-        if self.peek().kind == ":in":
+        if self.peek() == ":in":
             self.next()
             self.expect("{")
             choices = [self.expr()]
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.next()
                 choices.append(self.expr())
             self.expect("}")
-            return Assign(var.text, tuple(choices))
+            return Assign(var, tuple(choices))
         self.expect(":=")
-        return Assign(var.text, (self.expr(),))
+        return Assign(var, (self.expr(),))
 
-    def prop(self, name: Token) -> PropertyAst:
+    def prop(self, name: str, line: int) -> PropertyAst:
         if self.at_keyword("ensures"):
             self.next()
             p = self.braced_pred()
@@ -403,10 +389,10 @@ class _Parser:
             via = None
             if self.at_keyword("via"):
                 self.next()
-                via = self.ident().text
+                via = self.ident()
             self.expect_keyword("under")
             assumption = self.assumption()
-            return PropertyAst(name.text, "ensures", p, q, assumption, via=via, line=name.line)
+            return PropertyAst(name, "ensures", p, q, assumption, via=via, line=line)
         if self.at_keyword("leadsto"):
             self.next()
             p = self.braced_pred()
@@ -417,20 +403,19 @@ class _Parser:
             with_si = False
             if self.at_keyword("using"):
                 self.next()
-                using = self.ident().text
+                using = self.ident()
             if self.at_keyword("with"):
                 self.next()
                 self.expect_keyword("si")
                 with_si = True
             return PropertyAst(
-                name.text, "leadsto", p, q, assumption,
-                using=using, with_si=with_si, line=name.line,
+                name, "leadsto", p, q, assumption, using=using, with_si=with_si, line=line,
             )
         raise self.fail("'ensures' or 'leadsto'")
 
     def assumption(self) -> str:
         if self.at_keyword("mp", "wf"):
-            return self.next().text
+            return self.next()
         raise self.fail("'mp' or 'wf'")
 
     def braced_pred(self) -> Expr:
@@ -443,21 +428,21 @@ class _Parser:
     # lone operand is returned as it is, and a chain of one level is one node.
     def expr(self) -> Expr:
         e = self.and_expr()
-        if self.peek().text == "or":
+        if self.texts[self.pos] == "or":
             return self._chain(e, self.and_expr, ("or",), Or)
         return e
 
     def and_expr(self) -> Expr:
         e = self.not_expr()
-        if self.peek().text == "and":
+        if self.texts[self.pos] == "and":
             return self._chain(e, self.not_expr, ("and",), And)
         return e
 
     def _chain(self, first: Expr, operand, ops: tuple[str, ...], node: type) -> Expr:
         """``first (op operand)*`` over the ``ops`` of one precedence level."""
         links, operands = [], [first]
-        while self.peek().text in ops:
-            links.append(self.next().text)
+        while self.texts[self.pos] in ops:
+            links.append(self.next())
             operands.append(operand())
         return Arith(tuple(links), tuple(operands)) if node is Arith else node(tuple(operands))
 
@@ -469,45 +454,39 @@ class _Parser:
 
     def cmp_expr(self) -> Expr:
         e = self.sum_expr()
-        tok = self.peek()
-        if tok.kind in ("=", "!=", "<", "<=", ">", ">="):
+        op = self.peek()
+        if op in ("=", "!=", "<", "<=", ">", ">="):
             self.next()
-            return Cmp(tok.kind, e, self.sum_expr())
+            return Cmp(op, e, self.sum_expr())
         return e
 
     def sum_expr(self) -> Expr:
         e = self.term_expr()
-        if self.peek().text in ("+", "-"):
+        if self.texts[self.pos] in ("+", "-"):
             return self._chain(e, self.term_expr, ("+", "-"), Arith)
         return e
 
     def term_expr(self) -> Expr:
         e = self.unary_expr()
-        if self.peek().text == "*":
+        if self.texts[self.pos] == "*":
             return self._chain(e, self.unary_expr, ("*",), Arith)
         return e
 
     def unary_expr(self) -> Expr:
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.next()
             return Arith(("-",), (IntLit(0), self.unary_expr()))
         return self.atom()
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text))
-        if self.at_keyword("true"):
-            self.next()
-            return BoolLit(True)
-        if self.at_keyword("false"):
-            self.next()
-            return BoolLit(False)
-        if tok.kind == "ident":
-            self.next()
-            return Name(tok.text)
-        if tok.kind == "(":
+        kind = self.peek()
+        if kind == "int":
+            return IntLit(int(self.next()))
+        if kind == "ident":
+            return Name(self.next())
+        if self.at_keyword("true", "false"):
+            return BoolLit(self.next() == "true")
+        if kind == "(":
             self.next()
             e = self.expr()
             self.expect(")")
@@ -516,7 +495,7 @@ class _Parser:
 
 
 def parse(text: str) -> SpecAst:
-    return _Parser(tokenize(text)).spec()
+    return _Parser(text).spec()
 
 
 # --- Printer ---------------------------------------------------------------
@@ -527,12 +506,12 @@ def print_spec(ast: SpecAst) -> str:
     lines = [f"system {ast.name}"]
     for v in ast.vars:
         d = v.domain
-        if d.kind == "bool":
+        if type(d) is range:
+            dom = f"{d.start} .. {d.stop - 1}"
+        elif type(d[0]) is bool:
             dom = "bool"
-        elif d.kind == "enum":
-            dom = "{" + ", ".join(d.names) + "}"
         else:
-            dom = f"{d.lo} .. {d.hi}"
+            dom = "{" + ", ".join(d) + "}"
         lines.append(f"var {v.name} : {dom}")
     if ast.invariant is not None:
         lines.append(f"invariant {to_text(ast.invariant)}")
@@ -550,11 +529,11 @@ def print_spec(ast: SpecAst) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _action_text(a: ActionAst) -> str:
-    if not a.assigns:
+def _action_text(assigns: tuple[Assign, ...]) -> str:
+    if not assigns:
         return "skip"
     parts = []
-    for item in a.assigns:
+    for item in assigns:
         if len(item.choices) == 1:
             parts.append(f"{item.var} := {to_text(item.choices[0])}")
         else:
@@ -652,14 +631,13 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
 
 def _domain_values(v: VarDeclAst, cap: int) -> tuple:
     d = v.domain
-    if d.kind == "bool":
-        return (False, True)
-    if d.kind == "enum":
-        return d.names
-    # checked before the range is built: a huge range must not exhaust memory
-    if d.hi - d.lo + 1 > cap:
-        raise DslError(f"variable {v.name!r} has {d.hi - d.lo + 1} values, cap is {cap}")
-    return tuple(range(d.lo, d.hi + 1))
+    if type(d) is not range:
+        return d
+    # checked before the range is listed: a huge range must not exhaust
+    # memory, and len() raises on one longer than sys.maxsize
+    if d.stop - d.start > cap:
+        raise DslError(f"variable {v.name!r} has {d.stop - d.start} values, cap is {cap}")
+    return tuple(d)
 
 
 def _pred_set(space: StateSpace, pred: Expr, what: str) -> StateSet:
@@ -700,7 +678,7 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
 
 def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
-    branches = [[(item.var, item.choices) for item in action.assigns] for action in e.actions]
+    branches = [[(item.var, item.choices) for item in action] for action in e.actions]
     try:
         classes = space.action_classes(branches, guard.mask)
     except (Undecided, SpaceError):
@@ -723,7 +701,7 @@ def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
 
 
 def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
-                       action: ActionAst) -> list[int]:
+                       action: tuple[Assign, ...]) -> list[int]:
     """The raw indices of the successors of one action branch at the state
     ``i`` whose values are ``env`` (parallel assigns; a :in assignment fans
     out over every listed value), by the offset arithmetic of
@@ -734,7 +712,7 @@ def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
     variable's domain when its ``(type, value)`` key is, so a bool variable
     admits no 0 or 1."""
     per_assign: list[list[int]] = []  # each assignment's moves
-    for item in action.assigns:
+    for item in action:
         offsets = space.offsets.get(item.var)
         if offsets is None:
             raise DslError(f"event {e.name!r} assigns undeclared variable {item.var!r}",

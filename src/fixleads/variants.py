@@ -32,10 +32,6 @@ class VariantFn:
         variant._levels = dict(levels)
         return variant
 
-    def level_set(self, n: int) -> StateSet:
-        """States whose variant value is exactly ``n``."""
-        return StateSet(self.space, self._levels.get(n, 0))
-
 
 def variant_antecedents(
     p: StateSet, variant: VariantFn, step: Callable[[StateSet], StateSet], image: StateSet

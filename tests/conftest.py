@@ -90,6 +90,11 @@ def variant_from_table(space: StateSpace, table: dict[int, int], name: str = "va
     return VariantFn.from_levels(space, levels, name)
 
 
+def level_set(variant: VariantFn, n: int) -> StateSet:
+    """The states at which ``variant`` takes the value ``n``."""
+    return StateSet(variant.space, variant._levels.get(n, 0))
+
+
 def make_space(n: int, holes: Iterable[int] = ()) -> StateSpace:
     """``x : 0 .. n-1``, under ``invariant x != k and ...`` for each ``k`` of
     ``holes``: a universe whose mask has those raw indices cleared."""

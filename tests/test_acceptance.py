@@ -36,6 +36,7 @@ from fixleads.transformers import fair_loop_liberal
 from fixleads.wf import fair_loop, fair_loop_termination
 
 from conftest import (
+    level_set,
     make_space,
     random_event,
     random_set,
@@ -220,8 +221,8 @@ def test_acceptance_6_variant_theorem():
         sp = sys_.space
         union_levels = sp.empty()
         for n in range(max(table.values()) + 2):
-            ok &= (v.level_set(n) & union_levels).is_empty()  # disjoint levels
-            union_levels = union_levels | v.level_set(n)
+            ok &= (level_set(v, n) & union_levels).is_empty()  # disjoint levels
+            union_levels = union_levels | level_set(v, n)
         ok &= union_levels.is_universe()
     _report(6, f"variant theorem self-checks ({passes} antecedent passes) "
                "and level-set identities", ok)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixleads import dsl, states
 from fixleads.cli import main
-from fixleads.dsl import DslError, _Parser, elaborate, parse, print_spec, tokenize
+from fixleads.dsl import DslError, _Parser, elaborate, parse, print_spec
 from fixleads.exprs import (
     And,
     Arith,
@@ -241,7 +241,7 @@ def _nodes(text):
     ast = parse(text)
     stack = [ast.invariant, ast.init] + [v.expr for v in ast.variants]
     for e in ast.events:
-        stack += [e.guard] + [c for a in e.actions for item in a.assigns for c in item.choices]
+        stack += [e.guard] + [c for a in e.actions for item in a for c in item.choices]
     for p in ast.properties:
         stack += [p.p, p.q]
     while stack:
@@ -253,9 +253,9 @@ def _nodes(text):
 
 
 def _parse_expr(text):
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
-    assert parser.peek().kind == "eof", text
+    assert parser.peek() == "eof", text
     return node
 
 

@@ -98,12 +98,12 @@ _bool_exprs = st.recursive(
 def test_print_parse_eval_agree(expr, x, y):
     """Printed syntax reparses to the same expression, even where an
     operand is a chain of its parent's level, as in ``(x + y) + 1``."""
-    from fixleads.dsl import _Parser, tokenize
+    from fixleads.dsl import _Parser
 
     text = to_text(expr)
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     reparsed = parser.expr()
-    assert parser.peek().kind == "eof"
+    assert parser.peek() == "eof"
     assert reparsed == expr
     env = {"x": x, "y": y}
     assert eval_expr(reparsed, env) == eval_expr(expr, env)

@@ -8,15 +8,12 @@ import pytest
 from fixleads.certificates import Basic, Disj, Trans
 from fixleads.cli import Claim
 from fixleads.dsl import (
-    ActionAst,
     Assign,
-    Domain,
     Elaborated,
     EventAst,
     Property,
     PropertyAst,
     SpecAst,
-    Token,
     VarDeclAst,
     VariantAst,
 )
@@ -50,9 +47,9 @@ def _frozen_records():
         Skip(), Guard(s, Skip()), Precond(s, Skip()), Choice(Skip(), Skip()),
         Seq(Skip(), Skip()), Dovetail(Skip(), Skip()), Rel("e"), IterateTrace((s,), "least"),
         Basic(s, s, "mp"), Trans(Skip(), Skip()), Disj((), s), Claim(s, s, "mp", "mp"),
-        Domain("bool"), VarDeclAst("x", Domain("bool")), Assign("x", (ONE,)),
-        ActionAst(()), EventAst("e", None, ()),
-        VariantAst("v", X), PropertyAst("p", "leadsto", X, X, "mp"), Token("int", "1", 1, 1),
+        VarDeclAst("x", range(0, 3)), Assign("x", (ONE,)),
+        EventAst("e", None, ((), (Assign("x", (ONE,)),))),
+        VariantAst("v", X), PropertyAst("p", "leadsto", X, X, "mp"),
     ]
 
 
@@ -127,9 +124,3 @@ def test_repr_names_every_field():
         "fairness_witness={}, assumption='mp')"
     )
     assert repr(make_space(3).from_indices([2, 0])) == "StateSet([0, 2])"
-
-
-def test_certificate_nodes_name_their_rule():
-    assert (Basic.rule, Trans.rule, Disj.rule) == ("SBR", "STR", "SDR")
-    s = make_space(2).universe()
-    assert Basic(s, s, "wf", "e").rule == "SBR"

@@ -13,7 +13,14 @@ from fixleads.mp import mp_step
 from fixleads.transformers import check_variant_theorem
 from fixleads.variants import VariantError, VariantFn, variant_antecedents
 
-from conftest import make_space, random_set, random_system, variant_from_table, xs
+from conftest import (
+    level_set,
+    make_space,
+    random_set,
+    random_system,
+    variant_from_table,
+    xs,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -24,15 +31,15 @@ def _togo(sys):
 
 def test_level_sets_mono3(mono3):
     v = _togo(mono3)
-    assert sorted(v.level_set(0)) == [2]
-    assert sorted(v.level_set(1)) == [1]
-    assert sorted(v.level_set(2)) == [0]
-    assert v.level_set(5).is_empty()
+    assert sorted(level_set(v, 0)) == [2]
+    assert sorted(level_set(v, 1)) == [1]
+    assert sorted(level_set(v, 2)) == [0]
+    assert level_set(v, 5).is_empty()
 
 
 def test_variant_validation():
     sp = make_space(3)
-    assert VariantFn.from_levels(sp, {0: 0b001, 4: 0b110}).level_set(4).mask == 0b110
+    assert level_set(VariantFn.from_levels(sp, {0: 0b001, 4: 0b110}), 4).mask == 0b110
     with pytest.raises(VariantError):
         VariantFn.from_levels(sp, {0: 0b001, 1: 0b010})  # partial
     with pytest.raises(VariantError):
@@ -46,9 +53,9 @@ def test_variant_validation():
 def test_table_levels_on_a_space_with_holes():
     sp = make_space(4, holes=[1])
     v = variant_from_table(sp, {i: 3 - sp.state_of(i)["x"] for i in sp.universe()})
-    assert sorted(v.level_set(3)) == [0] and sorted(v.level_set(0)) == [3]
-    assert v.level_set(2).is_empty()  # the hole's level holds no state
-    assert sorted(v.level_set(1)) == [2]
+    assert sorted(level_set(v, 3)) == [0] and sorted(level_set(v, 0)) == [3]
+    assert level_set(v, 2).is_empty()  # the hole's level holds no state
+    assert sorted(level_set(v, 1)) == [2]
     with pytest.raises(VariantError):  # the level 2 is the hole
         VariantFn.from_levels(sp, {3: 0b0001, 2: 0b0010, 1: 0b0100, 0: 0b1000})
 
@@ -62,7 +69,7 @@ def test_level_set_identities(seed):
     v = variant_from_table(sp, table)
     union_levels = sp.empty()
     for n in range(6):
-        level = v.level_set(n)
+        level = level_set(v, n)
         assert (level & union_levels).is_empty()  # the levels are disjoint
         assert sorted(level) == [s for s, val in table.items() if val == n]
         union_levels = union_levels | level
@@ -106,7 +113,7 @@ def test_variant_theorem_layer_bound(seed):
     trace = verdict.trace
     covered = sp.empty()
     for n in range(sp.size + 1):
-        covered = covered | v_fn.level_set(n)
+        covered = covered | level_set(v_fn, n)
         iterate = trace.steps[min(n + 1, len(trace.steps) - 1)]
         assert (covered & p).is_subset(iterate)
 
@@ -123,7 +130,7 @@ def per_level_antecedents(p, variant, step, image):
 
     details = {}
     for n in sorted(variant._levels):
-        lhs = p & variant.level_set(n)
+        lhs = p & level_set(variant, n)
         rhs = step(below_set(n))
         if not lhs.is_subset(rhs):
             details["failing_level"] = {"n": n, "states": lhs - rhs}
