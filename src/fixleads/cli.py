@@ -153,16 +153,15 @@ def cmd_check(args) -> int:
     all_hold = True
     defect = False
     searched = {}  # (semantics, a, b) -> the oracle's (holds, counterexample)
+    shown = []  # each verdict's holds and details, which text mode prints without a report entry
     for prop in elab.properties:
         started = time.perf_counter()
         claim = resolve(elab, prop, args.assume, args.si)
         verdict = check_property(elab, prop, claim)
-        entry = {
-            "name": prop.name,
-            "kind": prop.kind,
-            "assumption": claim.assumption,
-            "verdict": verdict.to_json(),
-        }
+        shown.append((verdict.holds, verdict.details))
+        entry = {"name": prop.name, "kind": prop.kind, "assumption": claim.assumption}
+        if args.json:
+            entry["verdict"] = verdict.to_json()
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
             question = (claim.semantics, claim.a.mask, claim.b.mask)
             if question not in searched:
@@ -190,8 +189,8 @@ def cmd_check(args) -> int:
         _write_json(report, sys.stdout)
     else:
         print(f"system {report['system']} ({len(report['properties'])} properties)")
-        for entry in report["properties"]:
-            mark = "PASS" if entry["verdict"]["holds"] else "FAIL"
+        for entry, (holds, details) in zip(report["properties"], shown):
+            mark = "PASS" if holds else "FAIL"
             line = f"  {mark} {entry['name']} ({entry['kind']} under {entry['assumption']})"
             if "agreement" in entry:
                 if not entry["agreement"]:
@@ -204,8 +203,8 @@ def cmd_check(args) -> int:
                 line += f" [{note}]"
             print(line)
             for antecedent in ("failing_level", "not_invariant"):
-                if antecedent in entry["verdict"].get("details", {}):
-                    detail = json_line(entry["verdict"]["details"][antecedent])
+                if antecedent in details:
+                    detail = json_line(details[antecedent])
                     print(f"       rule antecedent fails, {antecedent}: {detail}")
             if "counterexample" in entry:
                 print(f"       counterexample: {json_line(entry['counterexample'])}")

@@ -4,15 +4,18 @@ The surface syntax declares one system per file: variables over finite
 domains, an optional invariant, an init predicate, guarded events, variant
 functions and liveness properties.  One compiled pattern splits the text
 into tokens, each its kind, text and offset; ``line:col`` is worked out from
-the offset only for an error or a declaration.  Parsing yields a plain AST,
-in which a chain of one precedence level (``a + b - c``, ``p and q and r``)
-is one node holding its operands, a parenthesised operand stays one operand,
-a variable declaration holds its values and an event one tuple of ``Assign``
-per action branch.  Elaboration evaluates every guard, action, predicate and
-variant on all states at once, as partitions of the states by value
-(``StateSpace.partition``), producing the relational objects the engines
-work on.  An item the partitions cannot decide goes through the per-state
-loop, which also reports its errors.
+the offset only for an error or a declaration.  Expressions are parsed by
+precedence climbing over the binding table ``exprs.BINDING``, which the
+printer reads too: one call per operand, so a parenthesis level costs two
+stack frames (``expr`` and ``atom``).  Parsing yields a plain AST, in which
+a chain of one binding level (``a + b - c``, ``p and q and r``) is one node
+holding its operands, a comparison has two operands, a parenthesised
+operand stays one operand, a variable declaration holds its values and an
+event one tuple of ``Assign`` per action branch.  Elaboration evaluates
+every guard, action, predicate and variant on all states at once, as
+partitions of the states by value (``StateSpace.partition``), producing the
+relational objects the engines work on.  An item the partitions cannot
+decide goes through the per-state loop, which also reports its errors.
 
 A `[]` between actions inside one event merges the outcomes into a single
 event's relation (internal nondeterminism).  That is not the same as
@@ -29,6 +32,11 @@ from array import array
 
 from .events import Event, EventSystem, ModelError
 from .exprs import (
+    AND,
+    BINDING,
+    CMP,
+    NEG,
+    OR,
     And,
     Arith,
     BoolLit,
@@ -214,6 +222,9 @@ def tokenize(text: str) -> tuple[list[str], list[str], array]:
 # --- Parser ----------------------------------------------------------------
 
 
+_NEITHER = (0, 0)  # the binding of a token that is no operator
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -381,42 +392,33 @@ class _Parser:
         self.expect(":=")
         return Assign(var, (self.expr(),))
 
+    # prop := ("ensures" | "leadsto") {P} {Q} ["via" IDENT] "under" ("mp" | "wf")
+    #         ["using" IDENT] ["with" "si"]
+    # with 'via' only in an ensures, and 'using' and 'with si' only in a leads-to
     def prop(self, name: str, line: int) -> PropertyAst:
-        if self.at_keyword("ensures"):
+        if not self.at_keyword("ensures", "leadsto"):
+            raise self.fail("'ensures' or 'leadsto'")
+        kind = self.next()
+        p, q = self.braced_pred(), self.braced_pred()
+        leadsto = kind == "leadsto"
+        via = None if leadsto else self.named("via")
+        self.expect_keyword("under")
+        if not self.at_keyword("mp", "wf"):
+            raise self.fail("'mp' or 'wf'")
+        assumption = self.next()
+        using = self.named("using") if leadsto else None
+        with_si = leadsto and self.at_keyword("with")
+        if with_si:
             self.next()
-            p = self.braced_pred()
-            q = self.braced_pred()
-            via = None
-            if self.at_keyword("via"):
-                self.next()
-                via = self.ident()
-            self.expect_keyword("under")
-            assumption = self.assumption()
-            return PropertyAst(name, "ensures", p, q, assumption, via=via, line=line)
-        if self.at_keyword("leadsto"):
-            self.next()
-            p = self.braced_pred()
-            q = self.braced_pred()
-            self.expect_keyword("under")
-            assumption = self.assumption()
-            using = None
-            with_si = False
-            if self.at_keyword("using"):
-                self.next()
-                using = self.ident()
-            if self.at_keyword("with"):
-                self.next()
-                self.expect_keyword("si")
-                with_si = True
-            return PropertyAst(
-                name, "leadsto", p, q, assumption, using=using, with_si=with_si, line=line,
-            )
-        raise self.fail("'ensures' or 'leadsto'")
+            self.expect_keyword("si")
+        return PropertyAst(name, kind, p, q, assumption, via, using, with_si, line)
 
-    def assumption(self) -> str:
-        if self.at_keyword("mp", "wf"):
-            return self.next()
-        raise self.fail("'mp' or 'wf'")
+    def named(self, word: str) -> str | None:
+        """The identifier after an optional ``word``."""
+        if not self.at_keyword(word):
+            return None
+        self.next()
+        return self.ident()
 
     def braced_pred(self) -> Expr:
         self.expect("{")
@@ -424,59 +426,34 @@ class _Parser:
         self.expect("}")
         return p
 
-    # expressions, lowest precedence first; a predicate is a boolean one.  A
-    # lone operand is returned as it is, and a chain of one level is one node.
-    def expr(self) -> Expr:
-        e = self.and_expr()
-        if self.texts[self.pos] == "or":
-            return self._chain(e, self.and_expr, ("or",), Or)
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.not_expr()
-        if self.texts[self.pos] == "and":
-            return self._chain(e, self.not_expr, ("and",), And)
-        return e
-
-    def _chain(self, first: Expr, operand, ops: tuple[str, ...], node: type) -> Expr:
-        """``first (op operand)*`` over the ``ops`` of one precedence level."""
-        links, operands = [], [first]
-        while self.texts[self.pos] in ops:
-            links.append(self.next())
-            operands.append(operand())
-        return Arith(tuple(links), tuple(operands)) if node is Arith else node(tuple(operands))
-
-    def not_expr(self) -> Expr:
-        if self.at_keyword("not"):
-            self.next()
-            return Not(self.not_expr())
-        return self.cmp_expr()
-
-    def cmp_expr(self) -> Expr:
-        e = self.sum_expr()
-        op = self.peek()
-        if op in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return Cmp(op, e, self.sum_expr())
-        return e
-
-    def sum_expr(self) -> Expr:
-        e = self.term_expr()
-        if self.texts[self.pos] in ("+", "-"):
-            return self._chain(e, self.term_expr, ("+", "-"), Arith)
-        return e
-
-    def term_expr(self) -> Expr:
-        e = self.unary_expr()
-        if self.texts[self.pos] == "*":
-            return self._chain(e, self.unary_expr, ("*",), Arith)
-        return e
-
-    def unary_expr(self) -> Expr:
-        if self.peek() == "-":
-            self.next()
-            return Arith(("-",), (IntLit(0), self.unary_expr()))
-        return self.atom()
+    def expr(self, level: int = OR) -> Expr:
+        """An expression whose operators bind at ``level`` or tighter, by
+        precedence climbing over ``exprs.BINDING``: one call per operand.
+        The operands of a level-L operator are parsed at L + 1 (a prefix
+        operator's at L), so a chain of one level is one node, and only a
+        looser operator may follow it; a predicate is a boolean one."""
+        word = self.texts[self.pos]
+        bound = BINDING.get(word, _NEITHER)[0]
+        if bound >= level:
+            self.pos += 1
+            operand = self.expr(bound)
+            left = Not(operand) if word == "not" else Arith(("-",), (IntLit(0), operand))
+        else:
+            left, bound = self.atom(), NEG  # every infix operator is looser than NEG
+        while level <= (infix := BINDING.get(self.texts[self.pos], _NEITHER)[1]) < bound:
+            if infix == CMP:
+                op = self.next()
+                left = Cmp(op, left, self.expr(CMP + 1))
+            else:
+                ops, operands = [], [left]
+                while BINDING.get(self.texts[self.pos], _NEITHER)[1] == infix:
+                    ops.append(self.next())
+                    operands.append(self.expr(infix + 1))
+                operands = tuple(operands)
+                left = (Or(operands) if infix == OR else And(operands) if infix == AND
+                        else Arith(tuple(ops), operands))
+            bound = infix
+        return left
 
     def atom(self) -> Expr:
         kind = self.peek()

@@ -4,12 +4,13 @@ Values are plain ints, bools, or enumeration literals (strings).  Evaluation
 is always against a full assignment of the declared variables, so every
 operation is total or raises :class:`EvalError`.
 
-A chain of one precedence level, such as ``a + b - c`` or ``p and q and r``,
-is one node that holds its operands in order, as the grammar rule
-``sum := term (("+" | "-") term)*`` reads them.  So the evaluators, the
-printer and the records' equality, hashing and pickling walk a chain with
-one loop or none, and only real nesting (parentheses, ``not``, unary minus,
-a comparison's operands) recurses.
+``BINDING`` is the one statement of how tightly each operator binds: the
+parser (``dsl._Parser.expr``) climbs its levels and ``to_text`` places its
+parentheses by them.  A chain of one level, such as ``a + b - c`` or
+``p and q and r``, is one node that holds its operands in order.  So the
+evaluators, the printer and the records' equality, hashing and pickling walk
+a chain with one loop or none, and only real nesting (parentheses, ``not``,
+unary minus, a comparison's operands) recurses.
 """
 from __future__ import annotations
 
@@ -274,16 +275,27 @@ def _pairwise(op: str, table: dict, left: Partition, right: Partition, limit: in
     return out
 
 
-_PREC = {Or: 1, And: 2, Not: 3, Cmp: 4}  # an Arith chain: 5 for '+'/'-', 6 for '*'
+# The binding levels, loosest first.  An operator of level L takes operands of
+# level L + 1 or tighter (a prefix operator: L or tighter), so a chain of one
+# level is one node, and a comparison takes two operands and does not chain.
+OR, AND, NOT, CMP, SUM, TERM, NEG = range(1, 8)
+
+# each operator's level as a prefix and as an infix operator, 0 for neither
+BINDING = {
+    "or": (0, OR), "and": (0, AND), "not": (NOT, 0),
+    "=": (0, CMP), "!=": (0, CMP), "<": (0, CMP), "<=": (0, CMP), ">": (0, CMP), ">=": (0, CMP),
+    "+": (0, SUM), "-": (NEG, SUM), "*": (0, TERM),
+}
 
 
 def to_text(node: Expr) -> str:
     """Render an expression back to concrete syntax: ``parse`` of the text
-    gives ``node`` back.  A chain's operands are printed one level above it,
-    so an operand that is itself a chain of that level keeps its
-    parentheses."""
+    gives ``node`` back.  An operand is bracketed when it binds looser than
+    its operator's operands must (``BINDING``), so an operand that is itself
+    a chain of that level keeps its parentheses.  Unary minus prints as
+    ``0 - x``, which parses to the same node."""
 
-    def render(n: Expr, parent_prec: int) -> str:
+    def render(n: Expr, bound: int) -> str:
         if isinstance(n, IntLit):
             return str(n.value)
         if isinstance(n, BoolLit):
@@ -291,21 +303,21 @@ def to_text(node: Expr) -> str:
         if isinstance(n, Name):
             return n.ident
         if isinstance(n, Not):
-            prec = _PREC[Not]
-            s = "not " + render(n.operand, prec)
+            level = NOT
+            s = "not " + render(n.operand, level)
         elif isinstance(n, Cmp):
-            prec = _PREC[Cmp]
-            s = render(n.left, prec + 1) + f" {n.op} " + render(n.right, prec + 1)
+            level = CMP
+            s = render(n.left, level + 1) + f" {n.op} " + render(n.right, level + 1)
         elif isinstance(n, Arith):
-            prec = 6 if n.ops[0] == "*" else 5
-            s = render(n.operands[0], prec + 1) + "".join(
-                f" {op} {render(operand, prec + 1)}" for op, operand in zip(n.ops, n.operands[1:]))
+            level = BINDING[n.ops[0]][1]
+            s = render(n.operands[0], level + 1) + "".join(
+                f" {op} {render(operand, level + 1)}" for op, operand in zip(n.ops, n.operands[1:]))
         elif isinstance(n, (And, Or)):
-            prec = _PREC[type(n)]
-            word = " and " if isinstance(n, And) else " or "
-            s = word.join(render(operand, prec + 1) for operand in n.operands)
+            word = "and" if isinstance(n, And) else "or"
+            level = BINDING[word][1]
+            s = f" {word} ".join(render(operand, level + 1) for operand in n.operands)
         else:
             raise EvalError(f"bad expression node {n!r}")
-        return f"({s})" if prec < parent_prec else s
+        return f"({s})" if level < bound else s
 
     return render(node, 0)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fixleads import cli, load_file
 from fixleads.cli import main
 from fixleads.events import Event
+from fixleads.verdicts import Verdict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
@@ -251,6 +253,47 @@ def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, ho
     assert entry["oracle"]["holds"] is holds and entry["agreement"] is True
     # a false property keeps its (validated) counterexample
     assert ("counterexample" in entry) is not holds
+
+
+def _text_of_report(report):
+    """What text-mode ``check`` printed while it built the report in both
+    modes: the former printer, run over the ``--json`` report."""
+    lines = [f"system {report['system']} ({len(report['properties'])} properties)"]
+    for entry in report["properties"]:
+        mark = "PASS" if entry["verdict"]["holds"] else "FAIL"
+        line = f"  {mark} {entry['name']} ({entry['kind']} under {entry['assumption']})"
+        if "agreement" in entry:
+            if not entry["agreement"]:
+                note = "ORACLE DISAGREES"
+            elif mark == "FAIL" and entry["oracle"]["holds"]:
+                note = "rule fails; oracle and direct fixpoint hold"
+            else:
+                note = "oracle agrees"
+            line += f" [{note}]"
+        lines.append(line)
+        for antecedent in ("failing_level", "not_invariant"):
+            if antecedent in entry["verdict"].get("details", {}):
+                detail = json.dumps(entry["verdict"]["details"][antecedent])
+                lines.append(f"       rule antecedent fails, {antecedent}: {detail}")
+        if "counterexample" in entry:
+            lines.append(f"       counterexample: {json.dumps(entry['counterexample'])}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"], ["--si", "--oracle"], ["--assume", "wf"],
+                                   ["--assume", "mp", "--oracle"]])
+@pytest.mark.parametrize("model", MODELS + ["mono3+bad", "cycle3+bad"])
+def test_text_check_prints_the_report_without_building_it(tmp_path, model, flags):
+    name, _, bad = model.partition("+")
+    path = tmp_path / f"{name}.evt"
+    with open(_path(f"{name}.evt"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + (BAD_RULE if bad else ""))
+    argv = ["check", str(path), *flags]
+    with mock.patch.object(Verdict, "to_json", side_effect=AssertionError("built in text mode")):
+        code, text, err = _captured(argv)
+    json_code, out, json_err = _captured(argv + ["--json"])
+    assert (code, err) == (json_code, json_err)
+    assert text == _text_of_report(json.loads(out))
 
 
 def _counted(monkeypatch, name):
