@@ -14,8 +14,8 @@ operand stays one operand, a variable declaration holds its values and an
 event one tuple of ``Assign`` per action branch.  Elaboration evaluates
 every guard, action, predicate and variant on all states at once, as
 partitions of the states by value (``StateSpace.partition``), producing the
-relational objects the engines work on.  An item the partitions cannot
-decide goes through the per-state loop, which also reports its errors.
+relational objects the engines work on.  An error is named at the lowest
+state of a bad block; an event runs its actions on that one state again.
 
 A `[]` between actions inside one event merges the outcomes into a single
 event's relation (internal nondeterminism).  That is not the same as
@@ -26,6 +26,7 @@ as its own helpful step.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 from array import array
@@ -47,10 +48,8 @@ from .exprs import (
     Name,
     Not,
     Or,
-    Undecided,
     eval_expr,
     to_text,
-    true_mask,
 )
 from .records import Frozen, Record, setfield
 from .states import (
@@ -59,8 +58,6 @@ from .states import (
     StateSet,
     StateSpace,
     VarDecl,
-    _mask_of,
-    bit_positions,
     eval_pred,
 )
 from .variants import VariantFn
@@ -472,7 +469,13 @@ class _Parser:
 
 
 def parse(text: str) -> SpecAst:
-    return _Parser(text).spec()
+    enabled = gc.isenabled()  # the collector would walk the growing AST, which has no cycles
+    gc.disable()
+    try:
+        return _Parser(text).spec()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- Printer ---------------------------------------------------------------
@@ -569,18 +572,16 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
     decls = [VarDecl(v.name, _domain_values(v, cap)) for v in ast.vars]
     try:
         space = StateSpace(decls, ast.invariant, cap)
-    except (SpaceError, EvalError) as exc:
+    except SpaceError as exc:
         raise DslError(str(exc)) from exc
+    except EvalError as exc:
+        raise DslError(f"invariant: {exc}") from exc
     events = [_elaborate_event(space, e) for e in ast.events]
     if not events:
         raise DslError(f"system {ast.name!r} declares no events")
 
-    if ast.init is not None:
-        init = _pred_set(space, ast.init, "init")
-        has_init = True
-    else:
-        init = space.empty()
-        has_init = False
+    has_init = ast.init is not None
+    init = _pred_set(space, ast.init, "init") if has_init else space.empty()
     try:
         system = EventSystem(space, events, init, name=ast.name)
     except ModelError as exc:
@@ -619,58 +620,43 @@ def _domain_values(v: VarDeclAst, cap: int) -> tuple:
 
 def _pred_set(space: StateSpace, pred: Expr, what: str) -> StateSet:
     try:
-        return StateSet(space, true_mask(space.partition(pred)))
-    except Undecided:
-        pass
-    try:
         return eval_pred(space, pred)
     except EvalError as exc:
         raise DslError(f"{what}: {exc}") from exc
 
 
 def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
-    """The variant's levels from its partition, or else state by state."""
-    try:
-        part = space.partition(v.expr)
-        if all(t is int and val >= 0 for t, val in part):
-            return VariantFn.from_levels(space, {val: m for (_, val), m in part.items()}, v.name)
-    except Undecided:
-        pass
-    levels: dict[int, list[int]] = {}  # value -> the states that take it
-    for i in bit_positions(space.full_mask):
-        env = space.state_of(i)
-        try:
-            val = eval_expr(v.expr, env, space.constants)
-        except EvalError as exc:
-            raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
-        if type(val) is not int:
-            raise DslError(f"variant {v.name!r} is not an integer at {env!r}", v.line, 1)
-        if val < 0:
-            raise DslError(f"variant {v.name!r}: variant is negative ({val}) at state {env!r}",
-                           v.line, 1)
-        levels.setdefault(val, []).append(i)
-    return VariantFn.from_levels(
-        space, {val: _mask_of(ix, space.raw_size) for val, ix in levels.items()}, v.name)
+    """The variant's levels from its partition; an error is named at the
+    lowest state whose value is no natural number."""
+    part = space.partition(v.expr)
+    bad = [(m & -m, key) for key, m in part.items() if key[0] is not int or key[1] < 0]
+    if bad:
+        low, (kind, val) = min(bad)
+        env = space.state_of(low.bit_length() - 1)
+        message = (f": {val}" if kind is EvalError else f" is not an integer at {env!r}"
+                   if kind is not int else f": variant is negative ({val}) at state {env!r}")
+        raise DslError(f"variant {v.name!r}{message}", v.line, 1)
+    return VariantFn.from_levels(space, {val: m for (_, val), m in part.items()}, v.name)
 
 
 def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
     branches = [[(item.var, item.choices) for item in action] for action in e.actions]
-    try:
-        classes = space.action_classes(branches, guard.mask)
-    except (Undecided, SpaceError):
-        # a byte per 8 states: testing a bit of full_mask would shift all of it
-        universe = space.full_mask.to_bytes((space.raw_size + 7) >> 3, "little")
-        sources: dict[int, list[int]] = {}  # d -> the guarded states with an edge i -> i + d
-        for i in guard:
-            env = space.state_of(i)
-            for action in e.actions:
-                for t in _action_successors(space, e, i, env, action):
-                    if not universe[t >> 3] >> (t & 7) & 1:
-                        raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}",
-                                       e.line, 1)
-                    sources.setdefault(t - i, []).append(i)
-        classes = sorted((d, _mask_of(src, space.raw_size)) for d, src in sources.items())
+
+    def moves(env: dict) -> tuple[int, ...]:
+        try:
+            return tuple(d for action in e.actions for d in _action_successors(space, e, 0, env, action))
+        except DslError as exc:
+            raise EvalError(str(exc)) from exc
+
+    classes, bad = space.action_classes(branches, guard.mask, moves)
+    if bad:  # run the actions on the lowest bad state alone, in branch order
+        i = (bad & -bad).bit_length() - 1
+        env = space.state_of(i)
+        for action in e.actions:
+            if any(not space.full_mask >> t & 1 for t in _action_successors(space, e, i, env, action)):
+                raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}", e.line, 1)
+        raise AssertionError(f"event {e.name!r} goes wrong at state {env!r}, but not when run there")
     try:
         return Event(e.name, guard, classes)
     except ModelError as exc:
@@ -683,11 +669,11 @@ def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
     ``i`` whose values are ``env`` (parallel assigns; a :in assignment fans
     out over every listed value), by the offset arithmetic of
     ``StateSpace.action_classes``: setting ``x`` from ``u`` to ``v`` moves
-    the index by ``offsets[x][v] - offsets[x][u]``.  It is that method's
-    per-state reference, and the path that reports its errors but one: the
-    caller tests the successors against the invariant.  A value is in its
-    variable's domain when its ``(type, value)`` key is, so a bool variable
-    admits no 0 or 1."""
+    the index by ``offsets[x][v] - offsets[x][u]``; with ``i = 0``, the
+    moves.  It raises every error of the action but one: the caller tests
+    the successors against the invariant.  A value is in its variable's
+    domain when its ``(type, value)`` key is, so a bool variable admits no
+    0 or 1."""
     per_assign: list[list[int]] = []  # each assignment's moves
     for item in action:
         offsets = space.offsets.get(item.var)
@@ -703,11 +689,8 @@ def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
                 raise DslError(f"event {e.name!r}: {exc}", e.line, 1) from exc
             new = offsets.get((type(val), val))
             if new is None:
-                raise DslError(
-                    f"event {e.name!r} assigns {item.var} := {val!r}, "
-                    f"outside its domain (at state {env!r})",
-                    e.line, 1,
-                )
+                raise DslError(f"event {e.name!r} assigns {item.var} := {val!r}, "
+                               f"outside its domain (at state {env!r})", e.line, 1)
             moves.append(new - offsets[type(old), old])
         per_assign.append(moves)
     return [i + sum(combo) for combo in itertools.product(*per_assign)]

@@ -1,8 +1,8 @@
 """Integer/boolean expression AST shared by predicates, actions and variants.
 
 Values are plain ints, bools, or enumeration literals (strings).  Evaluation
-is always against a full assignment of the declared variables, so every
-operation is total or raises :class:`EvalError`.
+is against the values of (at least) the variables an expression reads, its
+``names_in``, so every operation is total or raises :class:`EvalError`.
 
 ``BINDING`` is the one statement of how tightly each operator binds: the
 parser (``dsl._Parser.expr``) climbs its levels and ``to_text`` places its
@@ -164,6 +164,15 @@ def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool
     return v
 
 
+def names_in(node: Expr) -> set[str]:
+    """The identifiers ``node`` reads: the variables among them are its support."""
+    if isinstance(node, Name):
+        return {node.ident}
+    parts = getattr(node, "operands", None) or [getattr(node, f) for f in ("left", "right", "operand")
+                                                if hasattr(node, f)]
+    return set().union(*map(names_in, parts))
+
+
 # --- Set-valued evaluation ---------------------------------------------------
 
 Key = tuple[type, Value]  # the type keeps True and 1 apart as dict keys
@@ -172,7 +181,7 @@ Partition = dict[Key, int]
 
 class Undecided(Exception):
     """The partition evaluator cannot decide an expression: ``eval_expr`` on
-    some state would raise, or the partition grows past its bound."""
+    some state would raise, or some operator pairs more blocks than its bound."""
 
 
 def eval_partition(
@@ -189,21 +198,6 @@ def eval_partition(
     short-circuits per state.  Raises :class:`Undecided` where ``eval_expr``
     would raise on some state of ``care``, and when one operator pairs more
     than ``limit`` blocks."""
-    try:
-        return _partition(node, leaves, constants, care, limit)
-    except RecursionError:
-        raise Undecided("expression nested too deeply") from None
-
-
-def true_mask(partition: Partition) -> int:
-    """The mask on which a predicate's partition is true; :class:`Undecided`
-    when some block is not a boolean, where ``eval_bool`` would raise."""
-    if any(t is not bool for t, _ in partition):
-        raise Undecided("expected a boolean expression")
-    return partition.get((bool, True), 0)
-
-
-def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partition:
     if not care:
         return {}
     if isinstance(node, (IntLit, BoolLit)):
@@ -218,18 +212,18 @@ def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partitio
             return {(str, node.ident): care}
         raise Undecided(f"unknown identifier {node.ident!r}")
     if isinstance(node, Cmp):
-        left = _partition(node.left, leaves, constants, care, limit)
-        right = _partition(node.right, leaves, constants, care, limit)
+        left = eval_partition(node.left, leaves, constants, care, limit)
+        right = eval_partition(node.right, leaves, constants, care, limit)
         table = _EQUALITY if node.op in _EQUALITY else _ORDER
         return _pairwise(node.op, table, left, right, limit)
     if isinstance(node, Arith):
-        left = _partition(node.operands[0], leaves, constants, care, limit)
+        left = eval_partition(node.operands[0], leaves, constants, care, limit)
         for op, operand in zip(node.ops, node.operands[1:]):
-            right = _partition(operand, leaves, constants, care, limit)
+            right = eval_partition(operand, leaves, constants, care, limit)
             left = _pairwise(op, _ARITH, left, right, limit)
         return left
     if isinstance(node, Not):
-        inner = _partition(node.operand, leaves, constants, care, limit)
+        inner = eval_partition(node.operand, leaves, constants, care, limit)
         if any(t is not bool for t, _ in inner):
             raise Undecided("'not' needs a boolean")
         return {(bool, not v): m for (_, v), m in inner.items()}
@@ -237,7 +231,7 @@ def _partition(node: Expr, leaves, constants, care: int, limit: int) -> Partitio
         decides = isinstance(node, Or)  # the value that decides the chain
         out: Partition = {}
         for operand in node.operands:  # ``care``: the states still undecided
-            part = _partition(operand, leaves, constants, care, limit)
+            part = eval_partition(operand, leaves, constants, care, limit)
             if any(t is not bool for t, _ in part):
                 raise Undecided("'and'/'or' needs booleans")
             if (bool, decides) in part:
@@ -254,7 +248,7 @@ def _pairwise(op: str, table: dict, left: Partition, right: Partition, limit: in
     """The partition of ``left op right``, with ``op`` read from ``table``:
     ``_ARITH``, ``_EQUALITY`` or ``_ORDER``."""
     if len(left) * len(right) > limit:
-        raise Undecided("partition larger than the state count")
+        raise Undecided("more pairs than the work bound")
     fn = table.get(op)
     if fn is None:
         raise Undecided(f"bad operator {op!r}")

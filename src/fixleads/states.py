@@ -11,15 +11,24 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from functools import cached_property
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
-from .exprs import Expr, Key, Partition, Undecided, Value, eval_bool, eval_partition, true_mask
+from .exprs import (EvalError, Expr, Key, Partition, Undecided, Value, eval_expr, eval_partition,
+                    names_in)
 from .records import Frozen, setfield
 
 DEFAULT_STATE_CAP = 1 << 20
 WARN_STATE_THRESHOLD = 1 << 16
+
+# A table pass costs PAIRING full-width ANDs of a 64-bit word per state.  On
+# lattice 2 x m, m = 127-255 (Python 3.11): an AND 1.3-3 ns a word, a table
+# 0.4-1.1 us a state that shares its key (inc), 3.5-4.7 us one that does not
+# (togo), so even at 350 and 3000 words.
+PAIRING = 1000
 
 
 class SpaceError(Exception):
@@ -49,16 +58,12 @@ class StateSpace:
     ``raw_size``.  The raw state ``i`` gives each variable the value
     ``domain[i // stride % len(domain)]``, and a row of values is the sum of
     their ``offsets``: each variable maps its ``(type, value)`` keys to
-    their position in its domain times its stride.  A space also keeps
-    ``value_masks``: for each variable, the partition of the raw index by
-    its value, ``{(type, value): mask}`` in domain order (see
-    :func:`exprs.eval_partition`), the leaves from which
-    :meth:`partition` evaluates an expression on every state at once.  Its
-    one bound is the raw state count ``N``, the product of the domain sizes:
-    a variable with more than ``sqrt(N)`` values has no masks (``None``), so
-    one variable's masks never take more than ``N**1.5`` bits, and no
-    operator pairs more than ``N`` blocks; an expression past either bound
-    takes the per-state path."""
+    their position in its domain times its stride.  ``value_masks`` holds,
+    for each variable, the partition of the raw index by its value,
+    ``{(type, value): mask}``, or ``None`` past both 64 and ``sqrt(N)``
+    values, ``N`` the raw states.  :meth:`partition` evaluates from them, or by
+    :meth:`table` where some state raises, a variable has none or a pairing
+    of blocks costs more than one pass over the states (``PAIRING``)."""
 
     def __init__(
         self,
@@ -92,15 +97,12 @@ class StateSpace:
             for name, domain, stride, _ in self._digits
         }
         self.value_masks: dict[str, Partition | None] = {
-            name: _value_masks(domain, stride, raw) if radix ** 2 <= raw else None
+            name: _value_masks(domain, stride, raw) if radix ** 2 <= raw or radix <= 64 else None
             for name, domain, stride, radix in self._digits
         }
         self.full_mask: int = (1 << raw) - 1
         if invariant is not None:
-            try:
-                keep = true_mask(self.partition(invariant))
-            except Undecided:
-                keep = eval_pred(self, invariant).mask
+            keep = eval_pred(self, invariant).mask
             if not keep:
                 raise SpaceError("invariant leaves no states in the universe")
             self.full_mask = keep
@@ -121,55 +123,94 @@ class StateSpace:
 
     def partition(self, expr: Expr, care: int | None = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
-        ``expr``; raises :class:`Undecided` where the partition evaluator
-        cannot decide it, and the caller falls back to a per-state loop."""
+        ``expr``, those on which it raises in ``(EvalError, text)``."""
         care = self.full_mask if care is None else care
-        return eval_partition(expr, self.value_masks, self.constants, care, self.raw_size)
+        try:
+            return eval_partition(expr, self.value_masks, self.constants, care, self._bound(care))
+        except Undecided:
+            return self.table(names_in(expr), lambda env: eval_expr(expr, env, self.constants), care)
+
+    def _bound(self, care: int) -> int:  # the block pairs that cost one table pass over care
+        return 64 + PAIRING * care.bit_count() // ((self.raw_size + 63) >> 6)
+
+    def table(self, names: set[str], fn: Callable[[dict], Value], care: int) -> Partition:
+        """The states of ``care`` grouped by ``fn(env)``, ``env`` the values of
+        the variables in ``names``, as by :meth:`partition`: one pass in index
+        order, one ``fn`` call per key (its support's digits), masks at the end."""
+        digits = [d for d in self._digits if d[0] in names]
+        weights = [math.prod(d[3] for d in digits[:k]) for k in range(len(digits) + 1)]
+        keyed = [(stride, radix, w) for (_, _, stride, radix), w in zip(digits, weights)]
+        memo = [None] * weights[-1]  # each key's block
+        blocks: dict[Key, array] = {}
+        for i in compress(count(), bin(care)[:1:-1].encode().translate(_BITS)):
+            k = 0
+            for stride, radix, weight in keyed:
+                k += i // stride % radix * weight
+            block = memo[k]
+            if block is None:
+                try:
+                    val = fn({name: domain[i // stride % radix] for name, domain, stride, radix in digits})
+                    key = (type(val), val)
+                except EvalError as exc:
+                    key = (EvalError, str(exc))
+                block = memo[k] = blocks.setdefault(key, array("q"))
+            block.append(i)
+        return {key: _mask_of(ix, self.raw_size) for key, ix in blocks.items()}
 
     def action_classes(
-        self, branches: Sequence[Sequence[tuple[str, Sequence[Expr]]]], guard: int
-    ) -> tuple[tuple[int, int], ...]:
+        self, branches: Sequence[Sequence[tuple[str, Sequence[Expr]]]], guard: int,
+        moves: Callable[[dict], tuple[int, ...]],
+    ) -> tuple[tuple[tuple[int, int], ...], int]:
         """The offset classes ``((d, src), ...)``, sorted by ``d``, of an event
         enabled on the mask ``guard`` that runs one of ``branches``, each a
         list of parallel assignments ``(variable, choices)`` setting the
-        variable to one of the expressions' values, with no per-state step.
-
-        On the raw index, setting ``x`` from ``u`` to ``v`` moves a state by
-        ``offsets[x][v] - offsets[x][u]``: each assignment partitions the guard
-        by its move, parallel assignments add their moves and the choices and
-        branches take the union.  Raises :class:`Undecided` where the
-        partitions cannot decide some assignment on the guard, and
-        :class:`SpaceError` when a class moves some state outside
-        ``full_mask``; the per-state loop then reports the error."""
+        variable to one of the expressions' values, and the mask of the
+        states where a choice raises or leaves its domain or a move leaves
+        ``full_mask``.  Setting ``x`` from ``u`` to ``v`` moves a state by
+        ``offsets[x][v] - offsets[x][u]``: each assignment partitions the
+        guard by its move on the value masks, parallel ones add their moves,
+        choices and branches take the union; where that raises or pairs past
+        the work bound, :meth:`table` of ``moves`` gives each state's moves."""
         if not guard:
-            return ()
-        merged: dict[int, int] = {}  # move -> the states that take it
-        for assigns in branches:
-            moves = {0: guard}
-            for var, choices in assigns:
-                old = self.value_masks.get(var)
-                if old is None:  # undeclared, or without value masks
-                    raise Undecided(f"no value masks for {var!r}")
-                offset = self.offsets[var]
-                step: dict[int, int] = {}
-                for expr in choices:
-                    for key, m in self.partition(expr, guard).items():
-                        if key not in offset:
-                            raise Undecided(f"{var} := {key[1]!r} is outside its domain")
-                        for old_key, old_mask in old.items():
-                            moved = m & old_mask
-                            if moved:
-                                d = offset[key] - offset[old_key]
-                                step[d] = step.get(d, 0) | moved
-                if len(moves) * len(step) > self.raw_size:
-                    raise Undecided("partition larger than the state count")
-                moves = _add_moves(moves, step)
-            for d, m in moves.items():
-                merged[d] = merged.get(d, 0) | m
-        for d, src in merged.items():
-            if (src << d if d >= 0 else src >> -d) & ~self.full_mask:
-                raise SpaceError(f"offset {d} leaves the invariant")
-        return tuple(sorted(merged.items()))
+            return (), 0
+        merged, bad = {}, 0  # move -> the states that take it; the states that go wrong
+        try:
+            bound = self._bound(guard)
+            for assigns in branches:
+                step = {0: guard}
+                for var, choices in assigns:
+                    old = self.value_masks.get(var)
+                    if old is None:  # undeclared, or without value masks
+                        raise Undecided(f"no value masks for {var!r}")
+                    offset = self.offsets[var]
+                    this: dict[int, int] = {}
+                    for expr in choices:
+                        part = eval_partition(expr, self.value_masks, self.constants, guard, bound)
+                        if len(part) * len(old) > bound:
+                            raise Undecided("more pairs than the work bound")
+                        for key, m in part.items():
+                            if key not in offset:  # a value outside the domain
+                                bad |= m
+                                continue
+                            for old_key, old_mask in old.items():
+                                moved = m & old_mask
+                                if moved:
+                                    d = offset[key] - offset[old_key]
+                                    this[d] = this.get(d, 0) | moved
+                    step = _add_moves(step, this, bound)
+                for d, m in step.items():
+                    merged[d] = merged.get(d, 0) | m
+        except Undecided:
+            support = {var for assigns in branches for var, _ in assigns}.union(
+                *(names_in(c) for assigns in branches for _, choices in assigns for c in choices))
+            merged, bad = {}, 0
+            for (kind, ds), m in self.table(support, moves, guard).items():
+                bad |= m if kind is EvalError else 0
+                for d in ds if kind is tuple else ():
+                    merged[d] = merged.get(d, 0) | m
+        for d, src in merged.items():  # the sources whose target leaves the universe
+            bad |= src & ~(self.full_mask >> d if d >= 0 else self.full_mask << -d)
+        return tuple(sorted(merged.items())), bad
 
     def index_of(self, assignment: dict) -> int:
         return self.index_of_row(tuple(assignment[v.name] for v in self.vars))
@@ -249,7 +290,10 @@ def _joined(pieces: list[list[str]], open_: str, close: str) -> list[str]:
     return [t + close for t in table]
 
 
-def _mask_of(indices: list[int], width: int) -> int:
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as 0 and 1 bytes
+
+
+def _mask_of(indices: Sequence[int], width: int) -> int:
     # set in bytes: or-ing each bit into an int would cost the int's width
     buf = bytearray((width + 7) >> 3)
     for i in indices:
@@ -279,8 +323,11 @@ def _value_masks(domain: tuple[Value, ...], stride: int, raw: int) -> Partition:
     return {(type(val), val): first << (p * stride) for p, val in enumerate(domain)}
 
 
-def _add_moves(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel."""
+def _add_moves(a: dict[int, int], b: dict[int, int], bound: int) -> dict[int, int]:
+    """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel;
+    :class:`Undecided` when that pairs more than ``bound`` blocks."""
+    if len(a) * len(b) > bound:
+        raise Undecided("more pairs than the work bound")
     out: dict[int, int] = {}
     for d1, m1 in a.items():
         for d2, m2 in b.items():
@@ -428,8 +475,14 @@ def _key(key) -> str:
     return _quoted(key if isinstance(key, str) else json.dumps(key))
 
 
+_BOOLS = {(bool, False), (bool, True)}
+
+
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:
-    """The set of states satisfying ``pred``."""
-    members = [i for i in bit_positions(space.full_mask)
-               if eval_bool(pred, space.state_of(i), space.constants)]
-    return StateSet(space, _mask_of(members, space.raw_size))
+    """The set of states satisfying ``pred``; raises :class:`EvalError` at
+    the lowest state where ``eval_bool`` would raise, with its text."""
+    part = space.partition(pred)
+    if not part.keys() <= _BOOLS:
+        _, (kind, val) = min((m & -m, key) for key, m in part.items() if key[0] is not bool)
+        raise EvalError(val if kind is EvalError else f"expected a boolean expression, got {val!r}")
+    return StateSet(space, part.get((bool, True), 0))

@@ -1,15 +1,23 @@
 """Set-valued elaboration against the per-state reference.
 
 ``dsl.elaborate`` builds guards, predicates, variant levels and each event's
-offset classes from per-variable value masks (``exprs.eval_partition``); the
-per-state loop (``eval_pred``, ``eval_expr`` and the action loop) runs only
-where the partition evaluator cannot decide.  ``_reference`` forces that loop
-everywhere, so the two can be compared on any model.
+offset classes with ``StateSpace.partition`` and ``action_classes``: from
+per-variable value masks (``exprs.eval_partition``) while every pairing of
+blocks stays within the work bound, and otherwise from ``StateSpace.table``,
+one evaluation per assignment of the variables an item reads.  An error is
+named at the lowest state of a bad block.
+
+The reference below is the per-state elaborator that these replaced, kept
+as it was: one ``eval_expr`` walk per state for each predicate, variant and
+action.  ``_load(text, "reference")`` runs ``elaborate`` with it, and
+``_load(text, "table")`` with every partition taken by the table, so the
+three can be compared on any model.
 """
 import contextlib
 import io
 import itertools
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -29,26 +37,111 @@ from fixleads.exprs import (
     Not,
     Or,
     Undecided,
+    eval_bool,
     eval_expr,
     eval_partition,
     to_text,
 )
+from fixleads.states import StateSet, StateSpace, _mask_of, bit_positions
+from fixleads.variants import VariantFn
 
 from conftest import event_from_rel, raw_states
+from test_bench_models import FAMILIES
 
-
+PERF = sys.modules["perfbench_models"]  # perfbench/models.py, as test_bench_models loads it
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+# --- the per-state reference ---------------------------------------------------
+
+
+def _ref_eval_pred(space, pred):
+    members = [i for i in bit_positions(space.full_mask)
+               if eval_bool(pred, space.state_of(i), space.constants)]
+    return StateSet(space, _mask_of(members, space.raw_size))
+
+
+def _ref_variant(space, v):
+    levels = {}  # value -> the states that take it
+    for i in bit_positions(space.full_mask):
+        env = space.state_of(i)
+        try:
+            val = eval_expr(v.expr, env, space.constants)
+        except EvalError as exc:
+            raise DslError(f"variant {v.name!r}: {exc}", v.line, 1) from exc
+        if type(val) is not int:
+            raise DslError(f"variant {v.name!r} is not an integer at {env!r}", v.line, 1)
+        if val < 0:
+            raise DslError(f"variant {v.name!r}: variant is negative ({val}) at state {env!r}",
+                           v.line, 1)
+        levels.setdefault(val, []).append(i)
+    return VariantFn.from_levels(
+        space, {val: _mask_of(ix, space.raw_size) for val, ix in levels.items()}, v.name)
+
+
+def _ref_event(space, e):
+    guard = (dsl._pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None
+             else space.universe())
+    universe = space.full_mask.to_bytes((space.raw_size + 7) >> 3, "little")
+    sources = {}  # d -> the guarded states with an edge i -> i + d
+    for i in guard:
+        env = space.state_of(i)
+        for action in e.actions:
+            for t in _ref_action_successors(space, e, i, env, action):
+                if not universe[t >> 3] >> (t & 7) & 1:
+                    raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}",
+                                   e.line, 1)
+                sources.setdefault(t - i, []).append(i)
+    classes = sorted((d, _mask_of(src, space.raw_size)) for d, src in sources.items())
+    try:
+        return dsl.Event(e.name, guard, classes)
+    except dsl.ModelError as exc:
+        raise DslError(str(exc), e.line, 1) from exc
+
+
+def _ref_action_successors(space, e, i, env, action):
+    per_assign = []  # each assignment's moves
+    for item in action:
+        offsets = space.offsets.get(item.var)
+        if offsets is None:
+            raise DslError(f"event {e.name!r} assigns undeclared variable {item.var!r}",
+                           e.line, 1)
+        old = env[item.var]
+        moves = []
+        for ex in item.choices:
+            try:
+                val = eval_expr(ex, env, space.constants)
+            except EvalError as exc:
+                raise DslError(f"event {e.name!r}: {exc}", e.line, 1) from exc
+            new = offsets.get((type(val), val))
+            if new is None:
+                raise DslError(
+                    f"event {e.name!r} assigns {item.var} := {val!r}, "
+                    f"outside its domain (at state {env!r})",
+                    e.line, 1,
+                )
+            moves.append(new - offsets[type(old), old])
+        per_assign.append(moves)
+    return [i + sum(combo) for combo in itertools.product(*per_assign)]
+
+
 def _undecided(*args, **kwargs):
-    raise Undecided("per-state reference")
+    raise Undecided("table only")
 
 
-def _load(text, reference=False):
+PATCHES = {
+    "sets": [],
+    "table": [(states, "eval_partition", _undecided)],
+    "reference": [(states, "eval_pred", _ref_eval_pred), (dsl, "eval_pred", _ref_eval_pred),
+                  (dsl, "_variant", _ref_variant), (dsl, "_elaborate_event", _ref_event)],
+}
+
+
+def _load(text, how="sets"):
     """``(elaborated, None)`` or ``(None, error text)``."""
-    patch = (mock.patch.object(states, "eval_partition", _undecided)
-             if reference else contextlib.nullcontext())
-    with patch:
+    with contextlib.ExitStack() as stack:
+        for owner, name, replacement in PATCHES[how]:
+            stack.enter_context(mock.patch.object(owner, name, replacement))
         try:
             return elaborate(parse(text)), None
         except DslError as exc:
@@ -56,17 +149,21 @@ def _load(text, reference=False):
 
 
 def _reference(text):
-    return _load(text, reference=True)
+    return _load(text, "reference")
 
 
 def _digest(elab):
     """Everything elaboration produces, with the relation in both formats and
-    the classes built again from the per-state relation."""
+    the classes built again from the per-state relation; past 2000 raw
+    states, whose per-state relation takes a full-width mask per state, the
+    classes alone."""
     sys_ = elab.system
+    small = sys_.space.raw_size <= 2000
     return {
-        "states": raw_states(sys_.space),
-        "events": [(e.name, e.guard.mask, e.rel, e.classes(),
-                    event_from_rel(e.name, e.guard, e.rel).classes()) for e in sys_.events],
+        "states": raw_states(sys_.space) if small else sys_.space.full_mask,
+        "events": [(e.name, e.guard.mask, e.classes()) + (
+                    (e.rel, event_from_rel(e.name, e.guard, e.rel).classes()) if small else ())
+                   for e in sys_.events],
         "init": sys_.init.mask,
         "properties": [(p.name, p.p.mask, p.q.mask) for p in elab.properties],
         "variants": {name: v._levels for name, v in elab.variants.items()},
@@ -74,12 +171,20 @@ def _digest(elab):
 
 
 def _assert_same_as_reference(text):
-    got, got_err = _load(text)
+    """The same elaboration, or the same error text, from the sets, from the
+    table alone and from the per-state reference."""
     ref, ref_err = _reference(text)
-    assert got_err == ref_err, text
-    if ref is not None:
-        assert _digest(got) == _digest(ref), text
-    return got
+    for how in ("sets", "table"):
+        got, got_err = _load(text, how)
+        assert got_err == ref_err, (how, text)
+        if ref is not None:
+            assert _digest(got) == _digest(ref), (how, text)
+    return _load(text)[0]
+
+
+def _tables():
+    """A mock that counts the calls of ``StateSpace.table``, which it runs."""
+    return mock.patch.object(StateSpace, "table", autospec=True, side_effect=StateSpace.table)
 
 
 # --- differential: random models ---------------------------------------------
@@ -89,15 +194,21 @@ ENUM_NAMES = ["a", "p", "q"]  # "a" may also name a variable, which shadows it
 
 
 @st.composite
-def _domains(draw):
+def _domains(draw, wide=False):
+    """Up to three variables over small domains; with ``wide``, a third of
+    the time a first range of 65-67 values, more than sqrt(N) and more than
+    64, which has no value masks and so takes the table."""
     n = draw(st.integers(1, 3))
     names = draw(st.permutations(VAR_NAMES))[:n]
     decls = []
     for name in names:
         kind = draw(st.sampled_from(["range", "range", "bool", "enum"]))
-        if kind == "range":
+        if wide and not decls and draw(st.integers(0, 2)) == 0:
+            kind = "wide"
+        if kind in ("range", "wide"):
             lo = draw(st.integers(-2, 1))
-            hi = lo + draw(st.integers(0, 3))
+            hi = lo + draw(st.integers(0, 3) if kind == "range" else st.integers(64, 66))
+            kind = "range"
             decls.append((name, "range", f"{lo} .. {hi}", tuple(str(v) for v in range(lo, hi + 1))))
         elif kind == "bool":
             decls.append((name, "bool", "bool", ("true", "false")))
@@ -166,7 +277,7 @@ def _value_type(kind):
 
 @st.composite
 def models(draw):
-    decls = draw(_domains())
+    decls = draw(_domains(wide=True))
     expr = lambda want, depth=2: _expr(draw, decls, want, depth)[0]  # noqa: E731
     lines = ["system m"] + [f"var {name} : {dom}" for name, _, dom, _ in decls]
 
@@ -203,7 +314,7 @@ def models(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models())
 def test_partition_elaboration_matches_the_per_state_reference(text):
     _assert_same_as_reference(text)
@@ -211,28 +322,26 @@ def test_partition_elaboration_matches_the_per_state_reference(text):
 
 def test_the_generator_draws_loading_and_failing_models():
     """The differential test above is only as good as its draws: models that
-    load and models that fail, and loading ones that never take the
-    per-state path."""
-    counts = {"fails": 0, "per-state": 0, "partition only": 0, "long chains": 0}
+    load and models that fail, loading ones that take the table and loading
+    ones that never do."""
+    counts = {"fails": 0, "table": 0, "partition only": 0, "long chains": 0}
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(models())
     def count(text):
-        with mock.patch.object(dsl, "eval_pred", wraps=dsl.eval_pred) as preds, \
-                mock.patch.object(dsl, "_action_successors",
-                                  wraps=dsl._action_successors) as actions:
+        with _tables() as tables:
             elab = _load(text)[0]
         if elab is None:
             counts["fails"] += 1
-        elif preds.called or actions.called:
-            counts["per-state"] += 1
+        elif tables.called:
+            counts["table"] += 1
         else:
             counts["partition only"] += 1
         if elab is not None and any(len(getattr(n, "operands", ())) > 2 for n in _nodes(text)):
             counts["long chains"] += 1
 
     count()
-    assert counts["fails"] >= 20 and counts["partition only"] >= 40
+    assert counts["fails"] >= 20 and counts["partition only"] >= 40 and counts["table"] >= 20
     assert counts["long chains"] >= 30, counts
 
 
@@ -276,11 +385,17 @@ def _left_nested(node):
 
 
 def _outcome(node, env, constants):
+    """The key of the block that ``env`` falls in: its value's, or the error's."""
     try:
         value = eval_expr(node, env, constants)
     except EvalError as exc:
-        return str(exc)
+        return EvalError, str(exc)
     return type(value), value
+
+
+def _blocks_of(blocks, size):
+    """The keys of the blocks that hold each state."""
+    return [[key for key, m in blocks.items() if m >> i & 1] for i in range(size)]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -288,8 +403,9 @@ def _outcome(node, env, constants):
 def test_a_chain_prints_back_exactly_and_evaluates_as_its_left_nested_form(data):
     """On parser-built expressions: ``to_text`` reparses to the same node;
     ``eval_expr`` gives each state the value, or the error text, of the
-    chain's left-nested form, the shape the grammar reads it in; and a
-    decided partition puts each state in the block of that value."""
+    chain's left-nested form, the shape the grammar reads it in; a partition
+    puts each state in the block of that value or error, and so does the set
+    evaluator wherever it decides."""
     decls = data.draw(_domains())
     text = _expr(data.draw, decls, data.draw(st.sampled_from(["int", "bool", "enum"])), 3)[0]
     node = _parse_expr(text)
@@ -298,16 +414,16 @@ def test_a_chain_prints_back_exactly_and_evaluates_as_its_left_nested_form(data)
     read = {"range": int, "bool": lambda v: v == "true", "enum": str}
     sp = states.StateSpace([states.VarDecl(name, tuple(read[kind](v) for v in values))
                             for name, kind, _, values in decls])
+    outcomes = [[_outcome(node, sp.state_of(i), sp.constants)] for i in range(sp.size)]
+    for i, [outcome] in enumerate(outcomes):
+        assert outcome == _outcome(nested, sp.state_of(i), sp.constants), (text, i)
+    assert _blocks_of(sp.partition(node), sp.size) == outcomes, text
     try:
-        blocks = sp.partition(node)
+        decided = eval_partition(node, sp.value_masks, sp.constants, sp.full_mask, 1 << 30)
     except Undecided:
-        blocks = {}
-    for i in range(sp.size):
-        env = sp.state_of(i)
-        outcome = _outcome(node, env, sp.constants)
-        assert outcome == _outcome(nested, env, sp.constants), (text, env)
-        if blocks:
-            assert [key for key, m in blocks.items() if m >> i & 1] == [outcome], (text, env)
+        assert any(key[0] is EvalError for [key] in outcomes) or None in sp.value_masks.values()
+    else:
+        assert _blocks_of(decided, sp.size) == outcomes, text
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -325,6 +441,25 @@ def _read_data(name):
 @pytest.mark.parametrize("name", sorted(n[:-4] for n in os.listdir(DATA) if n.endswith(".evt")))
 def test_data_models_match_the_per_state_reference(name):
     _assert_same_as_reference(_read_data(name))
+
+
+WIDE_COUNTER = ("system wide\nvar c : 0 .. 19999\nvar b : bool\ninit c = 0\n"
+                "event inc when c < 19999 then c := c + 1\nevent flip then b := not b\n"
+                "property top_wf : leadsto {true} {c = 19999} under wf\n")
+FAMILY_MODELS = {
+    **{f"ring{n}-{seed}": PERF.ring(n, seed, assume=("wf", "mp", "wf-si"))
+       for n in (3, 4, 5) for seed in (1, 2)},
+    **{f"starve{n}-{seed}": PERF.ring(n, seed, starve=True, assume=("wf", "mp"))
+       for n in (3, 4) for seed in (1, 2)},
+    **{f"lattice{k}x{m}-{seed}": PERF.lattice(k, m, seed)
+       for k, m in ((3, 9), (2, 4), (2, 60)) for seed in (1, 2)},
+    "lattice2x199-1": PERF.lattice(2, 199, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MODELS) + ["wide-counter"])
+def test_benchmark_families_match_the_per_state_reference(name):
+    _assert_same_as_reference(FAMILY_MODELS[name].text if name in FAMILY_MODELS else WIDE_COUNTER)
 
 
 SMALL = {
@@ -351,17 +486,28 @@ def test_each_triangle3_event_is_one_offset_class():
 @pytest.mark.parametrize("name", ["ring3", "starve3", "lattice", "wedge"])
 def test_models_over_small_domains_take_no_per_state_step(name):
     """Every guard, action, predicate and variant of these models is decided
-    by partitions, the actions only on their guards: ``c0 := c0 + 1`` leaves
-    the domain outside ``c0 < 3``, which must not send it to the per-state
-    loop."""
+    by the value masks, the actions only on their guards: ``c0 := c0 + 1``
+    leaves the domain outside ``c0 < 3``, which must not send it to the
+    table, nor run any expression or action on a state."""
     text = SMALL.get(name) or _read_data(name)
-    with mock.patch.object(dsl, "eval_pred") as preds, \
-            mock.patch.object(dsl, "eval_expr") as evals, \
-            mock.patch.object(dsl, "_action_successors") as actions:
+    with _tables() as tables, mock.patch.object(dsl, "_action_successors") as actions, \
+            mock.patch.object(states, "eval_expr") as evals:
         elab, err = _load(text)
     assert err is None
-    assert not (preds.called or evals.called or actions.called)
+    assert not (tables.called or evals.called or actions.called)
     assert _digest(elab) == _digest(_reference(text)[0])
+
+
+# the gated benchmark's models must stay on the value masks
+GATED = {"ring4": FAMILIES["ring4"].text, "starve4": FAMILIES["starve4"].text,
+         **{f"lattice3x9-{seed}": PERF.lattice(3, 9, seed).text for seed in (1, 2)}}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_the_benchmark_models_take_no_table(name):
+    with _tables() as tables:
+        elab, err = _load(GATED[name])
+    assert err is None and not tables.called
 
 
 # --- the partition evaluator's pitfalls ----------------------------------------
@@ -389,20 +535,21 @@ def test_and_short_circuits_per_state():
 def test_each_three_operand_chain_partitions_as_it_evaluates():
     """Every ``and``/``or`` chain of three of these atoms, one a type error:
     a later operand sees only the states the earlier ones leave undecided,
-    so the partition puts each state in the block of its value, and it is
-    undecided only where some state raises."""
+    so the set evaluator puts each state in the block of its value, and it
+    is undecided only where some state raises; there the partition holds
+    that state in the error's block."""
     sp = _space(BASE + "event e then skip\n")
     atoms = ["x = 0", "x != 1", "x >= 1", "true", "false", "x = true"]
     for word, operands in itertools.product(["and", "or"], itertools.product(atoms, repeat=3)):
         node = _parse_expr(f" {word} ".join(operands))
-        outcomes = [_outcome(node, sp.state_of(i), sp.constants) for i in range(sp.size)]
+        outcomes = [[_outcome(node, sp.state_of(i), sp.constants)] for i in range(sp.size)]
+        assert _blocks_of(sp.partition(node), sp.size) == outcomes, node
         try:
-            blocks = sp.partition(node)
+            blocks = eval_partition(node, sp.value_masks, sp.constants, sp.full_mask, sp.raw_size)
         except Undecided:
-            assert any(isinstance(o, str) for o in outcomes), node
+            assert any(key[0] is EvalError for [key] in outcomes), node
             continue
-        assert [[k for k, m in blocks.items() if m >> i & 1] for i in range(sp.size)] == [
-            [o] for o in outcomes], node
+        assert _blocks_of(blocks, sp.size) == outcomes, node
 
 
 def test_a_variable_shadows_the_constant_of_the_same_name():
@@ -424,8 +571,11 @@ def test_true_and_1_stay_apart():
         text = BASE + f"event e when n = 1 then {action}\n"
         assert "outside its domain" in _load(text)[1]
         assert _load(text)[1] == _reference(text)[1]
-    with pytest.raises(Undecided):  # True = 1 is a type error, not True
-        sp.partition(parse(BASE + "init on = n\n").init)
+    on_n = parse(BASE + "init on = n\n").init  # True = 1 is a type error, not True
+    with pytest.raises(Undecided):
+        eval_partition(on_n, sp.value_masks, sp.constants, sp.full_mask, sp.raw_size)
+    assert {key for key in sp.partition(on_n)} == {
+        (EvalError, f"cannot compare {on!r} with {n!r}") for on in (False, True) for n in (0, 1)}
 
 
 def test_out_of_domain_names_the_first_guarded_state():
@@ -447,6 +597,49 @@ def test_negative_variant_gives_the_same_message():
     text = "system s\nvar x : -2 .. 1\ninit x = 0\nevent e then skip\nvariant v := x + 1\n"
     assert _load(text)[1] == "5:1: variant 'v': variant is negative (-1) at state {'x': -2}"
     assert _reference(text)[1] == _load(text)[1]
+
+
+def test_a_bad_variant_names_its_lowest_bad_state():
+    text = ("system s\nvar y : {p, q}\nvar x : 0 .. 3\ninit x = 0\nevent e then skip\n"
+            "variant v := EXPR\n")
+    for expr, message in (
+        ("x - 2", "variant is negative (-2) at state {'y': 'p', 'x': 0}"),
+        ("3 - x - x", "variant is negative (-1) at state {'y': 'p', 'x': 2}"),
+        ("x = 1", "is not an integer at {'y': 'p', 'x': 0}"),
+        ("x + (x >= 2 and y = q)", "arithmetic '+' needs integers, got 0, False"),
+    ):
+        err = _load(text.replace("EXPR", expr))[1]
+        assert err == _reference(text.replace("EXPR", expr))[1]
+        assert err.startswith("6:1: variant 'v'") and err.endswith(message), err
+
+
+def test_an_event_error_is_the_first_of_its_lowest_bad_state_in_branch_order():
+    """At x = 1, y = 2, the one guarded state, ``x := x + 1`` leaves the
+    invariant and ``y := y + 1`` leaves y's domain: the message is that of
+    the first branch, and within a branch an assignment's error comes before
+    any successor is tested against the invariant."""
+    text = ("system s\nvar x : 0 .. 3\nvar y : 0 .. 2\ninvariant x + y < 4\n"
+            "event e when x >= 1 and y = 2 then ACTIONS\n")
+    leaves = "5:1: event 'e' leaves the invariant at state {'x': 1, 'y': 2}"
+    outside = "5:1: event 'e' assigns y := 3, outside its domain (at state {'x': 1, 'y': 2})"
+    for actions, message in (("x := x + 1 [] y := y + 1", leaves),
+                             ("y := y + 1 [] x := x + 1", outside),
+                             ("x := x + 1, y := y + 1", outside),
+                             ("x := x + (y = 2)", "5:1: event 'e': arithmetic '+' needs integers, "
+                                                  "got 1, True")):
+        assert _load(text.replace("ACTIONS", actions))[1] == message
+        assert _reference(text.replace("ACTIONS", actions))[1] == message
+
+
+def test_an_invariant_error_names_the_invariant(tmp_path, capsys):
+    for invariant, message in (("z = 1", "unknown identifier 'z'"),
+                               ("x + 1", "expected a boolean expression, got 1")):
+        path = tmp_path / "m.evt"
+        path.write_text(f"system s\nvar x : 0 .. 3\ninvariant {invariant}\ninit x = 0\n"
+                        "event e then skip\nproperty p : leadsto {true} {true} under mp\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invariant: {message}\n", err
 
 
 def _check_quietly(text, tmp_path):
@@ -474,29 +667,45 @@ def test_a_flat_chain_of_5000_terms_loads(tmp_path, op):
     assert [elab.system.space.state_of(s)["x"] for s in elab.system.event("e").guard] == values
 
 
-def test_a_too_deep_expression_falls_back_to_the_per_state_path():
+def test_a_too_deep_expression_raises_recursion_error():
+    """As ``eval_expr`` would on any state: the CLI reports it as a model
+    nested too deeply (exit 2)."""
     sp = _space(BASE + "event e then skip\n")
     deep = Name("x")  # x + (x + (x + ...)): real nesting, which no chain parses to
     for _ in range(5000):
         deep = Arith(("+",), (Name("x"), deep))
-    with pytest.raises(Undecided, match="nested too deeply"):
+    with pytest.raises(RecursionError):
         sp.partition(Cmp(">=", deep, IntLit(0)))
 
 
-def test_a_partition_larger_than_the_state_count_is_undecided():
-    text = "system s\nvar x : 0 .. 5\nvar y : 0 .. 5\nevent e then skip\n"
-    sp = _space(text)
-    assert len(sp.partition(parse(text + "init x + y >= 0\n").init.left)) == 11
-    # 11 sums times 6 values of x: 66 pairs for 36 states
-    with pytest.raises(Undecided, match="larger than the state count"):
-        sp.partition(parse(text + "init x + y + x >= 0\n").init)
-    _assert_same_as_reference(text + "init x + y + x >= 4\n")
+# x and y have value masks; on the diagonal x = y, pairing their 100 blocks
+# each (10 000 pairs) costs more than one table pass over its 100 states
+WIDE = "system s\nvar x : 0 .. 99\nvar y : 0 .. 99\n"
 
 
-def test_the_per_state_path_takes_memory_linear_in_the_states(tmp_path):
-    """``c`` has more than sqrt(N) values, so ``inc`` takes the per-state
-    path, which writes each edge into its offset class: one class, and no
-    full-width mask per state (20 000 raw states)."""
+def test_a_pairing_over_the_work_bound_takes_the_table():
+    sp = _space(WIDE + "event e then skip\n")
+    diagonal = sp.partition(parse(WIDE + "init x = y\n").init)[(bool, True)]
+    total = parse(WIDE + "init x + y\n").init
+    with pytest.raises(Undecided, match="work bound"):
+        eval_partition(total, sp.value_masks, sp.constants, diagonal, sp._bound(diagonal))
+    with _tables() as tables:
+        blocks = sp.partition(total, diagonal)
+    assert tables.call_count == 1
+    assert blocks == {(int, 2 * v): 1 << sp.index_of({"x": v, "y": v}) for v in range(100)}
+    # on the guard x = y, the new values of x times its old ones: the event takes the table
+    text = WIDE + "init x = 0\nevent e when x = y then x := 99 - y, y := x\n"
+    _assert_same_as_reference(text)
+    with _tables() as tables:
+        elab = _load(text)[0]
+    assert tables.call_count == 1
+    assert len(elab.system.event("e").classes()) == 100
+
+
+def test_the_table_takes_memory_linear_in_the_states(tmp_path):
+    """``c`` has more than sqrt(N) values, so ``inc`` takes the table, which
+    writes each state into its block: one class, and no full-width mask per
+    state (20 000 raw states)."""
     path = tmp_path / "wide.evt"
     path.write_text("system wide\nvar c : 0 .. 9999\nvar b : bool\ninit c = 0\n"
                     "event inc when c < 9999 then c := c + 1\nevent flip then b := not b\n")
@@ -516,6 +725,9 @@ def test_a_variable_with_many_values_has_no_value_masks():
     sp = _space(text)
     assert sp.value_masks["x"] is None and sp.value_masks["b"] is not None
     _assert_same_as_reference(text)
+    with _tables() as tables:  # the guard, then the action
+        _load(text)
+    assert tables.call_count == 2
 
 
 def test_eval_partition_keeps_every_block_inside_care():

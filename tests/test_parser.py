@@ -6,12 +6,14 @@ edits of them and on the generated expressions of ``test_elaborate``.  The
 one intended difference is depth: a parenthesis level costs two stack
 frames instead of eight."""
 import contextlib
+import gc
 import io
 import itertools
 import os
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -415,3 +417,27 @@ def test_5000_nested_parentheses_exit_2_without_a_traceback(tmp_path):
     code, err = _check(tmp_path, 5000)
     assert code == 2
     assert "model nested too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_the_garbage_collector(enabled):
+    """The collector is off while parsing, since the AST has no cycles, and
+    after a parse or a ``DslError`` it is as it was before."""
+    seen = []
+
+    class Spy(_Parser):
+        def spec(self):
+            seen.append(gc.isenabled())
+            return super().spec()
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch("fixleads.dsl._Parser", Spy):
+            parse("system s\nvar x : 0 .. 1\nevent e then skip\n")
+            assert gc.isenabled() is enabled
+            with pytest.raises(DslError):
+                parse("system s\nvar x : 0 .. \n")
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
