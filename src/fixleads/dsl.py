@@ -26,6 +26,7 @@ as its own helpful step.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import re
@@ -49,6 +50,7 @@ from .exprs import (
     Not,
     Or,
     eval_expr,
+    names_in,
     to_text,
 )
 from .records import Frozen, Record, setfield
@@ -370,9 +372,9 @@ class _Parser:
         assigns = [self.assign()]
         while self.peek() == ",":
             self.next()
+            if self.texts[self.pos] in {a.var for a in assigns}:  # only an ident has its text
+                raise self.error("variable assigned twice in one action")
             assigns.append(self.assign())
-        if len({a.var for a in assigns}) != len(assigns):
-            raise self.error("variable assigned twice in one action")
         return tuple(assigns)
 
     def assign(self) -> Assign:
@@ -641,21 +643,22 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
 
 def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
     guard = _pred_set(space, e.guard, f"event {e.name!r}") if e.guard is not None else space.universe()
-    branches = [[(item.var, item.choices) for item in action] for action in e.actions]
-
-    def moves(env: dict) -> tuple[int, ...]:
-        try:
-            return tuple(d for action in e.actions for d in _action_successors(space, e, 0, env, action))
-        except DslError as exc:
-            raise EvalError(str(exc)) from exc
-
-    classes, bad = space.action_classes(branches, guard.mask, moves)
+    support = set()  # the variables the actions assign and the names they read
+    for action in e.actions:
+        for item in action:
+            support.add(item.var)
+            support.update(*map(names_in, item.choices))
+    moves = functools.partial(_action_successors, space, e, e.actions, 0)
+    classes, bad = space.action_classes(support, guard.mask, moves)
     if bad:  # run the actions on the lowest bad state alone, in branch order
         i = (bad & -bad).bit_length() - 1
         env = space.state_of(i)
-        for action in e.actions:
-            if any(not space.full_mask >> t & 1 for t in _action_successors(space, e, i, env, action)):
-                raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}", e.line, 1)
+        try:
+            for action in e.actions:
+                if any(not space.full_mask >> t & 1 for t in _action_successors(space, e, (action,), i, env)):
+                    raise DslError(f"event {e.name!r} leaves the invariant at state {env!r}", e.line, 1)
+        except EvalError as exc:
+            raise DslError(str(exc), e.line, 1) from exc
         raise AssertionError(f"event {e.name!r} goes wrong at state {env!r}, but not when run there")
     try:
         return Event(e.name, guard, classes)
@@ -663,37 +666,44 @@ def _elaborate_event(space: StateSpace, e: EventAst) -> Event:
         raise DslError(str(exc), e.line, 1) from exc
 
 
-def _action_successors(space: StateSpace, e: EventAst, i: int, env: dict,
-                       action: tuple[Assign, ...]) -> list[int]:
-    """The raw indices of the successors of one action branch at the state
-    ``i`` whose values are ``env`` (parallel assigns; a :in assignment fans
-    out over every listed value), by the offset arithmetic of
-    ``StateSpace.action_classes``: setting ``x`` from ``u`` to ``v`` moves
-    the index by ``offsets[x][v] - offsets[x][u]``; with ``i = 0``, the
-    moves.  It raises every error of the action but one: the caller tests
-    the successors against the invariant.  A value is in its variable's
-    domain when its ``(type, value)`` key is, so a bool variable admits no
-    0 or 1."""
-    per_assign: list[list[int]] = []  # each assignment's moves
-    for item in action:
-        offsets = space.offsets.get(item.var)
-        if offsets is None:
-            raise DslError(f"event {e.name!r} assigns undeclared variable {item.var!r}",
-                           e.line, 1)
-        old = env[item.var]
-        moves = []
-        for ex in item.choices:
-            try:
-                val = eval_expr(ex, env, space.constants)
-            except EvalError as exc:
-                raise DslError(f"event {e.name!r}: {exc}", e.line, 1) from exc
-            new = offsets.get((type(val), val))
-            if new is None:
-                raise DslError(f"event {e.name!r} assigns {item.var} := {val!r}, "
-                               f"outside its domain (at state {env!r})", e.line, 1)
-            moves.append(new - offsets[type(old), old])
-        per_assign.append(moves)
-    return [i + sum(combo) for combo in itertools.product(*per_assign)]
+def _action_successors(space: StateSpace, e: EventAst, actions: tuple[tuple[Assign, ...], ...],
+                       i: int, env: dict) -> tuple[int, ...]:
+    """The raw indices of the successors of the action branches ``actions``
+    at the state ``i`` whose values are ``env``; with ``i = 0``, their
+    moves, which ``StateSpace.action_classes`` reads once per assignment of
+    the event's support.  This is the one place that knows how an
+    assignment moves an index: setting ``x`` from ``u`` to ``v`` moves it
+    by ``offsets[x][v] - offsets[x][u]``, parallel assignments add their
+    moves, and a :in assignment fans out over its values.  Every error but
+    a successor outside the invariant, which the caller tests, is raised in
+    branch order as an :class:`EvalError`.  A value is in its variable's
+    domain when its ``(type, value)`` key is: a bool variable admits no 1."""
+    out: list[int] = []
+    for action in actions:
+        shift, fans = i, []  # the one-choice assignments' moves added up; the others'
+        for item in action:
+            offsets = space.offsets.get(item.var)
+            if offsets is None:
+                raise EvalError(f"event {e.name!r} assigns undeclared variable {item.var!r}")
+            old = env[item.var]
+            here = offsets[type(old), old]
+            moves = []
+            for ex in item.choices:
+                try:
+                    val = eval_expr(ex, env, space.constants)
+                except EvalError as exc:
+                    raise EvalError(f"event {e.name!r}: {exc}") from exc
+                new = offsets.get((type(val), val))
+                if new is None:
+                    raise EvalError(f"event {e.name!r} assigns {item.var} := {val!r}, "
+                                    f"outside its domain (at state {env!r})")
+                moves.append(new - here)
+            if len(moves) == 1:
+                shift += moves[0]
+            else:
+                fans.append(moves)
+        out += [shift + sum(pick) for pick in itertools.product(*fans)] if fans else [shift]
+    return tuple(out)
 
 
 def load_file(path: str, cap: int = DEFAULT_STATE_CAP) -> Elaborated:

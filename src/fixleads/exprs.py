@@ -168,6 +168,8 @@ def names_in(node: Expr) -> set[str]:
     """The identifiers ``node`` reads: the variables among them are its support."""
     if isinstance(node, Name):
         return {node.ident}
+    if isinstance(node, (IntLit, BoolLit)):
+        return set()
     parts = getattr(node, "operands", None) or [getattr(node, f) for f in ("left", "right", "operand")
                                                 if hasattr(node, f)]
     return set().union(*map(names_in, parts))
@@ -177,6 +179,7 @@ def names_in(node: Expr) -> set[str]:
 
 Key = tuple[type, Value]  # the type keeps True and 1 apart as dict keys
 Partition = dict[Key, int]
+BOOLS = {(bool, False), (bool, True)}  # the keys of a boolean partition
 
 
 class Undecided(Exception):
@@ -224,7 +227,7 @@ def eval_partition(
         return left
     if isinstance(node, Not):
         inner = eval_partition(node.operand, leaves, constants, care, limit)
-        if any(t is not bool for t, _ in inner):
+        if not inner.keys() <= BOOLS:
             raise Undecided("'not' needs a boolean")
         return {(bool, not v): m for (_, v), m in inner.items()}
     if isinstance(node, (And, Or)):
@@ -232,7 +235,7 @@ def eval_partition(
         out: Partition = {}
         for operand in node.operands:  # ``care``: the states still undecided
             part = eval_partition(operand, leaves, constants, care, limit)
-            if any(t is not bool for t, _ in part):
+            if not part.keys() <= BOOLS:
                 raise Undecided("'and'/'or' needs booleans")
             if (bool, decides) in part:
                 out[(bool, decides)] = out.get((bool, decides), 0) | part[(bool, decides)]

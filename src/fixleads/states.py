@@ -17,17 +17,18 @@ from itertools import compress, count
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from collections.abc import Callable, Iterator, Sequence
 
-from .exprs import (EvalError, Expr, Key, Partition, Undecided, Value, eval_expr, eval_partition,
-                    names_in)
+from .exprs import (BOOLS, EvalError, Expr, Key, Partition, Undecided, Value, eval_expr,
+                    eval_partition, names_in)
 from .records import Frozen, setfield
 
 DEFAULT_STATE_CAP = 1 << 20
 WARN_STATE_THRESHOLD = 1 << 16
 
-# A table pass costs PAIRING full-width ANDs of a 64-bit word per state.  On
-# lattice 2 x m, m = 127-255 (Python 3.11): an AND 1.3-3 ns a word, a table
-# 0.4-1.1 us a state that shares its key (inc), 3.5-4.7 us one that does not
-# (togo), so even at 350 and 3000 words.
+# One bound, _bound(care), picks pairing or table for an expression and lift
+# or pass for a table: a pair or a lifted assignment costs a full-width AND, a
+# pass PAIRING ANDs of a 64-bit word per state.  On lattice 2 x m, m = 127-255
+# (Python 3.11): an AND 1.3-3 ns a word, a pass 0.4-1.1 us a state that shares
+# its key (inc), 3.5-4.7 us one that does not (togo), so even at 350 and 3000.
 PAIRING = 1000
 
 
@@ -63,7 +64,8 @@ class StateSpace:
     ``{(type, value): mask}``, or ``None`` past both 64 and ``sqrt(N)``
     values, ``N`` the raw states.  :meth:`partition` evaluates from them, or by
     :meth:`table` where some state raises, a variable has none or a pairing
-    of blocks costs more than one pass over the states (``PAIRING``)."""
+    of blocks costs more than one pass over the states (``PAIRING``); an
+    event's offset classes are the table of its moves (:meth:`action_classes`)."""
 
     def __init__(
         self,
@@ -130,13 +132,28 @@ class StateSpace:
         except Undecided:
             return self.table(names_in(expr), lambda env: eval_expr(expr, env, self.constants), care)
 
-    def _bound(self, care: int) -> int:  # the block pairs that cost one table pass over care
+    def _bound(self, care: int) -> int:  # the block pairs or lifted assignments worth one pass
         return 64 + PAIRING * care.bit_count() // ((self.raw_size + 63) >> 6)
 
     def table(self, names: set[str], fn: Callable[[dict], Value], care: int) -> Partition:
         """The states of ``care`` grouped by ``fn(env)``, ``env`` the values of
-        the variables in ``names``, as by :meth:`partition`: one pass in index
-        order, one ``fn`` call per key (its support's digits), masks at the end."""
+        the variables in ``names``, its support, as by :meth:`partition`: one
+        ``fn`` call per support assignment that a state of ``care`` takes,
+        errors in ``(EvalError, text)``.  Chosen before ``fn`` runs, the lift
+        (:func:`_lift`) where every support variable has value masks and their
+        assignments stay within the work bound, else the :meth:`_pass`."""
+        support = {name: m for name, m in self.value_masks.items() if name in names}
+        if None in support.values() or math.prod(map(len, support.values())) > self._bound(care):
+            return self._pass(names, fn, care)
+        blocks: Partition = {}
+        if care:
+            _lift(list(support.items()), fn, blocks, care, {})
+        return blocks
+
+    def _pass(self, names: set[str], fn: Callable[[dict], Value], care: int) -> Partition:
+        """:meth:`table` by one pass over ``care`` in index order: each
+        state's key is read off the support's digits of its index, ``fn`` is
+        called once per key, and each block's mask is built at the end."""
         digits = [d for d in self._digits if d[0] in names]
         weights = [math.prod(d[3] for d in digits[:k]) for k in range(len(digits) + 1)]
         keyed = [(stride, radix, w) for (_, _, stride, radix), w in zip(digits, weights)]
@@ -148,67 +165,25 @@ class StateSpace:
                 k += i // stride % radix * weight
             block = memo[k]
             if block is None:
-                try:
-                    val = fn({name: domain[i // stride % radix] for name, domain, stride, radix in digits})
-                    key = (type(val), val)
-                except EvalError as exc:
-                    key = (EvalError, str(exc))
-                block = memo[k] = blocks.setdefault(key, array("q"))
+                env = {name: domain[i // stride % radix] for name, domain, stride, radix in digits}
+                block = memo[k] = blocks.setdefault(_keyed(fn, env), array("q"))
             block.append(i)
         return {key: _mask_of(ix, self.raw_size) for key, ix in blocks.items()}
 
-    def action_classes(
-        self, branches: Sequence[Sequence[tuple[str, Sequence[Expr]]]], guard: int,
-        moves: Callable[[dict], tuple[int, ...]],
-    ) -> tuple[tuple[tuple[int, int], ...], int]:
+    def action_classes(self, support: set[str], guard: int, moves: Callable[[dict], tuple[int, ...]]
+                       ) -> tuple[tuple[tuple[int, int], ...], int]:
         """The offset classes ``((d, src), ...)``, sorted by ``d``, of an event
-        enabled on the mask ``guard`` that runs one of ``branches``, each a
-        list of parallel assignments ``(variable, choices)`` setting the
-        variable to one of the expressions' values, and the mask of the
-        states where a choice raises or leaves its domain or a move leaves
-        ``full_mask``.  Setting ``x`` from ``u`` to ``v`` moves a state by
-        ``offsets[x][v] - offsets[x][u]``: each assignment partitions the
-        guard by its move on the value masks, parallel ones add their moves,
-        choices and branches take the union; where that raises or pairs past
-        the work bound, :meth:`table` of ``moves`` gives each state's moves."""
-        if not guard:
-            return (), 0
+        enabled on the mask ``guard`` that moves a state's index by each
+        offset of ``moves(env)``, ``env`` the values of the variables in
+        ``support``, and the mask of the states where ``moves`` raises or a
+        move leaves ``full_mask``: the :meth:`table` of ``moves`` over the
+        guard, its blocks merged by offset."""
         merged, bad = {}, 0  # move -> the states that take it; the states that go wrong
-        try:
-            bound = self._bound(guard)
-            for assigns in branches:
-                step = {0: guard}
-                for var, choices in assigns:
-                    old = self.value_masks.get(var)
-                    if old is None:  # undeclared, or without value masks
-                        raise Undecided(f"no value masks for {var!r}")
-                    offset = self.offsets[var]
-                    this: dict[int, int] = {}
-                    for expr in choices:
-                        part = eval_partition(expr, self.value_masks, self.constants, guard, bound)
-                        if len(part) * len(old) > bound:
-                            raise Undecided("more pairs than the work bound")
-                        for key, m in part.items():
-                            if key not in offset:  # a value outside the domain
-                                bad |= m
-                                continue
-                            for old_key, old_mask in old.items():
-                                moved = m & old_mask
-                                if moved:
-                                    d = offset[key] - offset[old_key]
-                                    this[d] = this.get(d, 0) | moved
-                    step = _add_moves(step, this, bound)
-                for d, m in step.items():
-                    merged[d] = merged.get(d, 0) | m
-        except Undecided:
-            support = {var for assigns in branches for var, _ in assigns}.union(
-                *(names_in(c) for assigns in branches for _, choices in assigns for c in choices))
-            merged, bad = {}, 0
-            for (kind, ds), m in self.table(support, moves, guard).items():
-                bad |= m if kind is EvalError else 0
-                for d in ds if kind is tuple else ():
-                    merged[d] = merged.get(d, 0) | m
-        for d, src in merged.items():  # the sources whose target leaves the universe
+        for (kind, ds), m in self.table(support, moves, guard).items():
+            bad |= m if kind is EvalError else 0
+            for d in ds if kind is tuple else ():
+                merged[d] = merged.get(d, 0) | m
+        for d, src in merged.items() if self.size < self.raw_size else ():  # moves stay in raw_size
             bad |= src & ~(self.full_mask >> d if d >= 0 else self.full_mask << -d)
         return tuple(sorted(merged.items())), bad
 
@@ -323,18 +298,31 @@ def _value_masks(domain: tuple[Value, ...], stride: int, raw: int) -> Partition:
     return {(type(val), val): first << (p * stride) for p, val in enumerate(domain)}
 
 
-def _add_moves(a: dict[int, int], b: dict[int, int], bound: int) -> dict[int, int]:
-    """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel;
-    :class:`Undecided` when that pairs more than ``bound`` blocks."""
-    if len(a) * len(b) > bound:
-        raise Undecided("more pairs than the work bound")
-    out: dict[int, int] = {}
-    for d1, m1 in a.items():
-        for d2, m2 in b.items():
-            m = m1 & m2
-            if m:
-                out[d1 + d2] = out.get(d1 + d2, 0) | m
-    return out
+# not a closure: one that calls itself is a reference cycle per table
+def _lift(levels: list, fn: Callable[[dict], Value], blocks: Partition, prefix: int,
+          env: dict) -> None:
+    """:meth:`StateSpace.table`'s lift: a depth-first product over ``levels``,
+    the support's ``(name, value masks)`` in declaration order, ``env`` the
+    values chosen so far and ``prefix`` the states asked for that take them.
+    A prefix whose mask is empty is dropped; each full assignment is one
+    ``fn`` call, whose block ``prefix`` joins ``blocks``."""
+    if len(env) == len(levels):
+        key = _keyed(fn, env)
+        blocks[key] = blocks.get(key, 0) | prefix
+        return
+    name, masks = levels[len(env)]
+    for (_, val), mask in masks.items():
+        if block := prefix & mask:
+            _lift(levels, fn, blocks, block, {**env, name: val})
+
+
+def _keyed(fn: Callable[[dict], Value], env: dict) -> Key:
+    """The block key of ``fn(env)``: its value's, or ``(EvalError, text)``."""
+    try:
+        val = fn(env)
+        return type(val), val
+    except EvalError as exc:
+        return EvalError, str(exc)
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -475,14 +463,11 @@ def _key(key) -> str:
     return _quoted(key if isinstance(key, str) else json.dumps(key))
 
 
-_BOOLS = {(bool, False), (bool, True)}
-
-
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:
     """The set of states satisfying ``pred``; raises :class:`EvalError` at
     the lowest state where ``eval_bool`` would raise, with its text."""
     part = space.partition(pred)
-    if not part.keys() <= _BOOLS:
+    if not part.keys() <= BOOLS:
         _, (kind, val) = min((m & -m, key) for key, m in part.items() if key[0] is not bool)
         raise EvalError(val if kind is EvalError else f"expected a boolean expression, got {val!r}")
     return StateSet(space, part.get((bool, True), 0))

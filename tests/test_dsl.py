@@ -55,6 +55,20 @@ def test_duplicate_declarations_rejected():
         parse("system s\ninit true\ninit false")
 
 
+def test_a_variable_assigned_twice_is_named_at_its_second_assignment():
+    text = "system s\nvar x : 0 .. 3\nevent e then x := 1, x := 2\nevent f then skip\n"
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "3:22: variable assigned twice in one action", 3, 22)
+    # each branch on its own; the first error in the text is the one reported
+    assert parse("system s\nvar x : 0 .. 3\nevent e then x := 1 [] x := 2\n")
+    for action, message in (("x := 1, x := ), y := )", "3:22: variable assigned twice"),
+                            ("x := 1, y := ), x := 2", "3:27: expected an expression")):
+        with pytest.raises(DslError, match=f"^{message}"):
+            parse(f"system s\nvar x : 0 .. 3\nevent e then {action}\n")
+
+
 def test_out_of_domain_assignment_rejected():
     text = "system s\nvar x : 0 .. 3\ninit x = 0\nevent e then x := 5"
     with pytest.raises(DslError, match="outside its domain"):

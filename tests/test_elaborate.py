@@ -1,21 +1,30 @@
 """Set-valued elaboration against the per-state reference.
 
-``dsl.elaborate`` builds guards, predicates, variant levels and each event's
-offset classes with ``StateSpace.partition`` and ``action_classes``: from
-per-variable value masks (``exprs.eval_partition``) while every pairing of
-blocks stays within the work bound, and otherwise from ``StateSpace.table``,
-one evaluation per assignment of the variables an item reads.  An error is
-named at the lowest state of a bad block.
+``dsl.elaborate`` builds guards, predicates and variant levels with
+``StateSpace.partition``: from per-variable value masks
+(``exprs.eval_partition``) while every pairing of blocks stays within the
+work bound, and otherwise from ``StateSpace.table``, one evaluation per
+assignment of the variables an item reads.  Each event's offset classes are
+the table of its moves (``StateSpace.action_classes``), one
+``dsl._action_successors`` run per assignment of the variables its actions
+read and assign.  A table is lifted from the value masks while its support's
+assignments stay within the work bound, and is otherwise one pass over the
+states.  An error is named at the lowest state of a bad block.
 
-The reference below is the per-state elaborator that these replaced, kept
-as it was: one ``eval_expr`` walk per state for each predicate, variant and
-action.  ``_load(text, "reference")`` runs ``elaborate`` with it, and
+Two references are kept as they were.  The per-state elaborator: one
+``eval_expr`` walk per state for each predicate, variant and action;
+``_load(text, "reference")`` runs ``elaborate`` with it, and
 ``_load(text, "table")`` with every partition taken by the table, so the
-three can be compared on any model.
+three can be compared on any model.  And the set path that events took
+before the table of moves: each assignment's new values paired with its old
+ones on the value masks, parallel assignments' moves added
+(``_ref_set_classes``); every event it decides must get the same classes
+and bad mask, and every table the same partition by lift and by pass.
 """
 import contextlib
 import io
 import itertools
+import math
 import os
 import sys
 import tracemalloc
@@ -40,6 +49,7 @@ from fixleads.exprs import (
     eval_bool,
     eval_expr,
     eval_partition,
+    names_in,
     to_text,
 )
 from fixleads.states import StateSet, StateSpace, _mask_of, bit_positions
@@ -125,6 +135,62 @@ def _ref_action_successors(space, e, i, env, action):
     return [i + sum(combo) for combo in itertools.product(*per_assign)]
 
 
+def _ref_set_classes(space, e, guard):
+    """``(classes, bad)`` of the event ``e`` on the mask ``guard`` by the set
+    path that ``StateSpace.action_classes`` had: setting ``x`` from ``u`` to
+    ``v`` moves a state by ``offsets[x][v] - offsets[x][u]``, so each
+    assignment pairs the blocks of its new values with those of its old ones,
+    parallel assignments add their moves (``_ref_add_moves``), choices and
+    branches take the union.  ``Undecided`` where a variable has no value
+    masks, an expression raises or a pairing passes the work bound: there
+    the table of moves decided already."""
+    if not guard:
+        return (), 0
+    merged, bad = {}, 0  # move -> the states that take it; the states that go wrong
+    bound = space._bound(guard)
+    for action in e.actions:
+        step = {0: guard}
+        for item in action:
+            old = space.value_masks.get(item.var)
+            if old is None:  # undeclared, or without value masks
+                raise Undecided(f"no value masks for {item.var!r}")
+            offset = space.offsets[item.var]
+            this = {}
+            for expr in item.choices:
+                part = eval_partition(expr, space.value_masks, space.constants, guard, bound)
+                if len(part) * len(old) > bound:
+                    raise Undecided("more pairs than the work bound")
+                for key, m in part.items():
+                    if key not in offset:  # a value outside the domain
+                        bad |= m
+                        continue
+                    for old_key, old_mask in old.items():
+                        moved = m & old_mask
+                        if moved:
+                            d = offset[key] - offset[old_key]
+                            this[d] = this.get(d, 0) | moved
+            step = _ref_add_moves(step, this, bound)
+        for d, m in step.items():
+            merged[d] = merged.get(d, 0) | m
+    for d, src in merged.items():  # the sources whose target leaves the universe
+        bad |= src & ~(space.full_mask >> d if d >= 0 else space.full_mask << -d)
+    return tuple(sorted(merged.items())), bad
+
+
+def _ref_add_moves(a, b, bound):
+    """``{d1 + d2: ma & mb}``: the moves of two assignments made in parallel;
+    ``Undecided`` when that pairs more than ``bound`` blocks."""
+    if len(a) * len(b) > bound:
+        raise Undecided("more pairs than the work bound")
+    out = {}
+    for d1, m1 in a.items():
+        for d2, m2 in b.items():
+            m = m1 & m2
+            if m:
+                out[d1 + d2] = out.get(d1 + d2, 0) | m
+    return out
+
+
 def _undecided(*args, **kwargs):
     raise Undecided("table only")
 
@@ -172,19 +238,82 @@ def _digest(elab):
 
 def _assert_same_as_reference(text):
     """The same elaboration, or the same error text, from the sets, from the
-    table alone and from the per-state reference."""
+    table alone and from the per-state reference; and the tables and classes
+    of the sets as :func:`_assert_same_as_set_path` checks them."""
     ref, ref_err = _reference(text)
     for how in ("sets", "table"):
         got, got_err = _load(text, how)
         assert got_err == ref_err, (how, text)
         if ref is not None:
             assert _digest(got) == _digest(ref), (how, text)
+    _assert_same_as_set_path(text)
     return _load(text)[0]
+
+
+def _assert_same_as_set_path(text):
+    """Load ``text``, then check each call of ``StateSpace.table``: its
+    partition is the one that the pass gives on the same ``(names, fn,
+    care)`` and, where every support variable has value masks, the one that
+    the lift gives, whatever the work bound (:func:`_table_by`).
+    And each event that the deleted set path decides has its classes, and
+    its bad mask, outside which the classes are compared.  Returns how many
+    events the set path decided."""
+    classes, tables = [], []
+    with _recording("action_classes", classes), _recording("table", tables):
+        _load(text)
+    for (space, names, fn, care), part in tables:
+        assert _table_by("pass", space, names, fn, care) == part, text
+        if all(space.value_masks[v.name] for v in space.vars if v.name in names):
+            assert _table_by("lift", space, names, fn, care) == part, text
+    decided = 0
+    for ((space, _, guard, _), (got, bad)), e in zip(classes, parse(text).events):
+        try:
+            want, want_bad = _ref_set_classes(space, e, guard)
+        except Undecided:
+            continue
+        decided += 1
+        assert bad == want_bad, (e.name, text)
+        assert _outside(got, bad) == _outside(want, bad), (e.name, text)
+    return decided
+
+
+def _table_by(way, space, names, fn, care):
+    """``space.table(names, fn, care)`` built by ``way``, "lift" or "pass",
+    whatever the work bound: the bound is set past every support or below
+    every one."""
+    bound = math.inf if way == "lift" else -1
+    with mock.patch.object(StateSpace, "_bound", lambda self, care: bound), _passes() as passes:
+        part = space.table(names, fn, care)
+    assert passes.called == (way == "pass")
+    return part
+
+
+def _outside(classes, bad):
+    """The classes with the states of ``bad`` taken out."""
+    return [(d, src & ~bad) for d, src in classes if src & ~bad]
+
+
+def _recording(name, calls):
+    """A mock that runs ``StateSpace.<name>`` and appends each call's
+    arguments, ``self`` first, and its result to ``calls``."""
+    real = getattr(StateSpace, name)
+
+    def run(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    return mock.patch.object(StateSpace, name, autospec=True, side_effect=run)
 
 
 def _tables():
     """A mock that counts the calls of ``StateSpace.table``, which it runs."""
     return mock.patch.object(StateSpace, "table", autospec=True, side_effect=StateSpace.table)
+
+
+def _passes():
+    """A mock that counts the per-state passes of ``StateSpace.table``."""
+    return mock.patch.object(StateSpace, "_pass", autospec=True, side_effect=StateSpace._pass)
 
 
 # --- differential: random models ---------------------------------------------
@@ -195,15 +324,15 @@ ENUM_NAMES = ["a", "p", "q"]  # "a" may also name a variable, which shadows it
 
 @st.composite
 def _domains(draw, wide=False):
-    """Up to three variables over small domains; with ``wide``, a third of
-    the time a first range of 65-67 values, more than sqrt(N) and more than
-    64, which has no value masks and so takes the table."""
+    """Up to three variables over small domains; with ``wide``, half the
+    time a first range of 65-67 values, more than sqrt(N) and more than 64,
+    which has no value masks and so takes the per-state pass."""
     n = draw(st.integers(1, 3))
     names = draw(st.permutations(VAR_NAMES))[:n]
     decls = []
     for name in names:
         kind = draw(st.sampled_from(["range", "range", "bool", "enum"]))
-        if wide and not decls and draw(st.integers(0, 2)) == 0:
+        if wide and not decls and draw(st.integers(0, 1)) == 0:
             kind = "wide"
         if kind in ("range", "wide"):
             lo = draw(st.integers(-2, 1))
@@ -322,27 +451,26 @@ def test_partition_elaboration_matches_the_per_state_reference(text):
 
 def test_the_generator_draws_loading_and_failing_models():
     """The differential test above is only as good as its draws: models that
-    load and models that fail, loading ones that take the table and loading
-    ones that never do."""
-    counts = {"fails": 0, "table": 0, "partition only": 0, "long chains": 0}
+    load and models that fail, loading ones that take a per-state pass and
+    loading ones whose every table is lifted from the value masks, and
+    loading ones with an event that the deleted set path decides."""
+    counts = {"fails": 0, "pass": 0, "lift only": 0, "long chains": 0, "set path": 0}
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(models())
     def count(text):
-        with _tables() as tables:
+        with _passes() as passes:
             elab = _load(text)[0]
         if elab is None:
             counts["fails"] += 1
-        elif tables.called:
-            counts["table"] += 1
-        else:
-            counts["partition only"] += 1
-        if elab is not None and any(len(getattr(n, "operands", ())) > 2 for n in _nodes(text)):
-            counts["long chains"] += 1
+            return
+        counts["pass" if passes.called else "lift only"] += 1
+        counts["long chains"] += any(len(getattr(n, "operands", ())) > 2 for n in _nodes(text))
+        counts["set path"] += _assert_same_as_set_path(text) > 0
 
     count()
-    assert counts["fails"] >= 20 and counts["partition only"] >= 40 and counts["table"] >= 20
-    assert counts["long chains"] >= 30, counts
+    assert counts["fails"] >= 20 and counts["lift only"] >= 40 and counts["pass"] >= 20, counts
+    assert counts["long chains"] >= 30 and counts["set path"] >= 40, counts
 
 
 def _nodes(text):
@@ -450,7 +578,7 @@ FAMILY_MODELS = {
     **{f"ring{n}-{seed}": PERF.ring(n, seed, assume=("wf", "mp", "wf-si"))
        for n in (3, 4, 5) for seed in (1, 2)},
     **{f"starve{n}-{seed}": PERF.ring(n, seed, starve=True, assume=("wf", "mp"))
-       for n in (3, 4) for seed in (1, 2)},
+       for n in (3, 4, 5) for seed in (1, 2)},
     **{f"lattice{k}x{m}-{seed}": PERF.lattice(k, m, seed)
        for k, m in ((3, 9), (2, 4), (2, 60)) for seed in (1, 2)},
     "lattice2x199-1": PERF.lattice(2, 199, 1),
@@ -460,6 +588,9 @@ FAMILY_MODELS = {
 @pytest.mark.parametrize("name", sorted(FAMILY_MODELS) + ["wide-counter"])
 def test_benchmark_families_match_the_per_state_reference(name):
     _assert_same_as_reference(FAMILY_MODELS[name].text if name in FAMILY_MODELS else WIDE_COUNTER)
+    if name in FAMILY_MODELS:  # the set path decided every event of these
+        text = FAMILY_MODELS[name].text
+        assert _assert_same_as_set_path(text) == len(parse(text).events)
 
 
 SMALL = {
@@ -483,19 +614,41 @@ def test_each_triangle3_event_is_one_offset_class():
     assert [len(e.classes()) for e in sys_.events] == [1, 1, 1]
 
 
+def _assert_lifted(text):
+    """``text`` loads with every table lifted from the value masks: no
+    per-state pass, no ``eval_expr`` call from ``states``, and each event
+    runs ``_action_successors`` at most once per assignment of its support
+    that meets its guard.  Returns the elaboration."""
+    runs = []  # the event of each _action_successors call
+
+    def run(space, e, *args):
+        runs.append(e.name)
+        return real(space, e, *args)
+
+    real = dsl._action_successors
+    with _passes() as passes, mock.patch.object(states, "eval_expr") as evals, \
+            mock.patch.object(dsl, "_action_successors", side_effect=run):
+        elab, err = _load(text)
+    assert err is None and not passes.called and not evals.called
+    sp = elab.system.space
+    for e, event in zip(parse(text).events, elab.system.events):
+        support = {item.var for a in e.actions for item in a}.union(
+            *(names_in(c) for a in e.actions for item in a for c in item.choices))
+        digits = [v.name for v in sp.vars if v.name in support]
+        met = {tuple(sp.state_of(i)[name] for name in digits) for i in event.guard}
+        calls = runs.count(e.name)
+        assert calls <= len(met) and (calls > 0) == bool(met), (e.name, calls)
+    return elab
+
+
 @pytest.mark.parametrize("name", ["ring3", "starve3", "lattice", "wedge"])
 def test_models_over_small_domains_take_no_per_state_step(name):
-    """Every guard, action, predicate and variant of these models is decided
-    by the value masks, the actions only on their guards: ``c0 := c0 + 1``
-    leaves the domain outside ``c0 < 3``, which must not send it to the
-    table, nor run any expression or action on a state."""
+    """Every guard, predicate and variant of these models is decided by the
+    value masks, and every action by its moves lifted from them, only on
+    its guard: ``c0 := c0 + 1`` leaves the domain outside ``c0 < 3``, which
+    must not send it to a per-state pass."""
     text = SMALL.get(name) or _read_data(name)
-    with _tables() as tables, mock.patch.object(dsl, "_action_successors") as actions, \
-            mock.patch.object(states, "eval_expr") as evals:
-        elab, err = _load(text)
-    assert err is None
-    assert not (tables.called or evals.called or actions.called)
-    assert _digest(elab) == _digest(_reference(text)[0])
+    assert _digest(_assert_lifted(text)) == _digest(_reference(text)[0])
 
 
 # the gated benchmark's models must stay on the value masks
@@ -505,9 +658,9 @@ GATED = {"ring4": FAMILIES["ring4"].text, "starve4": FAMILIES["starve4"].text,
 
 @pytest.mark.parametrize("name", sorted(GATED))
 def test_the_benchmark_models_take_no_table(name):
-    with _tables() as tables:
-        elab, err = _load(GATED[name])
-    assert err is None and not tables.called
+    """No table of these models walks the states: each is lifted from the
+    value masks (:func:`_assert_lifted`)."""
+    _assert_lifted(GATED[name])
 
 
 # --- the partition evaluator's pitfalls ----------------------------------------
@@ -693,12 +846,13 @@ def test_a_pairing_over_the_work_bound_takes_the_table():
         blocks = sp.partition(total, diagonal)
     assert tables.call_count == 1
     assert blocks == {(int, 2 * v): 1 << sp.index_of({"x": v, "y": v}) for v in range(100)}
-    # on the guard x = y, the new values of x times its old ones: the event takes the table
+    # on the guard x = y, the 10 000 assignments of x and y pass the work
+    # bound too: the event's table of moves walks its 100 states
     text = WIDE + "init x = 0\nevent e when x = y then x := 99 - y, y := x\n"
     _assert_same_as_reference(text)
-    with _tables() as tables:
+    with _passes() as passes:
         elab = _load(text)[0]
-    assert tables.call_count == 1
+    assert passes.call_count == 1
     assert len(elab.system.event("e").classes()) == 100
 
 
@@ -740,3 +894,41 @@ def test_eval_partition_keeps_every_block_inside_care():
         assert m and m & ~care == 0 and m & union == 0
         union |= m
     assert union == care
+
+
+def test_lift_and_pass_give_the_same_partition():
+    """For every support, from no variable to all of them and a name that is
+    no variable, and for empty, full and holed cares: both ways of building
+    a table give one partition of ``care``, errors in their own blocks, and
+    each calls ``fn`` once per assignment of the support that meets
+    ``care``."""
+    sp = _space(BASE + "event e then skip\n")  # 24 states
+    calls = []
+
+    def fn(env):
+        calls.append(tuple(env.items()))
+        if env.get("x") == 2 and env.get("on"):
+            raise EvalError(f"no move at {env!r}")
+        return (env.get("x", 0) + env.get("n", 0)) % 2 == 0
+
+    variables = [v.name for v in sp.vars]
+    names = variables + ["q"]
+    cares = [0, sp.full_mask, 0b101101, 0x555555, 1 << 23, 0xF0F0F0]
+    for k, care in itertools.product(range(len(names) + 1), cares):
+        for support in map(set, itertools.combinations(names, k)):
+            met = {tuple((v, sp.state_of(i)[v]) for v in variables if v in support)
+                   for i in bit_positions(care)}
+            parts = []
+            for way in ("lift", "pass"):
+                calls.clear()
+                parts.append(_table_by(way, sp, support, fn, care))
+                assert sorted(calls) == sorted(met), (way, support, care)
+            lifted, passed = parts
+            assert lifted == passed, (support, care)
+            union = 0
+            for m in lifted.values():
+                assert m and m & ~care == 0 and m & union == 0
+                union |= m
+            assert union == care
+            assert any(key[0] is EvalError for key in lifted) == any(
+                dict(a).get("x") == 2 and dict(a).get("on") for a in met)
