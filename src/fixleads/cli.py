@@ -25,7 +25,7 @@ from .certificates import (
 )
 from .dsl import DslError, Elaborated, Property, load_file
 from .mp import ensures_mp, leadsto_mp, rule_mp_variant
-from .oracle import oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
+from .oracle import SearchGraph, oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from .records import Frozen, setfield
 from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line
 from .verdicts import SelfCheckDefect, Verdict
@@ -153,6 +153,7 @@ def cmd_check(args) -> int:
     all_hold = True
     defect = False
     searched = {}  # (semantics, a, b) -> the oracle's (holds, counterexample)
+    graphs = {}  # (a, b) -> the search graph its mp and wf oracles share
     shown = []  # each verdict's holds and details, which text mode prints without a report entry
     for prop in elab.properties:
         started = time.perf_counter()
@@ -166,7 +167,9 @@ def cmd_check(args) -> int:
             question = (claim.semantics, claim.a.mask, claim.b.mask)
             if question not in searched:
                 oracle = oracle_mp if claim.semantics == "mp" else oracle_wf
-                searched[question] = oracle(elab.system, claim.a, claim.b)
+                if question[1:] not in graphs:
+                    graphs[question[1:]] = SearchGraph(elab.system, claim.a, claim.b)
+                searched[question] = oracle(elab.system, claim.a, claim.b, graph=graphs[question[1:]])
             o_holds, cx = searched[question]
             # a variant rule is only sufficient: when it fails, the oracle
             # is held against the direct mp fixpoint, not against the rule
@@ -185,6 +188,7 @@ def cmd_check(args) -> int:
         entry["time_ms"] = round((time.perf_counter() - started) * 1000, 3)
         report["properties"].append(entry)
         all_hold = all_hold and verdict.holds
+    graphs.clear()  # free the search graphs before the report is written
     if args.json:
         _write_json(report, sys.stdout)
     else:

@@ -10,6 +10,7 @@ can be taken inside the component.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 
 from .events import EventSystem
 from .records import Record
@@ -49,38 +50,89 @@ class Counterexample(Record):
         return out
 
 
-def _edges_within(sys: EventSystem, allowed: int) -> dict[int, list[tuple[str, int]]]:
-    """Adjacency (event label, successor) among the ``allowed`` states, read
-    off each event's offset classes: a state's edges list the events in
-    declaration order and each event's successors ascending."""
-    adj: dict[int, list[tuple[str, int]]] = {s: [] for s in bit_positions(allowed)}
+_LEVEL_COST = 128  # one byte test costs about as much as 128 bits of a full-width AND and scan
+
+
+def _edges_within(sys: EventSystem, allowed: int) -> Callable[[list[int]], list[list[tuple[str, int]]]]:
+    """The function listing, for each state of a list, its edges (event
+    label, successor) into the ``allowed`` states: events in declaration
+    order, each event's successors ascending.  Each offset class keeps its
+    sources whose target is allowed, as an int and as bytes: a long list
+    takes one AND of each class with the list's mask and one scan, and a
+    short one a byte test per event and class for each state."""
+    width = sys.space.raw_size
+    size = (width + 7) >> 3
+    events, rows = [], 0
     for e in sys.events:
+        classes, sources = [], 0
         for d, src in e.classes():  # sorted by d
-            targets = allowed >> d if d >= 0 else allowed << -d
-            for s in bit_positions(src & allowed & targets):
-                adj[s].append((e.name, s + d))
-    return adj
+            if keep := src & allowed & (allowed >> d if d >= 0 else allowed << -d):
+                classes.append((d, keep, keep.to_bytes(size, "little")))
+                sources |= keep
+        if classes:
+            events.append((e.name, sources.to_bytes(size, "little"), classes))
+            rows += len(classes)
+
+    def edges(states: list[int]) -> list[list[tuple[str, int]]]:
+        if len(states) * len(events) * _LEVEL_COST > rows * width:
+            out: dict[int, list[tuple[str, int]]] = {s: [] for s in states}
+            mask = _mask_of(states, width)
+            for name, _, classes in events:
+                for d, keep, _ in classes:
+                    for s in bit_positions(keep & mask):
+                        out[s].append((name, s + d))
+            return list(out.values())
+        return [[(name, s + d) for name, sources, classes in events if sources[s >> 3] >> (s & 7) & 1
+                 for d, _, keep in classes if keep[s >> 3] >> (s & 7) & 1] for s in states]
+    return edges
 
 
-def _bfs_tree(adj, sources):
-    """Parent pointers (pred state, event) and BFS distances for nodes
-    reachable from sources."""
-    parent: dict[int, tuple[int, str] | None] = {}
-    depth: dict[int, int] = {}
-    dq = deque()
-    for s in sources:
-        if s in adj and s not in parent:
-            parent[s] = None
-            depth[s] = 0
-            dq.append(s)
-    while dq:
-        s = dq.popleft()
-        for ev, t in adj[s]:
-            if t not in parent:
-                parent[t] = (s, ev)
-                depth[t] = depth[s] + 1
-                dq.append(t)
-    return parent, depth
+class SearchGraph:
+    """The avoid-graph of a claim ``a ↦ b`` as far as runs from ``a`` reach
+    it before ``b``, found on first use by one breadth-first search that
+    lists a state's edges only when it first reaches the state, one level at
+    a time.  ``states`` holds them in BFS order, and each is named by its
+    position there: ``edges`` (event, position), ``parent`` (position,
+    event) and ``depth``.  ``oracle_mp`` and ``oracle_wf`` of one ``a`` and
+    ``b`` may share a graph, and so its deadlocks and components."""
+
+    def __init__(self, sys: EventSystem, a: StateSet, b: StateSet):
+        self.sys, self.a, self.b = sys, a, b
+        self.states: list[int] | None = None
+        self._sccs: list[list[int]] | None = None
+
+    def search(self) -> SearchGraph:
+        if self.states is not None:
+            return self
+        allowed = self.b.complement().mask
+        edges_of = _edges_within(self.sys, allowed)
+        states = bit_positions(self.a.mask & allowed)
+        pos = {s: i for i, s in enumerate(states)}
+        parent: list[tuple[int, str] | None] = [None] * len(states)
+        depth, edges = [0] * len(states), []
+        while len(edges) < len(states):  # the last level reached
+            for i, listed in enumerate(edges_of(states[len(edges):]), len(edges)):
+                for k, (ev, t) in enumerate(listed):  # successors to positions, in place
+                    j = pos.get(t)
+                    if j is None:
+                        j = pos[t] = len(states)
+                        states.append(t)
+                        parent.append((i, ev))
+                        depth.append(depth[i] + 1)
+                    listed[k] = (ev, j)
+                edges.append(listed)
+        dead = _mask_of(states, self.sys.space.raw_size) & ~self.sys.grd_all.mask
+        self.deadlocks = [pos[s] for s in bit_positions(dead)]
+        self.states, self.parent, self.depth, self.edges = states, parent, depth, edges
+        return self
+
+    def sccs(self) -> list[list[int]]:
+        if self._sccs is None:
+            self._sccs = _sccs(self.edges, self.states.__getitem__)
+        return self._sccs
+
+    def named(self, steps: list[tuple[str, int]]) -> list[tuple[str, int]]:
+        return [(ev, self.states[v]) for ev, v in steps]
 
 
 def _path_from_root(parent, node) -> tuple[int, list[tuple[str, int]]]:
@@ -94,125 +146,124 @@ def _path_from_root(parent, node) -> tuple[int, list[tuple[str, int]]]:
     return cur, steps
 
 
-def _shortest_cycle_through(adj, node) -> list[tuple[str, int]]:
-    """Shortest closed walk from ``node`` back to itself: the BFS tree path to
-    the first state, in BFS order, with an edge back to ``node``."""
-    parent, _ = _bfs_tree(adj, [node])
-    for s in parent:  # insertion order is BFS order
+def _walk(adj, u, done, inside=None) -> list[tuple[str, int]]:
+    """A shortest walk of one or more steps from ``u`` to a state ``done``
+    accepts, over edges into the states ``inside`` accepts (every state when
+    None): the BFS tree path to the first state, in BFS order, with an edge
+    to such a state, then that edge."""
+    parent = {u: None}
+    queue = deque([u])
+    while queue:
+        s = queue.popleft()
         for ev, t in adj[s]:
-            if t == node:
-                return _path_from_root(parent, s)[1] + [(ev, node)]
-    raise ValueError(f"state {node} is not on a cycle")
+            if done(t):
+                return _path_from_root(parent, s)[1] + [(ev, t)]
+            if t not in parent and (inside is None or inside(t)):
+                parent[t] = (s, ev)
+                queue.append(t)
+    raise ValueError(f"no walk from state {u} to an accepted state")
 
 
-def _sccs(adj) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, deterministic in ascending node order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: dict[int, bool] = {}
+def _sccs(adj, key=None) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on arrays indexed by node: the nodes are
+    ``0 .. len(adj) - 1`` and ``adj[v]`` lists ``v``'s edges ``(label,
+    node)``; roots go in ascending ``key`` order and each component is
+    sorted by ``key``.  A node's index becomes ``len(adj)`` once its
+    component is out, so only the nodes still on the stack lower a ``low``."""
+    n = len(adj)
+    index, low = [-1] * n, [0] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = [0]
-
-    for root in sorted(adj):
-        if root in index:
+    counter = 0
+    for root in sorted(range(n), key=key):
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            edges = adj[node]
-            while ei < len(edges):
-                t = edges[ei][1]
-                ei += 1
-                if t not in index:
-                    work[-1] = (node, ei)
-                    work.append((t, 0))
-                    advanced = True
+            node, edges = work[-1]
+            for _, t in edges:
+                if index[t] < 0:
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append(t)
+                    work.append((t, iter(adj[t])))
                     break
-                if on_stack.get(t):
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                pnode, _ = work[-1]
-                low[pnode] = min(low[pnode], low[node])
+                if index[t] < low[node]:
+                    low[node] = index[t]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n
+                    sccs.append(sorted(comp, key=key))
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return sccs
 
 
 def oracle_reachable(sys: EventSystem, start: StateSet) -> StateSet:
     """Forward reachability closure by breadth-first search."""
-    parent, _ = _bfs_tree(_edges_within(sys, sys.space.full_mask), start)
-    return sys.space.from_indices(parent)
+    return sys.space.from_indices(SearchGraph(sys, start, sys.space.empty()).search().states)
 
 
-def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_trap):
+def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_trap,
+            graph: SearchGraph | None):
     """Search the avoid-subgraph reachable from ``a`` outside ``b`` for a
-    deadlock, then for a trap cycle found by ``find_trap(sys, adj, nearest)``,
-    which returns ``(anchor, cycle, fairness witness)`` or None."""
-    avoid = b.complement().mask
-    sources = [s for s in a if (avoid >> s) & 1]
-    if not sources:
-        return True, None
-    adj = _edges_within(sys, avoid)
-    parent, depth = _bfs_tree(adj, sources)
+    deadlock, then for a trap cycle found by ``find_trap(sys, graph,
+    nearest)``, which returns ``(anchor, cycle, fairness witness)`` in
+    positions, or None."""
+    if graph is None:
+        graph = SearchGraph(sys, a, b)
+    elif graph.sys is not sys or (graph.a.mask, graph.b.mask) != (a.mask, b.mask):
+        raise ValueError("the search graph is of another claim")
+    states, depth = graph.search().states, graph.depth
 
     def nearest(nodes):
         # (depth, index) order keeps counterexamples short and deterministic
-        return min(nodes, key=lambda s: (depth[s], s))
+        return min(nodes, key=lambda v: (depth[v], states[v]))
 
-    deadlocks = [s for s in parent if (sys.grd_all.mask >> s) & 1 == 0]
-    if deadlocks:
-        start, prefix = _path_from_root(parent, nearest(deadlocks))
-        return False, Counterexample("deadlock-path", start, prefix, assumption=assumption)
-    trap = find_trap(sys, {s: adj[s] for s in parent}, nearest)
+    if graph.deadlocks:
+        start, prefix = _path_from_root(graph.parent, nearest(graph.deadlocks))
+        return False, Counterexample("deadlock-path", states[start], graph.named(prefix),
+                                     assumption=assumption)
+    trap = find_trap(sys, graph, nearest)
     if trap is None:
         return True, None
     anchor, cycle, witness = trap
-    start, prefix = _path_from_root(parent, anchor)
-    return False, Counterexample("lasso", start, prefix, cycle, witness, assumption=assumption)
+    start, prefix = _path_from_root(graph.parent, anchor)
+    return False, Counterexample("lasso", states[start], graph.named(prefix), graph.named(cycle),
+                                 witness, assumption=assumption)
 
 
 def oracle_mp(
-    sys: EventSystem, a: StateSet, b: StateSet
+    sys: EventSystem, a: StateSet, b: StateSet, graph: SearchGraph | None = None
 ) -> tuple[bool, Counterexample | None]:
     """Trace verdict under minimal progress.
 
     Fails iff from some start in ``a`` there is a maximal run avoiding ``b``:
     any reachable deadlock or any reachable cycle of the avoid-subgraph.
     """
-    return _oracle(sys, a, b, "mp", _mp_trap)
+    return _oracle(sys, a, b, "mp", _mp_trap, graph)
 
 
-def _mp_trap(sys, adj, nearest):
-    cyclic = set()
-    for comp in _sccs(adj):
-        comp_set = set(comp)
-        if any(t in comp_set for s in comp for _, t in adj[s]):
-            cyclic.update(comp)
+def _mp_trap(sys, graph, nearest):
+    adj = graph.edges
+    cyclic = [v for comp in graph.sccs() if comp[1:] or comp[0] in [t for _, t in adj[comp[0]]]
+              for v in comp]
     if not cyclic:
         return None
     anchor = nearest(cyclic)
-    return anchor, _shortest_cycle_through(adj, anchor), {}
+    return anchor, _walk(adj, anchor, anchor.__eq__), {}  # a shortest cycle
 
 
 def oracle_wf(
-    sys: EventSystem, a: StateSet, b: StateSet
+    sys: EventSystem, a: StateSet, b: StateSet, graph: SearchGraph | None = None
 ) -> tuple[bool, Counterexample | None]:
     """Trace verdict under weak fairness.
 
@@ -220,70 +271,62 @@ def oracle_wf(
     or a strongly connected component with an internal edge in which every
     event enabled at all of its states can also be taken inside it.
     """
-    return _oracle(sys, a, b, "wf", _wf_trap)
+    return _oracle(sys, a, b, "wf", _wf_trap, graph)
 
 
-def _wf_trap(sys, adj, nearest):
-    for comp in _sccs(adj):
-        comp_set = set(comp)
-        internal_edges = [
-            (s, ev, t) for s in comp for ev, t in adj[s] if t in comp_set
-        ]
+def _wf_trap(sys, graph, nearest):
+    adj = graph.edges
+    for comp in graph.sccs():
+        inside = set(comp).__contains__
+        internal_edges = [(s, ev, t) for s in comp for ev, t in adj[s] if inside(t)]
         if not internal_edges:
             continue
-        fair, witness_edges = _fair_component(sys, comp_set, internal_edges)
-        if not fair:
-            continue
-        anchor = nearest(comp_set)
-        return (anchor, *_fair_cycle(adj, comp_set, anchor, witness_edges))
+        fair, witness_edges = _fair_component(sys, [graph.states[v] for v in comp], internal_edges)
+        if fair:
+            anchor = nearest(comp)
+            return (anchor, *_fair_cycle(adj, inside, len(comp), anchor, witness_edges))
     return None
 
 
-def _fair_component(sys, comp_set, internal_edges):
+def _fair_component(sys, comp_states, internal_edges):
     """A component is a fair trap iff every event enabled on all of it has an
     internal edge; returns one such edge per always-enabled event."""
-    comp_mask = _mask_of(comp_set, sys.space.raw_size)
-    witness_edges = {}
-    for e in sys.events:
-        if comp_mask & ~e.guard.mask == 0:  # enabled at every state of the component
-            edge = next(
-                ((s, t) for s, ev, t in internal_edges if ev == e.name), None
-            )
-            if edge is None:
-                return False, {}
-            witness_edges[e.name] = edge
-    return True, witness_edges
+    comp_mask = _mask_of(comp_states, sys.space.raw_size)
+    first: dict[str, tuple[int, int]] = {}
+    for s, ev, t in internal_edges:
+        first.setdefault(ev, (s, t))
+    # the events enabled at every state of the component
+    always = [e.name for e in sys.events if comp_mask & ~e.guard.mask == 0]
+    if any(name not in first for name in always):
+        return False, {}
+    return True, {name: first[name] for name in always}
 
 
-def _fair_cycle(adj, comp_set, anchor, witness_edges):
-    """A closed walk from ``anchor`` visiting every component state and taking
-    every witness edge; the full tour makes 'continuously enabled along the
+def _fair_cycle(adj, inside, size, anchor, witness_edges):
+    """A closed walk from ``anchor`` over edges into the ``size`` states that
+    ``inside`` accepts, which takes every witness edge and visits every one
+    of those states: a BFS leg to each witness edge in event-name order, then
+    BFS legs that each stop at the first state not yet on the walk, then one
+    back to ``anchor``.  The full tour makes 'continuously enabled along the
     cycle' coincide with 'enabled on the whole component'."""
-    comp_adj = {
-        s: [(ev, t) for ev, t in adj[s] if t in comp_set] for s in comp_set
-    }
-
-    def path(u, v) -> list[tuple[str, int]]:
-        if u == v:
-            return []
-        parent, _ = _bfs_tree(comp_adj, [u])
-        _, steps = _path_from_root(parent, v)
-        return steps
-
     cycle: list[tuple[str, int]] = []
     cur = anchor
     witness: dict[str, int] = {}
     for name in sorted(witness_edges):
         s, t = witness_edges[name]
-        cycle += path(cur, s)
+        if s != cur:
+            cycle += _walk(adj, cur, s.__eq__, inside)
         witness[name] = len(cycle)
         cycle.append((name, t))
         cur = t
-    for w in sorted(comp_set):
-        if w != cur:
-            cycle += path(cur, w)
-            cur = w
-    cycle += path(cur, anchor)
+    on_walk = {anchor, *(v for _, v in cycle)}
+    while len(on_walk) < size:
+        leg = _walk(adj, cur, lambda v: v not in on_walk and inside(v), inside)
+        on_walk.update(v for _, v in leg)
+        cycle += leg
+        cur = leg[-1][1]
+    if cur != anchor:
+        cycle += _walk(adj, cur, anchor.__eq__, inside)
     return cycle, witness
 
 

@@ -1,6 +1,9 @@
 """Shared fixtures and random model generators for the test suite."""
+import importlib.util
 import itertools
+import os
 import random
+import sys
 from collections import deque
 from typing import Iterable
 
@@ -58,6 +61,19 @@ def twodown():
 
 def xs(sys, *values):
     return x_set(sys, values)
+
+
+def perfbench_models():
+    """``perfbench/models.py``, the benchmark's model families, imported
+    read-only by path."""
+    name = "perfbench_models"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "models.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclass looks its module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def raw_states(space: StateSpace) -> list[tuple]:
@@ -172,8 +188,9 @@ def assert_matches_restricted(verdict, reference):
 
 
 def reference_shortest_cycle(adj, node):
-    """Reference for ``oracle._shortest_cycle_through``: its former search, a
-    BFS seeded with ``node``'s successors that stops when it pops ``node``."""
+    """Reference for the shortest cycle through ``node`` that the oracle's
+    ``_walk(adj, node, node.__eq__)`` finds: its former search, a BFS seeded
+    with ``node``'s successors that stops when it pops ``node``."""
     for ev, t in adj[node]:
         if t == node:
             return [(ev, node)]
@@ -204,6 +221,107 @@ def reference_shortest_cycle(adj, node):
         cur = prev
     steps.reverse()
     return steps
+
+
+def reference_bit_positions(mask: int) -> list[int]:
+    """Reference for ``states.bit_positions``: its former walk over every
+    character of the ``bin`` text."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def reference_sccs(adj) -> list[list[int]]:
+    """Reference for ``oracle._sccs``: its former Tarjan over dicts keyed by
+    state, iterative, roots in ascending state order, each component sorted."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: dict[int, bool] = {}
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = [0]
+
+    for root in sorted(adj):
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, ei = work[-1]
+            if ei == 0:
+                index[node] = low[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            edges = adj[node]
+            while ei < len(edges):
+                t = edges[ei][1]
+                ei += 1
+                if t not in index:
+                    work[-1] = (node, ei)
+                    work.append((t, 0))
+                    advanced = True
+                    break
+                if on_stack.get(t):
+                    low[node] = min(low[node], index[t])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                pnode, _ = work[-1]
+                low[pnode] = min(low[pnode], low[node])
+    return sccs
+
+
+def reference_fair_cycle(adj, comp_set, anchor, witness_edges):
+    """Reference for ``oracle._fair_cycle``: its former tour over a dict
+    adjacency keyed by state, one full BFS from the current state to each
+    witness edge in event-name order and then to every component state in
+    ascending order, passed or not, and one back to ``anchor``."""
+    comp_adj = {
+        s: [(ev, t) for ev, t in adj[s] if t in comp_set] for s in comp_set
+    }
+
+    def path(u, v) -> list[tuple[str, int]]:
+        if u == v:
+            return []
+        parent = {u: None}
+        dq = deque([u])
+        while dq:
+            s = dq.popleft()
+            for ev, t in comp_adj[s]:
+                if t not in parent:
+                    parent[t] = (s, ev)
+                    dq.append(t)
+        steps = []
+        while parent[v] is not None:
+            prev, ev = parent[v]
+            steps.append((ev, v))
+            v = prev
+        return steps[::-1]
+
+    cycle: list[tuple[str, int]] = []
+    cur = anchor
+    witness: dict[str, int] = {}
+    for name in sorted(witness_edges):
+        s, t = witness_edges[name]
+        cycle += path(cur, s)
+        witness[name] = len(cycle)
+        cycle.append((name, t))
+        cur = t
+    for w in sorted(comp_set):
+        if w != cur:
+            cycle += path(cur, w)
+            cur = w
+    cycle += path(cur, anchor)
+    return cycle, witness
 
 
 def variant_decreasing_system(rng: random.Random, max_states: int = 8):

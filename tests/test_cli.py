@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads import cli, load_file
+from fixleads import cli, load_file, oracle
 from fixleads.cli import main
 from fixleads.events import Event
 from fixleads.verdicts import Verdict
@@ -301,9 +301,9 @@ def _counted(monkeypatch, name):
     calls = []
     original = getattr(cli, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counting)
     return calls
@@ -340,6 +340,20 @@ def test_oracle_searches_once_per_distinct_claim(tmp_path, monkeypatch, model):
             assert {**entry, "name": "climb"} == golden
         elif entry["name"] == "climb_ruled":  # the rule's own verdict, the same search
             assert entry["oracle"] == golden["oracle"] and entry["agreement"] is True
+
+
+@pytest.mark.parametrize("model, graphs", [("ring3", 2), ("starve3", 1)])
+def test_mp_and_wf_oracles_of_one_claim_share_one_search(monkeypatch, model, graphs):
+    # enter_wf and enter_mp claim the same a and b; ring3's enter_wf_si
+    # claims them inside si, which needs a graph of its own
+    searches = []
+    lister = oracle._edges_within
+    monkeypatch.setattr(oracle, "_edges_within", lambda *args: searches.append(args) or lister(*args))
+    mp, wf = _counted(monkeypatch, "oracle_mp"), _counted(monkeypatch, "oracle_wf")
+    code, out, _ = _captured(["check", _path(f"{model}.evt"), "--oracle"])
+    assert out.count("[oracle agrees]") == len(mp + wf) == {"ring3": 3, "starve3": 2}[model]
+    assert len(searches) == graphs
+    assert code == {"ring3": 0, "starve3": 1}[model]
 
 
 # `using` rules with si: the rule, the oracle and explain judge one claim
@@ -608,7 +622,7 @@ def test_unexpected_exception_is_a_defect(monkeypatch, capsys):
 
 
 def test_a_defect_exits_3_even_when_the_traceback_cannot_be_printed(monkeypatch, capsys):
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "oracle_wf", exhausted)

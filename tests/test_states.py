@@ -1,11 +1,13 @@
 """State space enumeration, the index codec, and bitset algebra."""
 import json
+import random
 import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixleads import states
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import (
     SpaceError,
@@ -19,7 +21,7 @@ from fixleads.states import (
     peel_positions,
 )
 
-from conftest import make_space, raw_states
+from conftest import make_space, raw_states, reference_bit_positions
 
 
 def test_first_declared_variable_is_least_significant():
@@ -137,6 +139,21 @@ def test_iteration_paths_agree_in_ascending_order():
         assert list(peel_positions(s.mask)) == expected
         assert bit_positions(s.mask) == expected
         assert list(s) == expected
+
+
+@pytest.mark.parametrize("density", [0, 0.01, 0.1, 0.5, 0.9, 1])
+def test_both_bit_scans_equal_the_reference(monkeypatch, density):
+    """The regex scan (every mask sparse) and the walk over every character
+    (every mask dense) list the reference's positions, as does the scan
+    chosen by density, at widths around multiples of 64."""
+    rng = random.Random(f"scan/{density}")
+    widths = [1, 2, 7, 8, 9] + [64 * k + j for k in (1, 2, 3, 16, 64) for j in (-1, 0, 1)]
+    masks = [sum(1 << i for i in range(w) if rng.random() < density) for w in widths for _ in range(3)]
+    expected = [reference_bit_positions(m) for m in masks]
+    assert [bit_positions(m) for m in masks] == expected
+    for sparse in (0, 1 << 60):
+        monkeypatch.setattr(states, "_SPARSE", sparse)
+        assert [bit_positions(m) for m in masks] == expected
 
 
 def test_eval_pred():
