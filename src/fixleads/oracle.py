@@ -106,7 +106,7 @@ class SearchGraph:
             return self
         allowed = self.b.complement().mask
         edges_of = _edges_within(self.sys, allowed)
-        states = bit_positions(self.a.mask & allowed)
+        states = list(bit_positions(self.a.mask & allowed))
         pos = {s: i for i, s in enumerate(states)}
         parent: list[tuple[int, str] | None] = [None] * len(states)
         depth, edges = [0] * len(states), []

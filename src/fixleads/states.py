@@ -152,15 +152,15 @@ class StateSpace:
         return blocks
 
     def _pass(self, names: set[str], fn: Callable[[dict], Value], care: int) -> Partition:
-        """:meth:`table` by one pass over ``care`` in index order: each
-        state's key is read off the support's digits of its index, ``fn`` is
-        called once per key, and each block's mask is built at the end."""
+        """:meth:`table` by one lazy pass over ``care``'s :func:`bit_positions`:
+        each state's key is read off the support's digits of its index, ``fn``
+        is called once per key, and each block's mask is built at the end."""
         digits = [d for d in self._digits if d[0] in names]
         weights = [math.prod(d[3] for d in digits[:k]) for k in range(len(digits) + 1)]
         keyed = [(stride, radix, w) for (_, _, stride, radix), w in zip(digits, weights)]
         memo = [None] * weights[-1]  # each key's block
         blocks: dict[Key, array] = {}
-        for i in compress(count(), bin(care)[:1:-1].encode().translate(_BITS)):
+        for i in bit_positions(care):
             k = 0
             for stride, radix, weight in keyed:
                 k += i // stride % radix * weight
@@ -327,26 +327,29 @@ def _keyed(fn: Callable[[dict], Value], env: dict) -> Key:
 
 
 _ONE = re.compile("1")
-_SPARSE = 3  # a mask is sparse below 1 / _SPARSE of its width set
+_FEW = 40  # a peel costs three full-width operations a member: the scan wins past 26-40
+_SPARSE = 4  # sparse: under 1 / _SPARSE of the width set, where the scan beats the byte pass
 
 
-def bit_positions(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending, read off its
-    ``bin`` text: for a sparse mask by a regex scan, which skips the runs of
-    zeros in C, and otherwise by a walk over every character, where the
-    scan's cost per match loses."""
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending, lazily: the one
+    reader of a set's members.  A sparse mask of at most ``_FEW`` members is
+    peeled lowest bit first, a longer one read off its ``bin`` text by a regex
+    scan, which skips runs of zeros in C, and a dense one by one byte pass
+    over that text, where the scan's cost per match loses."""
+    members = mask.bit_count()
+    sparse = members * _SPARSE < mask.bit_length()
+    if sparse and members <= _FEW:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return iter(out)
     text = bin(mask)[:1:-1]
-    if mask.bit_count() * _SPARSE < len(text):
-        return [m.start() for m in _ONE.finditer(text)]
-    return [i for i, c in enumerate(text) if c == "1"]
-
-
-def peel_positions(mask: int) -> Iterator[int]:
-    """:func:`bit_positions` by peeling the lowest bit: cheaper on sparse masks."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+    if sparse:
+        return map(re.Match.start, _ONE.finditer(text))
+    return compress(count(), text.encode().translate(_BITS))
 
 
 class StateSet(Frozen):
@@ -411,13 +414,8 @@ class StateSet(Frozen):
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        # a peeling step costs a full-width big-integer operation, about
-        # (width + 2048) / 1024 times a bit_positions step per bit of width
-        m = self.mask
-        width = m.bit_length()
-        if m.bit_count() * (width + 2048) < width << 10:
-            return peel_positions(m)
-        return iter(bit_positions(m))
+        """The members' indices, ascending, by :func:`bit_positions`."""
+        return bit_positions(self.mask)
 
     def to_json(self) -> list:
         """Canonical form: sorted list of assignment objects."""

@@ -38,7 +38,7 @@ def test_system_choice_transformer_matches_apply_all(idle, mono3, cycle3):
 
 
 def test_forward_image(idle, mono3):
-    assert bit_positions(_post(idle.classes(), xs(idle, 0).mask)) == [0, 1]
+    assert list(bit_positions(_post(idle.classes(), xs(idle, 0).mask))) == [0, 1]
     assert _post(idle.classes(), 0) == 0
     assert _post(mono3.classes(), xs(mono3, 2).mask) == 0
 

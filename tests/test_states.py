@@ -3,6 +3,7 @@ import json
 import random
 import re
 import tracemalloc
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from fixleads.states import (
     VarDecl,
     bit_positions,
     eval_pred,
-    peel_positions,
 )
 
 from conftest import make_space, raw_states, reference_bit_positions
@@ -129,31 +129,71 @@ def test_iteration_paths_agree_in_ascending_order():
     holes = make_space(3000, holes=range(0, 3000, 7))
     sets = [
         dense.empty(),
-        dense.from_indices([2999, 0, 1234]),  # sparse: __iter__ peels
-        dense.universe(),  # dense: __iter__ takes bit_positions
+        dense.from_indices([2999, 0, 1234]),  # few: peeled
+        dense.from_indices(range(0, 3000, 10)),  # sparse: regex scan
+        dense.universe(),  # dense: byte pass
         StateSet(dense, int("10" * 1500, 2)),
         holes.universe(),
     ]
     for s in sets:
         expected = [i for i in range(s.mask.bit_length()) if s.mask >> i & 1]
-        assert list(peel_positions(s.mask)) == expected
-        assert bit_positions(s.mask) == expected
+        assert list(bit_positions(s.mask)) == expected
         assert list(s) == expected
+
+
+# each regime of bit_positions forced: (_FEW, _SPARSE) and the iterator it returns
+REGIMES = {"peel": (1 << 60, 0, type(iter([]))), "regex": (-1, 0, map),
+           "byte": (0, 1 << 60, compress)}
+
+
+def _force(monkeypatch, regime: str) -> type:
+    few, sparse, kind = REGIMES[regime]
+    monkeypatch.setattr(states, "_FEW", few)
+    monkeypatch.setattr(states, "_SPARSE", sparse)
+    return kind
 
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.1, 0.5, 0.9, 1])
 def test_both_bit_scans_equal_the_reference(monkeypatch, density):
-    """The regex scan (every mask sparse) and the walk over every character
-    (every mask dense) list the reference's positions, as does the scan
-    chosen by density, at widths around multiples of 64."""
+    """The peel, the regex scan and the byte pass, each forced, list the
+    reference's positions, as does the way chosen by the rule, at widths
+    around multiples of 64."""
     rng = random.Random(f"scan/{density}")
     widths = [1, 2, 7, 8, 9] + [64 * k + j for k in (1, 2, 3, 16, 64) for j in (-1, 0, 1)]
     masks = [sum(1 << i for i in range(w) if rng.random() < density) for w in widths for _ in range(3)]
     expected = [reference_bit_positions(m) for m in masks]
-    assert [bit_positions(m) for m in masks] == expected
-    for sparse in (0, 1 << 60):
-        monkeypatch.setattr(states, "_SPARSE", sparse)
-        assert [bit_positions(m) for m in masks] == expected
+    assert [list(bit_positions(m)) for m in masks] == expected
+    for regime in REGIMES:
+        _force(monkeypatch, regime)
+        assert [list(bit_positions(m)) for m in masks] == expected
+
+
+def _regime_masks(rng: random.Random) -> list[int]:
+    """Masks of widths 1-9, 63-65, 1023-1025 and 4095-4097, the top bit set,
+    with 1, ``_FEW``, ``_FEW + 1``, about ``W / _SPARSE`` and ``W`` members,
+    and the empty mask."""
+    masks = [0]
+    for w in [*range(1, 10), 63, 64, 65, 1023, 1024, 1025, 4095, 4096, 4097]:
+        cut = w // states._SPARSE
+        for k in sorted({1, states._FEW, states._FEW + 1, cut - 1, cut, cut + 1, w}):
+            if 1 <= k <= w:
+                masks.append(sum(1 << i for i in rng.sample(range(w - 1), k - 1)) | 1 << (w - 1))
+    return masks
+
+
+@pytest.mark.parametrize("regime", [None, *REGIMES])
+def test_bit_positions_regimes_equal_the_reference(monkeypatch, regime):
+    """``bit_positions`` returns an iterator over the reference's positions,
+    by the rule's choice or with each way forced, and a set lists the same
+    members."""
+    masks = _regime_masks(random.Random("regimes"))
+    kind = _force(monkeypatch, regime) if regime else None
+    space = make_space(4097)
+    for m in masks:
+        it = bit_positions(m)
+        assert iter(it) is it and (kind is None or m == 0 or type(it) is kind)
+        assert list(it) == reference_bit_positions(m)
+        assert list(StateSet(space, m)) == reference_bit_positions(m)
 
 
 def test_eval_pred():
