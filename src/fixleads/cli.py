@@ -182,7 +182,9 @@ def cmd_check(args) -> int:
                 entry["oracle"] = {"holds": o_holds}
                 entry["agreement"] = o_holds == fix_holds
             if cx is not None and not verdict.holds:
-                if not validate_counterexample(elab.system, cx, claim.b):
+                # a valid run refutes this claim only if it starts in a under its semantics
+                valid = validate_counterexample(elab.system, cx, claim.b)
+                if not (valid and cx.start in claim.a and cx.assumption == claim.semantics):
                     defect = True
                 entry["counterexample"] = cx.to_json(elab.system.space)
         entry["time_ms"] = round((time.perf_counter() - started) * 1000, 3)

@@ -591,10 +591,9 @@ def elaborate(ast: SpecAst, cap: int = DEFAULT_STATE_CAP) -> Elaborated:
 
     variants = {v.name: _variant(space, v) for v in ast.variants}
 
-    event_names = {e.name for e in events}
     props: list[Property] = []
     for p in ast.properties:
-        if p.via is not None and p.via not in event_names:
+        if p.via is not None and p.via not in system.by_name:
             raise DslError(f"property {p.name!r} names unknown event {p.via!r}", p.line, 1)
         if p.using is not None and p.using not in variants:
             raise DslError(f"property {p.name!r} names unknown variant {p.using!r}", p.line, 1)

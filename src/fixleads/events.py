@@ -175,13 +175,13 @@ class Event:
 
 
 class EventSystem:
-    """An ordered family of events plus an initial-state set."""
+    """An ordered family of events, indexed by name in ``by_name``, plus an initial-state set."""
 
     def __init__(self, space: StateSpace, events: list[Event], init: StateSet, name: str = "system"):
         if not events:
             raise ModelError("a system needs at least one event")
-        names = [e.name for e in events]
-        if len(set(names)) != len(names):
+        self.by_name = {e.name: e for e in events}
+        if len(self.by_name) != len(events):
             raise ModelError("duplicate event names")
         for e in events:
             if e.space is not space:
@@ -198,10 +198,9 @@ class EventSystem:
         self._classes: Classes | None = None  # see classes
 
     def event(self, name: str) -> Event:
-        for e in self.events:
-            if e.name == name:
-                return e
-        raise ModelError(f"unknown event {name!r}")
+        if (e := self.by_name.get(name)) is None:
+            raise ModelError(f"unknown event {name!r}")
+        return e
 
     def classes(self) -> Classes:
         """The events' offset classes merged by offset, built on first use:

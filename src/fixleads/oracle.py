@@ -340,10 +340,9 @@ def validate_counterexample(
     full = sys.space.full_mask
     if any(s < 0 or not full >> s & 1 or s in b for s in states):
         return False
-    events = {e.name: e for e in sys.events}
     cur = cx.start
     for ev, t in cx.prefix + cx.cycle:
-        e = events.get(ev)
+        e = sys.by_name.get(ev)
         if e is None or (e.successors(cur) >> t) & 1 == 0:
             return False
         cur = t

@@ -414,6 +414,30 @@ def test_oracle_disagreement_is_a_defect_without_oracle_flag(monkeypatch, capsys
     assert "oracle and fixpoint verdicts disagree" in capsys.readouterr().err
 
 
+# under wf, idle cannot loop at x = 0 while go stays enabled there; at x = 1 it can
+IDLE_AT_ZERO = ("system s\nvar x : 0 .. 2\nevent go when x = 0 then x := 1\nevent idle then skip\n"
+                "property p : leadsto {x = 0} {x = 2} under wf\n")
+
+
+@pytest.mark.parametrize("case", ["start-outside-a", "wf-lasso-labelled-mp"])
+def test_counterexample_not_bound_to_its_claim_is_a_defect(tmp_path, monkeypatch, capsys, case):
+    # each forged run passes validate_counterexample: only its claim rejects it
+    if case == "start-outside-a":  # climb starts at x = 0; this loop runs from x = 1
+        path, name = _path("cycle3.evt"), "oracle_mp"
+        forged = oracle.Counterexample("lasso", 1, cycle=[("dec", 0), ("inc", 1)], assumption="mp")
+    else:  # an mp lasso skips the fairness witnesses
+        path, name = str(tmp_path / "s.evt"), "oracle_wf"
+        (tmp_path / "s.evt").write_text(IDLE_AT_ZERO)
+        forged = oracle.Counterexample("lasso", 0, cycle=[("idle", 0)], assumption="mp")
+    elab = load_file(path)
+    assert oracle.validate_counterexample(elab.system, forged, elab.properties[0].q)
+    assert main(["check", path]) == 1  # the oracle's own counterexample is bound to the claim
+    capsys.readouterr()
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: (False, forged))
+    assert main(["check", path]) == 3
+    assert "internal defect" in capsys.readouterr().err
+
+
 def test_long_chain_certificate_is_balanced(tmp_path, capsys):
     # one mp layer per value: the chain has 1100 leaves
     src = tmp_path / "counter.evt"

@@ -113,6 +113,9 @@ def test_validator_rejects_corrupt_counterexamples(idle):
     # wf lasso missing a fairness witness
     bad = Counterexample("lasso", cx.start, [], [("idle", 0)], assumption="wf")
     assert not validate_counterexample(idle, bad, xs(idle, 1))
+    # deadlock path ending where an event is enabled
+    bad = Counterexample("deadlock-path", cx.start, assumption="mp")
+    assert not validate_counterexample(idle, bad, xs(idle, 1))
 
 
 def test_validator_rejects_states_and_events_outside_the_model():
