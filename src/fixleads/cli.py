@@ -13,23 +13,11 @@ import os
 import sys
 import time
 
-from . import __version__
-from .certificates import (
-    Basic,
-    CertificateError,
-    cert_from_json,
-    cert_to_json,
-    check_certificate,
-    derive_certificate_mp,
-    derive_certificate_wf,
-)
+from . import __version__, certificates, mp, oracle, wf
 from .dsl import DslError, Elaborated, Property, load_file
-from .mp import ensures_mp, leadsto_mp, rule_mp_variant
-from .oracle import SearchGraph, oracle_mp, oracle_reachable, oracle_wf, validate_counterexample
 from .records import Frozen, setfield
 from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line
 from .verdicts import SelfCheckDefect, Verdict
-from .wf import ensures_wf, leadsto_wf, rule_wf_to_mp
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,17 +97,17 @@ def check_property(elab: Elaborated, prop: Property, claim: Claim) -> Verdict:
     sys_ = elab.system
     if prop.kind == "ensures":
         if claim.assumption == "mp":
-            return ensures_mp(sys_, claim.a, claim.b)
+            return mp.ensures_mp(sys_, claim.a, claim.b)
         if prop.via is None:
             raise UsageError(
                 f"property {prop.name!r}: ensures under wf needs 'via <event>'"
             )
-        return ensures_wf(sys_, sys_.event(prop.via), claim.a, claim.b)
+        return wf.ensures_wf(sys_, sys_.event(prop.via), claim.a, claim.b)
     if prop.using is not None:
-        rule = rule_mp_variant if claim.assumption == "mp" else rule_wf_to_mp
+        rule = mp.rule_mp_variant if claim.assumption == "mp" else wf.rule_wf_to_mp
         verdict = rule(sys_, claim.a, claim.b, elab.variants[prop.using])
     else:
-        engine = leadsto_mp if claim.assumption == "mp" else leadsto_wf
+        engine = mp.leadsto_mp if claim.assumption == "mp" else wf.leadsto_wf
         verdict = engine(sys_, claim.a, claim.b)
     if claim.si is not None:
         verdict.details["si"] = claim.si
@@ -166,15 +154,15 @@ def cmd_check(args) -> int:
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
             question = (claim.semantics, claim.a.mask, claim.b.mask)
             if question not in searched:
-                oracle = oracle_mp if claim.semantics == "mp" else oracle_wf
+                search = oracle.oracle_mp if claim.semantics == "mp" else oracle.oracle_wf
                 if question[1:] not in graphs:
-                    graphs[question[1:]] = SearchGraph(elab.system, claim.a, claim.b)
-                searched[question] = oracle(elab.system, claim.a, claim.b, graph=graphs[question[1:]])
+                    graphs[question[1:]] = oracle.SearchGraph(elab.system, claim.a, claim.b)
+                searched[question] = search(elab.system, claim.a, claim.b, graph=graphs[question[1:]])
             o_holds, cx = searched[question]
             # a variant rule is only sufficient: when it fails, the oracle
             # is held against the direct mp fixpoint, not against the rule
             fix_holds = verdict.holds or (
-                prop.using is not None and leadsto_mp(elab.system, claim.a, claim.b).holds
+                prop.using is not None and mp.leadsto_mp(elab.system, claim.a, claim.b).holds
             )
             if o_holds != fix_holds:
                 defect = True
@@ -183,7 +171,7 @@ def cmd_check(args) -> int:
                 entry["agreement"] = o_holds == fix_holds
             if cx is not None and not verdict.holds:
                 # a valid run refutes this claim only if it starts in a under its semantics
-                valid = validate_counterexample(elab.system, cx, claim.b)
+                valid = oracle.validate_counterexample(elab.system, cx, claim.b)
                 if not (valid and cx.start in claim.a and cx.assumption == claim.semantics):
                     defect = True
                 entry["counterexample"] = cx.to_json(elab.system.space)
@@ -237,16 +225,16 @@ def cmd_explain(args) -> int:
         print(f"property {prop.name!r} fails; nothing to certify", file=sys.stderr)
         return EXIT_FAIL
     if prop.kind == "ensures":
-        cert = Basic(claim.a, claim.b, claim.semantics, helpful=prop.via)
+        cert = certificates.Basic(claim.a, claim.b, claim.semantics, helpful=prop.via)
     elif claim.semantics == "mp":
-        cert = derive_certificate_mp(sys_, claim.a, claim.b, verdict.trace)
+        cert = certificates.derive_certificate_mp(sys_, claim.a, claim.b, verdict.trace)
     else:
-        cert = derive_certificate_wf(sys_, claim.a, claim.b, verdict.trace, verdict.fair_deltas)
+        cert = certificates.derive_certificate_wf(sys_, claim.a, claim.b, verdict.trace, verdict.fair_deltas)
     payload = {
         "system": sys_.name,
         "property": prop.name,
         "assumption": claim.semantics,
-        **cert_to_json(cert, (claim.a, claim.b)),
+        **certificates.cert_to_json(cert, (claim.a, claim.b)),
     }
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
     try:
@@ -280,13 +268,13 @@ def cmd_check_cert(args) -> int:
     prop = _find_property(elab, payload.get("property"))
     claim = resolve(elab, prop)
     try:
-        cert, claimed = cert_from_json(elab.system.space, payload)
+        cert, claimed = certificates.cert_from_json(elab.system.space, payload)
         assumption = payload.get("assumption")
         if not isinstance(assumption, str):
-            raise CertificateError(f"assumption {assumption!r} is not a string")
-        ok = _proves(prop, claim, cert, claimed, assumption) and check_certificate(
+            raise certificates.CertificateError(f"assumption {assumption!r} is not a string")
+        ok = _proves(prop, claim, cert, claimed, assumption) and certificates.check_certificate(
             elab.system, cert, claimed, assumption)
-    except CertificateError as exc:
+    except certificates.CertificateError as exc:
         raise UsageError(f"{args.cert}: malformed certificate file ({exc})")
     except RecursionError:
         raise UsageError(too_deep) from None
@@ -305,7 +293,7 @@ def _proves(prop: Property, claim: Claim, cert, claimed, assumption: str) -> boo
         return False
     if prop.kind != "ensures":
         return True
-    return (isinstance(cert, Basic) and cert.p.mask == a.mask and cert.q.mask == b.mask
+    return (isinstance(cert, certificates.Basic) and cert.p.mask == a.mask and cert.q.mask == b.mask
             and (assumption == "mp" or cert.helpful == prop.via))
 
 
@@ -316,7 +304,7 @@ def cmd_si(args) -> int:
     si = elab.system.strongest_invariant()
     report = {"schema": SI_SCHEMA, "si": si}
     if args.verify:
-        report["verified"] = oracle_reachable(elab.system, elab.system.init) == si
+        report["verified"] = oracle.oracle_reachable(elab.system, elab.system.init) == si
     if args.json:
         _write_json(report, sys.stdout)
     else:

@@ -196,11 +196,12 @@ def eval_partition(
 
     ``leaves`` maps each variable to the partition of the whole space by its
     value (``None`` when it has none).  Operands are combined pairwise, left
-    to right, and each later operand of ``and``/``or`` is evaluated only on
-    the states the earlier ones do not decide, as ``eval_expr``
-    short-circuits per state.  Raises :class:`Undecided` where ``eval_expr``
-    would raise on some state of ``care``, and when one operator pairs more
-    than ``limit`` blocks."""
+    to right, but ``x = literal`` and ``x != literal`` read the literal's
+    block of ``x`` alone (:func:`_value_test`).  Each later operand of
+    ``and``/``or`` is evaluated only on the states the earlier ones do not
+    decide, as ``eval_expr`` short-circuits per state.  Raises
+    :class:`Undecided` where ``eval_expr`` would raise on some state of
+    ``care``, and when one operator pairs more than ``limit`` blocks."""
     if not care:
         return {}
     if isinstance(node, (IntLit, BoolLit)):
@@ -215,6 +216,10 @@ def eval_partition(
             return {(str, node.ident): care}
         raise Undecided(f"unknown identifier {node.ident!r}")
     if isinstance(node, Cmp):
+        if node.op in _EQUALITY and isinstance(node.left, Name) and leaves.get(node.left.ident):
+            key = _literal_key(node.right, leaves, constants)
+            if key is not None:
+                return _value_test(node.op, leaves[node.left.ident], key, care)
         left = eval_partition(node.left, leaves, constants, care, limit)
         right = eval_partition(node.right, leaves, constants, care, limit)
         table = _EQUALITY if node.op in _EQUALITY else _ORDER
@@ -245,6 +250,32 @@ def eval_partition(
         out[(bool, not decides)] = care
         return out
     raise Undecided(f"bad expression node {node!r}")
+
+
+def _literal_key(node: Expr, leaves: dict, constants: frozenset) -> Key | None:
+    """The key of ``node`` when it is a literal: a number, a truth value or
+    a constant that no variable shadows."""
+    if isinstance(node, (IntLit, BoolLit)):
+        return (type(node.value), node.value)
+    if isinstance(node, Name) and node.ident not in leaves and node.ident in constants:
+        return (str, node.ident)
+    return None
+
+
+def _value_test(op: str, blocks: Partition, key: Key, care: int) -> Partition:
+    """The partition of ``x op literal``, ``op`` ``=`` or ``!=``, from the
+    value masks ``blocks`` of ``x``: the literal's block AND ``care``, where
+    :func:`_pairwise` would pair every block.  Undecided, as there, when a
+    block meeting ``care`` holds values of another type than ``key``'s."""
+    if any(t is not key[0] and m & care for (t, _), m in blocks.items()):
+        raise Undecided("comparison of different types")
+    hit = blocks.get(key, 0) & care
+    out: Partition = {}
+    if hit:
+        out[(bool, op == "=")] = hit
+    if care & ~hit:
+        out[(bool, op != "=")] = care & ~hit
+    return out
 
 
 def _pairwise(op: str, table: dict, left: Partition, right: Partition, limit: int) -> Partition:

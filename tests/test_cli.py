@@ -100,7 +100,7 @@ def test_si_json_verify_is_one_document(monkeypatch):
     assert (code, err) == (0, "")
     assert json.loads(out) == {**json.loads(plain), "verified": True}
     assert out.count("\n") == 1
-    monkeypatch.setattr(cli, "oracle_reachable", lambda system, init: system.space.empty())
+    monkeypatch.setattr(oracle, "oracle_reachable", lambda system, init: system.space.empty())
     code, out, err = _captured(["si", _path("triangle3.evt"), "--json", "--verify"])
     assert code == 3 and "reachability disagrees" in err
     assert json.loads(out) == {**json.loads(plain), "verified": False}
@@ -297,15 +297,15 @@ def test_text_check_prints_the_report_without_building_it(tmp_path, model, flags
 
 
 def _counted(monkeypatch, name):
-    """The calls ``cli`` makes to its function ``name`` from now on."""
+    """The calls made to ``oracle``'s function ``name`` from now on."""
     calls = []
-    original = getattr(cli, name)
+    original = getattr(oracle, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(oracle, name, counting)
     return calls
 
 
@@ -401,14 +401,15 @@ def test_si_without_init_is_a_usage_error(tmp_path, capsys, tail, argv):
 
 
 def test_oracle_disagreement_is_a_defect_without_oracle_flag(monkeypatch, capsys):
-    real = cli.leadsto_mp
+    real = cli.check_property
 
     def refuted(*args):
         verdict = real(*args)
         verdict.holds = False
         return verdict
 
-    monkeypatch.setattr(cli, "leadsto_mp", refuted)
+    # patched where cli decides, not in mp, whose variant rule checks itself by leadsto_mp
+    monkeypatch.setattr(cli, "check_property", refuted)
     # the oracle runs for the failing climb, finds no counterexample, and disagrees
     assert main(["check", _path("mono3.evt")]) == 3
     assert "oracle and fixpoint verdicts disagree" in capsys.readouterr().err
@@ -433,7 +434,7 @@ def test_counterexample_not_bound_to_its_claim_is_a_defect(tmp_path, monkeypatch
     assert oracle.validate_counterexample(elab.system, forged, elab.properties[0].q)
     assert main(["check", path]) == 1  # the oracle's own counterexample is bound to the claim
     capsys.readouterr()
-    monkeypatch.setattr(cli, name, lambda *args, **kwargs: (False, forged))
+    monkeypatch.setattr(oracle, name, lambda *args, **kwargs: (False, forged))
     assert main(["check", path]) == 3
     assert "internal defect" in capsys.readouterr().err
 
@@ -649,7 +650,7 @@ def test_a_defect_exits_3_even_when_the_traceback_cannot_be_printed(monkeypatch,
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "oracle_wf", exhausted)
+    monkeypatch.setattr(oracle, "oracle_wf", exhausted)
     monkeypatch.setitem(sys.modules, "traceback", None)  # importing it fails
     assert main(["check", _path("starve3.evt"), "--oracle"]) == 3
     assert "internal defect: MemoryError" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from fixleads.dsl import (
     elaborate,
     load_file,
     parse,
-    print_spec,
 )
+from fixleads.printer import print_spec
 from fixleads import dsl, exprs
 from fixleads.exprs import And, Arith, IntLit, Name, Or
 from fixleads.states import StateSet

@@ -26,6 +26,7 @@ import io
 import itertools
 import math
 import os
+import random
 import sys
 import tracemalloc
 from unittest import mock
@@ -33,12 +34,13 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fixleads import dsl, states
+from fixleads import dsl, exprs, states
 from fixleads.cli import main
-from fixleads.dsl import DslError, _Parser, elaborate, parse, print_spec
+from fixleads.dsl import DslError, _Parser, elaborate, parse
 from fixleads.exprs import (
     And,
     Arith,
+    BoolLit,
     Cmp,
     EvalError,
     IntLit,
@@ -52,6 +54,7 @@ from fixleads.exprs import (
     names_in,
     to_text,
 )
+from fixleads.printer import print_spec
 from fixleads.states import StateSet, StateSpace, _mask_of, bit_positions
 from fixleads.variants import VariantFn
 
@@ -894,6 +897,75 @@ def test_eval_partition_keeps_every_block_inside_care():
         assert m and m & ~care == 0 and m & union == 0
         union |= m
     assert union == care
+
+
+# --- a variable compared with a literal ------------------------------------------
+
+
+def _pairwise_outcome(node, sp, care):
+    """``node`` by :func:`exprs._pairwise` over every block of both operands,
+    as ``eval_partition`` took every comparison before the value test, with
+    no work bound: its partition, or ``Undecided``."""
+    bound = 1 << 30
+    try:
+        left = eval_partition(node.left, sp.value_masks, sp.constants, care, bound)
+        right = eval_partition(node.right, sp.value_masks, sp.constants, care, bound)
+        return exprs._pairwise(node.op, exprs._EQUALITY, left, right, bound)
+    except Undecided:
+        return Undecided
+
+
+def _eval_outcome(node, sp, care, bound):
+    try:
+        return eval_partition(node, sp.value_masks, sp.constants, care, bound)
+    except Undecided:
+        return Undecided
+
+
+def _value_test_outcome(node, sp, care):
+    """``node`` by ``eval_partition``, which must read it as a value test and
+    pair no blocks, so no work bound can stop it."""
+    with mock.patch.object(exprs, "_pairwise", side_effect=AssertionError("paired")):
+        return _eval_outcome(node, sp, care, 0)
+
+
+def _is_value_test(node, sp):
+    return (isinstance(node, Cmp) and node.op in ("=", "!=") and isinstance(node.left, Name)
+            and sp.value_masks.get(node.left.ident) is not None
+            and exprs._literal_key(node.right, sp.value_masks, sp.constants) is not None)
+
+
+@pytest.mark.parametrize("name", sorted(n[:-4] for n in os.listdir(DATA) if n.endswith(".evt"))
+                         + sorted(FAMILY_MODELS))
+def test_a_value_test_is_the_pairing_of_its_blocks(name):
+    text = FAMILY_MODELS[name].text if name in FAMILY_MODELS else _read_data(name)
+    sp = _space(text)
+    rng = random.Random(name)
+    cares = [sp.full_mask, rng.getrandbits(sp.raw_size) & sp.full_mask, 1 << (sp.raw_size - 1)]
+    tests = {node for node in _nodes(text) if _is_value_test(node, sp)}
+    assert tests
+    for node, care in itertools.product(tests, cares):
+        assert _value_test_outcome(node, sp, care) == _pairwise_outcome(node, sp, care), node
+
+
+_LITERALS = [IntLit(0), IntLit(1), IntLit(2), IntLit(5), BoolLit(True), BoolLit(False),
+             Name("a"), Name("b"), Name("c")]  # var a shadows constant a; c is unknown
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["x", "a", "on", "n"]), st.sampled_from(["=", "!="]),
+       st.sampled_from(_LITERALS), st.integers(0, (1 << 24) - 1))
+def test_a_random_value_test_is_the_pairing_of_its_blocks(var, op, literal, care):
+    """Bool literals on int variables and ints on bools are Undecided, as
+    the pairing's type check makes them; a constant compares by name."""
+    sp = _space(BASE + "event e then skip\n")
+    node = Cmp(op, Name(var), literal)
+    care &= sp.full_mask
+    want = _pairwise_outcome(node, sp, care)
+    if _is_value_test(node, sp):
+        assert _value_test_outcome(node, sp, care) == want
+    else:  # a variable on the right or an unknown name: paired as before
+        assert _eval_outcome(node, sp, care, 1 << 30) == want
 
 
 def test_lift_and_pass_give_the_same_partition():

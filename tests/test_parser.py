@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixleads.cli import main
-from fixleads.dsl import DslError, PropertyAst, _Parser, parse, print_spec, tokenize
+from fixleads.dsl import DslError, PropertyAst, _Parser, parse, tokenize
+from fixleads.printer import print_spec
 from fixleads.exprs import BINDING, And, Arith, BoolLit, Cmp, IntLit, Name, Not, Or
 
 import test_bench_models  # loads perfbench/models.py as perfbench_models

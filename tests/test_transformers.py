@@ -212,6 +212,10 @@ def test_lfp_prefix_containment(b):
 
 
 def _imports_transformers(node) -> bool:
+    """An import of ``transformers``, or a tuple of module names that holds
+    it, as the package's lazy registration of its submodules does."""
+    if isinstance(node, ast.Tuple):
+        return any(isinstance(e, ast.Constant) and e.value == "transformers" for e in node.elts)
     if isinstance(node, ast.Import):
         return any(alias.name == "fixleads.transformers" for alias in node.names)
     if not isinstance(node, ast.ImportFrom):
