@@ -39,10 +39,10 @@ _EXPORTS = {
     "states": "DEFAULT_STATE_CAP SpaceError SpaceMismatch StateSet StateSpace VarDecl eval_pred"
               " json_line",
     "transformers": "Choice Dovetail Guard Precond Rel Seq Skip apply check_variant_theorem"
-                    " fair_loop_liberal grd liberal pre system_choice wf_step",
+                    " fair_loop_liberal fair_loop_termination grd liberal pre system_choice wf_step",
     "variants": "VariantError VariantFn",
     "verdicts": "SelfCheckDefect Verdict",
-    "wf": "ensures_wf fair_loop fair_loop_termination leadsto_wf leadsto_wf_si rule_wf_to_mp",
+    "wf": "ensures_wf fair_loop leadsto_wf leadsto_wf_si rule_wf_to_mp",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -51,6 +51,7 @@ from .exprs import (
     Or,
     eval_expr,
     names_in,
+    shown,
 )
 from .records import Frozen, Record, setfield
 from .states import (
@@ -358,11 +359,16 @@ class _Parser:
         return range(lo, hi + 1)
 
     def int_lit(self) -> int:
+        """An integer literal of at most 4300 digits, as many as Python
+        converts by default, after an optional minus sign."""
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
-        return sign * int(self.expect("int"))
+        text = self.expect("int")
+        if len(text) > 4300:
+            raise self.error(f"integer literal of {len(text)} digits is too long", self.pos - 1)
+        return sign * int(text)
 
     def action(self) -> tuple[Assign, ...]:
         if self.at_keyword("skip"):
@@ -456,7 +462,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind = self.peek()
         if kind == "int":
-            return IntLit(int(self.next()))
+            return IntLit(self.int_lit())
         if kind == "ident":
             return Name(self.next())
         if self.at_keyword("true", "false"):
@@ -577,7 +583,7 @@ def _variant(space: StateSpace, v: VariantAst) -> VariantFn:
         low, (kind, val) = min(bad)
         env = space.state_of(low.bit_length() - 1)
         message = (f": {val}" if kind is EvalError else f" is not an integer at {env!r}"
-                   if kind is not int else f": variant is negative ({val}) at state {env!r}")
+                   if kind is not int else f": variant is negative ({shown(val)}) at state {env!r}")
         raise DslError(f"variant {v.name!r}{message}", v.line, 1)
     return VariantFn.from_levels(space, {val: m for (_, val), m in part.items()}, v.name)
 
@@ -636,7 +642,7 @@ def _action_successors(space: StateSpace, e: EventAst, actions: tuple[tuple[Assi
                     raise EvalError(f"event {e.name!r}: {exc}") from exc
                 new = offsets.get((type(val), val))
                 if new is None:
-                    raise EvalError(f"event {e.name!r} assigns {item.var} := {val!r}, "
+                    raise EvalError(f"event {e.name!r} assigns {item.var} := {shown(val)}, "
                                     f"outside its domain (at state {env!r})")
                 moves.append(new - here)
             if len(moves) == 1:

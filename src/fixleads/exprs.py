@@ -105,6 +105,13 @@ def _is_int(v: Value) -> bool:
     return type(v) is int
 
 
+def shown(val: Value) -> str:
+    """``repr(val)``, unless it is an int too long for Python to print."""
+    # 14 000 bits is at most 4215 digits, below Python's default bound of 4300
+    big = isinstance(val, int) and val.bit_length() > 14000
+    return "an integer too long to print" if big else repr(val)
+
+
 def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Value:
     """Evaluate ``node`` under ``env``; ``constants`` are enum literals."""
     if isinstance(node, IntLit):
@@ -122,7 +129,7 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
         for op, right in zip(node.ops, node.operands[1:]):
             rv = eval_expr(right, env, constants)
             if not (_is_int(lv) and _is_int(rv)):
-                raise EvalError(f"arithmetic {op!r} needs integers, got {lv!r}, {rv!r}")
+                raise EvalError(f"arithmetic {op!r} needs integers, got {shown(lv)}, {shown(rv)}")
             if op not in _ARITH:
                 raise EvalError(f"bad arithmetic operator {op!r}")
             lv = _ARITH[op](lv, rv)
@@ -132,23 +139,23 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
         rv = eval_expr(node.right, env, constants)
         if node.op in _EQUALITY:
             if type(lv) is not type(rv):
-                raise EvalError(f"cannot compare {lv!r} with {rv!r}")
+                raise EvalError(f"cannot compare {shown(lv)} with {shown(rv)}")
             return _EQUALITY[node.op](lv, rv)
         if not (_is_int(lv) and _is_int(rv)):
-            raise EvalError(f"ordering {node.op!r} needs integers, got {lv!r}, {rv!r}")
+            raise EvalError(f"ordering {node.op!r} needs integers, got {shown(lv)}, {shown(rv)}")
         if node.op not in _ORDER:
             raise EvalError(f"bad comparison operator {node.op!r}")
         return _ORDER[node.op](lv, rv)
     if isinstance(node, Not):
         v = eval_expr(node.operand, env, constants)
         if not isinstance(v, bool):
-            raise EvalError(f"'not' needs a boolean, got {v!r}")
+            raise EvalError(f"'not' needs a boolean, got {shown(v)}")
         return not v
     if isinstance(node, (And, Or)):
         decides = isinstance(node, Or)  # the value that decides the chain: ``or`` on true
         v = eval_expr(node.operands[0], env, constants)
         if not isinstance(v, bool):
-            raise EvalError(f"'{'or' if decides else 'and'}' needs booleans, got {v!r}")
+            raise EvalError(f"'{'or' if decides else 'and'}' needs booleans, got {shown(v)}")
         for operand in node.operands[1:]:
             if v is decides:
                 break
@@ -160,7 +167,7 @@ def eval_expr(node: Expr, env: dict, constants: frozenset = frozenset()) -> Valu
 def eval_bool(node: Expr, env: dict, constants: frozenset = frozenset()) -> bool:
     v = eval_expr(node, env, constants)
     if not isinstance(v, bool):
-        raise EvalError(f"expected a boolean expression, got {v!r}")
+        raise EvalError(f"expected a boolean expression, got {shown(v)}")
     return v
 
 

@@ -7,9 +7,10 @@ and the liberal one (``liberal``: terminate inside it or loop forever).
 (dovetail) term only has direct liberal/termination definitions; its demonic
 meaning comes from the pairing condition ``apply = liberal ∩ pre``.
 
-The laws at the end are stated as the paper defines them, and the tests
-hold the engines to them.  No engine imports this module; ``lfp``, ``gfp``
-and ``IterateTrace`` are the kernel's (``events``), bound here by name.
+The laws at the end, the fair loop among them, are stated from the term
+algebra alone as the paper defines them, and the tests hold the engines to
+them.  No engine imports this module and it imports no engine; ``lfp``,
+``gfp`` and ``IterateTrace`` are the kernel's (``events``), bound here by name.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .records import Frozen, setfield
 from .states import StateSet, SpaceMismatch
 from .variants import VariantFn, rule_verdict, variant_antecedents
 from .verdicts import Verdict
-from .wf import fair_loop
 
 
 class Skip(Frozen):
@@ -155,21 +155,30 @@ def _check(s: StateSet, r: StateSet) -> None:
         raise SpaceMismatch("transformer and postcondition use different spaces")
 
 
-def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
-    """One fair iteration step: the union of ``fair_loop(sys, r, g, r)`` over
-    every event ``g``."""
-    out = sys.space.empty()
-    for g in sys.events:
-        out = out | fair_loop(sys, r, g, r)
-    return out
-
-
 def fair_loop_liberal(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
-    """Liberal interpretation of the fair loop (reach ``q`` or run forever)."""
+    """Liberal interpretation of the fair loop for helpful event ``g``: reach
+    ``q``, or loop forever while ``g`` stays enabled and guaranteed to reach
+    ``r``.  At the full postcondition it is the universe."""
     if r.is_universe():
         return sys.space.universe()
-    # below the full postcondition the demonic loop is the liberal one
-    return fair_loop(sys, q, g, r)
+    t, stay = system_choice(sys), grd(Rel(g), sys.space.universe()) & apply(Rel(g), r)
+    return gfp(lambda y: q | (stay & apply(t, y)), sys.space)[0]
+
+
+def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
+    """Termination set of the fair loop for helpful event ``g``."""
+    t, base = system_choice(sys), q | grd(Rel(g), sys.space.universe())
+    leaving = apply(t, q).complement()
+    return lfp(lambda y: base | (leaving & apply(t, y)), sys.space)[0]
+
+
+def wf_step(sys: EventSystem, r: StateSet) -> StateSet:
+    """One fair iteration step: the union over every event ``g`` of its fair
+    loop to ``r``, the liberal loop met with its termination set."""
+    out = sys.space.empty()
+    for g in sys.events:
+        out = out | (fair_loop_liberal(sys, r, g, r) & fair_loop_termination(sys, r, g))
+    return out
 
 
 def check_variant_theorem(

@@ -26,17 +26,11 @@ def fair_loop(sys: EventSystem, q: StateSet, g: Event, r: StateSet) -> StateSet:
         # stay is grd g, and the termination set's step adds ¬AX q ∩ AX q = ∅
         return q
     if r.is_universe():
-        # at the full postcondition the liberal side is trivial, so the
-        # demonic loop coincides with its termination set
-        return fair_loop_termination(sys, q, g)
+        # at the full postcondition the liberal side is trivial, so the demonic
+        # loop is its termination set: lfp x. (q ∪ grd g) ∪ (¬AX q ∩ AX x)
+        return sys.attract(q | g.guard, sys.apply_all(q).complement()).value
     # gfp x. q ∪ (g.guarded_apply(r) ∩ AX x)
     return sys.weak_attract(q, stay)
-
-
-def fair_loop_termination(sys: EventSystem, q: StateSet, g: Event) -> StateSet:
-    """Termination set of the fair loop for helpful event ``g``."""
-    # lfp x. (q ∪ grd g) ∪ (¬AX q ∩ AX x)
-    return sys.attract(q | g.guard, sys.apply_all(q).complement()).value
 
 
 def fair_deltas(sys: EventSystem, r: StateSet) -> tuple[tuple[str, StateSet], ...]:

@@ -71,15 +71,6 @@ def twodown_system(init: Sequence[int] = (2,)) -> EventSystem:
     return EventSystem(sp, [dec1, jump], _set(sp, init), name="twodown")
 
 
-ALL_FIXTURES = {
-    "idle": idle_system,
-    "mono3": mono3_system,
-    "ladder3": ladder3_system,
-    "cycle3": cycle3_system,
-    "twodown": twodown_system,
-}
-
-
 def x_set(sys: EventSystem, xs: Iterable[int]) -> StateSet:
     """Convenience: the set {x in xs} over a fixture's space."""
     return _set(sys.space, xs)

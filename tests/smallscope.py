@@ -2,25 +2,26 @@
 must pass (the small scope hypothesis: Jackson and Damon, ISSTA 1996;
 Andoni, Daniliuc, Khurshid and Marinov, 2002).
 
-:func:`systems` yields every system of 1 to ``MAX_EVENTS`` events over
-``x : 0 .. n-1`` for ``n`` in 1 and 2, and over one 2-state raw space with
-an invariant hole, each once up to a permutation of the states.  An event
-is a relation: one successor mask per raw state, 0 off its guard, so the
-disabled event is included.  :func:`check_system` holds a system, for every
-target ``b``, to the term algebra's Kleene iteration, the trace oracles,
-the certificates and the counterexamples, state by state, and its ensures
-checks to their definitions for every ``p``, ``q`` and helpful event.
+:func:`systems` yields every system of the given sizes over the given
+spaces once up to a permutation of the states: by default 1 to
+``MAX_EVENTS`` events over ``x : 0 .. n-1`` for ``n`` in 1 and 2, and over
+one 2-state raw space with an invariant hole.  An event is a relation: one
+successor mask per raw state, 0 off its guard, so the disabled event is
+included.  :func:`check_system` holds a system to every reference.  Run as
+a script, this checks every 2-event system over ``x : 0 .. 2``:
+``PYTHONPATH=src:tests python tests/smallscope.py``.
 """
 from __future__ import annotations
 
 import itertools
 
 from fixleads.certificates import check_certificate, derive_certificate_mp, derive_certificate_wf
-from fixleads.events import EventSystem, gfp, lfp
+from fixleads.events import EventSystem, lfp
 from fixleads.mp import ensures_mp, leadsto_mp
-from fixleads.oracle import SearchGraph, oracle_mp, oracle_wf, validate_counterexample
+from fixleads.oracle import (SearchGraph, oracle_mp, oracle_reachable, oracle_wf,
+                             validate_counterexample)
 from fixleads.states import StateSet
-from fixleads.transformers import Rel, apply, grd, system_choice
+from fixleads.transformers import Rel, apply, grd, system_choice, wf_step
 from fixleads.wf import ensures_wf, leadsto_wf
 
 from conftest import event_from_rel, make_space
@@ -29,6 +30,7 @@ MAX_EVENTS = 3
 
 # x : 0 .. 0, x : 0 .. 1, and x : 0 .. 1 under x != 0, whose universe is {1}
 SPACES = (make_space(1), make_space(2), make_space(2, holes=[0]))
+THREE_STATES = (make_space(3),)
 
 
 def _relations(space) -> list[tuple[int, ...]]:
@@ -47,17 +49,21 @@ def _renamed(relation: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def systems():
-    """``(space, family)`` for every canonical system: ``family`` is its
-    relations in sorted order, and no renaming of the states gives a smaller
-    sorted family.  A space with holes is not renamed."""
-    for space in SPACES:
+def systems(spaces=SPACES, sizes=range(1, MAX_EVENTS + 1)):
+    """``(space, family)`` for every canonical system over ``spaces`` with a
+    number of events in ``sizes``: ``family`` is its relations in sorted
+    order, and no renaming of the states gives a smaller sorted family.  A
+    space with holes is not renamed."""
+    for space in spaces:
+        relations = _relations(space)  # sorted, so indices compare as the relations do
         whole = space.full_mask == (1 << space.raw_size) - 1
         perms = list(itertools.permutations(range(space.raw_size)))[1:] if whole else []
-        for k in range(1, MAX_EVENTS + 1):
-            for family in itertools.combinations_with_replacement(_relations(space), k):
-                if all(tuple(sorted(_renamed(r, p) for r in family)) >= family for p in perms):
-                    yield space, family
+        index = {r: i for i, r in enumerate(relations)}
+        renamings = [[index[_renamed(r, p)] for r in relations] for p in perms]
+        for k in sizes:
+            for family in itertools.combinations_with_replacement(range(len(relations)), k):
+                if all(tuple(sorted(ren[i] for i in family)) >= family for ren in renamings):
+                    yield space, tuple(relations[i] for i in family)
 
 
 def build(space, family) -> EventSystem:
@@ -69,19 +75,6 @@ def build(space, family) -> EventSystem:
     return EventSystem(space, events, space.universe())
 
 
-def _fair_loop(sys_, t, g, q: StateSet, r: StateSet) -> StateSet:
-    """The fair loop of helpful event ``g`` to ``q`` through ``r``, from the
-    term algebra's definitions alone: its liberal side (the universe at the
-    full postcondition) meets its termination set."""
-    u = sys_.space.universe()
-    enabled = grd(Rel(g), u)
-    liberal = u if r.is_universe() else gfp(
-        lambda y: q | (enabled & apply(Rel(g), r) & apply(t, y)), sys_.space)[0]
-    leaving = apply(t, q).complement()
-    termination = lfp(lambda y: q | enabled | (leaving & apply(t, y)), sys_.space)[0]
-    return liberal & termination
-
-
 def check_system(sys_: EventSystem) -> int:
     """Check ``sys_`` and return the number of ``(b, state, assumption)``
     comparisons made.  ``ensures_mp`` and ``ensures_wf`` equal their
@@ -90,7 +83,8 @@ def check_system(sys_: EventSystem) -> int:
     chain equals the term algebra's Kleene chain; a state is in the
     fixpoint iff the oracle holds from it, and the oracle's counterexample
     from it validates, starts there and carries the assumption; the
-    certificate derived for the fixpoint is accepted."""
+    certificate derived for the fixpoint is accepted.  For every init, the
+    strongest invariant is the oracle's reachable set."""
     space = sys_.space
     u = space.universe()
     t = system_choice(sys_)
@@ -103,12 +97,11 @@ def check_system(sys_: EventSystem) -> int:
                 step = apply(t, p | q) & grd(Rel(g), u) & apply(Rel(g), q)
                 assert ensures_wf(sys_, g, p, q).holds == (p - q).is_subset(step), g.name
 
-    def wf_step(b: StateSet, x: StateSet) -> StateSet:
-        for g in sys_.events:
-            b = b | _fair_loop(sys_, t, g, x, x)
-        return b
-
-    reference = {"mp": lambda b, x: b | (enabled & apply(t, x)), "wf": wf_step}
+    for init in subsets:
+        si = EventSystem(space, sys_.events, init).strongest_invariant()
+        assert si == oracle_reachable(sys_, init), init.mask
+    reference = {"mp": lambda b, x: b | (enabled & apply(t, x)),
+                 "wf": lambda b, x: b | wf_step(sys_, x)}
     compared = 0
     for b in subsets:
         verdicts = {"mp": leadsto_mp(sys_, u, b), "wf": leadsto_wf(sys_, u, b)}
@@ -131,3 +124,18 @@ def check_system(sys_: EventSystem) -> int:
         cert = derive_certificate_wf(sys_, wf.fixpoint, b, wf.trace, wf.fair_deltas)
         assert check_certificate(sys_, cert, (wf.fixpoint, b), "wf")
     return compared
+
+
+if __name__ == "__main__":
+    counted = compared = 0
+    for space, family in systems(THREE_STATES, (2,)):
+        counted += 1
+        compared += check_system(build(space, family))
+    print(f"small scope, 3 states, 2 events: {counted} systems, {compared} comparisons")
+    # 512 relations, so 512 * 513 / 2 = 131 328 families; a transposition of
+    # two states fixes 2**5 relations and 32 * 33 / 2 + (512 - 32) / 2 = 768
+    # families, a 3-cycle 2**3 relations and 8 * 9 / 2 = 36 families, so
+    # (131 328 + 3 * 768 + 2 * 36) / 6 = 22 284 up to renaming (Burnside's
+    # lemma); 22 180 of them have no disabled event
+    assert counted == 22284
+    assert compared == 22284 * 8 * 3 * 2  # each b, each state, under mp and wf

@@ -32,8 +32,8 @@ from fixleads import (
     wf_step,
 )
 from fixleads.certificates import Basic, Disj, Trans, _leaf_ok
-from fixleads.transformers import fair_loop_liberal
-from fixleads.wf import fair_loop, fair_loop_termination
+from fixleads.transformers import fair_loop_liberal, fair_loop_termination
+from fixleads.wf import fair_loop
 
 from conftest import (
     level_set,

@@ -481,7 +481,7 @@ def _deep_document(depth):
 
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
                                   "deep-nesting", "check-directory", "binary-model",
-                                  "deep-model"])
+                                  "deep-model", "huge-literal", "huge-value", "huge-operand"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     argv = ["check-cert", _path("mono3.evt"), str(bad)]
@@ -501,14 +501,24 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
                        "event e when x >= 0 then skip\n"
                        "property p : leadsto {true} {true} under mp\n")
         argv = ["check", str(bad)]
+    elif case == "huge-literal":  # more digits than Python's int() reads by default
+        bad.write_text(f"system s\nvar x : 0 .. 1\nevent e when x < {'1' * 5000} then skip\n")
+        argv = ["check", str(bad)]
+    elif case in ("huge-value", "huge-operand"):  # values with more digits than repr() prints
+        event = "then x := x * 10" if case == "huge-value" else "when x * 10 + true > 0 then skip"
+        bad.write_text(f"system s\nvar x : {'9' * 4300} .. {'9' * 4300}\nevent e {event}\n")
+        argv = ["check", str(bad)]
     else:
         bad.write_bytes(b"\xff\xfe\x00")
         argv = ["check", str(bad)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     # each hand-written document fails where it was written to fail
-    cause = {"parts-number": "SDR parts must be a list", "deep-nesting": "nested too deeply"}
+    cause = {"parts-number": "SDR parts must be a list", "deep-nesting": "nested too deeply",
+             "huge-literal": "3:18: integer literal of 5000 digits is too long",
+             "huge-value": "assigns x := an integer too long to print, outside its domain",
+             "huge-operand": "'+' needs integers, got an integer too long to print, True"}
     assert cause.get(case, "") in err
 
 

@@ -211,28 +211,37 @@ def test_lfp_prefix_containment(b):
         assert step.is_subset(fix)
 
 
-def _imports_transformers(node) -> bool:
-    """An import of ``transformers``, or a tuple of module names that holds
-    it, as the package's lazy registration of its submodules does."""
-    if isinstance(node, ast.Tuple):
-        return any(isinstance(e, ast.Constant) and e.value == "transformers" for e in node.elts)
-    if isinstance(node, ast.Import):
-        return any(alias.name == "fixleads.transformers" for alias in node.names)
-    if not isinstance(node, ast.ImportFrom):
-        return False
-    package = (node.level, node.module) in ((1, None), (0, "fixleads"))
-    return (node.level, node.module) in ((1, "transformers"), (0, "fixleads.transformers")) or (
-        package and any(alias.name == "transformers" for alias in node.names))
+def _named_modules(path) -> set:
+    """The modules that the file at ``path`` imports, as names relative to
+    the package, and the strings in its tuples, as the package's lazy
+    registration of its submodules names them."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple):
+            named.update(e.value for e in node.elts if isinstance(e, ast.Constant))
+        elif isinstance(node, ast.Import):
+            named.update(alias.name.removeprefix("fixleads.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fixleads")):
+            module = (node.module or "").removeprefix("fixleads").lstrip(".")
+            named.update([module] if module else [alias.name for alias in node.names])
+    return named
 
 
 def test_no_module_but_the_package_imports_the_reference_semantics():
-    importers = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(fixleads.__file__), "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        if any(_imports_transformers(node) for node in ast.walk(tree)):
-            importers.append(os.path.basename(path))
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(fixleads.__file__), "*.py")))
+    importers = [os.path.basename(p) for p in paths if "transformers" in _named_modules(p)]
     assert importers == ["__init__.py"]
+
+
+def test_the_reference_semantics_imports_no_engine():
+    named = _named_modules(transformers.__file__)
+    assert named >= {"events", "states"}
+    assert not named & {"mp", "wf", "oracle", "certificates", "dsl", "cli"}
+    # the fair loop's termination set is the reference's alone
+    assert fixleads.fair_loop_termination is transformers.fair_loop_termination
+    assert not hasattr(fixleads.wf, "fair_loop_termination")
 
 
 @pytest.mark.parametrize("name", ["lfp", "gfp", "IterateTrace", "FixpointError"])

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fixleads import wf
 from fixleads.mp import leadsto_mp
 from fixleads.verdicts import SelfCheckDefect
-from fixleads.transformers import fair_loop_liberal, wf_step
+from fixleads.transformers import fair_loop_liberal, fair_loop_termination, wf_step
 from fixleads.wf import (
     ensures_wf,
     fair_loop,
-    fair_loop_termination,
     leadsto_wf,
     leadsto_wf_si,
     rule_wf_to_mp,
@@ -150,15 +149,6 @@ def test_fair_loop_guard_law(seed):
 def test_fair_loop_liberal_below_termination(seed):
     sys_, q, g, r = _sys_q_g_r(seed, with_universe_r=False)
     assert fair_loop_liberal(sys_, q, g, r).is_subset(fair_loop_termination(sys_, q, g))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_fair_loop_pairing(seed):
-    sys_, q, g, r = _sys_q_g_r(seed)
-    lhs = fair_loop(sys_, q, g, r)
-    rhs = fair_loop_liberal(sys_, q, g, r) & fair_loop_termination(sys_, q, g)
-    assert lhs.mask == rhs.mask
 
 
 @settings(max_examples=100, deadline=None)
