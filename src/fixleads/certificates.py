@@ -13,7 +13,7 @@ from collections.abc import Callable
 from .events import EventSystem, IterateTrace, ModelError
 from .mp import ensures_mp
 from .records import Frozen, setfield
-from .states import SpaceError, StateRows, StateSet, StateSpace
+from .states import SpaceError, StateSet, StateSpace, set_table
 from .wf import ensures_wf
 
 SCHEMA_VERSION = 3  # one interned set table of row lists and delta entries
@@ -178,86 +178,32 @@ def derive_certificate_wf(
 
 # --- JSON round trip -------------------------------------------------------
 #
-# A document stores each distinct set once, in ``sets``; ``claimed`` and the
-# tree's ``p``/``q`` fields are indices into it.  A row lists one state's
-# values in ``vars`` order, and rows follow state-index order.  Sets are
-# numbered by size, smallest first, and sets of one size in first-use order
-# (a, b, then the tree in pre-order), so the output is deterministic.  A set
-# that contains an earlier non-empty set is written as the largest such set,
-# ``{"base": i, "rows": [...]}``, plus the rows of its other states; any
-# other set as its rows.  Each layer of a chain contains the layer below it,
-# which is smaller, so it costs at most its new rows.
+# A document stores each distinct set once, in ``sets``, as
+# ``states.set_table`` writes it; ``claimed`` and the tree's ``p``/``q``
+# fields are indices into it.  A row lists one state's values in ``vars``
+# order, and rows follow state-index order.  Sets are met a, b, then the tree
+# in pre-order.  Each layer of a chain contains the layer below it, which is
+# smaller, so it costs at most its new rows.
 
 
 def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
-    """The schema-3 document for ``cert`` proving ``claimed = (a, b)``; each
-    entry of ``sets`` is a :class:`StateRows`, written as its rows, or a delta
-    entry whose ``rows`` is one."""
+    """The schema-3 document for ``cert`` proving ``claimed = (a, b)``."""
     a, b = claimed
-    space = a.space
-    first: dict[int, int] = {}  # mask -> first-use rank
-    for s in _sets_in_use_order(cert, a, b):
-        first.setdefault(s.mask, len(first))
-    masks = sorted(first, key=lambda m: (m.bit_count(), first[m]))
-    index = {m: i for i, m in enumerate(masks)}
-    sets: list[StateRows | dict] = []
-    for i, m in enumerate(masks):
-        base = _largest_subset(masks, i)
-        if base is None:
-            sets.append(StateRows(space, m))
-        else:
-            sets.append({"base": base, "rows": StateRows(space, m & ~masks[base])})
 
     def node(c: Certificate) -> dict:
         if isinstance(c, Basic):
-            out = {"rule": "SBR", "p": index[c.p.mask], "q": index[c.q.mask],
-                   "assumption": c.assumption}
+            out = {"rule": "SBR", "p": c.p, "q": c.q, "assumption": c.assumption}
             if c.helpful is not None:
                 out["helpful"] = c.helpful
             return out
         if isinstance(c, Trans):
             return {"rule": "STR", "left": node(c.left), "right": node(c.right)}
         if isinstance(c, Disj):
-            return {"rule": "SDR", "q": index[c.q.mask], "parts": [node(p) for p in c.parts]}
+            return {"rule": "SDR", "q": c.q, "parts": [node(p) for p in c.parts]}
         raise TypeError(f"bad certificate node {c!r}")
 
-    return {
-        "schema": SCHEMA_VERSION,
-        "vars": [v.name for v in space.vars],
-        "sets": sets,
-        "claimed": {"a": index[a.mask], "b": index[b.mask]},
-        "certificate": node(cert),
-    }
-
-
-def _sets_in_use_order(cert: Certificate, a: StateSet, b: StateSet) -> list[StateSet]:
-    out = [a, b]
-    stack = [cert]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Basic):
-            out += (c.p, c.q)
-        elif isinstance(c, Trans):
-            stack += (c.right, c.left)
-        elif isinstance(c, Disj):
-            out.append(c.q)
-            stack += reversed(c.parts)
-        else:
-            raise TypeError(f"bad certificate node {c!r}")
-    return out
-
-
-def _largest_subset(masks: list[int], i: int) -> int | None:
-    """The index of the largest non-empty set before ``masks[i]`` inside it,
-    the latest of equal size; ``masks`` is sorted by size, and sets of
-    ``masks[i]``'s size are not inside it."""
-    outside = ~masks[i]
-    for j in range(i - 1, -1, -1):
-        if not masks[j]:
-            return None  # only the empty set is left
-        if not masks[j] & outside:
-            return j
-    return None
+    sets, doc = set_table({"claimed": {"a": a, "b": b}, "certificate": node(cert)})
+    return {"schema": SCHEMA_VERSION, "vars": [v.name for v in a.space.vars], "sets": sets, **doc}
 
 
 def cert_from_json(
@@ -274,18 +220,7 @@ def cert_from_json(
     if type(schema) is not int or schema not in READ_SCHEMAS:
         hint = f"; re-run explain to write schema {SCHEMA_VERSION}" if schema == 1 else ""
         raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
-    names = [v.name for v in space.vars]
-    if data.get("vars") != names:
-        raise CertificateError(f"vars {data.get('vars')!r} are not the model's {names!r}")
-    table = data.get("sets")
-    if not isinstance(table, list):
-        raise CertificateError("sets must be a list")
-    sets: list[StateSet] = []
-    for entry in table:
-        if isinstance(entry, dict):
-            sets.append(_decode_delta(space, entry, sets))
-        else:
-            sets.append(_decode_set(space, entry))
+    sets = sets_from_json(space, data)
 
     def ref(value) -> StateSet:
         # bool is an int subclass, and a negative index would wrap around
@@ -315,6 +250,23 @@ def cert_from_json(
     if not isinstance(claimed, dict):
         raise CertificateError("claimed must be an object")
     return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
+
+
+def sets_from_json(space: StateSpace, data: dict) -> list[StateSet]:
+    """The ``sets`` table of a document of ``space``'s ``vars``, decoded."""
+    names = [v.name for v in space.vars]
+    if data.get("vars") != names:
+        raise CertificateError(f"vars {data.get('vars')!r} are not the model's {names!r}")
+    table = data.get("sets")
+    if not isinstance(table, list):
+        raise CertificateError("sets must be a list")
+    sets: list[StateSet] = []
+    for entry in table:
+        if isinstance(entry, dict):
+            sets.append(_decode_delta(space, entry, sets))
+        else:
+            sets.append(_decode_set(space, entry))
+    return sets
 
 
 def _decode_delta(space: StateSpace, entry: dict, earlier: list[StateSet]) -> StateSet:

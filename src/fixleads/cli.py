@@ -16,7 +16,7 @@ import time
 from . import __version__, certificates, mp, oracle, wf
 from .dsl import DslError, Elaborated, Property, load_file
 from .records import Frozen, setfield
-from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line
+from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line, set_table
 from .verdicts import SelfCheckDefect, Verdict
 
 EXIT_OK = 0
@@ -24,7 +24,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFECT = 3
 
-REPORT_SCHEMA = 3  # check --json; iterate traces as per-step deltas
+REPORT_SCHEMA = 4  # check --json; every set an index into one set table
 SI_SCHEMA = 1  # si --json, versioned apart from the check report
 
 
@@ -180,6 +180,8 @@ def cmd_check(args) -> int:
         all_hold = all_hold and verdict.holds
     graphs.clear()  # free the search graphs before the report is written
     if args.json:
+        sets, entries = set_table(report.pop("properties"))
+        report.update(vars=[v.name for v in elab.system.space.vars], sets=sets, properties=entries)
         _write_json(report, sys.stdout)
     else:
         print(f"system {report['system']} ({len(report['properties'])} properties)")
@@ -265,7 +267,10 @@ def cmd_check_cert(args) -> int:
     system = payload.get("system")
     if system != elab.system.name:
         raise UsageError(f"{args.cert}: certificate for system {system!r}, not {elab.system.name!r}")
-    prop = _find_property(elab, payload.get("property"))
+    name = payload.get("property")
+    if not isinstance(name, str):
+        raise UsageError(f"{args.cert}: malformed certificate file (property {name!r} is not a string)")
+    prop = _find_property(elab, name)
     claim = resolve(elab, prop)
     try:
         cert, claimed = certificates.cert_from_json(elab.system.space, payload)

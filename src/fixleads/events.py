@@ -49,18 +49,9 @@ class IterateTrace(Frozen):
         return self.steps[-1]
 
     def to_json(self) -> dict:
-        """``delta[k]`` lists ``steps[k] ^ steps[k+1]``: the states that join
-        (least) or leave (greatest) at step ``k``, because ``_iterate`` only
-        accepts monotone chains.  ``steps[k+1] = steps[k] ^ delta[k]`` rebuilds
-        the chain from ``steps[0]``, ``∅`` or the universe.  Each delta is a
-        :class:`StateSet`, written as its ``to_json()`` list."""
-        space = self.steps[0].space
-        return {
-            "kind": self.kind,
-            "delta": [
-                StateSet(space, lo.mask ^ hi.mask) for lo, hi in zip(self.steps, self.steps[1:])
-            ],
-        }
+        """Every iterate, as a :class:`StateSet`; a report's set table
+        (``states.set_table``) writes each one once, on the next smaller one."""
+        return {"kind": self.kind, "steps": list(self.steps)}
 
 
 def lfp(f: Callable[[StateSet], StateSet], space) -> tuple[StateSet, IterateTrace]:

@@ -451,8 +451,8 @@ def json_line(obj) -> str:
     ``to_json()`` list, with no indentation: dicts and lists are walked here,
     strings and ints are written as ``json.dumps`` writes them, every other
     value goes through it, and a set joins its members' text, which its
-    space builds once per state.  This writes the ``to_json()`` documents of
-    verdicts, traces and certificates, whose sets stay :class:`StateSet`."""
+    space builds once per state.  This writes every document: the set tables
+    of reports and certificates (:func:`set_table`) and ``si --json``'s set."""
     kind = type(obj)
     if kind is str:
         return _quoted(obj)
@@ -470,6 +470,52 @@ def json_line(obj) -> str:
 def _key(key) -> str:
     # json.dumps writes a non-string key (a number, a bool, None) as its text
     return _quoted(key if isinstance(key, str) else json.dumps(key))
+
+
+def set_table(doc) -> tuple[list, object]:
+    """The table that stores each distinct :class:`StateSet` of ``doc`` once,
+    and ``doc`` with every set replaced by its index into it: the ``sets`` of
+    reports and certificates.  Sets are met in document order (dict values in
+    insertion order, list items in order) and numbered by size, then by first use.
+    A set that contains an earlier non-empty set is written as the largest
+    such set, ``{"base": i, "rows": StateRows}``, plus its other states; any
+    other set as a :class:`StateRows`.  A chain's iterate contains the one
+    before it, which is smaller, so each costs only its new rows."""
+    first: dict[int, StateSet] = {}  # mask -> a set of it, in first-use order
+    _mapped(doc, lambda s: first.setdefault(s.mask, s))
+    rank = {m: k for k, m in enumerate(first)}
+    masks = sorted(first, key=lambda m: (m.bit_count(), rank[m]))
+    table: list = []
+    for i, m in enumerate(masks):
+        space, base = first[m].space, _largest_subset(masks, i)
+        table.append(StateRows(space, m) if base is None
+                     else {"base": base, "rows": StateRows(space, m & ~masks[base])})
+    index = {m: i for i, m in enumerate(masks)}
+    return table, _mapped(doc, lambda s: index[s.mask])
+
+
+def _mapped(doc, fn: Callable[[StateSet], object]):
+    # doc rebuilt with fn(s) for each set s, called in document order
+    if isinstance(doc, StateSet):
+        return fn(doc)
+    if isinstance(doc, dict):
+        return {k: _mapped(v, fn) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_mapped(v, fn) for v in doc]
+    return doc
+
+
+def _largest_subset(masks: list[int], i: int) -> int | None:
+    """The index of the largest non-empty set before ``masks[i]`` inside it,
+    the latest of equal size; ``masks`` is sorted by size, and sets of
+    ``masks[i]``'s size are not inside it."""
+    outside = ~masks[i]
+    for j in range(i - 1, -1, -1):
+        if not masks[j]:
+            return None  # only the empty set is left
+        if not masks[j] & outside:
+            return j
+    return None
 
 
 def eval_pred(space: StateSpace, pred: Expr) -> StateSet:

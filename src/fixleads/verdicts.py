@@ -29,7 +29,7 @@ class Verdict(Record):
 
     def to_json(self) -> dict:
         """The report entry, with every set still a :class:`StateSet`, which
-        ``states.json_line`` writes as its ``to_json()`` list."""
+        the report's set table (``states.set_table``) turns into an index."""
         out = {"holds": self.holds, "relation": self.relation}
         if self.trace is not None:
             out["fixpoint"] = self.fixpoint

@@ -15,6 +15,8 @@ from fixleads.cli import main
 from fixleads.events import Event
 from fixleads.verdicts import Verdict
 
+from schema3 import schema3, schema3_digest
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
 SCHEMA2 = os.path.join(DATA, "golden-schema2")  # certificates as schema 2 wrote them
@@ -58,8 +60,10 @@ def test_check_json_report(capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1  # one line of JSON
     report = json.loads(out)
-    assert report["schema"] == 3
-    assert report["system"] == "mono3"
+    assert report["schema"] == 4
+    assert report["system"] == "mono3" and report["vars"] == ["x"]
+    # each distinct set once: ∅, {2}, then {1, 2} and {0, 1, 2} on the one below
+    assert report["sets"] == [[], [[2]], {"base": 1, "rows": [[1]]}, {"base": 2, "rows": [[0]]}]
     names = [p["name"] for p in report["properties"]]
     assert names == ["climb", "climb_by_variant"]
     for entry in report["properties"]:
@@ -257,7 +261,7 @@ def test_failing_variant_rule_is_a_fail_not_a_defect(tmp_path, capsys, model, ho
 
 def _text_of_report(report):
     """What text-mode ``check`` printed while it built the report in both
-    modes: the former printer, run over the ``--json`` report."""
+    modes: the former printer, run over the ``--json`` report's schema-3 form."""
     lines = [f"system {report['system']} ({len(report['properties'])} properties)"]
     for entry in report["properties"]:
         mark = "PASS" if entry["verdict"]["holds"] else "FAIL"
@@ -293,7 +297,7 @@ def test_text_check_prints_the_report_without_building_it(tmp_path, model, flags
         code, text, err = _captured(argv)
     json_code, out, json_err = _captured(argv + ["--json"])
     assert (code, err) == (json_code, json_err)
-    assert text == _text_of_report(json.loads(out))
+    assert text == _text_of_report(schema3(json.loads(out), load_file(str(path)).system.space))
 
 
 def _counted(monkeypatch, name):
@@ -325,11 +329,12 @@ def test_oracle_searches_once_per_distinct_claim(tmp_path, monkeypatch, model):
     searches = _counted(monkeypatch, "oracle_mp")
     validations = _counted(monkeypatch, "validate_counterexample")
     code, out, _ = _captured(["check", str(src), "--oracle", "--json"])
+    space = load_file(str(src)).system.space
     with open(os.path.join(GOLDEN, model, "check.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)["properties"][0]  # climb
+        golden = schema3(json.load(fh), space)["properties"][0]  # climb
     questions = [(a.mask, b.mask) for _, a, b in searches]
     assert len(questions) == len(set(questions)) == {"mono3": 2, "cycle3": 1}[model]
-    entries = json.loads(out)["properties"]
+    entries = schema3(json.loads(out), space)["properties"]  # sets by value, not by index
     assert code == (0 if all(e["verdict"]["holds"] for e in entries) else 1)
     # every failing verdict's counterexample is still validated
     failing = sum("counterexample" in e for e in entries)
@@ -374,8 +379,8 @@ def test_using_rule_honours_si(tmp_path, capsys, tail):
     assert main(["check", str(src), "--oracle"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert main(["check", str(src), "--oracle", "--json"]) == 0
-    verdict = json.loads(capsys.readouterr().out)["properties"][0]["verdict"]
-    assert verdict["details"]["si"] == [{"x": 1}, {"x": 2}]
+    report = schema3(json.loads(capsys.readouterr().out), load_file(str(src)).system.space)
+    assert report["properties"][0]["verdict"]["details"]["si"] == [{"x": 1}, {"x": 2}]
     cert = tmp_path / "p.cert.json"
     assert main(["explain", str(src), prop, "--out", str(cert)]) == 0
     assert main(["check-cert", str(src), str(cert)]) == 0
@@ -481,7 +486,8 @@ def _deep_document(depth):
 
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
                                   "deep-nesting", "check-directory", "binary-model",
-                                  "deep-model", "huge-literal", "huge-value", "huge-operand"])
+                                  "deep-model", "huge-literal", "huge-value", "huge-operand",
+                                  "report"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     argv = ["check-cert", _path("mono3.evt"), str(bad)]
@@ -495,6 +501,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         bad.write_text(_deep_document(5000))
     elif case == "check-directory":
         argv = ["check", str(tmp_path)]
+    elif case == "report":  # a check --json report of the same system, given as a certificate
+        bad.write_text(_captured(["check", _path("mono3.evt"), "--json"])[1])
     elif case == "deep-model":
         init = "(" * 3000 + "x = 0" + ")" * 3000
         bad.write_text(f"system s\nvar x : 0 .. 1\ninit {init}\n"
@@ -516,6 +524,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     # each hand-written document fails where it was written to fail
     cause = {"parts-number": "SDR parts must be a list", "deep-nesting": "nested too deeply",
+             "report": "malformed certificate file (property None is not a string)",
              "huge-literal": "3:18: integer literal of 5000 digits is too long",
              "huge-value": "assigns x := an integer too long to print, outside its domain",
              "huge-operand": "'+' needs integers, got an integer too long to print, True"}
@@ -715,6 +724,54 @@ def test_golden_outputs(tmp_path, model):
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
             expected[name] = fh.read()
     assert golden_outputs(_path(model + ".evt"), str(tmp_path)) == expected
+
+
+# sha256 of each golden report as schema 3 wrote it, before schema 4 stored
+# each distinct set once: the schema-3 form rebuilt from each schema-4 golden
+# must come out byte for byte.
+GOLDEN_SCHEMA3 = {
+    "cycle3/check-assume-mp.json": "0c823a4c2f17df1c1d0a970f925e23a6a1621dbc76a6c5b5472d6f7e17162a43",
+    "cycle3/check-assume-wf.json": "b06e198c817826af0298770057491396de50eeef47affc5651ce1ce239a8f1e2",
+    "cycle3/check-si.json": "4555abf8bedd72aae48e389666e3366b4864b746a53eb80c6c10eb428e4d080e",
+    "cycle3/check.json": "0c823a4c2f17df1c1d0a970f925e23a6a1621dbc76a6c5b5472d6f7e17162a43",
+    "idle/check-assume-mp.json": "9acd42c5cd10700094a8ca865b340a1e609b6183c386a246fba6aa53bc22263e",
+    "idle/check-assume-wf.json": "30f98ea272d1b712346696934df22d4c1720b2b7e98a042806acf481c12ed4d8",
+    "idle/check-si.json": "e2bf4f20ea05657118ed93899fa399d41837697d44a7efb86aa06fa32da297f2",
+    "idle/check.json": "30f98ea272d1b712346696934df22d4c1720b2b7e98a042806acf481c12ed4d8",
+    "ladder3/check-assume-mp.json": "3b4bf966e2cac60847570812c42702552148d1fcf0a9bc8fd7564dc40187fa00",
+    "ladder3/check-assume-wf.json": "2cde0a0d5a80636027a6cab0b824001f9c2ac609827f1bca89266cdd847409e6",
+    "ladder3/check-si.json": "657edc46cfccafb8d8cf57152868597e29b50308761d6c3dd113a7cecd1a37fa",
+    "ladder3/check.json": "2cde0a0d5a80636027a6cab0b824001f9c2ac609827f1bca89266cdd847409e6",
+    "mono3/check-assume-mp.json": "68762851bdbf5709e0538bc842e9525479d941ec6930413ecd2986aa40b4df31",
+    "mono3/check-assume-wf.json": "ad9a62bdbcf0ddd8aabf241e36af1d61a712535615032d70a0de7f3f8ac3e4bc",
+    "mono3/check-si.json": "d1838050566f281e4d2964a279bc7bbd110ca11b11a429c6013083b2c16a4ad3",
+    "mono3/check.json": "68762851bdbf5709e0538bc842e9525479d941ec6930413ecd2986aa40b4df31",
+    "ring3/check-assume-mp.json": "a13249dbafa18adbb75a3bd32d8c349e095a7cd62c6a051fb2eef833dd6dc43e",
+    "ring3/check-assume-wf.json": "d9afdc06d9bb21a32ffc662b964c6fb127de6152b4b2d1e06eab1d6fd477c6a9",
+    "ring3/check-si.json": "7d5297daf740c6e724ca2127d39dbac6bff8f16c9d380b913a7d99beb55cf12e",
+    "ring3/check.json": "09e154cdac65a97e0e6fbdc40b69b4545373de3de5793a4107a20eafd836526a",
+    "starve3/check-assume-mp.json": "21173685e3aa4b04511511db90140c629d9709e174372287689723f6558ac8ed",
+    "starve3/check-assume-wf.json": "17e0a452c7704606828e426500d529b230631eb9db5e9f7f497877f10eb138c7",
+    "starve3/check-si.json": "37e27696fd9aab505854985bd73c9540d628b983315f0e6bc45fca6fc524382e",
+    "starve3/check.json": "6685a42cc342486db07176c217a97604538ebd0deb50b3d6de2575473f1b51b9",
+    "triangle3/check-assume-mp.json": "5e7184dcfa07ccf4b460d1656d16c5e3ceee990064d356c2a74fe7d952caf937",
+    "triangle3/check-assume-wf.json": "9df6b00d670d95abe2732cf623d25789cd8b4ea238a5f1d9685e6b320e7d9dd5",
+    "triangle3/check-si.json": "7be26f206e10e7d5b78333696ff40cfd361d67bb01658399b6f7963f0c242aef",
+    "triangle3/check.json": "a7618fd642615ddcb7f0d02707dbc7884bfecce53afee6c1b1361fdf38caa557",
+    "twodown/check-assume-mp.json": "388e808150be30e2f3ae2b8b74570f8a18aaf6f804453684454dbfd57da7237d",
+    "twodown/check-assume-wf.json": "6f3098f9d77b0b38d8119f7a54cf4ec81d445472a1116350adf8abe81feec0c4",
+    "twodown/check-si.json": "b29a85c23dc12a5d280f5fe7fb32e0e0d9c05555aaa6f3d93ce7875c9cea09a7",
+    "twodown/check.json": "6f3098f9d77b0b38d8119f7a54cf4ec81d445472a1116350adf8abe81feec0c4",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_golden_reports_rebuild_their_schema3_bytes(model):
+    space = load_file(_path(model + ".evt")).system.space
+    for way in CHECK_WAYS:
+        with open(os.path.join(GOLDEN, model, way + ".json"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert schema3_digest(text, space) == GOLDEN_SCHEMA3[f"{model}/{way}.json"], way
 
 
 SCHEMA2_FILES = sorted(

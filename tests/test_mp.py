@@ -10,6 +10,7 @@ from fixleads.mp import (
     mp_step,
     rule_mp_variant,
 )
+from fixleads.transformers import apply, grd, system_choice
 
 from conftest import (
     assert_matches_restricted,
@@ -125,12 +126,19 @@ def test_leadsto_mp_transitive_and_disjunctive(seed):
         assert leadsto_mp(sys_, a | c, b).holds
 
 
+def _term_mp_step(sys_, x):
+    """The mp step from the term algebra alone, not the engine's ``mp_step``:
+    the states where some event is enabled and every event leads into ``x``."""
+    t = system_choice(sys_)
+    return grd(t, sys_.space.universe()) & apply(t, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_leadsto_mp_si_is_the_restricted_fixpoint(seed):
     rng = random.Random(seed)
     sys_ = random_system(rng, max_states=8)
     a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
-    reference = restricted_leadsto(sys_, a, b, mp_step)
+    reference = restricted_leadsto(sys_, a, b, _term_mp_step)
     assert_matches_restricted(si_verdict(sys_, a, b, "mp"), reference)
     assert_matches_restricted(leadsto_mp_si(sys_, a, b), reference)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import fixleads
 from fixleads import events, json_line, transformers
-from fixleads.states import StateSet
+from fixleads.certificates import sets_from_json
+from fixleads.states import StateSet, set_table
 from fixleads.transformers import (
     Choice,
     Dovetail,
@@ -103,16 +104,6 @@ def test_nonmonotone_function_detected():
         gfp(lambda x: x.complement(), SP)
 
 
-def _rebuild(space, data):
-    """Full iterates from a trace's JSON form: steps[k+1] = steps[k] ^ delta[k]."""
-    step = space.empty() if data["kind"] == "least" else space.universe()
-    steps = [step]
-    for joined in data["delta"]:
-        step = StateSet(space, step.mask ^ space.from_indices(map(space.index_of, joined)).mask)
-        steps.append(step)
-    return steps
-
-
 def test_trace_shape():
     fix, trace = lfp(lambda x: x | s(1) | StateSet(SP, (x.mask << 1) & SP.full_mask), SP)
     assert trace.steps[0].is_empty()
@@ -120,10 +111,16 @@ def test_trace_shape():
     for a, b in zip(trace.steps, trace.steps[1:]):
         assert a.is_subset(b)
     _, down = gfp(lambda x: x & StateSet(SP, x.mask >> 1), SP)
+    vars_ = [v.name for v in SP.vars]
     for t in (trace, down):
-        data = json.loads(json_line(t.to_json()))  # the trace as a report carries it
-        assert data["delta"][-1] == []
-        assert [x.mask for x in _rebuild(SP, data)] == [x.mask for x in t.steps]
+        # the trace as a report carries it: every iterate an index into the set table
+        table, data = set_table(t.to_json())
+        sets = sets_from_json(SP, {"vars": vars_, "sets": json.loads(json_line(table))})
+        assert data["kind"] == t.kind and data["steps"][-1] == data["steps"][-2]
+        assert [sets[i].mask for i in data["steps"]] == [x.mask for x in t.steps]
+        # each iterate past the smallest is its neighbour towards it plus its new rows
+        chain = sorted(set(data["steps"]))
+        assert [table[i]["base"] for i in chain[2:]] == chain[1:-1]
 
 
 # --- randomized algebra laws ----------------------------------------------

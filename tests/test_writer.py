@@ -1,14 +1,16 @@
 """The one-line JSON writer against ``json.dumps``: the CLI writes every
 document with ``fixleads.json_line``, which joins each state set from per-state
 text, and the bytes must be those of ``json.dumps`` of the plain form, where
-each set is its reference ``to_json()`` list (rows for a ``StateRows``)."""
+each set is its reference ``to_json()`` list (rows for a ``StateRows``).  The
+set table that reports and certificates share decodes to the sets it replaced."""
 import json
 
 from hypothesis import given, settings, strategies as st
 
 from fixleads import StateSet, StateSpace, VarDecl, json_line
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
-from fixleads.states import StateRows
+from fixleads.certificates import sets_from_json
+from fixleads.states import StateRows, set_table
 
 from conftest import raw_states
 
@@ -95,3 +97,36 @@ def test_each_state_text_is_its_json_dumps(space):
         if space.full_mask >> i & 1:
             assert space.state_texts[i] == json.dumps(space.state_of(i))
             assert space.row_texts[i] == json.dumps(list(row))
+
+
+def _pairs(doc, mapped):
+    """Each set of ``doc`` with what stands at its place in ``mapped``."""
+    if isinstance(doc, StateSet):
+        yield doc, mapped
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _pairs(value, mapped[key])
+    elif isinstance(doc, (list, tuple)):
+        for value, got in zip(doc, mapped, strict=True):
+            yield from _pairs(value, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_set_table_stores_each_distinct_set_once_and_loses_none(doc):
+    table, mapped = set_table(doc)
+    pairs = list(_pairs(doc, mapped))
+    if not pairs:
+        assert table == [] and json_line(mapped) == json_line(doc)
+        return
+    space = pairs[0][0].space
+    names = [v.name for v in space.vars]
+    sets = sets_from_json(space, {"vars": names, "sets": json.loads(json_line(table))})
+    assert all(sets[i].mask == s.mask for s, i in pairs)
+    masks = [s.mask for s in sets]
+    assert len(set(masks)) == len(masks) == len({s.mask for s, _ in pairs})
+    assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+    for i, entry in enumerate(table):  # a delta entry rests on a non-empty earlier subset
+        if isinstance(entry, dict):
+            base = entry["base"]
+            assert base < i and masks[base] and masks[base] & ~masks[i] == 0
