@@ -3,8 +3,9 @@
 A certificate is a tree over three rules: a basic leaf (one ensures step),
 transitivity, and disjunction.  Leaves are re-checked definitionally, so a
 certificate is evidence independent of the fixpoint computation that
-produced it.  Sets are stored explicitly, as rows of variable values, which
-keeps checking bit-exact and independent of any source syntax.
+produced it.  Sets are stored explicitly, each state as its index in the
+model's declarations, which keeps checking bit-exact and independent of any
+source syntax.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from .records import Frozen, setfield
 from .states import SpaceError, StateSet, StateSpace, set_table
 from .wf import ensures_wf
 
-SCHEMA_VERSION = 3  # one interned set table of row lists and delta entries
-READ_SCHEMAS = (2, 3)  # schema 2: the same table without delta entries
+SCHEMA_VERSION = 4  # one interned set table of state indices and delta entries
+READ_SCHEMAS = (2, 3, 4)  # 3: the same table in rows of values; 2: no delta entries
 
 
 class CertificateError(Exception):
@@ -180,14 +181,16 @@ def derive_certificate_wf(
 #
 # A document stores each distinct set once, in ``sets``, as
 # ``states.set_table`` writes it; ``claimed`` and the tree's ``p``/``q``
-# fields are indices into it.  A row lists one state's values in ``vars``
-# order, and rows follow state-index order.  Sets are met a, b, then the tree
-# in pre-order.  Each layer of a chain contains the layer below it, which is
-# smaller, so it costs at most its new rows.
+# fields are indices into it.  A set lists its states' indices, ascending:
+# the mixed-radix index over ``vars``, which the model's declarations fix.
+# Sets are met a, b, then the tree in pre-order.  Each layer of a chain
+# contains the layer below it, which is smaller, so it costs at most its new
+# states.  Schemas 2 and 3 wrote each state as its row of values in ``vars``
+# order, under ``rows`` in a delta entry.
 
 
 def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
-    """The schema-3 document for ``cert`` proving ``claimed = (a, b)``."""
+    """The schema-4 document for ``cert`` proving ``claimed = (a, b)``."""
     a, b = claimed
 
     def node(c: Certificate) -> dict:
@@ -209,8 +212,8 @@ def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
 def cert_from_json(
     space: StateSpace, data: dict
 ) -> tuple[Certificate, tuple[StateSet, StateSet]]:
-    """The certificate and the claim ``(a, b)`` of a schema-2 or schema-3
-    document; a schema-2 ``sets`` table is one without delta entries.
+    """The certificate and the claim ``(a, b)`` of a document of a schema in
+    ``READ_SCHEMAS``; the schema, not an entry's shape, picks its sets' reader.
 
     The document comes from outside the program, so every field is checked;
     any mismatch raises :class:`CertificateError`."""
@@ -220,7 +223,7 @@ def cert_from_json(
     if type(schema) is not int or schema not in READ_SCHEMAS:
         hint = f"; re-run explain to write schema {SCHEMA_VERSION}" if schema == 1 else ""
         raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
-    sets = sets_from_json(space, data)
+    sets = sets_from_json(space, data, rows=schema < 4)
 
     def ref(value) -> StateSet:
         # bool is an int subclass, and a negative index would wrap around
@@ -252,43 +255,44 @@ def cert_from_json(
     return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
 
 
-def sets_from_json(space: StateSpace, data: dict) -> list[StateSet]:
-    """The ``sets`` table of a document of ``space``'s ``vars``, decoded."""
+def sets_from_json(space: StateSpace, data: dict, rows: bool = False) -> list[StateSet]:
+    """The ``sets`` table of a document of ``space``'s ``vars``, decoded: each
+    entry a list of state indices, a delta entry's other states under
+    ``plus``, or with ``rows`` (certificate schemas 2 and 3) a list of rows
+    of values, a delta entry's under ``rows``."""
     names = [v.name for v in space.vars]
     if data.get("vars") != names:
         raise CertificateError(f"vars {data.get('vars')!r} are not the model's {names!r}")
     table = data.get("sets")
     if not isinstance(table, list):
         raise CertificateError("sets must be a list")
+    decode, key = (_from_rows, "rows") if rows else (_from_indices, "plus")
     sets: list[StateSet] = []
-    for entry in table:
+    for i, entry in enumerate(table):
+        base = None
         if isinstance(entry, dict):
-            sets.append(_decode_delta(space, entry, sets))
-        else:
-            sets.append(_decode_set(space, entry))
+            if entry.keys() != {"base", key}:
+                raise CertificateError(f"set {i} is neither a list nor an object of base and {key}")
+            base, entry = entry["base"], entry[key]
+            if type(base) is not int or not 0 <= base < i:
+                raise CertificateError(f"base {base!r} of set {i} is not the index of an earlier set")
+        try:
+            members = decode(space, entry)
+        except SpaceError as e:
+            raise CertificateError(f"set {i}: {e}") from None
+        sets.append(members if base is None else sets[base] | members)
     return sets
 
 
-def _decode_delta(space: StateSpace, entry: dict, earlier: list[StateSet]) -> StateSet:
-    """Set ``len(earlier)``, written as ``{"base": i, "rows": [...]}``: the
-    earlier set ``i`` plus the states of ``rows``."""
-    i = len(earlier)
-    if entry.keys() != {"base", "rows"}:
-        raise CertificateError(f"set {i} is neither a list of rows nor an object of base and rows")
-    base = entry["base"]
-    if type(base) is not int or not 0 <= base < i:
-        raise CertificateError(f"base {base!r} of set {i} is not the index of an earlier set")
-    return earlier[base] | _decode_set(space, entry["rows"])
+def _from_indices(space: StateSpace, members) -> StateSet:
+    # a member must be a JSON integer: bool is an int subclass, and 1.0 == 1
+    if not isinstance(members, list) or not {*map(type, members)} <= {int}:
+        raise SpaceError("not a list of state indices")
+    return space.from_indices(members)
 
 
-def _decode_set(space: StateSpace, rows) -> StateSet:
-    if not isinstance(rows, list):
-        raise CertificateError(f"set {rows!r} is not a list of rows")
+def _from_rows(space: StateSpace, rows) -> StateSet:
     width = len(space.vars)
-    for row in rows:
-        if not isinstance(row, list) or len(row) != width:
-            raise CertificateError(f"row {row!r} does not have {width} values")
-    try:
-        return space.from_rows(rows)
-    except SpaceError as e:
-        raise CertificateError(str(e)) from None
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == width for r in rows):
+        raise SpaceError(f"not a list of rows of {width} values")
+    return space.from_rows(rows)

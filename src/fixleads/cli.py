@@ -24,7 +24,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFECT = 3
 
-REPORT_SCHEMA = 4  # check --json; every set an index into one set table
+REPORT_SCHEMA = 5  # check --json; every set an index into one table of state indices
 SI_SCHEMA = 1  # si --json, versioned apart from the check report
 
 

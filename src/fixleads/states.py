@@ -114,15 +114,14 @@ class StateSpace:
     @cached_property
     def state_texts(self) -> list[str]:
         """The JSON text of each raw state's object, ``json.dumps`` of
-        :meth:`state_of`, by index; built on first use."""
-        return _joined([[f"{json.dumps(v.name)}: {json.dumps(val)}" for val in v.domain]
-                        for v in self.vars], "{", "}")
-
-    @cached_property
-    def row_texts(self) -> list[str]:
-        """The JSON text of each raw state's values as a certificate row,
-        ``json.dumps`` of the list of its values, by index; built on first use."""
-        return _joined([[json.dumps(val) for val in v.domain] for v in self.vars], "[", "]")
+        :meth:`state_of`, by index; built on first use.  Index order puts the
+        first variable fastest, so each variable repeats the table so far
+        once per value."""
+        pieces = [[f"{json.dumps(v.name)}: {json.dumps(val)}" for val in v.domain] for v in self.vars]
+        table = ["{" + p for p in pieces[0]]
+        for values in pieces[1:]:
+            table = [t + p for p in [", " + p for p in values] for t in table]
+        return [t + "}" for t in table]
 
     def partition(self, expr: Expr, care: int | None = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
@@ -252,18 +251,6 @@ class StateSpace:
     def __repr__(self):
         decls = ", ".join(v.name for v in self.vars)
         return f"StateSpace({decls}; {self.size} states)"
-
-
-def _joined(pieces: list[list[str]], open_: str, close: str) -> list[str]:
-    """The text of every raw state, by index: one piece per variable, in
-    declaration order, between ``open_`` and ``close``, where ``pieces[k]``
-    lists variable ``k``'s piece for each domain value.  Index order puts
-    the first variable fastest, so each variable repeats the table so far
-    once per value."""
-    table = [open_ + p for p in pieces[0]]
-    for values in pieces[1:]:
-        table = [t + p for p in [", " + p for p in values] for t in table]
-    return [t + close for t in table]
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as 0 and 1 bytes
@@ -423,41 +410,33 @@ class StateSet(Frozen):
 
     def json_text(self) -> str:
         """``json.dumps(self.to_json())``, joined from each member's text."""
-        return _spliced(self.space.state_texts, self)
+        return "[" + ", ".join(map(self.space.state_texts.__getitem__, self)) + "]"
 
     def __repr__(self):
         return f"StateSet({sorted(self)})"
 
 
-class StateRows(StateSet):
-    """A state set whose JSON form is certificate rows: each state as the list
-    of its values in declaration order."""
+class JsonText(str):
+    """JSON text that :func:`json_line` writes as it stands: a set-table entry."""
 
     __slots__ = ()
-
-    def to_json(self) -> list:
-        return [list(self.space.state_of(i).values()) for i in self]
-
-    def json_text(self) -> str:
-        return _spliced(self.space.row_texts, self)
-
-
-def _spliced(texts: list[str], indices) -> str:
-    return "[" + ", ".join(map(texts.__getitem__, indices)) + "]"
 
 
 def json_line(obj) -> str:
     """``json.dumps(obj)``, where each :class:`StateSet` stands for its
-    ``to_json()`` list, with no indentation: dicts and lists are walked here,
-    strings and ints are written as ``json.dumps`` writes them, every other
-    value goes through it, and a set joins its members' text, which its
-    space builds once per state.  This writes every document: the set tables
-    of reports and certificates (:func:`set_table`) and ``si --json``'s set."""
+    ``to_json()`` list and each :class:`JsonText` for the value it spells,
+    with no indentation: dicts and lists are walked here, strings and ints
+    are written as ``json.dumps`` writes them, every other value goes
+    through it, and a set joins its members' text, which its space builds
+    once per state.  This writes every document: reports, certificates and
+    ``si --json``'s set."""
     kind = type(obj)
     if kind is str:
         return _quoted(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is JsonText:
+        return obj
     if isinstance(obj, dict):
         return "{" + ", ".join([_key(k) + ": " + json_line(v) for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
@@ -478,20 +457,28 @@ def set_table(doc) -> tuple[list, object]:
     reports and certificates.  Sets are met in document order (dict values in
     insertion order, list items in order) and numbered by size, then by first use.
     A set that contains an earlier non-empty set is written as the largest
-    such set, ``{"base": i, "rows": StateRows}``, plus its other states; any
-    other set as a :class:`StateRows`.  A chain's iterate contains the one
-    before it, which is smaller, so each costs only its new rows."""
-    first: dict[int, StateSet] = {}  # mask -> a set of it, in first-use order
-    _mapped(doc, lambda s: first.setdefault(s.mask, s))
-    rank = {m: k for k, m in enumerate(first)}
-    masks = sorted(first, key=lambda m: (m.bit_count(), rank[m]))
+    such set plus its other states, ``{"base": i, "plus": [...]}``; any other
+    set as the list of its states.  A state is written as its index, in
+    ascending order.  A chain's iterate contains the one before it, which is
+    smaller, so each costs only its new states."""
+    first: dict[int, int] = {}  # mask -> its first-use rank, the one hash of it
+    uses: list[int] = []  # each use's first-use rank, in document order
+    _mapped(doc, lambda s: uses.append(first.setdefault(s.mask, len(first))))
+    by_use = list(first)
+    order = sorted(range(len(by_use)), key=lambda k: by_use[k].bit_count())  # stable
+    masks = [by_use[k] for k in order]
+    where = sorted(range(len(order)), key=order.__getitem__)  # rank -> position in masks
     table: list = []
     for i, m in enumerate(masks):
-        space, base = first[m].space, _largest_subset(masks, i)
-        table.append(StateRows(space, m) if base is None
-                     else {"base": base, "rows": StateRows(space, m & ~masks[base])})
-    index = {m: i for i, m in enumerate(masks)}
-    return table, _mapped(doc, lambda s: index[s.mask])
+        base = _largest_subset(masks, i)
+        table.append(_indices(m) if base is None
+                     else {"base": base, "plus": _indices(m & ~masks[base])})
+    index = (where[k] for k in uses)
+    return table, _mapped(doc, lambda s: next(index))
+
+
+def _indices(mask: int) -> JsonText:
+    return JsonText("[" + ", ".join(map(str, bit_positions(mask))) + "]")
 
 
 def _mapped(doc, fn: Callable[[StateSet], object]):

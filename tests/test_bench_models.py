@@ -12,7 +12,7 @@ import pytest
 from fixleads import load_file
 from fixleads.cli import main
 from conftest import perfbench_models
-from schema3 import schema3_digest
+from schema3 import certificate_schema3_digest, schema3_digest
 from test_cli import golden_outputs
 
 
@@ -48,62 +48,61 @@ def test_benchmark_model_verdicts_and_oracle_agreement(tmp_path, name):
 # sha256 of each file that ``test_cli.golden_outputs(..., raw=True)`` collects:
 # the reports as ``check`` wrote them (``time_ms`` set to 0), ``si --json`` and
 # the certificates.  ``si``'s were recorded while every document was still
-# one ``json.dumps`` call, the certificates' when schema 3 replaced schema 2
-# (their text equals ``json.dumps`` of their plain form), and the reports'
-# when report schema 4 moved their sets into one table, which certificates
-# share; ``PINNED_SCHEMA3`` below holds the reports' earlier bytes.  The
-# families' long traces and large set tables, which the small ``tests/data``
-# models lack, must keep those bytes under the per-state text writer.  The
-# oracle's fair lasso is one tour that skips states already on it (starve4's
+# one ``json.dumps`` call, and the reports' and the certificates' when
+# report schema 5 and certificate schema 4 wrote each state of their shared
+# set table as its index; ``PINNED_SCHEMA3`` and ``PINNED_CERT_SCHEMA3``
+# below hold their earlier bytes.  The families' long traces and large set
+# tables, which the small ``tests/data`` models lack, must keep those bytes
+# under the writer.  The oracle's fair lasso is one tour that skips states already on it (starve4's
 # enter_wf cycle has 68 steps, starve5's 172): starve5's pins hold its lassos
 # at a size the N=4 pins do not reach.
 PINNED = {
     "lattice3x9": {
-        "check-assume-mp.json": "88be5b83963bc59254fdbba330395fc55ece759ee02a608ae24a9ebbf0c9887c",
-        "check-assume-wf.json": "a0cb153d75798728ab713d1502cdcf8e15f33f2adae41255e1ef6662923f6d2f",
-        "check-si.json": "e76291cde67c182c174420c44417f1dff26523d3098411823daee4c640253f84",
-        "check.json": "88be5b83963bc59254fdbba330395fc55ece759ee02a608ae24a9ebbf0c9887c",
+        "check-assume-mp.json": "ac9288824fd9aa71ffb84c33b1f6e5530fd2868d94b9a0dbd71e880f0d4e16bb",
+        "check-assume-wf.json": "f12fee14128d718ab4b71cfaf4587509d3f80766cc3917812d5aa5690e2c15fd",
+        "check-si.json": "0d3ab234b0f3660c45f0e82f4d4cdda65f2f5fdcf6f963021c807a8749f21bbd",
+        "check.json": "ac9288824fd9aa71ffb84c33b1f6e5530fd2868d94b9a0dbd71e880f0d4e16bb",
         "exits.json": "bb65b41f771bcb07e6f07c15af0f7f64001af45d2cbdc891e56b9ff3829d2b58",
         "si.json": "0e197f7e0da2fa5cb92ffd2c188a56f027fdf45c22be15c9e371a94dba6c0818",
-        "top.cert.json": "63b913719b2bffed8983fbd260d8ff1870879b73787395a1294ccff67c29f3ba",
-        "top_by_variant.cert.json": "b5cf9a6ea365c5aeed98fbcb9dc079e8848c95618715e93ac27598b0bd4c9658",
-        "top_si.cert.json": "46cce8fe6bde96a2eb7d261af3508e74300dbf167b6ffa95ca41a2d52403d1f4",
+        "top.cert.json": "904968cec372f9daaf94e225c1b34646d86794a3806db0bc5cd58e3a16d7f58f",
+        "top_by_variant.cert.json": "9a8ccac23d1bc5f9804f7c4759c224b18b23b36cb8ce6def3a3597d744b4ddef",
+        "top_si.cert.json": "f928822a6dae015464783389ca12c77470e135c126fbbf595fe999056b51ce81",
     },
     "ring4": {
-        "check-assume-mp.json": "2560dd264b05d50a53648cd6b4237eaf9ece01347b7feb946ba62474039bcf77",
-        "check-assume-wf.json": "ec56a2aceacb43c9a337b711e3e252085550dcb34949bdc828e5b9476ff5e489",
-        "check-si.json": "88444d0f9c9cebb7f5a9704aa0a5decc57ae73db6b52add075133f972d7b0742",
-        "check.json": "0acc5e351869875ace00b48b86fed415bf154a7a70179779b79d2dd474343fd8",
-        "enter_mp.cert.json": "5809110efb0eb554e44ebdb47329ad881df7281660b89f5a19ddac07641501c7",
-        "enter_wf.cert.json": "e62b07ddb3dfcdd11a6ae52e515e1c6b5bd71065103a8ca377bf5b3edd027db1",
-        "enter_wf_si.cert.json": "24552de3acde058f55f8b153437ddb6fc27eb39bad7ab955ac98b8cc429d37da",
+        "check-assume-mp.json": "ac75bce3b0cf8bbce34d99831e976217bd966036752f87b36219e57421fbd091",
+        "check-assume-wf.json": "d7d5a15cd3443b688ceec8fdc5a1ae00baaf2e046f4bf96a71b3149b04e011f5",
+        "check-si.json": "40772cd828ebbd0bf62baaf62de659d3add61bbff3bf37b3983a87ad07d4c26f",
+        "check.json": "ad9c81c5f0b201bb5cd9889ac0bd0bc746af497e8a5f7759a015a6c117f59276",
+        "enter_mp.cert.json": "eeca227c0332827802b248096c5424583337eabd9148f04c03f1e9bd7a69d842",
+        "enter_wf.cert.json": "fe42d1ddd58188835cc0fc3ce5fd739dc7267073ae1425e7760c96a4998ad825",
+        "enter_wf_si.cert.json": "ffc6fc677462425c6a557c4cf6de6739dde6b7c3cebd6c3fcf5440b47ac432b8",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
     "ring5": {
-        "check-assume-mp.json": "4568ff7e6ba19e932d35e4c215798bb52ec79f0bcecf34c4c80f2674a1b48248",
-        "check-assume-wf.json": "a2a5081fe4d0c4e717e130dd94ec45559d47c4224ee45b99b2d9eac080b57ca4",
-        "check-si.json": "4a4e185dc6567ae4a71ad5a72173bf54ba43092b7fa70f458cf14a76f18f33aa",
-        "check.json": "4421372ce8c8d62846a575ce63ee00e64402fba2deafcfdff769ba6ab4fa6e75",
-        "enter_mp.cert.json": "de1a314f10da02cc0c10588e702b895ac45f3ee03828b5e8fada682f03b31dfb",
-        "enter_wf.cert.json": "a5c0fc769c53c0b55c1e1d67ce367202e7dfec5d8574d7938e86b2d035cb3b4a",
-        "enter_wf_si.cert.json": "59fc668f04e49182d72b5acf6ea505998f9e3c0ac7da680c9eee326fabaaca78",
+        "check-assume-mp.json": "ebbd4b5dcb8635d627214ac61443faa679837e8be440bf01c17f73eea6d314b4",
+        "check-assume-wf.json": "ab28997d616b162b7cc7fc242e3ee65f2a422dac412cc999ad3610e61992e8f4",
+        "check-si.json": "840fe528b2e01e20cbce2da50218d51ef3dbb1cd048245a522dde00256bd1d5c",
+        "check.json": "5df02b3f51aceb3eebdfc4734078970b7db042c2d1dd563a93ba7c2999f89d97",
+        "enter_mp.cert.json": "6d2a778c774a536c3bbc683bb2eda59e9b467e95038a5d351ccb0748012f84cb",
+        "enter_wf.cert.json": "f2fe82a8c676c537cb1679f31a5c1eebf318e0ca391965b939959ee6a439c761",
+        "enter_wf_si.cert.json": "2692dc1dfbbefeb68441e74e7acf499b5bfb9b1ac312410a23c244731ad44bfe",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
     "starve4": {
-        "check-assume-mp.json": "3be7c5fcfee5072538e890d1b7d4cd6591600cd0ee94623d0dd36b71de18dfeb",
-        "check-assume-wf.json": "3d3777164fea789d2dfc3168879a1dad4f244ce699ae916d9d4aff32551cd695",
-        "check-si.json": "c2012b9f54f508149350ceabc3c0da15ad1687f85633400f4e7fad5cf5ca6e56",
-        "check.json": "a70f8273d71c13fedaee8a77bc26c4d0b6fd75c9530f4f328ab4b847493da7a2",
+        "check-assume-mp.json": "00ceb6dc6a135f95603ba2ead244ceac9d9f72c046ec0272e62925ea21ff4b87",
+        "check-assume-wf.json": "9e079004fdd1a5a848e08078dcc1edb7d15322dc25a0dd210f3bb1e74be4e3b0",
+        "check-si.json": "58c05d57361a48f9e6180318f8c2bfc06c14bb94367a30bce4f3048ea3c28ea8",
+        "check.json": "d333cc4dc66b5466cfb20f3e3993d47912bfa8eb9b6e202ac4f096b567432a8c",
         "exits.json": "63e3ad0ba6c3850f3ee74a5e932e96c2d77cf857ec7605ecf3b30519caea4719",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
     "starve5": {
-        "check-assume-mp.json": "d29793bccfcdcd1b3ba4e34302e5041b5056adb1998ce2ca068f85ca6a68e888",
-        "check-assume-wf.json": "3949fa8f2ee493feb911e34d45feb3215c351430536069a30321dee4ac9bfa5a",
-        "check-si.json": "580e5c47e6740c4bd9ebbadec0b23e4cb523329476a996502b5ddfff91e0f00c",
-        "check.json": "477245edd84c9873ae6979b3113a9a0d24f4841ff58d5484e4dce629293262db",
+        "check-assume-mp.json": "04d395da452c9678c61812684fa8512b45dccda2bb5b851422dbb4d4bad695d5",
+        "check-assume-wf.json": "e2aedd882f5e461722c41e1790bfccaac274f93f4f335326c6c4c2510c05abd4",
+        "check-si.json": "020835f847934101b3fd2b13b7db0a1be5eff7ce65374d31a8cfb4eb30cdedd7",
+        "check.json": "bffa9183ec99ca565c4c597141bb07fe083acc1c2e1f89127af628e3067024b3",
         "exits.json": "63e3ad0ba6c3850f3ee74a5e932e96c2d77cf857ec7605ecf3b30519caea4719",
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
@@ -146,6 +145,28 @@ PINNED_SCHEMA3 = {
     },
 }
 
+# sha256 of each certificate above as schema 3 wrote it, before schema 4
+# wrote each state as its index: the schema-3 form that
+# ``certificate_schema3`` rebuilds from each certificate must come out
+# byte for byte.
+PINNED_CERT_SCHEMA3 = {
+    "lattice3x9": {
+        "top.cert.json": "63b913719b2bffed8983fbd260d8ff1870879b73787395a1294ccff67c29f3ba",
+        "top_by_variant.cert.json": "b5cf9a6ea365c5aeed98fbcb9dc079e8848c95618715e93ac27598b0bd4c9658",
+        "top_si.cert.json": "46cce8fe6bde96a2eb7d261af3508e74300dbf167b6ffa95ca41a2d52403d1f4",
+    },
+    "ring4": {
+        "enter_mp.cert.json": "5809110efb0eb554e44ebdb47329ad881df7281660b89f5a19ddac07641501c7",
+        "enter_wf.cert.json": "e62b07ddb3dfcdd11a6ae52e515e1c6b5bd71065103a8ca377bf5b3edd027db1",
+        "enter_wf_si.cert.json": "24552de3acde058f55f8b153437ddb6fc27eb39bad7ab955ac98b8cc429d37da",
+    },
+    "ring5": {
+        "enter_mp.cert.json": "de1a314f10da02cc0c10588e702b895ac45f3ee03828b5e8fada682f03b31dfb",
+        "enter_wf.cert.json": "a5c0fc769c53c0b55c1e1d67ce367202e7dfec5d8574d7938e86b2d035cb3b4a",
+        "enter_wf_si.cert.json": "59fc668f04e49182d72b5acf6ea505998f9e3c0ac7da680c9eee326fabaaca78",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_benchmark_model_outputs_are_pinned(tmp_path, name):
@@ -157,6 +178,9 @@ def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     space = load_file(str(path)).system.space
     rebuilt = {key: schema3_digest(files[key], space) for key in PINNED_SCHEMA3[name]}
     assert rebuilt == PINNED_SCHEMA3[name]
+    certs = {key: certificate_schema3_digest(text, space)
+             for key, text in files.items() if key.endswith(".cert.json")}
+    assert certs == PINNED_CERT_SCHEMA3.get(name, {})
 
 
 def test_check_cert_rejects_a_certificate_that_does_not_prove_its_property(tmp_path, capsys):

@@ -131,17 +131,18 @@ def test_json_round_trip(idle, mono3):
         b = xs(sys_, 2) if assumption == "mp" else xs(sys_, 1)
         cert = _derive(sys_, a, b, assumption)
         data = json.loads(json_line(cert_to_json(cert, (a, b))))  # as explain writes it
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
         back, claimed = cert_from_json(sys_.space, data)
-        # each distinct set is stored once, by size; a set holding an earlier
-        # one is stored as the largest such plus its other rows
+        # each distinct set is stored once, by size, as its ascending state
+        # indices; a set holding an earlier one is stored as the largest such
+        # plus its other states
         masks = []
         for entry in data["sets"]:
-            if isinstance(entry, dict):
-                masks.append(masks[entry["base"]] | sys_.space.from_rows(entry["rows"]).mask)
-            else:
-                masks.append(sys_.space.from_rows(entry).mask)
+            members = entry["plus"] if isinstance(entry, dict) else entry
+            assert members == sorted(set(members))
+            base = masks[entry["base"]] if isinstance(entry, dict) else 0
+            masks.append(base | sys_.space.from_indices(members).mask)
         assert len(set(masks)) == len(masks)
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
         for i, entry in enumerate(data["sets"]):
@@ -168,7 +169,7 @@ def test_unknown_schema_rejected(mono3):
     assert (sorted(a), sorted(b)) == ([0], [2]) and cert.p is a
     no_schema = _document()
     del no_schema["schema"]
-    with pytest.raises(CertificateError, match="re-run explain to write schema 3"):
+    with pytest.raises(CertificateError, match="re-run explain to write schema 4"):
         cert_from_json(mono3.space, _document(schema=1))
     for bad in (no_schema, _document(schema=99), _document(schema=True),
                 _document(certificate={"rule": "XYZ"})):
@@ -232,6 +233,10 @@ def test_schema_2_and_3_tables_decode_alike(mono3):
     for schema in (2, 3):
         doc = _document(**deltas, schema=schema, claimed={"a": 3, "b": 2})
         assert cert_from_json(mono3.space, doc) == schema2
+    # schema 4: each state as its index, here x, a delta's states under plus
+    indices = {"sets": [[0], [2], {"base": 1, "plus": [1]}, {"base": 2, "plus": [0]}]}
+    doc = _document(**indices, schema=4, claimed={"a": 3, "b": 2})
+    assert cert_from_json(mono3.space, doc) == schema2
     # rows already in the base are allowed; the entry is the union
     doc = _document(sets=[[[0]], {"base": 0, "rows": [[0], [1]]}], claimed={"a": 1, "b": 0})
     assert sorted(cert_from_json(mono3.space, doc)[1][0]) == [0, 1]

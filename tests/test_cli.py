@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, JSON output."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,11 +16,12 @@ from fixleads.cli import main
 from fixleads.events import Event
 from fixleads.verdicts import Verdict
 
-from schema3 import schema3, schema3_digest
+from schema3 import certificate_schema3, certificate_schema3_digest, schema3, schema3_digest
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
 SCHEMA2 = os.path.join(DATA, "golden-schema2")  # certificates as schema 2 wrote them
+SCHEMA3 = os.path.join(DATA, "golden-schema3")  # certificates as schema 3 wrote them
 MODELS = sorted(name[:-4] for name in os.listdir(DATA) if name.endswith(".evt"))
 
 
@@ -60,10 +62,11 @@ def test_check_json_report(capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1  # one line of JSON
     report = json.loads(out)
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["system"] == "mono3" and report["vars"] == ["x"]
-    # each distinct set once: ∅, {2}, then {1, 2} and {0, 1, 2} on the one below
-    assert report["sets"] == [[], [[2]], {"base": 1, "rows": [[1]]}, {"base": 2, "rows": [[0]]}]
+    # each distinct set once, each state as its index (here x): ∅, {2}, then
+    # {1, 2} and {0, 1, 2} on the one below
+    assert report["sets"] == [[], [2], {"base": 1, "plus": [1]}, {"base": 2, "plus": [0]}]
     names = [p["name"] for p in report["properties"]]
     assert names == ["climb", "climb_by_variant"]
     for entry in report["properties"]:
@@ -139,7 +142,7 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     out_file = tmp_path / "reach.cert.json"
     assert main(["explain", _path("idle.evt"), "reach", "--out", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["assumption"] == "wf" and payload["vars"] == ["x"]
     assert payload["certificate"]["rule"] in ("SBR", "STR", "SDR")
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
@@ -185,21 +188,27 @@ def test_check_cert_rejects_tampering(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     sets = payload["sets"]
     # claim a start set larger than the certificate's conclusion
-    sets.append([[0], [1], [2]])
+    sets.append([0, 1, 2])
     payload["claimed"]["a"] = len(sets) - 1
     node = payload["certificate"]
     while node["rule"] == "STR":
         node = node["right"]
-    sets.append([[1]])
+    sets.append([1])
     node["q"] = len(sets) - 1  # corrupt the final target
     out_file.write_text(json.dumps(payload))
     assert main(["check-cert", _path("mono3.evt"), str(out_file)]) == 1
 
 
+def _schema3_of(path, out_file):
+    """The certificate at ``out_file`` rewritten as schema 3 wrote it, rows of
+    values, for the model at ``path``."""
+    return certificate_schema3(json.loads(out_file.read_text()), load_file(path).system.space)
+
+
 def test_check_cert_rejects_a_row_outside_the_invariant(tmp_path, capsys):
     out_file = tmp_path / "top_wf.cert.json"
     assert main(["explain", _path("triangle3.evt"), "top_wf", "--out", str(out_file)]) == 0
-    payload = json.loads(out_file.read_text())
+    payload = _schema3_of(_path("triangle3.evt"), out_file)
     payload["sets"][0].append([0, 1, 0])  # c1 > c0: a raw index, but no state
     out_file.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -227,13 +236,52 @@ def test_check_cert_rejects_a_row_value_of_the_wrong_type(tmp_path, capsys, mode
     out_file = tmp_path / "cert.json"
     assert main(["explain", path, prop, "--out", str(out_file)]) == 0
     assert main(["check-cert", path, str(out_file)]) == 0
-    payload = json.loads(out_file.read_text())
+    payload = _schema3_of(path, out_file)
     rows = next(rows for rows in payload["sets"] if [good] in rows)
     rows[rows.index([good])] = [bad]
     out_file.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["check-cert", path, str(out_file)]) == 2
     assert f"row {[bad]!r} is not a state" in capsys.readouterr().err
+
+
+# each bad entry stands as set 1 of triangle3's top_wf certificate, whose
+# space has 64 raw states (c0 + 4 c1 + 16 c2); set 0 is {(3, 3, 3)}
+BAD_INDEX_ENTRIES = {
+    "bool": ([True], "set 1: not a list of state indices"),
+    "float": ([1.0], "set 1: not a list of state indices"),
+    "string": (["1"], "set 1: not a list of state indices"),
+    "negative": ([-1], "set 1: state index -1 is outside the universe"),
+    "past-raw-size": ([64], "set 1: state index 64 is outside the universe"),
+    "huge": ([2**70], f"set 1: state index {2**70} is outside the universe"),
+    "hole": ([4], "set 1: state index 4 is outside the universe"),  # c1 > c0
+    "not-a-list": (0, "set 1: not a list of state indices"),
+    "row": ([[0, 0, 0]], "set 1: not a list of state indices"),
+    "delta-bool": ({"base": 0, "plus": [False]}, "set 1: not a list of state indices"),
+    "delta-hole": ({"base": 0, "plus": [4]}, "set 1: state index 4 is outside the universe"),
+    "delta-rows": ({"base": 0, "rows": [0]}, "set 1 is neither a list nor an object of base and plus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDEX_ENTRIES))
+def test_check_cert_rejects_a_malformed_index_entry(tmp_path, case):
+    entry, message = BAD_INDEX_ENTRIES[case]
+    doc = _explained(tmp_path, _path("triangle3.evt"), "top_wf")
+    assert doc["sets"][:2] == [[63], [0]]
+    doc["sets"][1] = entry
+    code, out, err = _check_cert(tmp_path, _path("triangle3.evt"), doc)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'edited.cert.json'}: malformed certificate file ({message})\n"
+
+
+def test_the_schema_not_the_entry_picks_the_reader(tmp_path):
+    # the same table read as the other schema's: rows are no indices, and
+    # indices are no rows
+    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
+    assert _check_cert(tmp_path, _path("mono3.evt"), {**doc, "schema": 3})[0] == 2
+    old = certificate_schema3(dict(doc), load_file(_path("mono3.evt")).system.space)
+    assert _check_cert(tmp_path, _path("mono3.evt"), old)[:2] == (0, "certificate accepted\n")
+    assert _check_cert(tmp_path, _path("mono3.evt"), {**old, "schema": 4})[0] == 2
 
 
 # a variant whose levels do not decrease: the rule fails on both claims
@@ -726,6 +774,36 @@ def test_golden_outputs(tmp_path, model):
     assert golden_outputs(_path(model + ".evt"), str(tmp_path)) == expected
 
 
+# sha256 of each golden certificate as schema 3 wrote it, before schema 4
+# wrote each state as its index: the schema-3 form rebuilt from each
+# schema-4 golden must come out byte for byte (they are the files of
+# tests/data/golden-schema3).
+GOLDEN_CERT_SCHEMA3 = {
+    "idle/reach.cert.json": "7900d1eae62ea21dd6140ab59fa09d5ac01916bebf977b6b661659bc09e9e562",
+    "ladder3/climb.cert.json": "93173aa68ef9d4e96599de79c38582faabeb57447d1c9826ec57abb521910804",
+    "mono3/climb.cert.json": "a14f2413b615fa4a5e3c2cd0dbfccaceb24259356c16d8ed1302d5ab4f051f91",
+    "mono3/climb_by_variant.cert.json": "04f83f1a01e1237f7da495cb4ec08f6f288aef3f5e01a13974367c5e44d6882e",
+    "ring3/enter_mp.cert.json": "066436db1298a090f9c8d4c44df19f2a0c3df226649d14a7652f02f56022e3c3",
+    "ring3/enter_wf.cert.json": "a4eaf8f2640adacf3ec7fe68dea52af5975cda5d75b1c9fb520be9afc9d23a52",
+    "ring3/enter_wf_si.cert.json": "5a1557edb8d82cc8a8ca5e4d53cc73c33a2b41910b938903e66b265da8827e67",
+    "triangle3/top.cert.json": "f5a5aef93a450d8b0bfc880fb66dee9fa3fd44dd9a85dc5eaeb26a6d617bd5df",
+    "triangle3/top_by_variant.cert.json": "f29bea52448a84c3cf40ccafca46ef47f008b7e90b3ab4f587d2721e2fa6ea23",
+    "triangle3/top_wf.cert.json": "e9fbaefec013df6300d7eb27a23f616472ea8e3626a1783c3e37fd6789f5bb7e",
+    "twodown/drain.cert.json": "1747a10a9c8f76243ee65ae3db45b4a51f411801f19324343821df435f9c4d20",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_golden_certificates_rebuild_their_schema3_bytes(model):
+    space = load_file(_path(model + ".evt")).system.space
+    rebuilt = {}
+    for name in os.listdir(os.path.join(GOLDEN, model)):
+        if name.endswith(".cert.json"):
+            with open(os.path.join(GOLDEN, model, name), encoding="utf-8") as fh:
+                rebuilt[f"{model}/{name}"] = certificate_schema3_digest(fh.read(), space)
+    assert rebuilt == {key: d for key, d in GOLDEN_CERT_SCHEMA3.items() if key.startswith(model + "/")}
+
+
 # sha256 of each golden report as schema 3 wrote it, before schema 4 stored
 # each distinct set once: the schema-3 form rebuilt from each schema-4 golden
 # must come out byte for byte.
@@ -774,14 +852,28 @@ def test_golden_reports_rebuild_their_schema3_bytes(model):
         assert schema3_digest(text, space) == GOLDEN_SCHEMA3[f"{model}/{way}.json"], way
 
 
-SCHEMA2_FILES = sorted(
-    (model, name) for model in os.listdir(SCHEMA2) for name in os.listdir(os.path.join(SCHEMA2, model))
-)
+def _files(folder):
+    return sorted((model, name) for model in os.listdir(folder)
+                  for name in os.listdir(os.path.join(folder, model)))
 
 
-@pytest.mark.parametrize("model, name", SCHEMA2_FILES)
+# schema-2 and schema-3 certificates, each as its own schema's explain wrote
+# it (schema 3's are the goldens before schema 4), stay accepted
+@pytest.mark.parametrize("model, name", _files(SCHEMA2))
 def test_schema2_certificates_stay_accepted(model, name):
-    code, out, err = _captured(["check-cert", _path(model + ".evt"), os.path.join(SCHEMA2, model, name)])
+    _accepted(model, os.path.join(SCHEMA2, model, name))
+
+
+@pytest.mark.parametrize("model, name", _files(SCHEMA3))
+def test_schema3_certificates_stay_accepted(model, name):
+    with open(os.path.join(SCHEMA3, model, name), "rb") as fh:
+        text = fh.read()
+    assert hashlib.sha256(text).hexdigest() == GOLDEN_CERT_SCHEMA3[f"{model}/{name}"]
+    _accepted(model, os.path.join(SCHEMA3, model, name))
+
+
+def _accepted(model, path):
+    code, out, err = _captured(["check-cert", _path(model + ".evt"), path])
     assert (code, out, err) == (0, "certificate accepted\n", "")
 
 
@@ -857,7 +949,7 @@ def _replaced(value, path, new):
 
 @pytest.fixture(scope="module")
 def valid_certificates(tmp_path_factory):
-    """A valid schema-3 document for mono3 (mp) and idle (wf), by model path."""
+    """A valid schema-4 document for mono3 (mp) and idle (wf), by model path."""
     out = {}
     for model, prop in (("mono3.evt", "climb"), ("idle.evt", "reach")):
         cert = tmp_path_factory.mktemp("cert") / f"{prop}.cert.json"

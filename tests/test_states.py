@@ -13,7 +13,6 @@ from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import (
     SpaceError,
     SpaceMismatch,
-    StateRows,
     StateSet,
     StateSpace,
     VarDecl,
@@ -279,7 +278,6 @@ def test_the_codec_inverts_the_enumeration_on_every_raw_index(sp):
         state = sp.state_of(i)
         assert list(state) == names and _typed(state.values()) == _typed(row)
         assert sp.state_texts[i] == json.dumps(dict(zip(names, row)))
-        assert sp.row_texts[i] == json.dumps(list(row))
         if sp.full_mask >> i & 1:
             assert sp.index_of_row(row) == i
             assert sp.index_of(dict(zip(names, row))) == i
@@ -289,8 +287,6 @@ def test_the_codec_inverts_the_enumeration_on_every_raw_index(sp):
             with pytest.raises(SpaceError, match=f"^row {re.escape(repr(list(row)))} is not"):
                 sp.from_rows([list(every[j]) for j in members] + [list(row)])
     universe = sp.universe()
-    assert [_typed(r) for r in StateRows(sp, sp.full_mask).to_json()] == [
-        _typed(every[i]) for i in members]
     assert [_typed(s.values()) for s in universe.to_json()] == [_typed(every[i]) for i in members]
     assert sp.from_rows([list(every[i]) for i in reversed(members)]) == universe
 
@@ -318,10 +314,3 @@ def test_index_of_row_matches_type_and_value():
     for row in ([True, True], [1.0, True], [1, 1], [1, 1.0], ["1", True]):
         with pytest.raises(SpaceError, match="are not a state"):
             sp.index_of_row(row)
-
-
-def test_state_rows_equal_the_state_set_with_their_mask():
-    sp = make_space(4)
-    assert StateRows(sp, 0b101) == StateSet(sp, 0b101) == StateRows(sp, 0b101)
-    assert hash(StateRows(sp, 0b101)) == hash(StateSet(sp, 0b101))
-    assert StateRows(sp, 0b101) != StateSet(sp, 0b100)

@@ -1,8 +1,9 @@
 """The one-line JSON writer against ``json.dumps``: the CLI writes every
 document with ``fixleads.json_line``, which joins each state set from per-state
 text, and the bytes must be those of ``json.dumps`` of the plain form, where
-each set is its reference ``to_json()`` list (rows for a ``StateRows``).  The
-set table that reports and certificates share decodes to the sets it replaced."""
+each set is its reference ``to_json()`` list.  The set table that reports and
+certificates share writes each state as its index and decodes to the sets it
+replaced."""
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fixleads import StateSet, StateSpace, VarDecl, json_line
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.certificates import sets_from_json
-from fixleads.states import StateRows, set_table
+from fixleads.states import set_table
 
 from conftest import raw_states
 
@@ -56,7 +57,7 @@ def spaces(draw):
 
 @st.composite
 def state_sets(draw, space):
-    """An empty, full, sparse, dense or random set, as states or as rows."""
+    """An empty, full, sparse, dense or random set."""
     members = [i for i in range(space.raw_size) if space.full_mask >> i & 1]
     shape = draw(st.sampled_from(["empty", "full", "sparse", "dense", "random"]))
     if shape in ("sparse", "dense"):
@@ -67,7 +68,7 @@ def state_sets(draw, space):
         mask = {"empty": 0, "full": space.full_mask}.get(shape)
         if mask is None:
             mask = draw(st.integers(0, space.full_mask)) & space.full_mask
-    return draw(st.sampled_from([StateSet, StateRows]))(space, mask)
+    return StateSet(space, mask)
 
 
 @st.composite
@@ -96,7 +97,6 @@ def test_each_state_text_is_its_json_dumps(space):
     for i, row in enumerate(raw_states(space)):
         if space.full_mask >> i & 1:
             assert space.state_texts[i] == json.dumps(space.state_of(i))
-            assert space.row_texts[i] == json.dumps(list(row))
 
 
 def _pairs(doc, mapped):
@@ -121,11 +121,15 @@ def test_set_table_stores_each_distinct_set_once_and_loses_none(doc):
         return
     space = pairs[0][0].space
     names = [v.name for v in space.vars]
-    sets = sets_from_json(space, {"vars": names, "sets": json.loads(json_line(table))})
+    written = json.loads(json_line(table))
+    sets = sets_from_json(space, {"vars": names, "sets": written})
     assert all(sets[i].mask == s.mask for s, i in pairs)
     masks = [s.mask for s in sets]
-    assert len(set(masks)) == len(masks) == len({s.mask for s, _ in pairs})
-    assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+    # numbered by size, sets of one size in first-use order
+    assert masks == sorted(dict.fromkeys(s.mask for s, _ in pairs), key=int.bit_count)
+    for entry in written:  # states as ascending indices
+        members = entry["plus"] if isinstance(entry, dict) else entry
+        assert members == sorted(set(members))
     for i, entry in enumerate(table):  # a delta entry rests on a non-empty earlier subset
         if isinstance(entry, dict):
             base = entry["base"]
