@@ -284,7 +284,7 @@ def _wf_trap(sys, graph, nearest):
         fair, witness_edges = _fair_component(sys, [graph.states[v] for v in comp], internal_edges)
         if fair:
             anchor = nearest(comp)
-            return (anchor, *_fair_cycle(adj, inside, len(comp), anchor, witness_edges))
+            return (anchor, *_fair_cycle(sys, graph, inside, anchor, witness_edges))
     return None
 
 
@@ -302,13 +302,15 @@ def _fair_component(sys, comp_states, internal_edges):
     return True, {name: first[name] for name in always}
 
 
-def _fair_cycle(adj, inside, size, anchor, witness_edges):
-    """A closed walk from ``anchor`` over edges into the ``size`` states that
-    ``inside`` accepts, which takes every witness edge and visits every one
-    of those states: a BFS leg to each witness edge in event-name order, then
-    BFS legs that each stop at the first state not yet on the walk, then one
-    back to ``anchor``.  The full tour makes 'continuously enabled along the
-    cycle' coincide with 'enabled on the whole component'."""
+def _fair_cycle(sys, graph, inside, anchor, witness_edges):
+    """A closed walk from ``anchor`` over edges into the positions that
+    ``inside`` accepts, on which every event is treated justly: a BFS leg to
+    each witness edge in event-name order; then, for each other event in
+    declaration order that is still enabled at every state of the walk, a
+    BFS leg to a nearest state where it is disabled; then a shortest walk
+    back to ``anchor`` (a shortest cycle through it if the walk is still
+    empty).  Adding states never re-enables an event, so one pass is enough."""
+    adj, states = graph.edges, graph.states
     cycle: list[tuple[str, int]] = []
     cur = anchor
     witness: dict[str, int] = {}
@@ -319,13 +321,17 @@ def _fair_cycle(adj, inside, size, anchor, witness_edges):
         witness[name] = len(cycle)
         cycle.append((name, t))
         cur = t
-    on_walk = {anchor, *(v for _, v in cycle)}
-    while len(on_walk) < size:
-        leg = _walk(adj, cur, lambda v: v not in on_walk and inside(v), inside)
-        on_walk.update(v for _, v in leg)
+    walk_mask = _mask_of([states[v] for v in (anchor, *(v for _, v in cycle))], sys.space.raw_size)
+    for e in sys.events:
+        guard = e.guard.mask
+        if e.name in witness_edges or walk_mask & ~guard:
+            continue
+        leg = _walk(adj, cur, lambda v: inside(v) and not guard >> states[v] & 1, inside)
+        for _, v in leg:
+            walk_mask |= 1 << states[v]
         cycle += leg
         cur = leg[-1][1]
-    if cur != anchor:
+    if cur != anchor or not cycle:
         cycle += _walk(adj, cur, anchor.__eq__, inside)
     return cycle, witness
 

@@ -321,9 +321,11 @@ _SPARSE = 4  # sparse: under 1 / _SPARSE of the width set, where the scan beats 
 def bit_positions(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending, lazily: the one
     reader of a set's members.  A sparse mask of at most ``_FEW`` members is
-    peeled lowest bit first, a longer one read off its ``bin`` text by a regex
-    scan, which skips runs of zeros in C, and a dense one by one byte pass
-    over that text, where the scan's cost per match loses."""
+    peeled lowest bit first, a longer one read off the ``bin`` text of the
+    mask shifted down to its lowest member by a regex scan, which skips runs
+    of zeros in C, so it costs the members' span, not the width, and a dense
+    one by one byte pass over the whole text, where the scan's cost per
+    match loses."""
     members = mask.bit_count()
     sparse = members * _SPARSE < mask.bit_length()
     if sparse and members <= _FEW:
@@ -333,10 +335,10 @@ def bit_positions(mask: int) -> Iterator[int]:
             out.append(low.bit_length() - 1)
             mask ^= low
         return iter(out)
-    text = bin(mask)[:1:-1]
     if sparse:
-        return map(re.Match.start, _ONE.finditer(text))
-    return compress(count(), text.encode().translate(_BITS))
+        low = (mask & -mask).bit_length() - 1
+        return map(low.__add__, map(re.Match.start, _ONE.finditer(bin(mask >> low)[:1:-1])))
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 class StateSet(Frozen):

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import os
 import random
+import re
 import sys
 from collections import deque
 from typing import Iterable
@@ -22,6 +23,7 @@ from fixleads import (
 )
 from fixleads.cli import check_property, resolve
 from fixleads.exprs import And, Cmp, IntLit, Name
+from fixleads.oracle import _walk
 from fixleads.states import bit_positions
 
 from fixtures import (
@@ -229,6 +231,12 @@ def reference_bit_positions(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+def reference_full_width_scan(mask: int) -> list[int]:
+    """Reference for the regex scan of ``states.bit_positions``: its former
+    reader, the scan of the ``bin`` text of the whole width."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
 def reference_sccs(adj) -> list[list[int]]:
     """Reference for ``oracle._sccs``: its former Tarjan over dicts keyed by
     state, iterative, roots in ascending state order, each component sorted."""
@@ -280,47 +288,31 @@ def reference_sccs(adj) -> list[list[int]]:
     return sccs
 
 
-def reference_fair_cycle(adj, comp_set, anchor, witness_edges):
-    """Reference for ``oracle._fair_cycle``: its former tour over a dict
-    adjacency keyed by state, one full BFS from the current state to each
-    witness edge in event-name order and then to every component state in
-    ascending order, passed or not, and one back to ``anchor``."""
-    comp_adj = {
-        s: [(ev, t) for ev, t in adj[s] if t in comp_set] for s in comp_set
-    }
-
-    def path(u, v) -> list[tuple[str, int]]:
-        if u == v:
-            return []
-        parent = {u: None}
-        dq = deque([u])
-        while dq:
-            s = dq.popleft()
-            for ev, t in comp_adj[s]:
-                if t not in parent:
-                    parent[t] = (s, ev)
-                    dq.append(t)
-        steps = []
-        while parent[v] is not None:
-            prev, ev = parent[v]
-            steps.append((ev, v))
-            v = prev
-        return steps[::-1]
-
+def reference_fair_tour(adj, inside, size, anchor, witness_edges):
+    """Reference for ``oracle._fair_cycle``: its former tour, a closed walk
+    from ``anchor`` over edges into the ``size`` states that ``inside``
+    accepts, which takes every witness edge and visits every one of those
+    states: a BFS leg to each witness edge in event-name order, then BFS legs
+    that each stop at the first state not yet on the walk, then one back to
+    ``anchor``."""
     cycle: list[tuple[str, int]] = []
     cur = anchor
     witness: dict[str, int] = {}
     for name in sorted(witness_edges):
         s, t = witness_edges[name]
-        cycle += path(cur, s)
+        if s != cur:
+            cycle += _walk(adj, cur, s.__eq__, inside)
         witness[name] = len(cycle)
         cycle.append((name, t))
         cur = t
-    for w in sorted(comp_set):
-        if w != cur:
-            cycle += path(cur, w)
-            cur = w
-    cycle += path(cur, anchor)
+    on_walk = {anchor, *(v for _, v in cycle)}
+    while len(on_walk) < size:
+        leg = _walk(adj, cur, lambda v: v not in on_walk and inside(v), inside)
+        on_walk.update(v for _, v in leg)
+        cycle += leg
+        cur = leg[-1][1]
+    if cur != anchor:
+        cycle += _walk(adj, cur, anchor.__eq__, inside)
     return cycle, witness
 
 

@@ -13,7 +13,7 @@ from fixleads import load_file
 from fixleads.cli import main
 from conftest import perfbench_models
 from schema3 import certificate_schema3_digest, schema3_digest
-from test_cli import golden_outputs
+from test_cli import golden_outputs, without_wf_lassos_digest
 
 
 def _families():
@@ -53,9 +53,11 @@ def test_benchmark_model_verdicts_and_oracle_agreement(tmp_path, name):
 # set table as its index; ``PINNED_SCHEMA3`` and ``PINNED_CERT_SCHEMA3``
 # below hold their earlier bytes.  The families' long traces and large set
 # tables, which the small ``tests/data`` models lack, must keep those bytes
-# under the writer.  The oracle's fair lasso is one tour that skips states already on it (starve4's
-# enter_wf cycle has 68 steps, starve5's 172): starve5's pins hold its lassos
-# at a size the N=4 pins do not reach.
+# under the writer.  The oracle's fair lasso is a justice walk, one witness
+# per event (starve4's enter_wf cycle has 10 steps, starve5's 18), and the
+# starve4 and starve5 reports were recorded again when it replaced the tour of
+# the whole component (68 and 173 steps): ``PINNED_WITHOUT_WF_LASSOS`` shows
+# that nothing else in them changed.
 PINNED = {
     "lattice3x9": {
         "check-assume-mp.json": "ac9288824fd9aa71ffb84c33b1f6e5530fd2868d94b9a0dbd71e880f0d4e16bb",
@@ -92,17 +94,17 @@ PINNED = {
     },
     "starve4": {
         "check-assume-mp.json": "00ceb6dc6a135f95603ba2ead244ceac9d9f72c046ec0272e62925ea21ff4b87",
-        "check-assume-wf.json": "9e079004fdd1a5a848e08078dcc1edb7d15322dc25a0dd210f3bb1e74be4e3b0",
-        "check-si.json": "58c05d57361a48f9e6180318f8c2bfc06c14bb94367a30bce4f3048ea3c28ea8",
-        "check.json": "d333cc4dc66b5466cfb20f3e3993d47912bfa8eb9b6e202ac4f096b567432a8c",
+        "check-assume-wf.json": "f11a68ed2ce7a879afa46e6567e58d5c251713f5abab97c6e0a4f90da9f0041d",
+        "check-si.json": "79afc42675ba158a9aa70d3039a6e99a9162700e7fa0a7baccbed38106d09003",
+        "check.json": "2a02da495c298757f0dc2678eede0db8ad7c41d299dd42a4af6251f511e04023",
         "exits.json": "63e3ad0ba6c3850f3ee74a5e932e96c2d77cf857ec7605ecf3b30519caea4719",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
     "starve5": {
         "check-assume-mp.json": "04d395da452c9678c61812684fa8512b45dccda2bb5b851422dbb4d4bad695d5",
-        "check-assume-wf.json": "e2aedd882f5e461722c41e1790bfccaac274f93f4f335326c6c4c2510c05abd4",
-        "check-si.json": "020835f847934101b3fd2b13b7db0a1be5eff7ce65374d31a8cfb4eb30cdedd7",
-        "check.json": "bffa9183ec99ca565c4c597141bb07fe083acc1c2e1f89127af628e3067024b3",
+        "check-assume-wf.json": "a52284f7e70ed4712e936c3708456cd7c44ff7da0dcbda40e7b6b3d54ad9e0cf",
+        "check-si.json": "2e345dc6222722c7173302ac08e43c82953d2d86fe1ce341ed062cd813c3f923",
+        "check.json": "70b73cd2d53a2bd1971bfa7a1f26136502bfaa5d3d67ca4d887dfe9a51f65647",
         "exits.json": "63e3ad0ba6c3850f3ee74a5e932e96c2d77cf857ec7605ecf3b30519caea4719",
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
@@ -111,7 +113,8 @@ PINNED = {
 
 # sha256 of each ``check`` report above as schema 3 wrote it, before schema 4
 # stored each distinct set once: the schema-3 form that ``schema3`` rebuilds
-# from each report must come out byte for byte.
+# from each report must come out byte for byte.  starve4's and starve5's
+# were recorded again with the justice walk.
 PINNED_SCHEMA3 = {
     "lattice3x9": {
         "check-assume-mp.json": "55ff8ae7e9b89cfc6d01e67768b8eb6b88570e28481e3240bf7363b1872cc03d",
@@ -133,15 +136,15 @@ PINNED_SCHEMA3 = {
     },
     "starve4": {
         "check-assume-mp.json": "e6c269abe5f83d019259d32e94f21f925c09032703f82250fe493ebede58823a",
-        "check-assume-wf.json": "f3076a1ba3d7bbff257a35ec331b8a14ea3ccf53fa698b1eb16a97c5de3bd0ce",
-        "check-si.json": "cdd09dcd034869a6e188d980d74284a984c313661b1c50c615cf912d15076846",
-        "check.json": "3e48a7e692d6aac72c88f2cb28342d8bdcf21073974e12c3f53aa7065810d71d",
+        "check-assume-wf.json": "158aa5e6060db27954af6e278495a53e18f7520848b4423a34d1679b5a7fdd0c",
+        "check-si.json": "50ef978c4414fc2b9416df14d568019731b98a0f1950c9984facef1284558485",
+        "check.json": "1a85b7c5790860bfdf7fa31596ae1e0b43723582fa40e76e9156381b0f36b433",
     },
     "starve5": {
         "check-assume-mp.json": "731b76b0ea3f0f9967769c438220cbc57c50d1e09f52b476025debf48d095cdb",
-        "check-assume-wf.json": "75230cef3d1c3d27f0458a978eaf654b9ccf45c307d23d98eb1bb9c42dd5abe3",
-        "check-si.json": "ce4081d83bc0c540d92e709a5c0722d0be1c3b881936bb3bc80e36f1213a7c08",
-        "check.json": "4e3bd4d7bd95412577a26f0ca2b396486d44a6ed86a0e609e0ea4bcb3adbf1ef",
+        "check-assume-wf.json": "95057986e80fba86ce15d16e87bd26d8d0372de243eaa7d7b9999f26dd82204a",
+        "check-si.json": "42d03d682d8df4e9cfd4b0396b71d3fb5d6ad8d9733d64611edcf5380833d326",
+        "check.json": "89da9187642988333e36f803709882e3bc7c3f1fbdbf69eb4928c65ac5bc4eec",
     },
 }
 
@@ -168,6 +171,25 @@ PINNED_CERT_SCHEMA3 = {
 }
 
 
+# ``without_wf_lassos_digest`` of the starving rings' reports, taken from the
+# reports that the tour of the whole component gave: the justice walk changes
+# the wf lassos' cycles and nothing else.
+PINNED_WITHOUT_WF_LASSOS = {
+    "starve4": {
+        "check-assume-mp.json": "00ceb6dc6a135f95603ba2ead244ceac9d9f72c046ec0272e62925ea21ff4b87",
+        "check-assume-wf.json": "6b998696a2f940c0520f013dbc548bab30a95be7c28c5788a3be8937db238af2",
+        "check-si.json": "3a5208bede54376c2dd87e0e705cede2a48aa804086721df66de0a30dc64e9cf",
+        "check.json": "5cb3392ed52fed93ee3b4268320300c351be320672a80681d3bc7c2bf079aac3",
+    },
+    "starve5": {
+        "check-assume-mp.json": "04d395da452c9678c61812684fa8512b45dccda2bb5b851422dbb4d4bad695d5",
+        "check-assume-wf.json": "c561036f52bcaa7490e03b25a22195e06d221e7b7e5194ce2e6a338fe999f922",
+        "check-si.json": "ae38749db63e3d8de9c0ff4297a6aef2386a4baedf7164a1a6d868af1b271b37",
+        "check.json": "6ad2dd4d19eb93d4ddfc505b326666fd1c55ec16eabdde1f429f604047def433",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     path = tmp_path / f"{name}.evt"
@@ -178,6 +200,8 @@ def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     space = load_file(str(path)).system.space
     rebuilt = {key: schema3_digest(files[key], space) for key in PINNED_SCHEMA3[name]}
     assert rebuilt == PINNED_SCHEMA3[name]
+    kept = PINNED_WITHOUT_WF_LASSOS.get(name, {})
+    assert {key: without_wf_lassos_digest(files[key]) for key in kept} == kept
     certs = {key: certificate_schema3_digest(text, space)
              for key, text in files.items() if key.endswith(".cert.json")}
     assert certs == PINNED_CERT_SCHEMA3.get(name, {})

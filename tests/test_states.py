@@ -20,7 +20,7 @@ from fixleads.states import (
     eval_pred,
 )
 
-from conftest import make_space, raw_states, reference_bit_positions
+from conftest import make_space, raw_states, reference_bit_positions, reference_full_width_scan
 
 
 def test_first_declared_variable_is_least_significant():
@@ -193,6 +193,24 @@ def test_bit_positions_regimes_equal_the_reference(monkeypatch, regime):
         assert iter(it) is it and (kind is None or m == 0 or type(it) is kind)
         assert list(it) == reference_bit_positions(m)
         assert list(StateSet(space, m)) == reference_bit_positions(m)
+
+
+@pytest.mark.parametrize("regime", [None, *REGIMES])
+def test_scans_of_high_masks_equal_the_full_width_reader(monkeypatch, regime):
+    """Masks whose members sit far above bit 0 (empty, one member, ``_FEW``
+    and ``_FEW + 1`` members, sparse and dense runs) list the positions that
+    the scan of the whole ``bin`` text lists, by the rule's choice or with
+    each way forced."""
+    rng = random.Random("high")
+    few = states._FEW
+    shapes = [0, 1, 0b101, (1 << few) - 1, (1 << few + 1) - 1, (1 << 4000) - 1]
+    shapes += [sum(1 << i for i in rng.sample(range(span), k))
+               for span, k in ((64, few), (200, few + 1), (1000, 90), (4000, 600), (300, 250))]
+    masks = [m << low for m in shapes for low in (0, 1, 63, 64, 1001, 90_000)]
+    expected = [reference_full_width_scan(m) for m in masks]
+    if regime:
+        _force(monkeypatch, regime)
+    assert [list(bit_positions(m)) for m in masks] == expected
 
 
 def test_eval_pred():
