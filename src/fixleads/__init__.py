@@ -36,8 +36,7 @@ _EXPORTS = {
     "mp": "ensures_mp leadsto_mp leadsto_mp_si mp_step rule_mp_variant",
     "oracle": "Counterexample oracle_mp oracle_reachable oracle_wf validate_counterexample",
     "printer": "print_spec",
-    "states": "DEFAULT_STATE_CAP SpaceError SpaceMismatch StateSet StateSpace VarDecl eval_pred"
-              " json_line",
+    "states": "DEFAULT_STATE_CAP SpaceError SpaceMismatch StateSet StateSpace VarDecl eval_pred",
     "transformers": "Choice Dovetail Guard Precond Rel Seq Skip apply check_variant_theorem"
                     " fair_loop_liberal fair_loop_termination grd liberal pre system_choice wf_step",
     "variants": "VariantError VariantFn",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .events import EventSystem, IterateTrace, ModelError
+from .events import EventSystem, IterateTrace
 from .mp import ensures_mp
 from .records import Frozen, setfield
 from .states import SpaceError, StateSet, StateSpace, set_table
@@ -60,13 +60,8 @@ Certificate = Basic | Trans | Disj
 def _leaf_ok(sys: EventSystem, leaf: Basic) -> bool:
     if leaf.assumption == "mp":
         return ensures_mp(sys, leaf.p, leaf.q).holds
-    if leaf.assumption != "wf" or leaf.helpful is None:
-        return False
-    try:
-        g = sys.event(leaf.helpful)
-    except ModelError:
-        return False
-    return ensures_wf(sys, g, leaf.p, leaf.q).holds
+    g = sys.by_name.get(leaf.helpful)  # None for no event, and for no helpful event
+    return leaf.assumption == "wf" and g is not None and ensures_wf(sys, g, leaf.p, leaf.q).holds
 
 
 def check_certificate(

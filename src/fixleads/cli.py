@@ -16,7 +16,7 @@ import time
 from . import __version__, certificates, mp, oracle, wf
 from .dsl import DslError, Elaborated, Property, load_file
 from .records import Frozen, setfield
-from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, json_line, set_table
+from .states import DEFAULT_STATE_CAP, SpaceError, StateSet, set_table
 from .verdicts import SelfCheckDefect, Verdict
 
 EXIT_OK = 0
@@ -123,9 +123,11 @@ def _format_set(s: StateSet) -> str:
     return f"<{len(s)} states>"
 
 
-def _write_json(obj, fh) -> None:
-    """One line of JSON, written by :func:`states.json_line`."""
-    fh.write(json_line(obj) + "\n")
+def _json(obj) -> str:
+    """``obj`` as one line of JSON, each :class:`StateSet` as its
+    ``to_json()`` list: the text of every document and of every JSON
+    fragment that text output prints."""
+    return json.dumps(obj, default=StateSet.to_json)
 
 
 def cmd_check(args) -> int:
@@ -182,7 +184,7 @@ def cmd_check(args) -> int:
     if args.json:
         sets, entries = set_table(report.pop("properties"))
         report.update(vars=[v.name for v in elab.system.space.vars], sets=sets, properties=entries)
-        _write_json(report, sys.stdout)
+        print(_json(report))
     else:
         print(f"system {report['system']} ({len(report['properties'])} properties)")
         for entry, (holds, details) in zip(report["properties"], shown):
@@ -200,10 +202,10 @@ def cmd_check(args) -> int:
             print(line)
             for antecedent in ("failing_level", "not_invariant"):
                 if antecedent in details:
-                    detail = json_line(details[antecedent])
+                    detail = _json(details[antecedent])
                     print(f"       rule antecedent fails, {antecedent}: {detail}")
             if "counterexample" in entry:
-                print(f"       counterexample: {json_line(entry['counterexample'])}")
+                print(f"       counterexample: {_json(entry['counterexample'])}")
     if defect:
         print("internal defect: oracle and fixpoint verdicts disagree", file=sys.stderr)
         return EXIT_DEFECT
@@ -241,7 +243,7 @@ def cmd_explain(args) -> int:
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            _write_json(payload, fh)
+            fh.write(_json(payload) + "\n")
     except OSError as exc:
         raise UsageError(f"{out}: {exc.strerror}")
     print(f"wrote certificate to {out}")
@@ -311,7 +313,7 @@ def cmd_si(args) -> int:
     if args.verify:
         report["verified"] = oracle.oracle_reachable(elab.system, elab.system.init) == si
     if args.json:
-        _write_json(report, sys.stdout)
+        print(_json(report))
     else:
         print(_format_set(si))
         if report.get("verified"):

@@ -8,14 +8,11 @@ may have holes.  All set values downstream are :class:`StateSet` bitmasks.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
 from array import array
-from functools import cached_property
 from itertools import compress, count
-from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own
 from collections.abc import Callable, Iterator, Sequence
 
 from .exprs import (BOOLS, EvalError, Expr, Key, Partition, Undecided, Value, eval_expr,
@@ -110,18 +107,6 @@ class StateSpace:
                 raise SpaceError("invariant leaves no states in the universe")
             self.full_mask = keep
         self.size: int = self.full_mask.bit_count()
-
-    @cached_property
-    def state_texts(self) -> list[str]:
-        """The JSON text of each raw state's object, ``json.dumps`` of
-        :meth:`state_of`, by index; built on first use.  Index order puts the
-        first variable fastest, so each variable repeats the table so far
-        once per value."""
-        pieces = [[f"{json.dumps(v.name)}: {json.dumps(val)}" for val in v.domain] for v in self.vars]
-        table = ["{" + p for p in pieces[0]]
-        for values in pieces[1:]:
-            table = [t + p for p in [", " + p for p in values] for t in table]
-        return [t + "}" for t in table]
 
     def partition(self, expr: Expr, care: int | None = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
@@ -410,47 +395,8 @@ class StateSet(Frozen):
         """Canonical form: sorted list of assignment objects."""
         return [self.space.state_of(i) for i in self]
 
-    def json_text(self) -> str:
-        """``json.dumps(self.to_json())``, joined from each member's text."""
-        return "[" + ", ".join(map(self.space.state_texts.__getitem__, self)) + "]"
-
     def __repr__(self):
         return f"StateSet({sorted(self)})"
-
-
-class JsonText(str):
-    """JSON text that :func:`json_line` writes as it stands: a set-table entry."""
-
-    __slots__ = ()
-
-
-def json_line(obj) -> str:
-    """``json.dumps(obj)``, where each :class:`StateSet` stands for its
-    ``to_json()`` list and each :class:`JsonText` for the value it spells,
-    with no indentation: dicts and lists are walked here, strings and ints
-    are written as ``json.dumps`` writes them, every other value goes
-    through it, and a set joins its members' text, which its space builds
-    once per state.  This writes every document: reports, certificates and
-    ``si --json``'s set."""
-    kind = type(obj)
-    if kind is str:
-        return _quoted(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is JsonText:
-        return obj
-    if isinstance(obj, dict):
-        return "{" + ", ".join([_key(k) + ": " + json_line(v) for k, v in obj.items()]) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([json_line(v) for v in obj]) + "]"
-    if isinstance(obj, StateSet):
-        return obj.json_text()
-    return json.dumps(obj)
-
-
-def _key(key) -> str:
-    # json.dumps writes a non-string key (a number, a bool, None) as its text
-    return _quoted(key if isinstance(key, str) else json.dumps(key))
 
 
 def set_table(doc) -> tuple[list, object]:
@@ -473,14 +419,10 @@ def set_table(doc) -> tuple[list, object]:
     table: list = []
     for i, m in enumerate(masks):
         base = _largest_subset(masks, i)
-        table.append(_indices(m) if base is None
-                     else {"base": base, "plus": _indices(m & ~masks[base])})
+        table.append(list(bit_positions(m)) if base is None
+                     else {"base": base, "plus": list(bit_positions(m & ~masks[base]))})
     index = (where[k] for k in uses)
     return table, _mapped(doc, lambda s: next(index))
-
-
-def _indices(mask: int) -> JsonText:
-    return JsonText("[" + ", ".join(map(str, bit_positions(mask))) + "]")
 
 
 def _mapped(doc, fn: Callable[[StateSet], object]):

@@ -16,7 +16,7 @@ from fixleads.certificates import (
     derive_certificate_mp,
     derive_certificate_wf,
 )
-from fixleads import json_line, load_file
+from fixleads import load_file
 from fixleads.mp import leadsto_mp
 from fixleads.wf import leadsto_wf
 
@@ -123,6 +123,11 @@ def test_checker_rejects_mismatches(mono3):
     assert not check_certificate(mono3, bad, (a, b), "mp")
     # empty disjunction
     assert not check_certificate(mono3, Disj((), b), (a, b), "mp")
+    # a wf leaf stands only on a helpful event of the system
+    one = xs(mono3, 1)
+    assert check_certificate(mono3, Basic(a, one, "wf", "inc"), (a, one), "wf")
+    for helpful in ("ghost", None):
+        assert not check_certificate(mono3, Basic(a, one, "wf", helpful), (a, one), "wf")
 
 
 def test_json_round_trip(idle, mono3):
@@ -130,7 +135,7 @@ def test_json_round_trip(idle, mono3):
         a = xs(sys_, 0)
         b = xs(sys_, 2) if assumption == "mp" else xs(sys_, 1)
         cert = _derive(sys_, a, b, assumption)
-        data = json.loads(json_line(cert_to_json(cert, (a, b))))  # as explain writes it
+        data = json.loads(json.dumps(cert_to_json(cert, (a, b))))  # as explain writes it
         assert data["schema"] == 4
         assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
         back, claimed = cert_from_json(sys_.space, data)
@@ -153,7 +158,7 @@ def test_json_round_trip(idle, mono3):
                 assert not inside
         assert [s.mask for s in claimed] == [a.mask, b.mask]
         assert check_certificate(sys_, back, claimed, assumption)
-        assert json.loads(json_line(cert_to_json(back, claimed))) == data
+        assert json.loads(json.dumps(cert_to_json(back, claimed))) == data
 
 
 def _document(**fields):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixleads import cli, load_file, oracle
+from fixleads.certificates import cert_from_json, cert_to_json
 from fixleads.cli import main
 from fixleads.events import Event
 from fixleads.verdicts import Verdict
@@ -146,6 +147,15 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     assert payload["assumption"] == "wf" and payload["vars"] == ["x"]
     assert payload["certificate"]["rule"] in ("SBR", "STR", "SDR")
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
+    assert "accepted" in capsys.readouterr().out
+    # the library's document as json.dumps writes it is explain's file, and accepted
+    cert, claimed = cert_from_json(load_file(_path("idle.evt")).system.space, payload)
+    dumped = json.dumps({"system": "idle", "property": "reach", "assumption": "wf",
+                         **cert_to_json(cert, claimed)})
+    assert dumped + "\n" == out_file.read_text()
+    lib_file = tmp_path / "reach.lib.cert.json"
+    lib_file.write_text(dumped)
+    assert main(["check-cert", _path("idle.evt"), str(lib_file)]) == 0
     assert "accepted" in capsys.readouterr().out
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from fixleads import EventSystem, json_line, lfp, load_file
+from fixleads import EventSystem, lfp, load_file
 from fixleads import transformers, wf
 from fixleads.certificates import (
     Basic,
@@ -61,7 +61,7 @@ def assert_certificate_round_trip(sys_, a, b, v):
     ``check-cert`` does; each layer is ``Basic(below, below)`` and one lean
     leaf per event that adds states, which all hold and join to the layer."""
     cert = derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)
-    data = json.loads(json_line(cert_to_json(cert, (a, b))))
+    data = json.loads(json.dumps(cert_to_json(cert, (a, b))))
     back, claimed = cert_from_json(sys_.space, data)
     assert [s.mask for s in claimed] == [a.mask, b.mask]
     assert check_certificate(sys_, back, claimed, "wf")

@@ -33,8 +33,8 @@ ALL = [
     "certificates", "check_certificate", "check_variant_theorem", "derive_certificate_mp",
     "derive_certificate_wf", "dsl", "elaborate", "ensures_mp", "ensures_wf", "eval_bool",
     "eval_expr", "eval_pred", "events", "exprs", "fair_loop", "fair_loop_liberal",
-    "fair_loop_termination", "gfp", "grd", "json_line", "leadsto_mp", "leadsto_mp_si",
-    "leadsto_wf", "leadsto_wf_si", "lfp", "liberal", "load_file", "mp", "mp_step", "oracle",
+    "fair_loop_termination", "gfp", "grd", "leadsto_mp", "leadsto_mp_si", "leadsto_wf",
+    "leadsto_wf_si", "lfp", "liberal", "load_file", "mp", "mp_step", "oracle",
     "oracle_mp", "oracle_reachable", "oracle_wf", "parse", "pre", "print_spec", "records",
     "rule_mp_variant", "rule_wf_to_mp", "states", "system_choice", "to_text", "transformers",
     "validate_counterexample", "variants", "verdicts", "wf", "wf_step",

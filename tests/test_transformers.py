@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixleads
-from fixleads import events, json_line, transformers
+from fixleads import events, transformers
 from fixleads.certificates import sets_from_json
 from fixleads.states import StateSet, set_table
 from fixleads.transformers import (
@@ -115,7 +115,7 @@ def test_trace_shape():
     for t in (trace, down):
         # the trace as a report carries it: every iterate an index into the set table
         table, data = set_table(t.to_json())
-        sets = sets_from_json(SP, {"vars": vars_, "sets": json.loads(json_line(table))})
+        sets = sets_from_json(SP, {"vars": vars_, "sets": json.loads(json.dumps(table))})
         assert data["kind"] == t.kind and data["steps"][-1] == data["steps"][-2]
         assert [sets[i].mask for i in data["steps"]] == [x.mask for x in t.steps]
         # each iterate past the smallest is its neighbour towards it plus its new rows

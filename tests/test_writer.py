@@ -1,33 +1,17 @@
-"""The one-line JSON writer against ``json.dumps``: the CLI writes every
-document with ``fixleads.json_line``, which joins each state set from per-state
-text, and the bytes must be those of ``json.dumps`` of the plain form, where
-each set is its reference ``to_json()`` list.  The set table that reports and
-certificates share writes each state as its index and decodes to the sets it
-replaced."""
+"""The set table that reports and certificates share: each distinct state
+set of a document is stored once, each state as its index, and the table, as
+``json.dumps`` writes it, decodes to the sets it replaced."""
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from fixleads import StateSet, StateSpace, VarDecl, json_line
+from fixleads import StateSet, StateSpace, VarDecl
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.certificates import sets_from_json
 from fixleads.states import set_table
 
-from conftest import raw_states
-
 # enum values that need escapes: quotes, backslashes, control and non-ASCII
 _enum_values = st.text(alphabet='ab"\\\n\té€😀', min_size=1, max_size=4)
-
-
-def plain(value):
-    """``value`` with each state set replaced by its reference JSON form."""
-    if isinstance(value, StateSet):
-        return value.to_json()
-    if isinstance(value, dict):
-        return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
-    return value
 
 
 @st.composite
@@ -85,20 +69,6 @@ def documents(draw):
     ))
 
 
-@settings(max_examples=200, deadline=None)
-@given(documents())
-def test_writer_bytes_equal_json_dumps_of_the_plain_form(doc):
-    assert json_line(doc) == json.dumps(plain(doc))
-
-
-@settings(max_examples=100, deadline=None)
-@given(spaces())
-def test_each_state_text_is_its_json_dumps(space):
-    for i, row in enumerate(raw_states(space)):
-        if space.full_mask >> i & 1:
-            assert space.state_texts[i] == json.dumps(space.state_of(i))
-
-
 def _pairs(doc, mapped):
     """Each set of ``doc`` with what stands at its place in ``mapped``."""
     if isinstance(doc, StateSet):
@@ -117,11 +87,11 @@ def test_set_table_stores_each_distinct_set_once_and_loses_none(doc):
     table, mapped = set_table(doc)
     pairs = list(_pairs(doc, mapped))
     if not pairs:
-        assert table == [] and json_line(mapped) == json_line(doc)
+        assert table == [] and json.dumps(mapped) == json.dumps(doc)
         return
     space = pairs[0][0].space
     names = [v.name for v in space.vars]
-    written = json.loads(json_line(table))
+    written = json.loads(json.dumps(table))
     sets = sets_from_json(space, {"vars": names, "sets": written})
     assert all(sets[i].mask == s.mask for s, i in pairs)
     masks = [s.mask for s in sets]
