@@ -1,11 +1,11 @@
 """Derivation certificates for leads-to verdicts and their checker.
 
 A certificate is a tree over three rules: a basic leaf (one ensures step),
-transitivity, and disjunction.  Leaves are re-checked definitionally, so a
-certificate is evidence independent of the fixpoint computation that
-produced it.  Sets are stored explicitly, each state as its index in the
-model's declarations, which keeps checking bit-exact and independent of any
-source syntax.
+transitivity along a chain of two or more links, and disjunction.  Leaves
+are re-checked definitionally, so a certificate is evidence independent of
+the fixpoint computation that produced it.  Sets are stored explicitly, each
+state as its index in the model's declarations, which keeps checking
+bit-exact and independent of any source syntax.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from .records import Frozen, setfield
 from .states import SpaceError, StateSet, StateSpace, set_table
 from .wf import ensures_wf
 
-SCHEMA_VERSION = 4  # one interned set table of state indices and delta entries
-READ_SCHEMAS = (2, 3, 4)  # 3: the same table in rows of values; 2: no delta entries
+SCHEMA_VERSION = 5  # each chain one node of links, and the leaves' assumption written once
+READ_SCHEMAS = (2, 3, 4, 5)  # 4: nested chains, an assumption per leaf; 3: rows; 2: no deltas
 
 
 class CertificateError(Exception):
@@ -39,11 +39,12 @@ class Basic(Frozen):
 
 
 class Trans(Frozen):
-    __slots__ = ("left", "right")
+    """``links[0] ; ... ; links[-1]``: each link's ``q`` is the next one's ``p``."""
 
-    def __init__(self, left: "Certificate", right: "Certificate"):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+    __slots__ = ("links",)
+
+    def __init__(self, links: tuple["Certificate", ...]):
+        setfield(self, "links", links)
 
 
 class Disj(Frozen):
@@ -84,13 +85,16 @@ def _checked_conclusion(sys, cert, assumption) -> tuple[StateSet, StateSet] | No
         ok = cert.assumption == assumption and _leaf_ok(sys, cert)
         return (cert.p, cert.q) if ok else None
     if isinstance(cert, Trans):
-        left = _checked_conclusion(sys, cert.left, assumption)
-        if left is None:
+        if len(cert.links) < 2:
             return None
-        right = _checked_conclusion(sys, cert.right, assumption)
-        if right is None or left[1].mask != right[0].mask:
-            return None
-        return left[0], right[1]
+        p = q = None
+        for link in cert.links:
+            concluded = _checked_conclusion(sys, link, assumption)
+            if concluded is None or q is not None and q.mask != concluded[0].mask:
+                return None
+            p = concluded[0] if p is None else p
+            q = concluded[1]
+        return p, q
     if isinstance(cert, Disj):
         if not cert.parts:
             return None
@@ -104,15 +108,6 @@ def _checked_conclusion(sys, cert, assumption) -> tuple[StateSet, StateSet] | No
     return None
 
 
-def _chain(links: list[Certificate]) -> Certificate:
-    """``links[0] ; ... ; links[-1]`` as a balanced ``Trans`` tree: the rule is
-    associative, so the leaves keep their order and the depth is logarithmic."""
-    if len(links) == 1:
-        return links[0]
-    mid = len(links) // 2
-    return Trans(_chain(links[:mid]), _chain(links[mid:]))
-
-
 def _layers(trace: IterateTrace) -> list[StateSet]:
     steps = list(trace.steps)
     while len(steps) >= 2 and steps[-1].mask == steps[-2].mask:
@@ -124,19 +119,18 @@ def _derive(
     a: StateSet, b: StateSet, trace: IterateTrace, assumption: str, helpful: str | None,
     layer_node: Callable[[StateSet, StateSet, int], Certificate],
 ) -> Certificate:
-    """The chain ``a -> fix = r_K -> r_{K-1} -> ... -> r_1 = b`` down the
-    iterate trace, where ``layer_node(r_k, r_{k-1}, k - 1)`` proves each layer
-    step (``k - 1`` is the index of ``r_{k-1}`` in ``trace.steps``)."""
+    """The chain ``fix = r_K -> r_{K-1} -> ... -> r_1 = b`` down the iterate
+    trace, where ``layer_node(r_k, r_{k-1}, k - 1)`` proves each layer step
+    (``k - 1`` is the index of ``r_{k-1}`` in ``trace.steps``); it proves
+    ``a`` leads to ``b`` because ``a`` is inside ``fix``, and the checker
+    accepts a root ``p`` that contains the claimed ``a``."""
     layers = _layers(trace)
-    fix = layers[-1]
-    if not a.is_subset(fix):
+    if not a.is_subset(layers[-1]):
         raise CertificateError("claimed start set is not inside the fixpoint")
     if a.is_subset(b):
         return Basic(a, b, assumption, helpful)
-    links: list[Certificate] = [Basic(a, fix, assumption, helpful)]
-    for k in range(len(layers) - 1, 1, -1):
-        links.append(layer_node(layers[k], layers[k - 1], k - 1))
-    return _chain(links)
+    links = [layer_node(layers[k], layers[k - 1], k - 1) for k in range(len(layers) - 1, 1, -1)]
+    return Trans(tuple(links)) if len(links) > 1 else links[0]
 
 
 def derive_certificate_mp(
@@ -152,18 +146,21 @@ def derive_certificate_wf(
     """Layered certificate for the WF leads-to check, read off the verdict of
     ``leadsto_wf``: its ``trace`` and its ``fair_deltas``.  Each layer is the
     disjunction of ``Basic(below, below)`` and, for each event ``g`` whose
-    fair loop adds states to the layer below, a lean leaf
-    ``Basic(fair_loop_g - below, below, helpful=g)``.  It holds because the
-    loop contains ``below``: ``ensures_wf`` reads only ``p - q`` and
-    ``AX(p ∪ q)``, which are the same for the loop and for the lean ``p``."""
+    fair loop adds states to the layer below, in the order of the fair
+    deltas, a lean leaf ``Basic(fair_loop_g - below, below, helpful=g)``,
+    kept only if it adds a state that ``below`` and the leaves kept before
+    it do not cover.  A leaf holds because the loop contains ``below``:
+    ``ensures_wf`` reads only ``p - q`` and ``AX(p ∪ q)``, which are the same
+    for the loop and for the lean ``p``."""
     first = sys.events[0].name
 
     def layer_node(layer: StateSet, below: StateSet, k: int) -> Certificate:
         parts: list[Certificate] = [Basic(below, below, "wf", helpful=first)]
         concluded = below.mask  # the disjunction's p: the union of its parts' p
         for name, added in fair_deltas[k]:
-            parts.append(Basic(added, below, "wf", helpful=name))
-            concluded |= added.mask
+            if added.mask & ~concluded:
+                parts.append(Basic(added, below, "wf", helpful=name))
+                concluded |= added.mask
         # the layer is exactly target ∪ fair steps, so conclusions match
         if concluded != layer.mask:
             raise CertificateError("iterate trace does not reconstruct from the fair deltas")
@@ -180,35 +177,44 @@ def derive_certificate_wf(
 # the mixed-radix index over ``vars``, which the model's declarations fix.
 # Sets are met a, b, then the tree in pre-order.  Each layer of a chain
 # contains the layer below it, which is smaller, so it costs at most its new
-# states.  Schemas 2 and 3 wrote each state as its row of values in ``vars``
+# states.  The leaves' assumption is the document's.  Schema 4 wrote each
+# chain as nested ``left``/``right`` pairs and an assumption on each leaf;
+# schemas 2 and 3 also wrote each state as its row of values in ``vars``
 # order, under ``rows`` in a delta entry.
 
 
 def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
-    """The schema-4 document for ``cert`` proving ``claimed = (a, b)``."""
+    """The schema-5 document for ``cert`` proving ``claimed = (a, b)``, under
+    the one assumption of its leaves."""
     a, b = claimed
+    assumptions = set()
 
     def node(c: Certificate) -> dict:
         if isinstance(c, Basic):
-            out = {"rule": "SBR", "p": c.p, "q": c.q, "assumption": c.assumption}
+            assumptions.add(c.assumption)
+            out = {"rule": "SBR", "p": c.p, "q": c.q}
             if c.helpful is not None:
                 out["helpful"] = c.helpful
             return out
         if isinstance(c, Trans):
-            return {"rule": "STR", "left": node(c.left), "right": node(c.right)}
+            return {"rule": "STR", "links": [node(link) for link in c.links]}
         if isinstance(c, Disj):
             return {"rule": "SDR", "q": c.q, "parts": [node(p) for p in c.parts]}
         raise TypeError(f"bad certificate node {c!r}")
 
     sets, doc = set_table({"claimed": {"a": a, "b": b}, "certificate": node(cert)})
-    return {"schema": SCHEMA_VERSION, "vars": [v.name for v in a.space.vars], "sets": sets, **doc}
+    if len(assumptions) != 1:
+        raise CertificateError(f"leaves under assumptions {sorted(assumptions)!r}, not one")
+    return {"assumption": assumptions.pop(), "schema": SCHEMA_VERSION,
+            "vars": [v.name for v in a.space.vars], "sets": sets, **doc}
 
 
 def cert_from_json(
     space: StateSpace, data: dict
 ) -> tuple[Certificate, tuple[StateSet, StateSet]]:
     """The certificate and the claim ``(a, b)`` of a document of a schema in
-    ``READ_SCHEMAS``; the schema, not an entry's shape, picks its sets' reader.
+    ``READ_SCHEMAS``; the schema, not an entry's shape, picks its sets' reader
+    and its chains' and leaves' form.
 
     The document comes from outside the program, so every field is checked;
     any mismatch raises :class:`CertificateError`."""
@@ -219,6 +225,9 @@ def cert_from_json(
         hint = f"; re-run explain to write schema {SCHEMA_VERSION}" if schema == 1 else ""
         raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
     sets = sets_from_json(space, data, rows=schema < 4)
+    flat = schema >= 5  # chains as lists of links, and the leaves' assumption the document's
+    if flat and not isinstance(data.get("assumption"), str):
+        raise CertificateError(f"assumption {data.get('assumption')!r} is not a string")
 
     def ref(value) -> StateSet:
         # bool is an int subclass, and a negative index would wrap around
@@ -231,12 +240,20 @@ def cert_from_json(
             raise CertificateError(f"certificate node {n!r} is not an object")
         rule = n.get("rule")
         if rule == "SBR":
-            assumption, helpful = n.get("assumption"), n.get("helpful")
+            if flat and "assumption" in n:
+                raise CertificateError("an SBR leaf carries no assumption: it is the document's")
+            assumption = data["assumption"] if flat else n.get("assumption")
+            helpful = n.get("helpful")
             if not isinstance(assumption, str) or not isinstance(helpful, (str, type(None))):
                 raise CertificateError("SBR assumption and helpful must be strings")
             return Basic(ref(n.get("p")), ref(n.get("q")), assumption, helpful)
         if rule == "STR":
-            return Trans(node(n.get("left")), node(n.get("right")))
+            if not flat:
+                return Trans((node(n.get("left")), node(n.get("right"))))
+            links = n.get("links")
+            if not isinstance(links, list) or len(links) < 2:
+                raise CertificateError("STR links must be a list of at least 2 nodes")
+            return Trans(tuple(map(node, links)))
         if rule == "SDR":
             parts = n.get("parts")
             if not isinstance(parts, list):

@@ -237,8 +237,7 @@ def cmd_explain(args) -> int:
     payload = {
         "system": sys_.name,
         "property": prop.name,
-        "assumption": claim.semantics,
-        **certificates.cert_to_json(cert, (claim.a, claim.b)),
+        **certificates.cert_to_json(cert, (claim.a, claim.b)),  # its assumption first
     }
     out = args.out or (os.path.splitext(args.file)[0] + f".{prop.name}.cert.json")
     try:

@@ -101,12 +101,17 @@ class StateSpace:
             for name, domain, stride, radix in self._digits
         }
         self.full_mask: int = (1 << raw) - 1
+        # the bits StateSet rejects, built once: None while there are no holes,
+        # where a mask's length is the test; else the complement of full_mask
+        self._outside: int | None = None
         if invariant is not None:
             keep = eval_pred(self, invariant).mask
             if not keep:
                 raise SpaceError("invariant leaves no states in the universe")
             self.full_mask = keep
         self.size: int = self.full_mask.bit_count()
+        if self.size < raw:
+            self._outside = ~self.full_mask
 
     def partition(self, expr: Expr, care: int | None = None) -> Partition:
         """The states of ``care`` (default all) grouped by the value of
@@ -333,7 +338,8 @@ class StateSet(Frozen):
     __slots__ = ("space", "mask")
 
     def __init__(self, space: StateSpace, mask: int):
-        if mask & ~space.full_mask:
+        outside = space._outside
+        if (mask < 0 or mask.bit_length() > space.raw_size) if outside is None else mask & outside:
             raise SpaceError("mask has bits outside the universe")
         setfield(self, "space", space)
         setfield(self, "mask", mask)

@@ -12,7 +12,8 @@ table loses nothing.
 Certificate schema 3 wrote the same table as certificate schema 4, with each
 state as its row of values in ``vars`` order instead of its index.
 :func:`certificate_schema3` rebuilds it the same way, with rows written
-here."""
+here, from the schema-4 certificates kept in ``tests/data/golden-schema4``
+(schema 5 writes the same table under a leaner tree)."""
 import hashlib
 import json
 

@@ -284,17 +284,15 @@ def test_acceptance_8_strongest_invariant():
 def _all_leaves(cert):
     if isinstance(cert, Basic):
         return [cert]
-    if isinstance(cert, Trans):
-        return _all_leaves(cert.left) + _all_leaves(cert.right)
-    return [leaf for part in cert.parts for leaf in _all_leaves(part)]
+    parts = cert.links if isinstance(cert, Trans) else cert.parts
+    return [leaf for part in parts for leaf in _all_leaves(part)]
 
 
 def _replace_leaf(cert, target, new):
     if cert is target:
         return new
     if isinstance(cert, Trans):
-        return Trans(_replace_leaf(cert.left, target, new),
-                     _replace_leaf(cert.right, target, new))
+        return Trans(tuple(_replace_leaf(link, target, new) for link in cert.links))
     if isinstance(cert, Disj):
         return Disj(tuple(_replace_leaf(p, target, new) for p in cert.parts),
                     cert.q)

@@ -12,7 +12,7 @@ import pytest
 from fixleads import load_file
 from fixleads.cli import main
 from conftest import perfbench_models
-from schema3 import certificate_schema3_digest, schema3_digest
+from schema3 import schema3_digest
 from test_cli import golden_outputs, without_wf_lassos_digest
 
 
@@ -48,10 +48,12 @@ def test_benchmark_model_verdicts_and_oracle_agreement(tmp_path, name):
 # sha256 of each file that ``test_cli.golden_outputs(..., raw=True)`` collects:
 # the reports as ``check`` wrote them (``time_ms`` set to 0), ``si --json`` and
 # the certificates.  ``si``'s were recorded while every document was still
-# one ``json.dumps`` call, and the reports' and the certificates' when
-# report schema 5 and certificate schema 4 wrote each state of their shared
-# set table as its index; ``PINNED_SCHEMA3`` and ``PINNED_CERT_SCHEMA3``
-# below hold their earlier bytes.  The families' long traces and large set
+# one ``json.dumps`` call, and the reports' when report schema 5 wrote each
+# state of its set table as its index; ``PINNED_SCHEMA3`` below holds their
+# earlier bytes.  The certificates' were recorded when certificate schema 5
+# wrote each chain as one node, the assumption once and only the wf leaves
+# that add states; ``test_cli.lean`` of each schema-4 certificate they
+# replace gave these bytes.  The families' long traces and large set
 # tables, which the small ``tests/data`` models lack, must keep those bytes
 # under the writer.  The oracle's fair lasso is a justice walk, one witness
 # per event (starve4's enter_wf cycle has 10 steps, starve5's 18), and the
@@ -66,18 +68,18 @@ PINNED = {
         "check.json": "ac9288824fd9aa71ffb84c33b1f6e5530fd2868d94b9a0dbd71e880f0d4e16bb",
         "exits.json": "bb65b41f771bcb07e6f07c15af0f7f64001af45d2cbdc891e56b9ff3829d2b58",
         "si.json": "0e197f7e0da2fa5cb92ffd2c188a56f027fdf45c22be15c9e371a94dba6c0818",
-        "top.cert.json": "904968cec372f9daaf94e225c1b34646d86794a3806db0bc5cd58e3a16d7f58f",
-        "top_by_variant.cert.json": "9a8ccac23d1bc5f9804f7c4759c224b18b23b36cb8ce6def3a3597d744b4ddef",
-        "top_si.cert.json": "f928822a6dae015464783389ca12c77470e135c126fbbf595fe999056b51ce81",
+        "top.cert.json": "034b98339beab84ea96863d108f14c48dddf72ffc01de930e3d96c0745e5f6ca",
+        "top_by_variant.cert.json": "0bbc5bde8384fdafbd3d1e4b9a6ee7418b5874f33e8a611bbae74cdea4ca0c58",
+        "top_si.cert.json": "8990f81a4f88e32f8a8dd83063730480d8bfa9945a2f41883164d60cf7a46afd",
     },
     "ring4": {
         "check-assume-mp.json": "ac75bce3b0cf8bbce34d99831e976217bd966036752f87b36219e57421fbd091",
         "check-assume-wf.json": "d7d5a15cd3443b688ceec8fdc5a1ae00baaf2e046f4bf96a71b3149b04e011f5",
         "check-si.json": "40772cd828ebbd0bf62baaf62de659d3add61bbff3bf37b3983a87ad07d4c26f",
         "check.json": "ad9c81c5f0b201bb5cd9889ac0bd0bc746af497e8a5f7759a015a6c117f59276",
-        "enter_mp.cert.json": "eeca227c0332827802b248096c5424583337eabd9148f04c03f1e9bd7a69d842",
-        "enter_wf.cert.json": "fe42d1ddd58188835cc0fc3ce5fd739dc7267073ae1425e7760c96a4998ad825",
-        "enter_wf_si.cert.json": "ffc6fc677462425c6a557c4cf6de6739dde6b7c3cebd6c3fcf5440b47ac432b8",
+        "enter_mp.cert.json": "2a33966415c0cbcbd7b4c36888be9fb1d8a201451e9906a6ad33368f2bf59b51",
+        "enter_wf.cert.json": "974d69ad62068970ddb455ab0359d07c6f6cd0bd8feee6f1e56aaeef5e70f965",
+        "enter_wf_si.cert.json": "1da0c85bd74ec216f473d10ad856760269493751692af4ec4605efacc40cbfda",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "6cf63ec9834957aa9c0839fbfe211fec92a5379167c375e4a6a3d983062242b4",
     },
@@ -86,9 +88,9 @@ PINNED = {
         "check-assume-wf.json": "ab28997d616b162b7cc7fc242e3ee65f2a422dac412cc999ad3610e61992e8f4",
         "check-si.json": "840fe528b2e01e20cbce2da50218d51ef3dbb1cd048245a522dde00256bd1d5c",
         "check.json": "5df02b3f51aceb3eebdfc4734078970b7db042c2d1dd563a93ba7c2999f89d97",
-        "enter_mp.cert.json": "6d2a778c774a536c3bbc683bb2eda59e9b467e95038a5d351ccb0748012f84cb",
-        "enter_wf.cert.json": "f2fe82a8c676c537cb1679f31a5c1eebf318e0ca391965b939959ee6a439c761",
-        "enter_wf_si.cert.json": "2692dc1dfbbefeb68441e74e7acf499b5bfb9b1ac312410a23c244731ad44bfe",
+        "enter_mp.cert.json": "f31806f9b796f29fc59076089924b2340544eed32c436d6bb6d72770f07eddd2",
+        "enter_wf.cert.json": "d6e5130496d4055ed2e128dc4fd04bf1608dafd0ec71d564cace67aab96e387b",
+        "enter_wf_si.cert.json": "b7f1ea7f8fd5e10e350f8392ff3061aa52fd8dd839d9fe6248554741423fb85d",
         "exits.json": "9c04803cd9142bb42b0c7a94a4acfc1427200a86cbaa986ea171cb381023a950",
         "si.json": "589720d5e3856ae867bde22187b742985c622f76e1bbb63fd90850a326251afd",
     },
@@ -148,29 +150,6 @@ PINNED_SCHEMA3 = {
     },
 }
 
-# sha256 of each certificate above as schema 3 wrote it, before schema 4
-# wrote each state as its index: the schema-3 form that
-# ``certificate_schema3`` rebuilds from each certificate must come out
-# byte for byte.
-PINNED_CERT_SCHEMA3 = {
-    "lattice3x9": {
-        "top.cert.json": "63b913719b2bffed8983fbd260d8ff1870879b73787395a1294ccff67c29f3ba",
-        "top_by_variant.cert.json": "b5cf9a6ea365c5aeed98fbcb9dc079e8848c95618715e93ac27598b0bd4c9658",
-        "top_si.cert.json": "46cce8fe6bde96a2eb7d261af3508e74300dbf167b6ffa95ca41a2d52403d1f4",
-    },
-    "ring4": {
-        "enter_mp.cert.json": "5809110efb0eb554e44ebdb47329ad881df7281660b89f5a19ddac07641501c7",
-        "enter_wf.cert.json": "e62b07ddb3dfcdd11a6ae52e515e1c6b5bd71065103a8ca377bf5b3edd027db1",
-        "enter_wf_si.cert.json": "24552de3acde058f55f8b153437ddb6fc27eb39bad7ab955ac98b8cc429d37da",
-    },
-    "ring5": {
-        "enter_mp.cert.json": "de1a314f10da02cc0c10588e702b895ac45f3ee03828b5e8fada682f03b31dfb",
-        "enter_wf.cert.json": "a5c0fc769c53c0b55c1e1d67ce367202e7dfec5d8574d7938e86b2d035cb3b4a",
-        "enter_wf_si.cert.json": "59fc668f04e49182d72b5acf6ea505998f9e3c0ac7da680c9eee326fabaaca78",
-    },
-}
-
-
 # ``without_wf_lassos_digest`` of the starving rings' reports, taken from the
 # reports that the tour of the whole component gave: the justice walk changes
 # the wf lassos' cycles and nothing else.
@@ -202,9 +181,6 @@ def test_benchmark_model_outputs_are_pinned(tmp_path, name):
     assert rebuilt == PINNED_SCHEMA3[name]
     kept = PINNED_WITHOUT_WF_LASSOS.get(name, {})
     assert {key: without_wf_lassos_digest(files[key]) for key in kept} == kept
-    certs = {key: certificate_schema3_digest(text, space)
-             for key, text in files.items() if key.endswith(".cert.json")}
-    assert certs == PINNED_CERT_SCHEMA3.get(name, {})
 
 
 def test_check_cert_rejects_a_certificate_that_does_not_prove_its_property(tmp_path, capsys):

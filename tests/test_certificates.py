@@ -34,9 +34,8 @@ def ring3():
 def _leaves(cert):
     if isinstance(cert, Basic):
         return [cert]
-    if isinstance(cert, Trans):
-        return _leaves(cert.left) + _leaves(cert.right)
-    return [leaf for part in cert.parts for leaf in _leaves(part)]
+    parts = cert.links if isinstance(cert, Trans) else cert.parts
+    return [leaf for part in parts for leaf in _leaves(part)]
 
 
 def test_derive_mp_mono3(mono3):
@@ -98,8 +97,8 @@ def test_derive_wf_checks_each_layer_against_the_fair_deltas(ring3):
 def _walk(cert):
     yield cert
     if isinstance(cert, Trans):
-        yield from _walk(cert.left)
-        yield from _walk(cert.right)
+        for link in cert.links:
+            yield from _walk(link)
     elif isinstance(cert, Disj):
         for part in cert.parts:
             yield from _walk(part)
@@ -119,7 +118,7 @@ def test_checker_rejects_mismatches(mono3):
     # claim under the wrong assumption
     assert not check_certificate(mono3, cert, (a, b), "wf")
     # broken transitivity composition
-    bad = Trans(Basic(a, b, "mp"), Basic(xs(mono3, 1), b, "mp"))
+    bad = Trans((Basic(a, b, "mp"), Basic(xs(mono3, 1), b, "mp")))
     assert not check_certificate(mono3, bad, (a, b), "mp")
     # empty disjunction
     assert not check_certificate(mono3, Disj((), b), (a, b), "mp")
@@ -136,7 +135,7 @@ def test_json_round_trip(idle, mono3):
         b = xs(sys_, 2) if assumption == "mp" else xs(sys_, 1)
         cert = _derive(sys_, a, b, assumption)
         data = json.loads(json.dumps(cert_to_json(cert, (a, b))))  # as explain writes it
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
         back, claimed = cert_from_json(sys_.space, data)
         # each distinct set is stored once, by size, as its ascending state
@@ -174,7 +173,7 @@ def test_unknown_schema_rejected(mono3):
     assert (sorted(a), sorted(b)) == ([0], [2]) and cert.p is a
     no_schema = _document()
     del no_schema["schema"]
-    with pytest.raises(CertificateError, match="re-run explain to write schema 4"):
+    with pytest.raises(CertificateError, match="re-run explain to write schema 5"):
         cert_from_json(mono3.space, _document(schema=1))
     for bad in (no_schema, _document(schema=99), _document(schema=True),
                 _document(certificate={"rule": "XYZ"})):
@@ -225,8 +224,7 @@ def _mutate_leaf(space, cert, target, grow_p):
                          cert.assumption, cert.helpful)
         return cert
     if isinstance(cert, Trans):
-        return Trans(_mutate_leaf(space, cert.left, target, grow_p),
-                     _mutate_leaf(space, cert.right, target, grow_p))
+        return Trans(tuple(_mutate_leaf(space, link, target, grow_p) for link in cert.links))
     return Disj(tuple(_mutate_leaf(space, p, target, grow_p) for p in cert.parts),
                 cert.q)
 

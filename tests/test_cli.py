@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixleads import cli, load_file, oracle
-from fixleads.certificates import cert_from_json, cert_to_json
+from fixleads.certificates import cert_from_json, cert_to_json, sets_from_json
 from fixleads.cli import main
 from fixleads.events import Event
+from fixleads.states import set_table
 from fixleads.verdicts import Verdict
 
 from schema3 import certificate_schema3, certificate_schema3_digest, schema3, schema3_digest
@@ -23,6 +24,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
 SCHEMA2 = os.path.join(DATA, "golden-schema2")  # certificates as schema 2 wrote them
 SCHEMA3 = os.path.join(DATA, "golden-schema3")  # certificates as schema 3 wrote them
+SCHEMA4 = os.path.join(DATA, "golden-schema4")  # certificates as schema 4 wrote them
 MODELS = sorted(name[:-4] for name in os.listdir(DATA) if name.endswith(".evt"))
 
 
@@ -143,7 +145,7 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     out_file = tmp_path / "reach.cert.json"
     assert main(["explain", _path("idle.evt"), "reach", "--out", str(out_file)]) == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == 4
+    assert payload["schema"] == 5
     assert payload["assumption"] == "wf" and payload["vars"] == ["x"]
     assert payload["certificate"]["rule"] in ("SBR", "STR", "SDR")
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
@@ -201,8 +203,8 @@ def test_check_cert_rejects_tampering(tmp_path, capsys):
     sets.append([0, 1, 2])
     payload["claimed"]["a"] = len(sets) - 1
     node = payload["certificate"]
-    while node["rule"] == "STR":
-        node = node["right"]
+    if node["rule"] == "STR":
+        node = node["links"][-1]
     sets.append([1])
     node["q"] = len(sets) - 1  # corrupt the final target
     out_file.write_text(json.dumps(payload))
@@ -286,12 +288,53 @@ def test_check_cert_rejects_a_malformed_index_entry(tmp_path, case):
 
 def test_the_schema_not_the_entry_picks_the_reader(tmp_path):
     # the same table read as the other schema's: rows are no indices, and
-    # indices are no rows
-    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
+    # indices are no rows; the same tree read as the other schema's: a
+    # schema-5 leaf carries no assumption, and a schema-4 one must
+    with open(os.path.join(SCHEMA4, "mono3", "climb.cert.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert _check_cert(tmp_path, _path("mono3.evt"), {**doc, "schema": 3})[0] == 2
     old = certificate_schema3(dict(doc), load_file(_path("mono3.evt")).system.space)
     assert _check_cert(tmp_path, _path("mono3.evt"), old)[:2] == (0, "certificate accepted\n")
     assert _check_cert(tmp_path, _path("mono3.evt"), {**old, "schema": 4})[0] == 2
+    assert _check_cert(tmp_path, _path("mono3.evt"), {**doc, "schema": 5})[0] == 2
+    lean = _explained(tmp_path, _path("mono3.evt"), "climb")
+    assert _check_cert(tmp_path, _path("mono3.evt"), {**lean, "schema": 4})[0] == 2
+
+
+# each edit of a schema-5 chain's links, and the exit it gets: links that
+# do not meet are a false certificate, any other shape is malformed
+CHAIN_EDITS = {
+    "links-do-not-meet": (1, lambda links: {"rule": "STR", "links": links[::-1]}),
+    "one-link": (2, lambda links: {"rule": "STR", "links": links[:1]}),
+    "no-links": (2, lambda links: {"rule": "STR", "links": []}),
+    "links-not-a-list": (2, lambda links: {"rule": "STR", "links": dict(enumerate(links))}),
+    "left-and-right": (2, lambda links: {"rule": "STR", "left": links[0], "right": links[1]}),
+    "leaf-assumption": (2, lambda links: {"rule": "STR", "links": [{**links[0], "assumption": "mp"},
+                                                                  *links[1:]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_EDITS))
+def test_check_cert_reads_schema5_chains_strictly(tmp_path, case):
+    # mono3's climb is one chain of two mp links, {0, 1, 2} to {1, 2} to {2}
+    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
+    assert doc["certificate"]["rule"] == "STR" and len(doc["certificate"]["links"]) == 2
+    code, edit = CHAIN_EDITS[case]
+    doc["certificate"] = edit(doc["certificate"]["links"])
+    out = "certificate rejected\n" if code == 1 else ""
+    assert _check_cert(tmp_path, _path("mono3.evt"), doc)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("assumption", [None, ["mp"], "missing"])
+def test_a_schema5_document_needs_its_assumption(tmp_path, assumption):
+    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
+    if assumption == "missing":
+        del doc["assumption"]
+    else:
+        doc["assumption"] = assumption
+    code, out, err = _check_cert(tmp_path, _path("mono3.evt"), doc)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"malformed certificate file (assumption {doc.get('assumption')!r} is not a string)\n")
 
 
 # a variant whose levels do not decrease: the rule fails on both claims
@@ -502,8 +545,8 @@ def test_counterexample_not_bound_to_its_claim_is_a_defect(tmp_path, monkeypatch
     assert "internal defect" in capsys.readouterr().err
 
 
-def test_long_chain_certificate_is_balanced(tmp_path, capsys):
-    # one mp layer per value: the chain has 1100 leaves
+def test_long_chain_certificate_is_one_chain(tmp_path, capsys):
+    # one mp layer per value: the chain has 1100 links, one node deep
     src = tmp_path / "counter.evt"
     src.write_text("system counter\nvar x : 0 .. 1100\ninit x = 0\n"
                    "event inc when x != 1100 then x := x + 1\n"
@@ -511,12 +554,12 @@ def test_long_chain_certificate_is_balanced(tmp_path, capsys):
     cert = tmp_path / "up.cert.json"
     assert main(["explain", str(src), "up", "--out", str(cert)]) == 0
     payload = json.loads(cert.read_text())
-
-    def depth(node):
-        kids = [node[k] for k in ("left", "right") if k in node] + node.get("parts", [])
-        return 1 + max(map(depth, kids), default=0)
-
-    assert depth(payload["certificate"]) <= 12
+    chain = payload["certificate"]
+    assert chain.keys() == {"rule", "links"} and chain["rule"] == "STR"
+    sizes = [s.mask.bit_count() for s in sets_from_json(load_file(str(src)).system.space, payload)]
+    assert all(link.keys() == {"rule", "p", "q"} for link in chain["links"])
+    assert [sizes[link["p"]] for link in chain["links"]] == list(range(1101, 1, -1))
+    assert [link["q"] for link in chain["links"][:-1]] == [link["p"] for link in chain["links"][1:]]
     assert len(payload["sets"]) == 1102  # the 1101 layers once each, and the claimed a
     assert main(["check-cert", str(src), str(cert)]) == 0
     assert "certificate accepted" in capsys.readouterr().out
@@ -542,8 +585,17 @@ def _deep_document(depth):
             '"vars": ["x"], "sets": [[]], "claimed": {"a": 0, "b": 0}, "certificate": ' + tree + "}")
 
 
+def _deep_links_document(depth):
+    """A schema-5 document whose tree nests ``depth`` STR nodes, each the
+    first of its parent's links."""
+    leaf = '{"rule": "SBR", "p": 0, "q": 0}'
+    tree = '{"rule": "STR", "links": [' * depth + leaf + (", " + leaf + "]}") * depth
+    return ('{"system": "mono3", "property": "climb", "assumption": "mp", "schema": 5, '
+            '"vars": ["x"], "sets": [[]], "claimed": {"a": 0, "b": 0}, "certificate": ' + tree + "}")
+
+
 @pytest.mark.parametrize("case", ["malformed-json", "top-level-list", "parts-number",
-                                  "deep-nesting", "check-directory", "binary-model",
+                                  "deep-nesting", "deep-links", "check-directory", "binary-model",
                                   "deep-model", "huge-literal", "huge-value", "huge-operand",
                                   "report"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
@@ -557,6 +609,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         bad.write_text(json.dumps(SDR_PARTS_NUMBER))
     elif case == "deep-nesting":
         bad.write_text(_deep_document(5000))
+    elif case == "deep-links":
+        bad.write_text(_deep_links_document(5000))
     elif case == "check-directory":
         argv = ["check", str(tmp_path)]
     elif case == "report":  # a check --json report of the same system, given as a certificate
@@ -582,6 +636,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     # each hand-written document fails where it was written to fail
     cause = {"parts-number": "SDR parts must be a list", "deep-nesting": "nested too deeply",
+             "deep-links": "nested too deeply",
              "report": "malformed certificate file (property None is not a string)",
              "huge-literal": "3:18: integer literal of 5000 digits is too long",
              "huge-value": "assigns x := an integer too long to print, outside its domain",
@@ -786,8 +841,8 @@ def test_golden_outputs(tmp_path, model):
 
 # sha256 of each golden certificate as schema 3 wrote it, before schema 4
 # wrote each state as its index: the schema-3 form rebuilt from each
-# schema-4 golden must come out byte for byte (they are the files of
-# tests/data/golden-schema3).
+# schema-4 golden, in tests/data/golden-schema4, must come out byte for byte
+# (they are the files of tests/data/golden-schema3).
 GOLDEN_CERT_SCHEMA3 = {
     "idle/reach.cert.json": "7900d1eae62ea21dd6140ab59fa09d5ac01916bebf977b6b661659bc09e9e562",
     "ladder3/climb.cert.json": "93173aa68ef9d4e96599de79c38582faabeb57447d1c9826ec57abb521910804",
@@ -807,11 +862,43 @@ GOLDEN_CERT_SCHEMA3 = {
 def test_golden_certificates_rebuild_their_schema3_bytes(model):
     space = load_file(_path(model + ".evt")).system.space
     rebuilt = {}
-    for name in os.listdir(os.path.join(GOLDEN, model)):
-        if name.endswith(".cert.json"):
-            with open(os.path.join(GOLDEN, model, name), encoding="utf-8") as fh:
-                rebuilt[f"{model}/{name}"] = certificate_schema3_digest(fh.read(), space)
+    folder = os.path.join(SCHEMA4, model)
+    for name in os.listdir(folder) if os.path.isdir(folder) else ():
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            rebuilt[f"{model}/{name}"] = certificate_schema3_digest(fh.read(), space)
     assert rebuilt == {key: d for key, d in GOLDEN_CERT_SCHEMA3.items() if key.startswith(model + "/")}
+
+
+def lean(doc: dict, space) -> dict:
+    """The schema-4 certificate ``doc``, a parsed document of the model whose
+    space is ``space``, after the four edits that make it schema 5: its nest
+    of STR nodes flattened to one chain, the chain's first link (``a`` to
+    the fixpoint) dropped, each SDR part dropped whose ``p`` adds no state to
+    the parts kept before it, and each leaf's assumption dropped.  Its set
+    table is then written again; ``doc`` is rebuilt in place, so every key
+    keeps its position."""
+    sets = sets_from_json(space, doc)
+
+    def links(n):
+        return links(n["left"]) + links(n["right"]) if n["rule"] == "STR" else [node(n)]
+
+    def node(n):
+        if n["rule"] == "SBR":
+            return {k: sets[v] if k in ("p", "q") else v for k, v in n.items() if k != "assumption"}
+        if n["rule"] == "STR":
+            chain = links(n)[1:]
+            return {"rule": "STR", "links": chain} if len(chain) > 1 else chain[0]
+        parts, covered = [], 0
+        for part in map(node, n["parts"]):
+            if not parts or part["p"].mask & ~covered:
+                parts.append(part)
+                covered |= part["p"].mask
+        return {"rule": "SDR", "q": sets[n["q"]], "parts": parts}
+
+    claimed = {key: sets[i] for key, i in doc["claimed"].items()}
+    table, rest = set_table({"claimed": claimed, "certificate": node(doc["certificate"])})
+    doc.update(schema=5, sets=table, **rest)
+    return doc
 
 
 # sha256 of each golden report as schema 3 wrote it, before schema 4 stored
@@ -895,8 +982,9 @@ def _files(folder):
                   for name in os.listdir(os.path.join(folder, model)))
 
 
-# schema-2 and schema-3 certificates, each as its own schema's explain wrote
-# it (schema 3's are the goldens before schema 4), stay accepted
+# schema-2, schema-3 and schema-4 certificates, each as its own schema's
+# explain wrote it (schema 3's are the goldens before schema 4, schema 4's
+# those before schema 5), stay accepted
 @pytest.mark.parametrize("model, name", _files(SCHEMA2))
 def test_schema2_certificates_stay_accepted(model, name):
     _accepted(model, os.path.join(SCHEMA2, model, name))
@@ -908,6 +996,17 @@ def test_schema3_certificates_stay_accepted(model, name):
         text = fh.read()
     assert hashlib.sha256(text).hexdigest() == GOLDEN_CERT_SCHEMA3[f"{model}/{name}"]
     _accepted(model, os.path.join(SCHEMA3, model, name))
+
+
+@pytest.mark.parametrize("model, name", _files(SCHEMA4))
+def test_schema5_goldens_are_their_schema4_predecessors_made_lean(model, name):
+    with open(os.path.join(SCHEMA4, model, name), encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(os.path.join(GOLDEN, model, name), encoding="utf-8") as fh:
+        new = fh.read()
+    assert json.dumps(lean(old, load_file(_path(model + ".evt")).system.space)) + "\n" == new
+    _accepted(model, os.path.join(SCHEMA4, model, name))
+    _accepted(model, os.path.join(GOLDEN, model, name))
 
 
 def _accepted(model, path):
@@ -987,7 +1086,7 @@ def _replaced(value, path, new):
 
 @pytest.fixture(scope="module")
 def valid_certificates(tmp_path_factory):
-    """A valid schema-4 document for mono3 (mp) and idle (wf), by model path."""
+    """A valid schema-5 document for mono3 (mp) and idle (wf), by model path."""
     out = {}
     for model, prop in (("mono3.evt", "climb"), ("idle.evt", "reach")):
         cert = tmp_path_factory.mktemp("cert") / f"{prop}.cert.json"

@@ -89,20 +89,21 @@ class _CountingEvents(tuple):
 def _leaves(cert):
     if isinstance(cert, Basic):
         return [cert]
-    parts = cert.parts if isinstance(cert, Disj) else (cert.left, cert.right)
+    parts = cert.parts if isinstance(cert, Disj) else cert.links
     return [leaf for part in parts for leaf in _leaves(part)]
 
 
 def test_checking_a_wf_certificate_loops_over_the_events_a_bounded_number_of_times():
-    # x : 0 .. 3 and 2000 events x := x + 1 below 3, {true} leads to {x = 3} under wf
-    sp = make_space(4)
-    guard = sp.from_indices([0, 1, 2])
-    sys_ = EventSystem(sp, [Event(f"e{i}", guard, ((1, guard.mask),)) for i in range(2000)], sp.universe())
-    a, b = sp.universe(), sp.from_indices([3])
+    # x : 0 .. 2000 and 2000 events, e{i} x := 0 at x = i + 1: {true} leads to
+    # {x = 0} under wf in one layer, each event's leaf adding its own state
+    sp = make_space(2001)
+    events = [Event(f"e{i}", sp.from_indices([i + 1]), ((-i - 1, 1 << i + 1),)) for i in range(2000)]
+    sys_ = EventSystem(sp, events, sp.universe())
+    a, b = sp.universe(), sp.from_indices([0])
     verdict = leadsto_wf(sys_, a, b)
     cert = derive_certificate_wf(sys_, a, b, verdict.trace, verdict.fair_deltas)
     leaves = _leaves(cert)
-    assert len(leaves) > 6000 and {leaf.helpful for leaf in leaves} == set(sys_.by_name)
+    assert len(leaves) == 2001 and {leaf.helpful for leaf in leaves} == set(sys_.by_name)
     sys_.events = events = _CountingEvents(sys_.events)
     assert check_certificate(sys_, cert, (a, b), "wf")
     assert events.loops <= 1  # the scan looped once per leaf

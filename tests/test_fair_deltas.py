@@ -14,6 +14,7 @@ from fixleads import transformers, wf
 from fixleads.certificates import (
     Basic,
     Disj,
+    Trans,
     cert_from_json,
     cert_to_json,
     check_certificate,
@@ -58,8 +59,10 @@ def assert_engine_matches_reference(sys_, a, b, loop=reference_loop):
 
 def assert_certificate_round_trip(sys_, a, b, v):
     """The certificate ``explain`` writes for ``v``, read back and checked as
-    ``check-cert`` does; each layer is ``Basic(below, below)`` and one lean
-    leaf per event that adds states, which all hold and join to the layer."""
+    ``check-cert`` does; each layer is ``Basic(below, below)`` and, in the
+    fair deltas' order, a lean leaf for each event whose delta adds a state
+    that ``below`` and the leaves before it do not cover; they all hold and
+    join to the layer."""
     cert = derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)
     data = json.loads(json.dumps(cert_to_json(cert, (a, b))))
     back, claimed = cert_from_json(sys_.space, data)
@@ -79,8 +82,16 @@ def assert_certificate_round_trip(sys_, a, b, v):
                 assert wf.ensures_wf(sys_, sys_.event(leaf.helpful), leaf.p, below).holds
                 joined = joined | leaf.p
             assert joined.mask in layers
-        elif not isinstance(node, Basic):
-            stack += (node.left, node.right)
+            deltas = v.fair_deltas[next(k for k, s in enumerate(v.trace.steps) if s == below)]
+            leaves = [(leaf.helpful, leaf.p) for leaf in node.parts[1:]]
+            assert leaves == [d for d in deltas if d in leaves]
+            covered = below
+            for _, p in leaves:  # each kept leaf adds a state below and the earlier ones lack
+                assert not p.is_subset(covered)
+                covered = covered | p
+            assert all(p.is_subset(covered) for _, p in deltas)  # and each dropped delta is covered
+        elif isinstance(node, Trans):
+            stack += node.links
 
 
 def _claims(path):

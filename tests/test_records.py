@@ -46,7 +46,7 @@ def _frozen_records():
         VarDecl("x", (0, 1)), s,
         Skip(), Guard(s, Skip()), Precond(s, Skip()), Choice(Skip(), Skip()),
         Seq(Skip(), Skip()), Dovetail(Skip(), Skip()), Rel("e"), IterateTrace((s,), "least"),
-        Basic(s, s, "mp"), Trans(Skip(), Skip()), Disj((), s), Claim(s, s, "mp", "mp"),
+        Basic(s, s, "mp"), Trans((Skip(), Skip())), Disj((), s), Claim(s, s, "mp", "mp"),
         VarDeclAst("x", range(0, 3)), Assign("x", (ONE,)),
         EventAst("e", None, ((), (Assign("x", (ONE,)),))),
         VariantAst("v", X), PropertyAst("p", "leadsto", X, X, "mp"),

@@ -1,4 +1,5 @@
 """State space enumeration, the index codec, and bitset algebra."""
+import os
 import random
 import re
 import tracemalloc
@@ -7,7 +8,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixleads import states
+from fixleads import load_file, states
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
 from fixleads.states import (
     SpaceError,
@@ -56,6 +57,19 @@ def test_invariant_is_the_universe_mask_over_the_raw_index():
     with pytest.raises(SpaceError, match="mask has bits outside the universe"):
         StateSet(sp, 0b10)
     assert sp.empty().complement().mask == 0b1101
+
+
+@pytest.mark.parametrize("model", ["ring3", "triangle3"])  # no holes, and holes (c1 > c0)
+def test_a_mask_outside_the_universe_raises(model):
+    sp = load_file(os.path.join(os.path.dirname(__file__), "data", model + ".evt")).system.space
+    assert StateSet(sp, sp.full_mask).mask == sp.full_mask
+    bad = [1 << sp.raw_size, (1 << sp.raw_size) | sp.full_mask, -1, -sp.full_mask]
+    if model == "triangle3":
+        assert sp.size < sp.raw_size and not sp.full_mask >> 4 & 1
+        bad.append(1 << 4)
+    for mask in bad:
+        with pytest.raises(SpaceError, match="mask has bits outside the universe"):
+            StateSet(sp, mask)
 
 
 @pytest.mark.parametrize("bad", [-1, -9, 4, 1])  # negative, raw_size and past it, a hole
