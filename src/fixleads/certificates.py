@@ -14,7 +14,7 @@ from collections.abc import Callable
 from .events import EventSystem, IterateTrace
 from .mp import ensures_mp
 from .records import Frozen, setfield
-from .states import SpaceError, StateSet, StateSpace, set_table
+from .states import SpaceError, StateSet, StateSpace, set_table, sets_from_json
 from .wf import ensures_wf
 
 SCHEMA_VERSION = 5  # each chain one node of links, and the leaves' assumption written once
@@ -171,16 +171,15 @@ def derive_certificate_wf(
 
 # --- JSON round trip -------------------------------------------------------
 #
-# A document stores each distinct set once, in ``sets``, as
-# ``states.set_table`` writes it; ``claimed`` and the tree's ``p``/``q``
-# fields are indices into it.  A set lists its states' indices, ascending:
-# the mixed-radix index over ``vars``, which the model's declarations fix.
-# Sets are met a, b, then the tree in pre-order.  Each layer of a chain
-# contains the layer below it, which is smaller, so it costs at most its new
-# states.  The leaves' assumption is the document's.  Schema 4 wrote each
-# chain as nested ``left``/``right`` pairs and an assumption on each leaf;
-# schemas 2 and 3 also wrote each state as its row of values in ``vars``
-# order, under ``rows`` in a delta entry.
+# A document names its states by the ``vars`` and ``sets`` header that
+# ``states.set_table`` writes and ``states.sets_from_json`` reads: each
+# distinct set stored once, ``claimed`` and the tree's ``p``/``q`` fields
+# indices into ``sets``.  Sets are met a, b, then the tree in pre-order.
+# Each layer of a chain contains the layer below it, which is smaller, so it
+# costs at most its new states.  The leaves' assumption is the document's.
+# Schema 4 wrote each chain as nested ``left``/``right`` pairs and an
+# assumption on each leaf; schemas 2 and 3 also wrote each state as its row
+# of values in ``vars`` order, under ``rows`` in a delta entry.
 
 
 def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
@@ -202,19 +201,18 @@ def cert_to_json(cert: Certificate, claimed: tuple[StateSet, StateSet]) -> dict:
             return {"rule": "SDR", "q": c.q, "parts": [node(p) for p in c.parts]}
         raise TypeError(f"bad certificate node {c!r}")
 
-    sets, doc = set_table({"claimed": {"a": a, "b": b}, "certificate": node(cert)})
+    header, doc = set_table(a.space, {"claimed": {"a": a, "b": b}, "certificate": node(cert)})
     if len(assumptions) != 1:
         raise CertificateError(f"leaves under assumptions {sorted(assumptions)!r}, not one")
-    return {"assumption": assumptions.pop(), "schema": SCHEMA_VERSION,
-            "vars": [v.name for v in a.space.vars], "sets": sets, **doc}
+    return {"assumption": assumptions.pop(), "schema": SCHEMA_VERSION, **header, **doc}
 
 
 def cert_from_json(
     space: StateSpace, data: dict
-) -> tuple[Certificate, tuple[StateSet, StateSet]]:
-    """The certificate and the claim ``(a, b)`` of a document of a schema in
-    ``READ_SCHEMAS``; the schema, not an entry's shape, picks its sets' reader
-    and its chains' and leaves' form.
+) -> tuple[Certificate, tuple[StateSet, StateSet], str]:
+    """The certificate, the claim ``(a, b)`` and the assumption of a document
+    of a schema in ``READ_SCHEMAS``; the schema, not an entry's shape, picks
+    its sets' reader and its chains' and leaves' form.
 
     The document comes from outside the program, so every field is checked;
     any mismatch raises :class:`CertificateError`."""
@@ -224,10 +222,13 @@ def cert_from_json(
     if type(schema) is not int or schema not in READ_SCHEMAS:
         hint = f"; re-run explain to write schema {SCHEMA_VERSION}" if schema == 1 else ""
         raise CertificateError(f"unsupported certificate schema {schema!r}{hint}")
-    sets = sets_from_json(space, data, rows=schema < 4)
-    flat = schema >= 5  # chains as lists of links, and the leaves' assumption the document's
-    if flat and not isinstance(data.get("assumption"), str):
+    try:
+        sets = sets_from_json(space, data, rows=schema < 4)
+    except SpaceError as e:
+        raise CertificateError(str(e)) from None
+    if not isinstance(data.get("assumption"), str):
         raise CertificateError(f"assumption {data.get('assumption')!r} is not a string")
+    flat = schema >= 5  # chains as lists of links, and the leaves' assumption the document's
 
     def ref(value) -> StateSet:
         # bool is an int subclass, and a negative index would wrap around
@@ -264,47 +265,5 @@ def cert_from_json(
     claimed = data.get("claimed")
     if not isinstance(claimed, dict):
         raise CertificateError("claimed must be an object")
-    return node(data.get("certificate")), (ref(claimed.get("a")), ref(claimed.get("b")))
-
-
-def sets_from_json(space: StateSpace, data: dict, rows: bool = False) -> list[StateSet]:
-    """The ``sets`` table of a document of ``space``'s ``vars``, decoded: each
-    entry a list of state indices, a delta entry's other states under
-    ``plus``, or with ``rows`` (certificate schemas 2 and 3) a list of rows
-    of values, a delta entry's under ``rows``."""
-    names = [v.name for v in space.vars]
-    if data.get("vars") != names:
-        raise CertificateError(f"vars {data.get('vars')!r} are not the model's {names!r}")
-    table = data.get("sets")
-    if not isinstance(table, list):
-        raise CertificateError("sets must be a list")
-    decode, key = (_from_rows, "rows") if rows else (_from_indices, "plus")
-    sets: list[StateSet] = []
-    for i, entry in enumerate(table):
-        base = None
-        if isinstance(entry, dict):
-            if entry.keys() != {"base", key}:
-                raise CertificateError(f"set {i} is neither a list nor an object of base and {key}")
-            base, entry = entry["base"], entry[key]
-            if type(base) is not int or not 0 <= base < i:
-                raise CertificateError(f"base {base!r} of set {i} is not the index of an earlier set")
-        try:
-            members = decode(space, entry)
-        except SpaceError as e:
-            raise CertificateError(f"set {i}: {e}") from None
-        sets.append(members if base is None else sets[base] | members)
-    return sets
-
-
-def _from_indices(space: StateSpace, members) -> StateSet:
-    # a member must be a JSON integer: bool is an int subclass, and 1.0 == 1
-    if not isinstance(members, list) or not {*map(type, members)} <= {int}:
-        raise SpaceError("not a list of state indices")
-    return space.from_indices(members)
-
-
-def _from_rows(space: StateSpace, rows) -> StateSet:
-    width = len(space.vars)
-    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == width for r in rows):
-        raise SpaceError(f"not a list of rows of {width} values")
-    return space.from_rows(rows)
+    cert = node(data.get("certificate"))
+    return cert, (ref(claimed.get("a")), ref(claimed.get("b"))), data["assumption"]

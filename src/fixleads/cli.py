@@ -142,8 +142,7 @@ def cmd_check(args) -> int:
         raise UsageError(f"{args.file}: no properties declared")
     all_hold = True
     defect = False
-    searched = {}  # (semantics, a, b) -> the oracle's (holds, counterexample)
-    graphs = {}  # (a, b) -> the search graph its mp and wf oracles share
+    graphs = {}  # (a, b) -> the search graph its mp and wf oracles share, and their answers
     shown = []  # each verdict's holds and details, which text mode prints without a report entry
     for prop in elab.properties:
         started = time.perf_counter()
@@ -154,13 +153,11 @@ def cmd_check(args) -> int:
         if args.json:
             entry["verdict"] = verdict.to_json()
         if prop.kind == "leadsto" and (args.oracle or not verdict.holds):
-            question = (claim.semantics, claim.a.mask, claim.b.mask)
-            if question not in searched:
-                search = oracle.oracle_mp if claim.semantics == "mp" else oracle.oracle_wf
-                if question[1:] not in graphs:
-                    graphs[question[1:]] = oracle.SearchGraph(elab.system, claim.a, claim.b)
-                searched[question] = search(elab.system, claim.a, claim.b, graph=graphs[question[1:]])
-            o_holds, cx = searched[question]
+            key = (claim.a.mask, claim.b.mask)
+            if key not in graphs:
+                graphs[key] = oracle.SearchGraph(elab.system, claim.a, claim.b)
+            search = oracle.oracle_mp if claim.semantics == "mp" else oracle.oracle_wf
+            o_holds, cx = search(elab.system, claim.a, claim.b, graph=graphs[key])
             # a variant rule is only sufficient: when it fails, the oracle
             # is held against the direct mp fixpoint, not against the rule
             fix_holds = verdict.holds or (
@@ -182,8 +179,8 @@ def cmd_check(args) -> int:
         all_hold = all_hold and verdict.holds
     graphs.clear()  # free the search graphs before the report is written
     if args.json:
-        sets, entries = set_table(report.pop("properties"))
-        report.update(vars=[v.name for v in elab.system.space.vars], sets=sets, properties=entries)
+        header, entries = set_table(elab.system.space, report.pop("properties"))
+        report.update(header, properties=entries)
         print(_json(report))
     else:
         print(f"system {report['system']} ({len(report['properties'])} properties)")
@@ -274,10 +271,7 @@ def cmd_check_cert(args) -> int:
     prop = _find_property(elab, name)
     claim = resolve(elab, prop)
     try:
-        cert, claimed = certificates.cert_from_json(elab.system.space, payload)
-        assumption = payload.get("assumption")
-        if not isinstance(assumption, str):
-            raise certificates.CertificateError(f"assumption {assumption!r} is not a string")
+        cert, claimed, assumption = certificates.cert_from_json(elab.system.space, payload)
         ok = _proves(prop, claim, cert, claimed, assumption) and certificates.check_certificate(
             elab.system, cert, claimed, assumption)
     except certificates.CertificateError as exc:

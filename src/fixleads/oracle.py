@@ -89,24 +89,22 @@ def _edges_within(sys: EventSystem, allowed: int) -> Callable[[list[int]], list[
 
 class SearchGraph:
     """The avoid-graph of a claim ``a ↦ b`` as far as runs from ``a`` reach
-    it before ``b``, found on first use by one breadth-first search that
+    it before ``b``, found when it is built by one breadth-first search that
     lists a state's edges only when it first reaches the state, one level at
     a time.  ``states`` holds them in BFS order, and each is named by its
     position there: ``edges`` (event, position), ``parent`` (position,
     event) and ``depth``.  ``oracle_mp`` and ``oracle_wf`` of one ``a`` and
-    ``b`` may share a graph, and so its deadlocks and components."""
+    ``b`` may share a graph, and so its deadlocks and components; each
+    semantics' answer is kept in ``answers``, so a question asked again is
+    answered once."""
 
     def __init__(self, sys: EventSystem, a: StateSet, b: StateSet):
         self.sys, self.a, self.b = sys, a, b
-        self.states: list[int] | None = None
         self._sccs: list[list[int]] | None = None
-
-    def search(self) -> SearchGraph:
-        if self.states is not None:
-            return self
-        allowed = self.b.complement().mask
-        edges_of = _edges_within(self.sys, allowed)
-        states = list(bit_positions(self.a.mask & allowed))
+        self.answers: dict[str, tuple[bool, Counterexample | None]] = {}
+        allowed = b.complement().mask
+        edges_of = _edges_within(sys, allowed)
+        states = list(bit_positions(a.mask & allowed))
         pos = {s: i for i, s in enumerate(states)}
         parent: list[tuple[int, str] | None] = [None] * len(states)
         depth, edges = [0] * len(states), []
@@ -121,10 +119,9 @@ class SearchGraph:
                         depth.append(depth[i] + 1)
                     listed[k] = (ev, j)
                 edges.append(listed)
-        dead = _mask_of(states, self.sys.space.raw_size) & ~self.sys.grd_all.mask
+        dead = _mask_of(states, sys.space.raw_size) & ~sys.grd_all.mask
         self.deadlocks = [pos[s] for s in bit_positions(dead)]
         self.states, self.parent, self.depth, self.edges = states, parent, depth, edges
-        return self
 
     def sccs(self) -> list[list[int]]:
         if self._sccs is None:
@@ -209,7 +206,7 @@ def _sccs(adj, key=None) -> list[list[int]]:
 
 def oracle_reachable(sys: EventSystem, start: StateSet) -> StateSet:
     """Forward reachability closure by breadth-first search."""
-    return sys.space.from_indices(SearchGraph(sys, start, sys.space.empty()).search().states)
+    return sys.space.from_indices(SearchGraph(sys, start, sys.space.empty()).states)
 
 
 def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_trap,
@@ -217,12 +214,18 @@ def _oracle(sys: EventSystem, a: StateSet, b: StateSet, assumption: str, find_tr
     """Search the avoid-subgraph reachable from ``a`` outside ``b`` for a
     deadlock, then for a trap cycle found by ``find_trap(sys, graph,
     nearest)``, which returns ``(anchor, cycle, fairness witness)`` in
-    positions, or None."""
+    positions, or None; the answer is kept on the graph."""
     if graph is None:
         graph = SearchGraph(sys, a, b)
     elif graph.sys is not sys or (graph.a.mask, graph.b.mask) != (a.mask, b.mask):
         raise ValueError("the search graph is of another claim")
-    states, depth = graph.search().states, graph.depth
+    if assumption not in graph.answers:
+        graph.answers[assumption] = _answer(sys, graph, assumption, find_trap)
+    return graph.answers[assumption]
+
+
+def _answer(sys, graph, assumption, find_trap):
+    states, depth = graph.states, graph.depth
 
     def nearest(nodes):
         # (depth, index) order keeps counterexamples short and deterministic

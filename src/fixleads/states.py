@@ -198,27 +198,6 @@ class StateSpace:
             return None
         return i if self.full_mask >> i & 1 else None
 
-    def from_rows(self, rows: Sequence[Sequence[Value]]) -> "StateSet":
-        """The states whose values are ``rows``, each row matched as
-        :meth:`index_of_row` matches it; raises :class:`SpaceError` naming the
-        first row that is no state.  The rows are encoded column by column,
-        and one test of the mask against ``full_mask`` finds any hole; only
-        when some row fails are they encoded again one by one, to name it."""
-        index = None
-        if {*map(len, rows)} <= {len(self.vars)}:
-            try:  # each column's offsets, added up row by row
-                columns = [map(offset.__getitem__, zip(map(type, col), col))
-                           for offset, col in zip(self.offsets.values(), zip(*rows))]
-                index = list(map(sum, zip(*columns)))
-            except (KeyError, TypeError):  # a value outside its domain, or unhashable
-                index = None
-        if index is not None:
-            mask = _mask_of(index, self.raw_size)
-            if not mask & ~self.full_mask:
-                return StateSet(self, mask)
-        bad = next(row for row in rows if self._encode(row) is None)
-        raise SpaceError(f"row {list(bad)!r} is not a state")
-
     def state_of(self, index: int) -> dict:
         return {name: domain[index // stride % radix] for name, domain, stride, radix in self._digits}
 
@@ -356,15 +335,15 @@ class StateSet(Frozen):
         if other.space is not self.space:
             raise SpaceMismatch("state sets belong to different spaces")
 
-    def union(self, other: "StateSet") -> "StateSet":
+    def __or__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.space, self.mask | other.mask)
 
-    def inter(self, other: "StateSet") -> "StateSet":
+    def __and__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.space, self.mask & other.mask)
 
-    def diff(self, other: "StateSet") -> "StateSet":
+    def __sub__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.space, self.mask & ~other.mask)
 
@@ -381,9 +360,6 @@ class StateSet(Frozen):
     def is_universe(self) -> bool:
         return self.mask == self.space.full_mask
 
-    __or__ = union
-    __and__ = inter
-    __sub__ = diff
     __invert__ = complement
     __le__ = is_subset
 
@@ -405,16 +381,17 @@ class StateSet(Frozen):
         return f"StateSet({sorted(self)})"
 
 
-def set_table(doc) -> tuple[list, object]:
-    """The table that stores each distinct :class:`StateSet` of ``doc`` once,
-    and ``doc`` with every set replaced by its index into it: the ``sets`` of
-    reports and certificates.  Sets are met in document order (dict values in
-    insertion order, list items in order) and numbered by size, then by first use.
-    A set that contains an earlier non-empty set is written as the largest
-    such set plus its other states, ``{"base": i, "plus": [...]}``; any other
-    set as the list of its states.  A state is written as its index, in
-    ascending order.  A chain's iterate contains the one before it, which is
-    smaller, so each costs only its new states."""
+def set_table(space: StateSpace, doc) -> tuple[dict, object]:
+    """The ``{"vars", "sets"}`` header that names the states of a document
+    of ``space``'s sets, read back by :func:`sets_from_json`, and ``doc``
+    with each :class:`StateSet` replaced by its index into ``sets``, which
+    stores each distinct set once.  Sets are met in document order (dict
+    values in insertion order, list items in order) and numbered by size,
+    then by first use.  A set that contains an earlier non-empty set is
+    written as the largest such set plus its other states, ``{"base": i,
+    "plus": [...]}``; any other set as the list of its states, each its
+    index over ``vars``, ascending.  A chain's iterate contains the one
+    before it, which is smaller, so each costs only its new states."""
     first: dict[int, int] = {}  # mask -> its first-use rank, the one hash of it
     uses: list[int] = []  # each use's first-use rank, in document order
     _mapped(doc, lambda s: uses.append(first.setdefault(s.mask, len(first))))
@@ -428,7 +405,51 @@ def set_table(doc) -> tuple[list, object]:
         table.append(list(bit_positions(m)) if base is None
                      else {"base": base, "plus": list(bit_positions(m & ~masks[base]))})
     index = (where[k] for k in uses)
-    return table, _mapped(doc, lambda s: next(index))
+    return {"vars": [v.name for v in space.vars], "sets": table}, _mapped(doc, lambda s: next(index))
+
+
+def sets_from_json(space: StateSpace, data: dict, rows: bool = False) -> list[StateSet]:
+    """The sets of a :func:`set_table` header in ``data``, a document from
+    outside the program, so any mismatch raises :class:`SpaceError`; with
+    ``rows`` (certificate schemas 2 and 3) each state is its row of values,
+    matched as :meth:`StateSpace.index_of_row` matches it, and a delta
+    entry's are under ``rows``, not ``plus``."""
+    names = [v.name for v in space.vars]
+    if data.get("vars") != names:
+        raise SpaceError(f"vars {data.get('vars')!r} are not the model's {names!r}")
+    table = data.get("sets")
+    if not isinstance(table, list):
+        raise SpaceError("sets must be a list")
+    key = "rows" if rows else "plus"
+    sets: list[StateSet] = []
+    for i, entry in enumerate(table):
+        base = None
+        if isinstance(entry, dict):
+            if entry.keys() != {"base", key}:
+                raise SpaceError(f"set {i} is neither a list nor an object of base and {key}")
+            base, entry = entry["base"], entry[key]
+            if type(base) is not int or not 0 <= base < i:
+                raise SpaceError(f"base {base!r} of set {i} is not the index of an earlier set")
+        try:
+            members = _members(space, entry, rows)
+        except SpaceError as e:
+            raise SpaceError(f"set {i}: {e}") from None
+        sets.append(members if base is None else sets[base] | members)
+    return sets
+
+
+def _members(space: StateSpace, entry, rows: bool) -> StateSet:
+    if not rows:  # JSON integers: bool is an int subclass, and 1.0 == 1
+        if not isinstance(entry, list) or not {*map(type, entry)} <= {int}:
+            raise SpaceError("not a list of state indices")
+        return space.from_indices(entry)
+    width = len(space.vars)
+    if not isinstance(entry, list) or not all(isinstance(r, list) and len(r) == width for r in entry):
+        raise SpaceError(f"not a list of rows of {width} values")
+    index = list(map(space._encode, entry))
+    if None in index:
+        raise SpaceError(f"row {entry[index.index(None)]!r} is not a state")
+    return StateSet(space, _mask_of(index, space.raw_size))
 
 
 def _mapped(doc, fn: Callable[[StateSet], object]):

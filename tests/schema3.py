@@ -17,7 +17,7 @@ here, from the schema-4 certificates kept in ``tests/data/golden-schema4``
 import hashlib
 import json
 
-from fixleads.certificates import sets_from_json
+from fixleads.states import sets_from_json
 from fixleads.states import StateSet
 
 

@@ -137,7 +137,8 @@ def test_json_round_trip(idle, mono3):
         data = json.loads(json.dumps(cert_to_json(cert, (a, b))))  # as explain writes it
         assert data["schema"] == 5
         assert data["certificate"]["rule"] in ("SBR", "STR", "SDR")
-        back, claimed = cert_from_json(sys_.space, data)
+        back, claimed, read = cert_from_json(sys_.space, data)
+        assert read == assumption
         # each distinct set is stored once, by size, as its ascending state
         # indices; a set holding an earlier one is stored as the largest such
         # plus its other states
@@ -161,7 +162,8 @@ def test_json_round_trip(idle, mono3):
 
 
 def _document(**fields):
-    doc = {"schema": 2, "system": "mono3", "property": "climb", "vars": ["x"], "sets": [[[0]], [[2]]],
+    doc = {"schema": 2, "system": "mono3", "property": "climb", "assumption": "mp",
+           "vars": ["x"], "sets": [[[0]], [[2]]],
            "claimed": {"a": 0, "b": 1},
            "certificate": {"rule": "SBR", "p": 0, "q": 1, "assumption": "mp"}}
     doc.update(fields)
@@ -169,7 +171,7 @@ def _document(**fields):
 
 
 def test_unknown_schema_rejected(mono3):
-    cert, (a, b) = cert_from_json(mono3.space, _document())
+    cert, (a, b), _ = cert_from_json(mono3.space, _document())
     assert (sorted(a), sorted(b)) == ([0], [2]) and cert.p is a
     no_schema = _document()
     del no_schema["schema"]

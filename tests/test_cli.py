@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixleads import cli, load_file, oracle
-from fixleads.certificates import cert_from_json, cert_to_json, sets_from_json
+from fixleads.certificates import cert_from_json, cert_to_json
 from fixleads.cli import main
 from fixleads.events import Event
-from fixleads.states import set_table
+from fixleads.states import set_table, sets_from_json
 from fixleads.verdicts import Verdict
 
 from schema3 import certificate_schema3, certificate_schema3_digest, schema3, schema3_digest
@@ -151,7 +151,8 @@ def test_explain_and_check_cert_round_trip(tmp_path, capsys):
     assert main(["check-cert", _path("idle.evt"), str(out_file)]) == 0
     assert "accepted" in capsys.readouterr().out
     # the library's document as json.dumps writes it is explain's file, and accepted
-    cert, claimed = cert_from_json(load_file(_path("idle.evt")).system.space, payload)
+    cert, claimed, assumption = cert_from_json(load_file(_path("idle.evt")).system.space, payload)
+    assert assumption == "wf"
     dumped = json.dumps({"system": "idle", "property": "reach", "assumption": "wf",
                          **cert_to_json(cert, claimed)})
     assert dumped + "\n" == out_file.read_text()
@@ -327,14 +328,20 @@ def test_check_cert_reads_schema5_chains_strictly(tmp_path, case):
 
 @pytest.mark.parametrize("assumption", [None, ["mp"], "missing"])
 def test_a_schema5_document_needs_its_assumption(tmp_path, assumption):
-    doc = _explained(tmp_path, _path("mono3.evt"), "climb")
-    if assumption == "missing":
-        del doc["assumption"]
-    else:
-        doc["assumption"] = assumption
-    code, out, err = _check_cert(tmp_path, _path("mono3.evt"), doc)
-    assert (code, out) == (2, "")
-    assert err.endswith(f"malformed certificate file (assumption {doc.get('assumption')!r} is not a string)\n")
+    """So does a schema-2, 3 or 4 golden, whose leaves carry their own."""
+    docs = [_explained(tmp_path, _path("mono3.evt"), "climb")]
+    for folder in (SCHEMA2, SCHEMA3, SCHEMA4):
+        with open(os.path.join(folder, "mono3", "climb.cert.json"), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    for doc in docs:
+        if assumption == "missing":
+            del doc["assumption"]
+        else:
+            doc["assumption"] = assumption
+        code, out, err = _check_cert(tmp_path, _path("mono3.evt"), doc)
+        assert (code, out) == (2, ""), doc["schema"]
+        assert err.endswith(f"malformed certificate file (assumption {doc.get('assumption')!r} is not a string)\n")
+    assert [doc["schema"] for doc in docs] == [5, 2, 3, 4]
 
 
 # a variant whose levels do not decrease: the rule fails on both claims
@@ -428,13 +435,15 @@ def test_oracle_searches_once_per_distinct_claim(tmp_path, monkeypatch, model):
     with open(_path(f"{model}.evt"), encoding="utf-8") as fh:
         src.write_text(fh.read() + SAME_CLAIM[model])
     searches = _counted(monkeypatch, "oracle_mp")
+    answers = _counted(monkeypatch, "_answer")  # each graph's one answer per semantics
     validations = _counted(monkeypatch, "validate_counterexample")
     code, out, _ = _captured(["check", str(src), "--oracle", "--json"])
     space = load_file(str(src)).system.space
     with open(os.path.join(GOLDEN, model, "check.json"), encoding="utf-8") as fh:
         golden = schema3(json.load(fh), space)["properties"][0]  # climb
-    questions = [(a.mask, b.mask) for _, a, b in searches]
-    assert len(questions) == len(set(questions)) == {"mono3": 2, "cycle3": 1}[model]
+    questions = {(a.mask, b.mask) for _, a, b in searches}
+    assert len(answers) == len(questions) == {"mono3": 2, "cycle3": 1}[model]
+    assert len(searches) > len(questions)  # asked again, answered once
     entries = schema3(json.loads(out), space)["properties"]  # sets by value, not by index
     assert code == (0 if all(e["verdict"]["holds"] for e in entries) else 1)
     # every failing verdict's counterexample is still validated
@@ -896,8 +905,8 @@ def lean(doc: dict, space) -> dict:
         return {"rule": "SDR", "q": sets[n["q"]], "parts": parts}
 
     claimed = {key: sets[i] for key, i in doc["claimed"].items()}
-    table, rest = set_table({"claimed": claimed, "certificate": node(doc["certificate"])})
-    doc.update(schema=5, sets=table, **rest)
+    header, rest = set_table(space, {"claimed": claimed, "certificate": node(doc["certificate"])})
+    doc.update(schema=5, **header, **rest)
     return doc
 
 

@@ -65,7 +65,8 @@ def assert_certificate_round_trip(sys_, a, b, v):
     join to the layer."""
     cert = derive_certificate_wf(sys_, a, b, v.trace, v.fair_deltas)
     data = json.loads(json.dumps(cert_to_json(cert, (a, b))))
-    back, claimed = cert_from_json(sys_.space, data)
+    back, claimed, assumption = cert_from_json(sys_.space, data)
+    assert assumption == "wf"
     assert [s.mask for s in claimed] == [a.mask, b.mask]
     assert check_certificate(sys_, back, claimed, "wf")
     layers = {s.mask for s in v.trace.steps}

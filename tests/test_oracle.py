@@ -289,11 +289,30 @@ def test_both_listings_search_the_same_graph():
         for cost in (BYTES, MASKS):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(oracle, "_LEVEL_COST", cost)
-                graph = SearchGraph(sys_, a, b).search()
+                graph = SearchGraph(sys_, a, b)
                 found.append((graph.states, graph.edges, graph.parent, graph.depth,
                               oracle_mp(sys_, a, b), oracle_wf(sys_, a, b)))
         assert found[0] == found[1]
 
+
+
+def test_a_graph_is_searched_when_built_and_answers_each_semantics_once(monkeypatch):
+    """Building a ``SearchGraph`` runs its one search; each oracle's answer
+    is kept on it, so asking again returns the same answer without another
+    search, and a graph of its own gives the same answer."""
+    rng = random.Random(29)
+    for _ in range(60):
+        sys_ = random_system(rng, max_states=12)
+        a, b = random_set(rng, sys_.space), random_set(rng, sys_.space)
+        graph = SearchGraph(sys_, a, b)
+        assert graph.states[:len(a - b)] == list(a - b) and len(graph.edges) == len(graph.states)
+        first = [oracle_mp(sys_, a, b, graph), oracle_wf(sys_, a, b, graph)]
+        assert list(graph.answers) == ["mp", "wf"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_answer", None)  # a second answer would raise
+            again = [oracle_mp(sys_, a, b, graph), oracle_wf(sys_, a, b, graph)]
+        assert all(x is y for x, y in zip(first, again))
+        assert first == [oracle_mp(sys_, a, b), oracle_wf(sys_, a, b)]
 
 def _claims_of(path, unbounded=True):
     """Each claim of the model at ``path`` as ``explain`` resolves it and,
@@ -351,7 +370,7 @@ def _check_components_and_tours(sys_, a, b, no_longer=True):
     component where it is disabled, and the last leg is a shortest walk back
     to the anchor.  With ``no_longer``, the walk is no longer than the
     reference tour.  Returns the number of walks checked."""
-    graph = SearchGraph(sys_, a, b).search()
+    graph = SearchGraph(sys_, a, b)
     states, depth, adj = graph.states, graph.depth, graph.edges
     by_state = {states[i]: [(ev, states[j]) for ev, j in adj[i]] for i in range(len(states))}
     sccs = graph.sccs()

@@ -18,6 +18,7 @@ from fixleads.states import (
     VarDecl,
     bit_positions,
     eval_pred,
+    sets_from_json,
 )
 
 from conftest import make_space, raw_states, reference_bit_positions, reference_full_width_scan
@@ -253,8 +254,13 @@ _domains = st.sampled_from([(0, 1, 2), (-1, 0), (False, True), ("a", "b"), (0, T
 _strays = st.sampled_from([0, 1, 2, -1, False, True, 0.0, 1.0, "a", "0", None, [0], {}])
 
 
+def _read_rows(sp, rows):
+    """``rows`` as the reader reads a schema-2 or schema-3 set of them."""
+    return sets_from_json(sp, {"vars": [v.name for v in sp.vars], "sets": [rows]}, rows=True)[0]
+
+
 @given(st.lists(_domains, min_size=1, max_size=3), st.data())
-def test_from_rows_matches_each_row_as_index_of_row(domains, data):
+def test_a_row_entry_matches_each_row_as_index_of_row(domains, data):
     sp = StateSpace([VarDecl(f"v{k}", d) for k, d in enumerate(domains)])
     every = raw_states(sp)
     rows = [list(every[i]) for i in data.draw(st.lists(st.integers(0, sp.raw_size - 1)))]
@@ -270,10 +276,10 @@ def test_from_rows_matches_each_row_as_index_of_row(domains, data):
             first_bad = row
             break
     if first_bad is None:
-        assert sp.from_rows(rows).mask == expected
+        assert _read_rows(sp, rows).mask == expected
     else:
-        with pytest.raises(SpaceError, match=f"^row {re.escape(repr(first_bad))} is not a state$"):
-            sp.from_rows(rows)
+        with pytest.raises(SpaceError, match=f"^set 0: row {re.escape(repr(first_bad))} is not a state$"):
+            _read_rows(sp, rows)
 
 
 def _typed(values):
@@ -314,22 +320,22 @@ def test_the_codec_inverts_the_enumeration_on_every_raw_index(sp):
         else:  # a hole: no state, even among the universe's rows
             with pytest.raises(SpaceError, match="are not a state"):
                 sp.index_of_row(row)
-            with pytest.raises(SpaceError, match=f"^row {re.escape(repr(list(row)))} is not"):
-                sp.from_rows([list(every[j]) for j in members] + [list(row)])
+            with pytest.raises(SpaceError, match=f"^set 0: row {re.escape(repr(list(row)))} is not"):
+                _read_rows(sp, [list(every[j]) for j in members] + [list(row)])
     universe = sp.universe()
     assert [_typed(s.values()) for s in universe.to_json()] == [_typed(every[i]) for i in members]
-    assert sp.from_rows([list(every[i]) for i in reversed(members)]) == universe
+    assert _read_rows(sp, [list(every[i]) for i in reversed(members)]) == universe
 
 
 def test_decoding_or_encoding_a_few_states_builds_no_table():
-    """``state_of`` and ``from_rows`` are arithmetic on the index: on 10**5
-    raw states they allocate kilobytes, not a table of every state."""
+    """``state_of`` and the reader's rows are arithmetic on the index: on
+    10**5 raw states they allocate kilobytes, not a table of every state."""
     with pytest.warns(UserWarning, match="raw states"):
         sp = StateSpace([VarDecl(f"v{k}", tuple(range(10))) for k in range(5)])
     tracemalloc.start()
     try:
         state = sp.state_of(54321)
-        found = sp.from_rows([[k, 2, 3, 4, 5] for k in range(10)])
+        found = _read_rows(sp, [[k, 2, 3, 4, 5] for k in range(10)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixleads
 from fixleads import events, transformers
-from fixleads.certificates import sets_from_json
-from fixleads.states import StateSet, set_table
+from fixleads.states import StateSet, set_table, sets_from_json
 from fixleads.transformers import (
     Choice,
     Dovetail,
@@ -111,11 +110,11 @@ def test_trace_shape():
     for a, b in zip(trace.steps, trace.steps[1:]):
         assert a.is_subset(b)
     _, down = gfp(lambda x: x & StateSet(SP, x.mask >> 1), SP)
-    vars_ = [v.name for v in SP.vars]
     for t in (trace, down):
         # the trace as a report carries it: every iterate an index into the set table
-        table, data = set_table(t.to_json())
-        sets = sets_from_json(SP, {"vars": vars_, "sets": json.loads(json.dumps(table))})
+        header, data = set_table(SP, t.to_json())
+        table = header["sets"]
+        sets = sets_from_json(SP, json.loads(json.dumps(header)))
         assert data["kind"] == t.kind and data["steps"][-1] == data["steps"][-2]
         assert [sets[i].mask for i in data["steps"]] == [x.mask for x in t.steps]
         # each iterate past the smallest is its neighbour towards it plus its new rows

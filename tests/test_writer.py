@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixleads import StateSet, StateSpace, VarDecl
 from fixleads.exprs import And, BoolLit, Cmp, IntLit, Name
-from fixleads.certificates import sets_from_json
-from fixleads.states import set_table
+from fixleads.states import set_table, sets_from_json
 
 # enum values that need escapes: quotes, backslashes, control and non-ASCII
 _enum_values = st.text(alphabet='ab"\\\n\té€😀', min_size=1, max_size=4)
@@ -57,11 +56,12 @@ def state_sets(draw, space):
 
 @st.composite
 def documents(draw):
+    """A space and a document of its sets."""
     space = draw(spaces())
     scalars = (st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats()
                | st.text(max_size=4))
     keys = st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats()
-    return draw(st.recursive(
+    return space, draw(st.recursive(
         scalars | state_sets(space),
         lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
         | st.dictionaries(keys, kids, max_size=4),
@@ -83,16 +83,18 @@ def _pairs(doc, mapped):
 
 @settings(max_examples=200, deadline=None)
 @given(documents())
-def test_set_table_stores_each_distinct_set_once_and_loses_none(doc):
-    table, mapped = set_table(doc)
+def test_set_table_stores_each_distinct_set_once_and_loses_none(drawn):
+    space, doc = drawn
+    header, mapped = set_table(space, doc)
+    assert list(header) == ["vars", "sets"] and header["vars"] == [v.name for v in space.vars]
+    table = header["sets"]
+    # the header as json.dumps writes it reads back, even with no set to name
+    sets = sets_from_json(space, json.loads(json.dumps(header)))
     pairs = list(_pairs(doc, mapped))
     if not pairs:
-        assert table == [] and json.dumps(mapped) == json.dumps(doc)
+        assert table == sets == [] and json.dumps(mapped) == json.dumps(doc)
         return
-    space = pairs[0][0].space
-    names = [v.name for v in space.vars]
     written = json.loads(json.dumps(table))
-    sets = sets_from_json(space, {"vars": names, "sets": written})
     assert all(sets[i].mask == s.mask for s, i in pairs)
     masks = [s.mask for s in sets]
     # numbered by size, sets of one size in first-use order
